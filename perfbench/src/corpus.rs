@@ -17,7 +17,6 @@ use sca_target::{
 };
 
 use crate::pool::splitmix64;
-use crate::trace::span;
 use crate::{stats, Measured, Metric, Options, Setup};
 
 /// The corpus's master seed for a benchmark seed.
@@ -60,6 +59,7 @@ pub fn run(
     };
     let mut measured = Measured::default();
     let start = Instant::now();
+    let runs_before = simulator_runs();
 
     let mut written = Vec::new();
     for (i, prepared) in setup.targets.iter().enumerate() {
@@ -78,24 +78,22 @@ pub fn run(
             },
         )?;
         for model in target.models() {
-            let (verdict, _) = span("campaign.cpa", || campaign.cpa_stored(&model, &store))?;
+            let (verdict, _) =
+                measured.call("campaign.cpa", || campaign.cpa_stored(&model, &store))?;
             written.push(format!("[{}] {}", target.name(), verdict.verdict()));
         }
-        let (tvla, _) = span("campaign.tvla", || campaign.tvla_stored(&store))?;
+        let (tvla, _) = measured.call("campaign.tvla", || campaign.tvla_stored(&store))?;
         written.push(tvla_line(target.name(), tvla.leaks));
     }
     let write_s = start.elapsed().as_secs_f64();
+    measured.add_sim(setup, simulator_runs() - runs_before, write_s);
     let campaigns = written.len() as u64;
-    let per_target = 3 * traces as u64;
-    measured.unit_executions = vec![per_target; setup.targets.len()];
-    measured.sim_instructions = setup.instructions(&measured.unit_executions) as f64;
-    measured.sim_seconds = write_s;
 
     let mut read_walls = Vec::new();
     loop {
         let runs_before = simulator_runs();
         let pass = Instant::now();
-        let lines = reanalyze_pass(setup, root)?;
+        let lines = reanalyze_pass(setup, root, &mut measured)?;
         read_walls.push(pass.elapsed().as_secs_f64());
         let moved = simulator_runs() - runs_before;
         measured.checks.check(moved == 0, || {
@@ -127,17 +125,21 @@ pub fn run(
 }
 
 /// One re-analysis of every stored campaign, as verdict lines.
-fn reanalyze_pass(setup: &Setup, root: &Path) -> Result<Vec<String>, Box<dyn Error>> {
+fn reanalyze_pass(
+    setup: &Setup,
+    root: &Path,
+    measured: &mut Measured,
+) -> Result<Vec<String>, Box<dyn Error>> {
     let mut lines = Vec::new();
     for prepared in &setup.targets {
         let target = prepared.target.as_ref();
         for model in target.models() {
             let dir = root.join(store_dir_name(target.name(), &model.name));
-            let verdict = span("campaign.reanalyze", || reanalyze_cpa(&dir, &model))?;
+            let verdict = measured.call("campaign.reanalyze", || reanalyze_cpa(&dir, &model))?;
             lines.push(format!("[{}] {}", target.name(), verdict.verdict()));
         }
         let dir = root.join(store_dir_name(target.name(), "tvla"));
-        let tvla = span("campaign.reanalyze", || reanalyze_tvla(&dir, target))?;
+        let tvla = measured.call("campaign.reanalyze", || reanalyze_tvla(&dir, target))?;
         lines.push(tvla_line(target.name(), tvla.leaks));
     }
     Ok(lines)

@@ -195,7 +195,7 @@ pub const WORK_COUNTERS: [&str; 11] = [
 ];
 
 /// Per-layer metrics, with units, in `BENCHMARK.json` order.
-pub const PER_LAYER: [(&str, &str); 44] = [
+pub const PER_LAYER: [(&str, &str); 49] = [
     ("uarch.walk_ns_per_cycle.scalar", "ns"),
     ("uarch.walk_ns_per_cycle.block", "ns"),
     ("uarch.cycles", "count"),
@@ -217,11 +217,16 @@ pub const PER_LAYER: [(&str, &str); 44] = [
     ("campaign.lockstep_share", "ratio"),
     ("campaign.blocks_poisoned", "count"),
     ("campaign.cpa_s", "s"),
+    ("campaign.cpa_calls", "count"),
     ("campaign.tvla_s", "s"),
+    ("campaign.tvla_calls", "count"),
     ("campaign.reanalyze_s", "s"),
+    ("campaign.reanalyze_calls", "count"),
     ("target.build_s", "s"),
     ("target.charz_s", "s"),
+    ("target.charz_calls", "count"),
     ("core.audit_s", "s"),
+    ("core.audit_calls", "count"),
     ("isa.assemble_s", "s"),
     ("analysis.cpa_absorb_ns_per_cell", "ns"),
     ("analysis.ttest_ns_per_sample", "ns"),
@@ -277,20 +282,47 @@ pub struct Measured {
     /// Host seconds of each unit of work (portfolio pass, corpus
     /// write + re-analysis pass, service round).
     pub unit_walls: Vec<f64>,
-    /// Simulated instructions the workload requested.
-    pub sim_instructions: f64,
-    /// Host seconds of the phase that simulated them.
+    /// `power/simulator_runs` measured over the simulating phases.
+    pub sim_runs: u64,
+    /// Host seconds of those phases.
     pub sim_seconds: f64,
     /// Averaged traces delivered (analyzed into a verdict).
     pub traces: f64,
     /// Host seconds of the phase that delivered them.
     pub trace_seconds: f64,
-    /// Executions the first unit requested, per target.
-    pub unit_executions: Vec<u64>,
+    /// Every call into a layer's entry point: the call's name (as
+    /// `campaign.cpa`) and its wall, seconds.
+    pub calls: Vec<(&'static str, f64)>,
     /// Output checks.
     pub checks: Checks,
     /// Workload-specific metrics, printed but not part of the result.
     pub extras: Vec<Metric>,
+}
+
+impl Measured {
+    /// Adds a simulating phase: its measured `power/simulator_runs` and
+    /// host seconds. Checks that the runs split evenly over the targets,
+    /// which the per-target instruction count assumes.
+    pub fn add_sim(&mut self, setup: &Setup, runs: u64, seconds: f64) {
+        self.checks
+            .check(runs > 0 && setup.work_of_runs(runs).is_some(), || {
+                format!(
+                    "{runs} simulator runs do not split evenly over {} targets",
+                    setup.targets.len()
+                )
+            });
+        self.sim_runs += runs;
+        self.sim_seconds += seconds;
+    }
+
+    /// Runs `f` as one call named `name` into a layer's entry point,
+    /// inside a span of that name, and records its wall.
+    pub fn call<T>(&mut self, name: &'static str, f: impl FnOnce() -> T) -> T {
+        let start = Instant::now();
+        let out = trace::span(name, f);
+        self.calls.push((name, start.elapsed().as_secs_f64()));
+        out
+    }
 }
 
 /// A finished run: the checks and every metric.
@@ -353,8 +385,13 @@ pub fn out_dir() -> PathBuf {
     PathBuf::from(".bench_out")
 }
 
-/// Set-ups per run; `setup_s` is their median.
-const SETUP_REPS: usize = 15;
+/// Set-ups per run; `setup_s` is the [`SETUP_QUANTILE`] of their walls.
+const SETUP_REPS: usize = 100;
+
+/// The low quantile of the set-up walls reported: on a shared host the
+/// median flips between modes from run to run, the fastest tenth does
+/// not.
+const SETUP_QUANTILE: f64 = 0.1;
 
 /// Per-workload state built during set-up.
 enum State {
@@ -363,8 +400,8 @@ enum State {
     Service(service::Service),
 }
 
-/// Set-up repeated `reps` times; the last one is kept and the median
-/// wall reported.
+/// Set-up repeated `reps` times; the last one is kept and the
+/// [`SETUP_QUANTILE`] of the walls reported.
 fn set_up(opts: &Options, reps: usize) -> Result<(Setup, State, f64), Box<dyn Error>> {
     let (mut walls, mut assemble, mut build) = (Vec::new(), Vec::new(), Vec::new());
     let mut kept = None;
@@ -385,9 +422,9 @@ fn set_up(opts: &Options, reps: usize) -> Result<(Setup, State, f64), Box<dyn Er
         kept = Some((setup, state));
     }
     let (mut setup, state) = kept.expect("at least one set-up");
-    setup.assemble_s = stats::median(&assemble);
-    setup.build_s = stats::median(&build);
-    Ok((setup, state, stats::median(&walls)))
+    setup.assemble_s = stats::quantile(&assemble, SETUP_QUANTILE);
+    setup.build_s = stats::quantile(&build, SETUP_QUANTILE);
+    Ok((setup, state, stats::quantile(&walls, SETUP_QUANTILE)))
 }
 
 /// Runs the timed phase of the workload.
@@ -447,12 +484,15 @@ pub fn run_untraced(opts: &Options) -> Result<Outcome, Box<dyn Error>> {
     let (setup, state, setup_s) = set_up(opts, reps)?;
     let (measured, _) = run_timed(&setup, &state, opts, opts.seconds)?;
     tear_down(state)?;
+    let sim_instructions = setup
+        .work_of_runs(measured.sim_runs)
+        .map_or(0, |work| work.instructions);
     let metrics = vec![
         Metric::new("setup_s", setup_s, "s"),
         Metric::new("wall_s", stats::median(&measured.unit_walls), "s"),
         Metric::new(
             "sim_insns_per_s",
-            measured.sim_instructions / measured.sim_seconds,
+            sim_instructions as f64 / measured.sim_seconds,
             "1/s",
         ),
         Metric::new(
@@ -473,35 +513,42 @@ pub fn run_untraced(opts: &Options) -> Result<Outcome, Box<dyn Error>> {
 /// probe suite; reports the per-layer metrics. `untraced_wall_s` is the
 /// same unit's wall from an untraced run, for the overhead figure.
 ///
+/// Counts, call walls and `server.*` figures cover the unit alone: they
+/// are taken before the probe suite runs. Where the unit makes no call
+/// of a kind, its wall is 0 over a base of 0 calls.
+///
 /// # Errors
 ///
 /// Any fault of the workload or the probes.
 pub fn run_traced(
     opts: &Options,
     untraced_wall_s: f64,
-) -> Result<(Outcome, Vec<trace::SpanRecord>), Box<dyn Error>> {
+) -> Result<(Outcome, trace::TraceLog), Box<dyn Error>> {
     trace::set_enabled(true);
     let reps = if opts.smoke { 1 } else { SETUP_REPS };
     let (setup, state, _) = set_up(opts, reps)?;
+    trace::take();
 
     let before = sca_telemetry::global().snapshot();
-    let (measured, mut requests) = run_timed(&setup, &state, opts, 0.0)?;
+    let (measured, requests) = run_timed(&setup, &state, opts, 0.0)?;
     let after = sca_telemetry::global().snapshot();
-    let mut server = match &state {
+    let unit_spans = trace::take();
+    let server = match &state {
         State::Service(svc) => svc.server.stats(),
         _ => sca_server::ServerStats::default(),
     };
     tear_down(state)?;
-    let probed = probes::run(&setup, opts)?;
-    requests.extend(probed.requests);
-    server.submitted += probed.server.submitted;
-    server.coalesced += probed.server.coalesced;
-    server.store_served += probed.server.store_served;
-    server.queue_peak = server.queue_peak.max(probed.server.queue_peak);
-    let spans = trace::take();
+    let probe_metrics = probes::run(&setup, opts)?;
+    let log = trace::TraceLog {
+        unit: unit_spans,
+        telemetry: trace::telemetry_delta(&before, &after),
+        probes: trace::take(),
+    };
 
     let delta = |name: &str| after.counter_delta(&before, name) as f64;
-    let work = setup.work(&measured.unit_executions);
+    let work = setup
+        .work_of_runs(after.counter_delta(&before, "power/simulator_runs"))
+        .unwrap_or_default();
     let mut metrics = Vec::new();
     let mut push = |name: &str, value: f64| {
         let unit = PER_LAYER
@@ -525,14 +572,24 @@ pub fn run_traced(
         "campaign.blocks_poisoned",
         delta("campaign/blocks_poisoned"),
     );
-    for (metric, span) in [
-        ("campaign.cpa_s", "campaign.cpa"),
-        ("campaign.tvla_s", "campaign.tvla"),
-        ("campaign.reanalyze_s", "campaign.reanalyze"),
-        ("target.charz_s", "target.charz"),
-        ("core.audit_s", "core.audit"),
+    for call in [
+        "campaign.cpa",
+        "campaign.tvla",
+        "campaign.reanalyze",
+        "target.charz",
+        "core.audit",
     ] {
-        push(metric, trace::total_seconds(&spans, span));
+        let walls: Vec<f64> = measured
+            .calls
+            .iter()
+            .filter(|(name, _)| *name == call)
+            .map(|(_, wall)| *wall)
+            .collect();
+        push(
+            &format!("{call}_s"),
+            walls.iter().fold(0.0, |sum, wall| sum + wall),
+        );
+        push(&format!("{call}_calls"), walls.len() as f64);
     }
     push("target.build_s", setup.build_s);
     push("isa.assemble_s", setup.assemble_s);
@@ -564,8 +621,8 @@ pub fn run_traced(
         "trace.overhead_pct",
         (traced_wall_s / untraced_wall_s - 1.0) * 100.0,
     );
-    push("trace.spans", spans.len() as f64);
-    metrics.extend(probed.metrics);
+    push("trace.spans", log.unit_span_count() as f64);
+    metrics.extend(probe_metrics);
 
     // Declared order.
     metrics.sort_by_key(|m| PER_LAYER.iter().position(|(n, _)| *n == m.name));
@@ -578,6 +635,6 @@ pub fn run_traced(
             metrics,
             extras,
         },
-        spans,
+        log,
     ))
 }

@@ -9,7 +9,7 @@
 
 use std::process::{Command, ExitCode};
 
-use sca_perfbench::{out_dir, pool, run_traced, run_untraced, trace, Options, Outcome, Workload};
+use sca_perfbench::{out_dir, pool, run_traced, run_untraced, Options, Outcome, Workload};
 
 const USAGE: &str =
     "usage: perfbench --workload portfolio-lanes8|portfolio-lanes1|corpus|service|all \
@@ -123,15 +123,15 @@ fn run(opts: &Options) -> Result<Outcome, Box<dyn std::error::Error>> {
         .last()
         .and_then(wall_of)
         .ok_or("untraced child printed no wall_s")?;
-    let (outcome, spans) = run_traced(opts, untraced)?;
+    let (outcome, log) = run_traced(opts, untraced)?;
     let path = out_dir().join(format!(
         "trace-{}-seed{}.json",
         opts.workload.name(),
         opts.seed
     ));
     std::fs::create_dir_all(out_dir())?;
-    std::fs::write(&path, trace::to_json(&spans))?;
-    eprintln!("wrote {} spans to {}", spans.len(), path.display());
+    std::fs::write(&path, log.to_json())?;
+    eprintln!("wrote the spans to {}", path.display());
     Ok(outcome)
 }
 

@@ -5,27 +5,30 @@
 use std::error::Error;
 use std::time::{Duration, Instant};
 
-use sca_bench::{run_portfolio, PortfolioConfig, PortfolioResult, TargetReport};
-use sca_core::{audit_cipher_target, leak_paths, AuditConfig};
-use sca_target::{
-    characterize_target, portfolio, resolve_window, TargetCampaign, TargetCampaignConfig,
-};
+use sca_bench::run_portfolio;
+use sca_power::simulator_runs;
 
 use crate::pool::{self, POOL};
 use crate::trace::span;
-use crate::{Measured, Options, PortfolioSize, Setup};
+use crate::{Measured, Options, Setup};
 
-/// Simulator executions one portfolio pass requests per target: two CPA
-/// campaigns and one TVLA campaign, the characterization and the audit.
-pub fn executions_per_target(size: &PortfolioSize) -> u64 {
-    let per_trace = size.executions_per_trace as u64;
-    3 * size.traces as u64 * per_trace
-        + size.charz_traces as u64 * per_trace
-        + size.audit_executions as u64
+/// The layer call behind one of `run_portfolio`'s phase timings
+/// (`portfolio/<target>/<phase>`), `None` for its total.
+fn phase_call(timing_name: &str) -> Option<&'static str> {
+    match timing_name.rsplit('/').next()? {
+        phase if phase.starts_with("cpa-") => Some("campaign.cpa"),
+        "tvla" => Some("campaign.tvla"),
+        "charz" => Some("target.charz"),
+        "audit" => Some("core.audit"),
+        _ => None,
+    }
 }
 
 /// Runs portfolio passes until `seconds` have elapsed (at least one),
 /// checking every pass's verdict lines against the recorded ones.
+///
+/// The call walls are `run_portfolio`'s own phase timings; the
+/// simulating phases are its CPA and TVLA campaigns.
 ///
 /// # Errors
 ///
@@ -40,99 +43,33 @@ pub fn run(
     let index = opts.seed % POOL;
     let config = pool::portfolio_config(&size, index, opts.threads, lanes);
     let expected = pool::expected(pool::portfolio_tag(&opts.sizes()), index);
-    let per_target = executions_per_target(&size);
-    let executions = vec![per_target; setup.targets.len()];
     let traces_per_pass = (setup.targets.len() * (3 * size.traces + size.charz_traces)) as f64;
 
     let mut measured = Measured::default();
     let start = Instant::now();
     loop {
+        let runs_before = simulator_runs();
         let pass = Instant::now();
-        let lines = if crate::trace::enabled() {
-            traced_pass(&config)?.verdict_lines()
-        } else {
-            run_portfolio(&config)?.verdict_lines()
-        };
+        let result = span("bench.run_portfolio", || run_portfolio(&config))?;
         let wall = pass.elapsed().as_secs_f64();
-        measured.checks.lines(&lines, &expected);
+        let runs = simulator_runs() - runs_before;
+        measured.checks.lines(&result.verdict_lines(), &expected);
+        let mut campaign_s = 0.0;
+        for timing in &result.timings {
+            if let Some(call) = phase_call(&timing.name) {
+                if call.starts_with("campaign.") {
+                    campaign_s += timing.seconds;
+                }
+                measured.calls.push((call, timing.seconds));
+            }
+        }
+        measured.add_sim(setup, runs, campaign_s);
         measured.unit_walls.push(wall);
-        measured.sim_instructions += setup.instructions(&executions) as f64;
-        measured.sim_seconds += wall;
         measured.traces += traces_per_pass;
         measured.trace_seconds += wall;
-        if measured.unit_executions.is_empty() {
-            measured.unit_executions.clone_from(&executions);
-        }
         if start.elapsed() >= Duration::from_secs_f64(seconds) {
             break;
         }
     }
     Ok(measured)
-}
-
-/// The same calls `run_portfolio` makes, one target and phase at a time,
-/// each inside a benchmark span.
-fn traced_pass(config: &PortfolioConfig) -> Result<PortfolioResult, Box<dyn Error>> {
-    let uarch = sca_uarch::UarchConfig::cortex_a7();
-    let mut targets = Vec::new();
-    for (i, target) in portfolio().iter().enumerate() {
-        let target = target.as_ref();
-        let salt = i as u64 + 1;
-        let campaign_config = TargetCampaignConfig {
-            traces: config.traces,
-            executions_per_trace: config.executions_per_trace,
-            seed: config.seed ^ (salt << 24),
-            threads: config.threads,
-            batch: config.batch,
-            lanes: config.lanes,
-            noise: config.noise,
-        };
-        let campaign = span("target.build", || {
-            TargetCampaign::new(target, &uarch, campaign_config.clone())
-        })?;
-        let window = resolve_window(target, campaign.cpu(), &target.primary_window())?;
-        let models = target.models();
-        let mut cpa = Vec::new();
-        for model in &models {
-            cpa.push(span("campaign.cpa", || campaign.cpa(model))?);
-        }
-        let tvla = span("campaign.tvla", || campaign.tvla())?;
-        let charz = span("target.charz", || {
-            characterize_target(
-                target,
-                campaign.cpu(),
-                &models,
-                &TargetCampaignConfig {
-                    traces: config.charz_traces,
-                    ..campaign_config.clone()
-                },
-                0.995,
-            )
-        })?;
-        let audit = span("core.audit", || {
-            audit_cipher_target(
-                target,
-                &uarch,
-                &AuditConfig {
-                    executions: config.audit_executions,
-                    seed: config.seed ^ 0xa0d17 ^ salt,
-                    ..AuditConfig::default()
-                },
-            )
-        })?;
-        let (audit_operand, audit_memory) = leak_paths(&audit);
-        targets.push(TargetReport {
-            name: target.name().to_owned(),
-            cpa,
-            tvla,
-            charz,
-            audit_operand,
-            audit_memory,
-            window_cycles: window.trigger_relative.1,
-        });
-    }
-    Ok(PortfolioResult {
-        targets,
-        timings: Vec::new(),
-    })
 }

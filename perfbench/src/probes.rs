@@ -1,34 +1,26 @@
-//! The probe suite of a traced run: fixed, small calls into every
-//! layer's public entry points, timed from outside.
+//! The probe suite of a traced run: fixed, small calls into the
+//! `uarch`, `power`, `analysis` and `store` entry points, timed from
+//! outside.
 //!
 //! Per-call costs (ns per simulated cycle, per sample, per cell, per
 //! store slot) come from here, normalized by the work each call did, so
 //! they compare across workloads and machines' runs of the same code.
-//! The suite also calls every campaign-level entry point once at the
-//! smoke size, so that every call-wall span exists in every traced run.
 
 use std::error::Error;
 use std::path::Path;
-use std::sync::Barrier;
 use std::time::Instant;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sca_analysis::{CpaAccumulator, TtestAccumulator};
-use sca_core::{audit_cipher_target, AuditConfig};
 use sca_power::{
     AcquisitionConfig, BlockPowerRecorder, GaussianNoise, LeakageWeights, PowerRecorder,
     SamplingConfig, SynthScratch, TraceSynthesizer,
 };
-use sca_server::{AnalysisSel, CampaignServer, CampaignSpec, ServerConfig, ServerStats};
 use sca_store::{CorpusKey, StoreError, StoreMeta, TraceStore};
-use sca_target::{
-    characterize_target, reanalyze_tvla, store_dir_name, CipherTarget, TargetCampaign,
-    TargetCampaignConfig, TargetStoreConfig,
-};
+use sca_target::CipherTarget;
 use sca_uarch::{BlockObserver, Cpu, CpuBlock, NullObserver, MAX_LANES};
 
-use crate::service::RequestLog;
 use crate::trace::span;
 use crate::{pool, stats, Metric, Options, Setup};
 
@@ -37,22 +29,12 @@ struct NullBlockObserver;
 
 impl BlockObserver for NullBlockObserver {}
 
-/// What the probe suite measured.
-pub struct Probed {
-    /// Normalized per-call costs.
-    pub metrics: Vec<Metric>,
-    /// Requests of the small server session.
-    pub requests: Vec<RequestLog>,
-    /// Its server's counters.
-    pub server: ServerStats,
-}
-
-/// Runs the whole suite.
+/// Runs the whole suite, returning its normalized per-call costs.
 ///
 /// # Errors
 ///
-/// Simulator, campaign, store and server faults.
-pub fn run(setup: &Setup, opts: &Options) -> Result<Probed, Box<dyn Error>> {
+/// Simulator and store faults.
+pub fn run(setup: &Setup, opts: &Options) -> Result<Vec<Metric>, Box<dyn Error>> {
     let executions = if opts.smoke { 8 } else { 48 };
     let mut metrics = pipeline(setup, executions)?;
     metrics.extend(analysis(if opts.smoke { 4 } else { 64 }));
@@ -61,14 +43,8 @@ pub fn run(setup: &Setup, opts: &Options) -> Result<Probed, Box<dyn Error>> {
         &root.join("store"),
         if opts.smoke { 64 } else { 1024 },
     )?);
-    layer_calls(setup, opts, &root)?;
-    let (requests, server) = server_session(setup, opts, &root.join("server"))?;
     std::fs::remove_dir_all(&root)?;
-    Ok(Probed {
-        metrics,
-        requests,
-        server,
-    })
+    Ok(metrics)
 }
 
 /// Walk, power integration and synthesis costs, scalar and lockstep,
@@ -391,94 +367,4 @@ fn store(dir: &Path, slots: u64) -> Result<Vec<Metric>, Box<dyn Error>> {
         Metric::new("store.stream_us_per_slot", stream_us, "us"),
         Metric::new("store.checkpoint_s", stats::median(&checkpoints), "s"),
     ])
-}
-
-/// One smoke-size call of every campaign-level entry point per target.
-fn layer_calls(setup: &Setup, opts: &Options, root: &Path) -> Result<(), Box<dyn Error>> {
-    let size = crate::SMOKE.portfolio;
-    let store = TargetStoreConfig::new(root.join("campaigns"));
-    for prepared in &setup.targets {
-        let target = prepared.target.as_ref();
-        let config = TargetCampaignConfig {
-            traces: size.traces,
-            executions_per_trace: size.executions_per_trace,
-            seed: 0x9e0b,
-            threads: opts.threads,
-            batch: sca_campaign::DEFAULT_BATCH,
-            lanes: opts.lanes(),
-            noise: GaussianNoise::bare_metal(),
-        };
-        let campaign = TargetCampaign::new(target, &setup.uarch, config.clone())?;
-        let models = target.models();
-        span("campaign.cpa", || campaign.cpa(&models[0]))?;
-        span("campaign.tvla", || campaign.tvla_stored(&store))?;
-        let dir = store.root.join(store_dir_name(target.name(), "tvla"));
-        span("campaign.reanalyze", || reanalyze_tvla(&dir, target))?;
-        span("target.charz", || {
-            characterize_target(
-                target,
-                campaign.cpu(),
-                &models,
-                &TargetCampaignConfig {
-                    traces: size.charz_traces,
-                    ..config.clone()
-                },
-                0.995,
-            )
-        })?;
-        span("core.audit", || {
-            audit_cipher_target(
-                target,
-                &setup.uarch,
-                &AuditConfig {
-                    executions: size.audit_executions,
-                    ..AuditConfig::default()
-                },
-            )
-        })?;
-    }
-    Ok(())
-}
-
-/// A small server session: two clients send one fresh spec at the same
-/// moment (one coalesces), then one resubmits it (served from store).
-fn server_session(
-    setup: &Setup,
-    opts: &Options,
-    root: &Path,
-) -> Result<(Vec<RequestLog>, ServerStats), Box<dyn Error>> {
-    let smoke = crate::SMOKE;
-    let server = CampaignServer::start(ServerConfig {
-        workers: opts.threads,
-        threads_per_slice: 1,
-        slice_traces: smoke.checkpoint_every,
-        checkpoint_every: smoke.checkpoint_every,
-        ..ServerConfig::new(root)
-    });
-    let spec = CampaignSpec {
-        tenant: "probe".to_owned(),
-        target: setup.targets[0].target.name().to_owned(),
-        analysis: AnalysisSel::Hd,
-        traces: smoke.spec_traces,
-        executions_per_trace: smoke.spec_executions,
-        seed: pool::pool_seed(0),
-        noise: GaussianNoise::bare_metal(),
-    };
-    let barrier = Barrier::new(2);
-    let mut requests = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..2)
-            .map(|_| {
-                scope.spawn(|| {
-                    barrier.wait();
-                    crate::service::submit(&server, &spec)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("probe client panicked").map(|(log, _)| log))
-            .collect::<Result<Vec<_>, String>>()
-    })?;
-    requests.push(crate::service::submit(&server, &spec)?.0);
-    Ok((requests, server.shutdown()))
 }

@@ -15,7 +15,7 @@ use std::sync::mpsc::RecvTimeoutError;
 use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
-use sca_power::GaussianNoise;
+use sca_power::{simulator_runs, GaussianNoise};
 use sca_server::{AnalysisSel, CampaignServer, CampaignSpec, Event, ServerConfig, ServerStats};
 use sca_target::ModelKind;
 
@@ -177,8 +177,6 @@ pub fn run(
     // repeats across rounds.
     let pool_index =
         |c: usize, round: usize| shuffled(POOL as usize, opts.seed ^ ((c as u64) << 40))[round];
-    let per_target = 3 * sizes.spec_traces * sizes.spec_executions;
-    let round_executions = vec![per_target; setup.targets.len()];
 
     let before = service.server.stats();
     let mut measured = Measured::default();
@@ -237,6 +235,7 @@ pub fn run(
             })
             .collect();
 
+        let runs_before = simulator_runs();
         let round_start = Instant::now();
         let barrier = Barrier::new(SCRIPTS.len());
         let results: Vec<Result<Vec<Answer>, String>> = std::thread::scope(|scope| {
@@ -265,13 +264,9 @@ pub fn run(
             }
         }
         measured.unit_walls.push(wall);
-        measured.sim_instructions += setup.instructions(&round_executions) as f64;
-        measured.sim_seconds += wall;
+        measured.add_sim(setup, simulator_runs() - runs_before, wall);
         measured.traces += (ROUND_REQUESTS * sizes.spec_traces) as f64;
         measured.trace_seconds += wall;
-        if measured.unit_executions.is_empty() {
-            measured.unit_executions.clone_from(&round_executions);
-        }
         if start.elapsed() >= Duration::from_secs_f64(seconds) {
             break;
         }

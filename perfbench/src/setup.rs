@@ -101,22 +101,23 @@ impl Setup {
         })
     }
 
-    /// Simulated instructions of `executions[i]` executions of target
-    /// `i`, summed.
-    pub fn instructions(&self, executions: &[u64]) -> u64 {
-        self.work(executions).instructions
-    }
-
-    /// Simulated work of `executions[i]` executions of target `i`,
-    /// summed over targets.
-    pub fn work(&self, executions: &[u64]) -> ExecWork {
-        let mut total = ExecWork::default();
-        for (prepared, &n) in self.targets.iter().zip(executions) {
-            total.cycles += n * prepared.per_exec.cycles;
-            total.instructions += n * prepared.per_exec.instructions;
-            total.node_events += n * prepared.per_exec.node_events;
+    /// Simulated work of `runs` measured `power/simulator_runs`, split
+    /// evenly over the targets: every workload gives each target the same
+    /// campaigns, so each target ran `runs / targets` executions. `None`
+    /// when `runs` does not split evenly, i.e. the split does not hold.
+    pub fn work_of_runs(&self, runs: u64) -> Option<ExecWork> {
+        let targets = self.targets.len() as u64;
+        if !runs.is_multiple_of(targets) {
+            return None;
         }
-        total
+        let per_target = runs / targets;
+        let mut total = ExecWork::default();
+        for prepared in &self.targets {
+            total.cycles += per_target * prepared.per_exec.cycles;
+            total.instructions += per_target * prepared.per_exec.instructions;
+            total.node_events += per_target * prepared.per_exec.node_events;
+        }
+        Some(total)
     }
 }
 

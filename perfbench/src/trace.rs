@@ -11,6 +11,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
+use sca_telemetry::{Snapshot, SpanStat};
+
 /// One finished span.
 #[derive(Clone, Debug)]
 pub struct SpanRecord {
@@ -96,26 +98,76 @@ pub fn take() -> Vec<SpanRecord> {
     std::mem::take(&mut *records().lock().expect("span log poisoned"))
 }
 
-/// Total seconds under spans named `name`.
-pub fn total_seconds(spans: &[SpanRecord], name: &str) -> f64 {
-    spans
-        .iter()
-        .filter(|s| s.name == name)
-        .map(SpanRecord::seconds)
-        .sum()
+/// The spans of a traced run.
+#[derive(Clone, Debug, Default)]
+pub struct TraceLog {
+    /// The benchmark's own spans around the unit of work's calls.
+    pub unit: Vec<SpanRecord>,
+    /// The program's telemetry spans the unit completed: path, seconds,
+    /// count.
+    pub telemetry: Vec<(String, SpanStat)>,
+    /// The benchmark's spans around the probe suite's calls.
+    pub probes: Vec<SpanRecord>,
 }
 
-/// Renders spans as a JSON array (one object per span).
-pub fn to_json(spans: &[SpanRecord]) -> String {
-    let mut out = String::from("[\n");
-    for (i, s) in spans.iter().enumerate() {
-        let sep = if i + 1 == spans.len() { "" } else { "," };
-        let _ = writeln!(
-            out,
-            "  {{\"id\": {}, \"parent\": {}, \"name\": \"{}\", \"start_ns\": {}, \"end_ns\": {}}}{sep}",
-            s.id, s.parent, s.name, s.start_ns, s.end_ns
-        );
+impl TraceLog {
+    /// Spans the unit of work completed, the benchmark's and the
+    /// program's.
+    pub fn unit_span_count(&self) -> u64 {
+        self.unit.len() as u64 + self.telemetry.iter().map(|(_, s)| s.count).sum::<u64>()
     }
-    out.push_str("]\n");
-    out
+
+    /// Renders the log as one JSON object.
+    pub fn to_json(&self) -> String {
+        let records = |spans: &[SpanRecord]| -> String {
+            let rows: Vec<String> = spans
+                .iter()
+                .map(|s| {
+                    format!(
+                        "    {{\"id\": {}, \"parent\": {}, \"name\": \"{}\", \"start_ns\": {}, \"end_ns\": {}}}",
+                        s.id, s.parent, s.name, s.start_ns, s.end_ns
+                    )
+                })
+                .collect();
+            rows.join(",\n")
+        };
+        let telemetry: Vec<String> = self
+            .telemetry
+            .iter()
+            .map(|(path, s)| {
+                format!(
+                    "    {{\"path\": \"{path}\", \"seconds\": {}, \"count\": {}}}",
+                    s.seconds, s.count
+                )
+            })
+            .collect();
+        let mut out = String::new();
+        let _ = write!(
+            out,
+            "{{\n  \"unit\": [\n{}\n  ],\n  \"telemetry\": [\n{}\n  ],\n  \"probes\": [\n{}\n  ]\n}}\n",
+            records(&self.unit),
+            telemetry.join(",\n"),
+            records(&self.probes)
+        );
+        out
+    }
+}
+
+/// The telemetry spans completed between two snapshots of the same
+/// registry: per path, the seconds and count added.
+pub fn telemetry_delta(before: &Snapshot, after: &Snapshot) -> Vec<(String, SpanStat)> {
+    after
+        .spans
+        .iter()
+        .filter_map(|(path, now)| {
+            let was = before.span(path).unwrap_or_default();
+            (now.count > was.count).then(|| {
+                let stat = SpanStat {
+                    seconds: now.seconds - was.seconds,
+                    count: now.count - was.count,
+                };
+                (path.clone(), stat)
+            })
+        })
+        .collect()
 }

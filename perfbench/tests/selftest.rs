@@ -131,9 +131,9 @@ fn every_workload_prints_every_metric_and_seeds_change_inputs_only() {
 fn traced_runs_report_every_per_layer_metric_with_repeatable_counts() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     for workload in Workload::ALL {
-        let (outcome, spans) = run_traced(&smoke(workload, 3, true, 2), 1.0).expect("traced run");
+        let (outcome, log) = run_traced(&smoke(workload, 3, true, 2), 1.0).expect("traced run");
         assert_eq!(names_and_units(&outcome.metrics), declared(&PER_LAYER));
-        assert!(!spans.is_empty());
+        assert!(!log.probes.is_empty());
         for m in outcome
             .metrics
             .iter()
