@@ -105,18 +105,13 @@ pub fn run(
             break;
         }
     }
-    let read_s: f64 = read_walls.iter().sum();
     let pass_s = stats::median(&read_walls);
+    let corpus_traces = (campaigns * traces as u64) as f64;
     measured.unit_walls.push(write_s + pass_s);
-    measured.traces = (read_walls.len() as u64 * campaigns * traces as u64) as f64;
-    measured.trace_seconds = read_s;
+    measured.trace_rates = read_walls.iter().map(|wall| corpus_traces / wall).collect();
     measured.extras = vec![
-        Metric::new(
-            "write_traces_per_s",
-            (campaigns * traces as u64) as f64 / write_s,
-            "1/s",
-        ),
-        Metric::new("reanalyze_traces_per_s", measured.traces / read_s, "1/s"),
+        Metric::new("write_traces_per_s", corpus_traces / write_s, "1/s"),
+        Metric::new("reanalyze_traces_per_s", corpus_traces / pass_s, "1/s"),
         Metric::new("write_s", write_s, "s"),
         Metric::new("reanalyze_pass_s", pass_s, "s"),
         Metric::new("reanalyze_passes", read_walls.len() as f64, "count"),

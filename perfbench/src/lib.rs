@@ -282,14 +282,13 @@ pub struct Measured {
     /// Host seconds of each unit of work (portfolio pass, corpus
     /// write + re-analysis pass, service round).
     pub unit_walls: Vec<f64>,
-    /// `power/simulator_runs` measured over the simulating phases.
-    pub sim_runs: u64,
-    /// Host seconds of those phases.
-    pub sim_seconds: f64,
-    /// Averaged traces delivered (analyzed into a verdict).
-    pub traces: f64,
-    /// Host seconds of the phase that delivered them.
-    pub trace_seconds: f64,
+    /// Simulated instructions per host second of each simulating phase
+    /// (portfolio pass campaigns, corpus write half, service round).
+    pub sim_rates: Vec<f64>,
+    /// Averaged traces delivered (analyzed into a verdict) per host
+    /// second of each delivering phase (portfolio pass, re-analysis
+    /// pass, service round).
+    pub trace_rates: Vec<f64>,
     /// Every call into a layer's entry point: the call's name (as
     /// `campaign.cpa`) and its wall, seconds.
     pub calls: Vec<(&'static str, f64)>,
@@ -300,19 +299,19 @@ pub struct Measured {
 }
 
 impl Measured {
-    /// Adds a simulating phase: its measured `power/simulator_runs` and
-    /// host seconds. Checks that the runs split evenly over the targets,
-    /// which the per-target instruction count assumes.
+    /// Adds a simulating phase from its measured `power/simulator_runs`
+    /// and host seconds. Checks that the runs split evenly over the
+    /// targets, which the per-target instruction count assumes.
     pub fn add_sim(&mut self, setup: &Setup, runs: u64, seconds: f64) {
-        self.checks
-            .check(runs > 0 && setup.work_of_runs(runs).is_some(), || {
-                format!(
-                    "{runs} simulator runs do not split evenly over {} targets",
-                    setup.targets.len()
-                )
-            });
-        self.sim_runs += runs;
-        self.sim_seconds += seconds;
+        let work = setup.work_of_runs(runs).filter(|_| runs > 0);
+        self.checks.check(work.is_some(), || {
+            format!(
+                "{runs} simulator runs do not split evenly over {} targets",
+                setup.targets.len()
+            )
+        });
+        let instructions = work.map_or(0, |work| work.instructions);
+        self.sim_rates.push(instructions as f64 / seconds);
     }
 
     /// Runs `f` as one call named `name` into a layer's entry point,
@@ -385,13 +384,11 @@ pub fn out_dir() -> PathBuf {
     PathBuf::from(".bench_out")
 }
 
-/// Set-ups per run; `setup_s` is the [`SETUP_QUANTILE`] of their walls.
+/// Set-ups per run; `setup_s` is the fastest of them. On a shared host
+/// a set-up's wall flips between two modes about 2x apart from second to
+/// second, so the median of a run's set-ups flips from run to run; the
+/// fastest of a hundred rarely does.
 const SETUP_REPS: usize = 100;
-
-/// The low quantile of the set-up walls reported: on a shared host the
-/// median flips between modes from run to run, the fastest tenth does
-/// not.
-const SETUP_QUANTILE: f64 = 0.1;
 
 /// Per-workload state built during set-up.
 enum State {
@@ -400,8 +397,8 @@ enum State {
     Service(service::Service),
 }
 
-/// Set-up repeated `reps` times; the last one is kept and the
-/// [`SETUP_QUANTILE`] of the walls reported.
+/// Set-up repeated `reps` times; the last one is kept and the fastest
+/// wall reported.
 fn set_up(opts: &Options, reps: usize) -> Result<(Setup, State, f64), Box<dyn Error>> {
     let (mut walls, mut assemble, mut build) = (Vec::new(), Vec::new(), Vec::new());
     let mut kept = None;
@@ -422,9 +419,9 @@ fn set_up(opts: &Options, reps: usize) -> Result<(Setup, State, f64), Box<dyn Er
         kept = Some((setup, state));
     }
     let (mut setup, state) = kept.expect("at least one set-up");
-    setup.assemble_s = stats::quantile(&assemble, SETUP_QUANTILE);
-    setup.build_s = stats::quantile(&build, SETUP_QUANTILE);
-    Ok((setup, state, stats::quantile(&walls, SETUP_QUANTILE)))
+    setup.assemble_s = stats::quantile(&assemble, 0.0);
+    setup.build_s = stats::quantile(&build, 0.0);
+    Ok((setup, state, stats::quantile(&walls, 0.0)))
 }
 
 /// Runs the timed phase of the workload.
@@ -484,22 +481,11 @@ pub fn run_untraced(opts: &Options) -> Result<Outcome, Box<dyn Error>> {
     let (setup, state, setup_s) = set_up(opts, reps)?;
     let (measured, _) = run_timed(&setup, &state, opts, opts.seconds)?;
     tear_down(state)?;
-    let sim_instructions = setup
-        .work_of_runs(measured.sim_runs)
-        .map_or(0, |work| work.instructions);
     let metrics = vec![
         Metric::new("setup_s", setup_s, "s"),
         Metric::new("wall_s", stats::median(&measured.unit_walls), "s"),
-        Metric::new(
-            "sim_insns_per_s",
-            sim_instructions as f64 / measured.sim_seconds,
-            "1/s",
-        ),
-        Metric::new(
-            "traces_per_s",
-            measured.traces / measured.trace_seconds,
-            "1/s",
-        ),
+        Metric::new("sim_insns_per_s", stats::median(&measured.sim_rates), "1/s"),
+        Metric::new("traces_per_s", stats::median(&measured.trace_rates), "1/s"),
         Metric::new("peak_rss_mib", peak_rss_mib()?, "MiB"),
     ];
     Ok(Outcome {

@@ -65,8 +65,7 @@ pub fn run(
         }
         measured.add_sim(setup, runs, campaign_s);
         measured.unit_walls.push(wall);
-        measured.traces += traces_per_pass;
-        measured.trace_seconds += wall;
+        measured.trace_rates.push(traces_per_pass / wall);
         if start.elapsed() >= Duration::from_secs_f64(seconds) {
             break;
         }

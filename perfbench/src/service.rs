@@ -265,8 +265,9 @@ pub fn run(
         }
         measured.unit_walls.push(wall);
         measured.add_sim(setup, simulator_runs() - runs_before, wall);
-        measured.traces += (ROUND_REQUESTS * sizes.spec_traces) as f64;
-        measured.trace_seconds += wall;
+        measured
+            .trace_rates
+            .push((ROUND_REQUESTS * sizes.spec_traces) as f64 / wall);
         if start.elapsed() >= Duration::from_secs_f64(seconds) {
             break;
         }
@@ -293,7 +294,7 @@ pub fn run(
         Metric::new("latency_p50_s", stats::median(&latencies), "s"),
         Metric::new(
             "jobs_per_s",
-            latencies.len() as f64 / measured.trace_seconds,
+            latencies.len() as f64 / measured.unit_walls.iter().sum::<f64>(),
             "1/s",
         ),
         Metric::new("rounds", rounds as f64, "count"),

@@ -28,13 +28,6 @@ pub struct SpanRecord {
     pub end_ns: u64,
 }
 
-impl SpanRecord {
-    /// Duration in seconds.
-    pub fn seconds(&self) -> f64 {
-        (self.end_ns - self.start_ns) as f64 / 1e9
-    }
-}
-
 static ENABLED: AtomicBool = AtomicBool::new(false);
 static NEXT_ID: AtomicU64 = AtomicU64::new(1);
 
