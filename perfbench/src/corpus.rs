@@ -1,5 +1,5 @@
 //! `corpus`: write a stored CPA + TVLA corpus for every target, then
-//! re-analyze it repeatedly.
+//! re-analyze it.
 //!
 //! The write half runs one execution per trace, so store appends,
 //! fsyncs and checkpoints carry a real share of its time. The read half
@@ -18,6 +18,9 @@ use sca_target::{
 
 use crate::pool::splitmix64;
 use crate::{stats, Measured, Metric, Options, Setup};
+
+/// Re-analysis passes over each written corpus.
+const READ_PASSES: usize = 2;
 
 /// The corpus's master seed for a benchmark seed.
 pub fn corpus_seed(seed: u64) -> u64 {
@@ -38,8 +41,9 @@ pub fn prepare(name: &str) -> Result<PathBuf, Box<dyn Error>> {
     Ok(root)
 }
 
-/// Writes the corpus once, then re-analyzes it until `seconds` have
-/// elapsed (at least one pass).
+/// Repeats the unit until `seconds` have elapsed (at least one unit):
+/// write the corpus into a fresh directory under `root`, re-analyze it
+/// [`READ_PASSES`] times, remove it. Every unit writes the same corpus.
 ///
 /// # Errors
 ///
@@ -53,73 +57,87 @@ pub fn run(
     let sizes = opts.sizes();
     let traces = sizes.corpus_traces;
     let seed = corpus_seed(opts.seed);
-    let store = TargetStoreConfig {
-        checkpoint_every: sizes.checkpoint_every,
-        ..TargetStoreConfig::new(root)
-    };
-    let mut measured = Measured::default();
+    let mut measured = Measured::new(opts);
+    let (mut write_walls, mut read_walls) = (Vec::new(), Vec::new());
+    let mut corpus_traces = 0.0;
+    let mut first_written: Option<Vec<String>> = None;
     let start = Instant::now();
-    let runs_before = simulator_runs();
-
-    let mut written = Vec::new();
-    for (i, prepared) in setup.targets.iter().enumerate() {
-        let target = prepared.target.as_ref();
-        let campaign = TargetCampaign::new(
-            target,
-            &setup.uarch,
-            TargetCampaignConfig {
-                traces,
-                executions_per_trace: 1,
-                seed: seed ^ ((i as u64 + 1) << 24),
-                threads: opts.threads,
-                batch: sca_campaign::DEFAULT_BATCH,
-                lanes: 8,
-                noise: GaussianNoise::bare_metal(),
-            },
-        )?;
-        for model in target.models() {
-            let (verdict, _) =
-                measured.call("campaign.cpa", || campaign.cpa_stored(&model, &store))?;
-            written.push(format!("[{}] {}", target.name(), verdict.verdict()));
-        }
-        let (tvla, _) = measured.call("campaign.tvla", || campaign.tvla_stored(&store))?;
-        written.push(tvla_line(target.name(), tvla.leaks));
-    }
-    let write_s = start.elapsed().as_secs_f64();
-    measured.add_sim(setup, simulator_runs() - runs_before, write_s);
-    let campaigns = written.len() as u64;
-
-    let mut read_walls = Vec::new();
-    loop {
+    for unit in 0.. {
+        let dir = root.join(format!("unit-{unit}"));
+        let store = TargetStoreConfig {
+            checkpoint_every: sizes.checkpoint_every,
+            ..TargetStoreConfig::new(&dir)
+        };
+        let unit_start = Instant::now();
         let runs_before = simulator_runs();
-        let pass = Instant::now();
-        let lines = reanalyze_pass(setup, root, &mut measured)?;
-        read_walls.push(pass.elapsed().as_secs_f64());
-        let moved = simulator_runs() - runs_before;
-        measured.checks.check(moved == 0, || {
-            format!("re-analysis ran the simulator {moved} times")
-        });
-        let want: Vec<&str> = written.iter().map(String::as_str).collect();
-        measured.checks.lines(&lines, &want);
+        let mut written = Vec::new();
+        for (i, prepared) in setup.targets.iter().enumerate() {
+            let target = prepared.target.as_ref();
+            let campaign = TargetCampaign::new(
+                target,
+                &setup.uarch,
+                TargetCampaignConfig {
+                    traces,
+                    executions_per_trace: 1,
+                    seed: seed ^ ((i as u64 + 1) << 24),
+                    threads: opts.threads,
+                    batch: sca_campaign::DEFAULT_BATCH,
+                    lanes: 8,
+                    noise: GaussianNoise::bare_metal(),
+                },
+            )?;
+            for model in target.models() {
+                let (verdict, _) =
+                    measured.call("campaign.cpa", || campaign.cpa_stored(&model, &store))?;
+                written.push(format!("[{}] {}", target.name(), verdict.verdict()));
+            }
+            let (tvla, _) = measured.call("campaign.tvla", || campaign.tvla_stored(&store))?;
+            written.push(tvla_line(target.name(), tvla.leaks));
+        }
+        let write_s = unit_start.elapsed().as_secs_f64();
+        match &first_written {
+            None => first_written = Some(written.clone()),
+            Some(first) => measured.checks.check(*first == written, || {
+                format!("unit {unit} wrote {written:?}, the first wrote {first:?}")
+            }),
+        }
+        measured.add_sim(setup, simulator_runs() - runs_before, write_s);
+        write_walls.push(write_s);
+        corpus_traces = (written.len() * traces) as f64;
+
+        for _ in 0..READ_PASSES {
+            let runs_before = simulator_runs();
+            let pass = Instant::now();
+            let lines = reanalyze_pass(setup, &dir, &mut measured)?;
+            let wall = pass.elapsed().as_secs_f64();
+            read_walls.push(wall);
+            measured.add_trace_rate(corpus_traces / wall);
+            let moved = simulator_runs() - runs_before;
+            measured.checks.check(moved == 0, || {
+                format!("re-analysis ran the simulator {moved} times")
+            });
+            let want: Vec<&str> = written.iter().map(String::as_str).collect();
+            measured.checks.lines(&lines, &want);
+        }
+        measured.end_unit(unit_start.elapsed().as_secs_f64())?;
+        std::fs::remove_dir_all(&dir)?;
         if start.elapsed() >= Duration::from_secs_f64(seconds) {
             break;
         }
     }
-    let pass_s = stats::median(&read_walls);
-    let corpus_traces = (campaigns * traces as u64) as f64;
-    measured.unit_walls.push(write_s + pass_s);
-    measured.trace_rates = read_walls.iter().map(|wall| corpus_traces / wall).collect();
+    let (write_s, pass_s) = (stats::median(&write_walls), stats::median(&read_walls));
     measured.extras = vec![
         Metric::new("write_traces_per_s", corpus_traces / write_s, "1/s"),
         Metric::new("reanalyze_traces_per_s", corpus_traces / pass_s, "1/s"),
         Metric::new("write_s", write_s, "s"),
         Metric::new("reanalyze_pass_s", pass_s, "s"),
-        Metric::new("reanalyze_passes", read_walls.len() as f64, "count"),
+        Metric::new("units", write_walls.len() as f64, "count"),
     ];
     Ok(measured)
 }
 
-/// One re-analysis of every stored campaign, as verdict lines.
+/// One re-analysis of every stored campaign under `root`, as verdict
+/// lines.
 fn reanalyze_pass(
     setup: &Setup,
     root: &Path,

@@ -1,4 +1,4 @@
-//! The repository benchmark: four workloads driven through the public
+//! The repository benchmark: three workloads driven through the public
 //! entry points, end-to-end metrics from untraced runs, per-layer
 //! metrics from a separate traced run. See `README.md` beside this
 //! crate for what each workload and metric is for.
@@ -6,6 +6,7 @@
 #![forbid(unsafe_code)]
 
 pub mod corpus;
+pub mod host;
 pub mod pool;
 pub mod portfolio;
 pub mod probes;
@@ -27,8 +28,6 @@ pub use stats::Metric;
 pub enum Workload {
     /// The quick portfolio through the lockstep 8-lane path.
     PortfolioLanes8,
-    /// The same portfolio through the scalar path.
-    PortfolioLanes1,
     /// Stored campaigns written, then re-analyzed.
     Corpus,
     /// The campaign server under a closed loop of two clients.
@@ -37,9 +36,8 @@ pub enum Workload {
 
 impl Workload {
     /// Every workload, in `BENCHMARK.json` order.
-    pub const ALL: [Workload; 4] = [
+    pub const ALL: [Workload; 3] = [
         Workload::PortfolioLanes8,
-        Workload::PortfolioLanes1,
         Workload::Corpus,
         Workload::Service,
     ];
@@ -48,7 +46,6 @@ impl Workload {
     pub fn name(self) -> &'static str {
         match self {
             Workload::PortfolioLanes8 => "portfolio-lanes8",
-            Workload::PortfolioLanes1 => "portfolio-lanes1",
             Workload::Corpus => "corpus",
             Workload::Service => "service",
         }
@@ -78,7 +75,7 @@ pub struct PortfolioSize {
 pub struct Sizes {
     /// Whether these are the smoke sizes.
     pub smoke: bool,
-    /// One portfolio pass (`portfolio --quick` at 250 traces).
+    /// One portfolio pass (`portfolio --quick`, at a smaller budget).
     pub portfolio: PortfolioSize,
     /// Traces per stored campaign of the corpus.
     pub corpus_traces: usize,
@@ -90,18 +87,19 @@ pub struct Sizes {
     pub spec_executions: u64,
 }
 
-/// The benchmark's sizes.
+/// The benchmark's sizes: each unit of work takes a few seconds, so a
+/// run repeats it several times (see [`run_untraced`]).
 pub const FULL: Sizes = Sizes {
     smoke: false,
     portfolio: PortfolioSize {
-        traces: 250,
+        traces: 32,
         executions_per_trace: 8,
-        charz_traces: 400,
-        audit_executions: 250,
+        charz_traces: 48,
+        audit_executions: 32,
     },
-    corpus_traces: 512,
-    checkpoint_every: 64,
-    spec_traces: 128,
+    corpus_traces: 128,
+    checkpoint_every: 32,
+    spec_traces: 64,
     spec_executions: 4,
 };
 
@@ -148,36 +146,19 @@ impl Options {
     }
 
     /// The master seed the workload's inputs derive from: a pool seed
-    /// for the portfolio workloads, a fresh one for `corpus`, and the
+    /// for the portfolio workload, a fresh one for `corpus`, and the
     /// seed of the request shuffle for `service`.
     pub fn input_seed(&self) -> u64 {
         match self.workload {
-            Workload::PortfolioLanes8 | Workload::PortfolioLanes1 => {
-                pool::pool_seed(self.seed % pool::POOL)
-            }
+            Workload::PortfolioLanes8 => pool::pool_seed(self.seed % pool::POOL),
             Workload::Corpus => corpus::corpus_seed(self.seed),
             Workload::Service => pool::splitmix64(self.seed),
-        }
-    }
-
-    /// Lockstep lanes of the workload's campaigns.
-    pub fn lanes(&self) -> usize {
-        if self.workload == Workload::PortfolioLanes1 {
-            1
-        } else {
-            8
         }
     }
 }
 
 /// End-to-end metrics, with units, in `BENCHMARK.json` order.
-pub const END_TO_END: [(&str, &str); 5] = [
-    ("setup_s", "s"),
-    ("wall_s", "s"),
-    ("sim_insns_per_s", "1/s"),
-    ("traces_per_s", "1/s"),
-    ("peak_rss_mib", "MiB"),
-];
+pub const END_TO_END: [(&str, &str); 2] = [("setup_s", "s"), ("wall_ref_s", "s")];
 
 /// The eleven deterministic telemetry work counters.
 pub const WORK_COUNTERS: [&str; 11] = [
@@ -280,15 +261,19 @@ impl Checks {
 #[derive(Clone, Debug, Default)]
 pub struct Measured {
     /// Host seconds of each unit of work (portfolio pass, corpus
-    /// write + re-analysis pass, service round).
+    /// write + re-analysis passes, service round).
     pub unit_walls: Vec<f64>,
+    /// Host kernel seconds ([`host::calibrate`]) before the first unit
+    /// and after each one.
+    pub host_cals: Vec<f64>,
     /// Simulated instructions per host second of each simulating phase
-    /// (portfolio pass campaigns, corpus write half, service round).
-    pub sim_rates: Vec<f64>,
+    /// (portfolio pass campaigns, corpus write half, service round),
+    /// with the index of its unit.
+    pub sim_rates: Vec<(usize, f64)>,
     /// Averaged traces delivered (analyzed into a verdict) per host
     /// second of each delivering phase (portfolio pass, re-analysis
-    /// pass, service round).
-    pub trace_rates: Vec<f64>,
+    /// pass, service round), with the index of its unit.
+    pub trace_rates: Vec<(usize, f64)>,
     /// Every call into a layer's entry point: the call's name (as
     /// `campaign.cpa`) and its wall, seconds.
     pub calls: Vec<(&'static str, f64)>,
@@ -296,9 +281,67 @@ pub struct Measured {
     pub checks: Checks,
     /// Workload-specific metrics, printed but not part of the result.
     pub extras: Vec<Metric>,
+    /// Walls of the set-ups timed between units, at the reference host's
+    /// speed.
+    pub setup_ref_walls: Vec<f64>,
+    /// The run's options: the host kernel runs on its threads, and the
+    /// set-ups between units are its workload's.
+    opts: Option<Options>,
 }
 
 impl Measured {
+    /// An empty record for a run with `opts`; times the host kernel
+    /// before the first unit.
+    pub fn new(opts: &Options) -> Measured {
+        Measured {
+            host_cals: vec![host::calibrate(opts.threads)],
+            opts: Some(opts.clone()),
+            ..Measured::default()
+        }
+    }
+
+    /// Ends a unit of work that took `wall` seconds: times a few
+    /// throwaway set-ups, then the host kernel.
+    ///
+    /// # Errors
+    ///
+    /// Set-up faults.
+    pub fn end_unit(&mut self, wall: f64) -> Result<(), Box<dyn Error>> {
+        let opts = self.opts.as_ref().expect("a record made by Measured::new");
+        self.unit_walls.push(wall);
+        let before = *self.host_cals.last().expect("a kernel time before each unit");
+        let Burst { state, walls, .. } = set_up(opts, SETUPS_BETWEEN_UNITS, "setup-sample")?;
+        tear_down(state)?;
+        let after = host::calibrate(opts.threads);
+        self.host_cals.push(after);
+        let speed = host::speed(before, after);
+        self.setup_ref_walls
+            .extend(walls.iter().map(|wall| wall * speed));
+        Ok(())
+    }
+
+    /// The host's speed during each unit ([`host::speed`]).
+    pub fn host_speeds(&self) -> Vec<f64> {
+        self.host_cals
+            .windows(2)
+            .map(|w| host::speed(w[0], w[1]))
+            .collect()
+    }
+
+    /// Each unit's wall at the reference host's speed.
+    pub fn ref_walls(&self) -> Vec<f64> {
+        self.unit_walls
+            .iter()
+            .zip(self.host_speeds())
+            .map(|(wall, speed)| wall * speed)
+            .collect()
+    }
+
+    /// Adds a trace rate to the unit in progress.
+    pub fn add_trace_rate(&mut self, rate: f64) {
+        self.trace_rates.push((self.unit_walls.len(), rate));
+    }
+
     /// Adds a simulating phase from its measured `power/simulator_runs`
     /// and host seconds. Checks that the runs split evenly over the
     /// targets, which the per-target instruction count assumes.
@@ -311,7 +354,8 @@ impl Measured {
             )
         });
         let instructions = work.map_or(0, |work| work.instructions);
-        self.sim_rates.push(instructions as f64 / seconds);
+        self.sim_rates
+            .push((self.unit_walls.len(), instructions as f64 / seconds));
     }
 
     /// Runs `f` as one call named `name` into a layer's entry point,
@@ -384,11 +428,13 @@ pub fn out_dir() -> PathBuf {
     PathBuf::from(".bench_out")
 }
 
-/// Set-ups per run; `setup_s` is the fastest of them. On a shared host
-/// a set-up's wall flips between two modes about 2x apart from second to
-/// second, so the median of a run's set-ups flips from run to run; the
-/// fastest of a hundred rarely does.
-const SETUP_REPS: usize = 100;
+/// Set-ups before the timed phase, after it, and between its units.
+/// `setup_s` is the fastest tenth of them all, at the reference host's
+/// speed. On a shared host a set-up's wall flips between two modes about
+/// 2x apart, for seconds at a time, which the host kernel does not read;
+/// set-ups spread over the whole run catch the fast mode.
+const SETUP_REPS: usize = 10;
+const SETUPS_BETWEEN_UNITS: usize = 3;
 
 /// Per-workload state built during set-up.
 enum State {
@@ -397,11 +443,21 @@ enum State {
     Service(service::Service),
 }
 
-/// Set-up repeated `reps` times; the last one is kept and the fastest
-/// wall reported.
-fn set_up(opts: &Options, reps: usize) -> Result<(Setup, State, f64), Box<dyn Error>> {
+/// A burst of set-ups: the kept one and every wall, raw and at the
+/// reference host's speed.
+struct Burst {
+    setup: Setup,
+    state: State,
+    walls: Vec<f64>,
+    ref_walls: Vec<f64>,
+}
+
+/// Set-up repeated `reps` times between two timings of the host kernel;
+/// the last one is kept. Stores go under `.bench_out/<root>-<pid>`.
+fn set_up(opts: &Options, reps: usize, root: &str) -> Result<Burst, Box<dyn Error>> {
     let (mut walls, mut assemble, mut build) = (Vec::new(), Vec::new(), Vec::new());
     let mut kept = None;
+    let before = host::calibrate(opts.threads);
     for _ in 0..reps {
         if let Some((_, state)) = kept.take() {
             tear_down(state)?;
@@ -409,19 +465,26 @@ fn set_up(opts: &Options, reps: usize) -> Result<(Setup, State, f64), Box<dyn Er
         let start = Instant::now();
         let setup = Setup::new()?;
         let state = match opts.workload {
-            Workload::PortfolioLanes8 | Workload::PortfolioLanes1 => State::Portfolio,
-            Workload::Corpus => State::Corpus(corpus::prepare("corpus")?),
-            Workload::Service => State::Service(service::prepare(opts)?),
+            Workload::PortfolioLanes8 => State::Portfolio,
+            Workload::Corpus => State::Corpus(corpus::prepare(root)?),
+            Workload::Service => State::Service(service::prepare(opts, root)?),
         };
         walls.push(start.elapsed().as_secs_f64());
         assemble.push(setup.assemble_s);
         build.push(setup.build_s);
         kept = Some((setup, state));
     }
+    let speed = host::speed(before, host::calibrate(opts.threads));
     let (mut setup, state) = kept.expect("at least one set-up");
     setup.assemble_s = stats::quantile(&assemble, 0.0);
     setup.build_s = stats::quantile(&build, 0.0);
-    Ok((setup, state, stats::quantile(&walls, 0.0)))
+    let ref_walls = walls.iter().map(|wall| wall * speed).collect();
+    Ok(Burst {
+        setup,
+        state,
+        walls,
+        ref_walls,
+    })
 }
 
 /// Runs the timed phase of the workload.
@@ -433,7 +496,7 @@ fn run_timed(
 ) -> Result<(Measured, Vec<service::RequestLog>), Box<dyn Error>> {
     Ok(match state {
         State::Portfolio => (
-            portfolio::run(setup, opts, opts.lanes(), seconds)?,
+            portfolio::run(setup, opts, seconds)?,
             Vec::new(),
         ),
         State::Corpus(root) => (corpus::run(setup, opts, root, seconds)?, Vec::new()),
@@ -469,8 +532,15 @@ pub fn peak_rss_mib() -> Result<f64, Box<dyn Error>> {
     Ok(kib / 1024.0)
 }
 
-/// The untraced run: set up, measure for `opts.seconds`, check outputs,
-/// report the end-to-end metrics.
+/// The untraced run: set up, repeat the workload's unit for
+/// `opts.seconds`, check outputs, set up again, report the end-to-end
+/// metrics.
+///
+/// Times are medians over the run's units, at the reference host's
+/// speed ([`host`]): the host's speed drifts by a fifth and more over
+/// minutes, which moves the raw walls of whole runs together, and the
+/// median of a dozen short units, each a full pass of the workload,
+/// absorbs the drift within a run.
 ///
 /// # Errors
 ///
@@ -478,26 +548,68 @@ pub fn peak_rss_mib() -> Result<f64, Box<dyn Error>> {
 /// error).
 pub fn run_untraced(opts: &Options) -> Result<Outcome, Box<dyn Error>> {
     let reps = if opts.smoke { 1 } else { SETUP_REPS };
-    let (setup, state, setup_s) = set_up(opts, reps)?;
-    let (measured, _) = run_timed(&setup, &state, opts, opts.seconds)?;
-    tear_down(state)?;
+    let first = set_up(opts, reps, opts.workload.name())?;
+    let (measured, _) = run_timed(&first.setup, &first.state, opts, opts.seconds)?;
+    tear_down(first.state)?;
+    let peak_rss_mib = peak_rss_mib()?;
+    let last = set_up(opts, reps, opts.workload.name())?;
+    tear_down(last.state)?;
+    let setup_walls: Vec<f64> = first.walls.iter().chain(&last.walls).copied().collect();
+    let setup_ref_walls: Vec<f64> = first
+        .ref_walls
+        .iter()
+        .chain(&last.ref_walls)
+        .chain(&measured.setup_ref_walls)
+        .copied()
+        .collect();
+    let speeds = measured.host_speeds();
+    let walls: Vec<String> = measured
+        .unit_walls
+        .iter()
+        .zip(&speeds)
+        .map(|(wall, speed)| format!("{wall:.3}@{speed:.3}"))
+        .collect();
+    eprintln!("unit walls (s) @ host speed: {}", walls.join(" "));
+    let at_reference = |rates: &[(usize, f64)]| -> f64 {
+        let rates: Vec<f64> = rates.iter().map(|(u, r)| r / speeds[*u]).collect();
+        stats::median(&rates)
+    };
+    let raw = |rates: &[(usize, f64)]| -> f64 {
+        let rates: Vec<f64> = rates.iter().map(|(_, r)| *r).collect();
+        stats::median(&rates)
+    };
     let metrics = vec![
-        Metric::new("setup_s", setup_s, "s"),
-        Metric::new("wall_s", stats::median(&measured.unit_walls), "s"),
-        Metric::new("sim_insns_per_s", stats::median(&measured.sim_rates), "1/s"),
-        Metric::new("traces_per_s", stats::median(&measured.trace_rates), "1/s"),
-        Metric::new("peak_rss_mib", peak_rss_mib()?, "MiB"),
+        Metric::new("setup_s", stats::quantile(&setup_ref_walls, 0.1), "s"),
+        Metric::new("wall_ref_s", stats::median(&measured.ref_walls()), "s"),
     ];
+    // Printed, not part of the result. The rates cover single phases of
+    // a unit, and the phases follow the host's speed unequally: the
+    // corpus re-analysis hardly at all, its write half more than the
+    // kernel. The raw figures move with the host's speed. On `service`
+    // the peak resident set moves by a fifth from run to run with how
+    // the two workers' jobs overlap.
+    let mut extras = vec![
+        Metric::new("sim_insns_per_ref_s", at_reference(&measured.sim_rates), "1/s"),
+        Metric::new("traces_per_ref_s", at_reference(&measured.trace_rates), "1/s"),
+        Metric::new("wall_s", stats::median(&measured.unit_walls), "s"),
+        Metric::new("sim_insns_per_s", raw(&measured.sim_rates), "1/s"),
+        Metric::new("traces_per_s", raw(&measured.trace_rates), "1/s"),
+        Metric::new("setup_raw_s", stats::quantile(&setup_walls, 0.0), "s"),
+        Metric::new("host_speed", stats::median(&speeds), "ratio"),
+        Metric::new("peak_rss_mib", peak_rss_mib, "MiB"),
+    ];
+    extras.extend(measured.extras);
     Ok(Outcome {
         checks: measured.checks,
         metrics,
-        extras: measured.extras,
+        extras,
     })
 }
 
 /// The traced run: one unit of the workload with spans on, then the
 /// probe suite; reports the per-layer metrics. `untraced_wall_s` is the
-/// same unit's wall from an untraced run, for the overhead figure.
+/// same unit's `wall_ref_s` from an untraced run, for the overhead
+/// figure.
 ///
 /// Counts, call walls and `server.*` figures cover the unit alone: they
 /// are taken before the probe suite runs. Where the unit makes no call
@@ -512,7 +624,7 @@ pub fn run_traced(
 ) -> Result<(Outcome, trace::TraceLog), Box<dyn Error>> {
     trace::set_enabled(true);
     let reps = if opts.smoke { 1 } else { SETUP_REPS };
-    let (setup, state, _) = set_up(opts, reps)?;
+    let Burst { setup, state, .. } = set_up(opts, reps, opts.workload.name())?;
     trace::take();
 
     let before = sca_telemetry::global().snapshot();
@@ -602,7 +714,7 @@ pub fn run_traced(
     );
     push("server.submissions", server.submitted as f64);
     push("server.queue_peak", server.queue_peak as f64);
-    let traced_wall_s = stats::median(&measured.unit_walls);
+    let traced_wall_s = stats::median(&measured.ref_walls());
     push(
         "trace.overhead_pct",
         (traced_wall_s / untraced_wall_s - 1.0) * 100.0,
@@ -613,8 +725,8 @@ pub fn run_traced(
     // Declared order.
     metrics.sort_by_key(|m| PER_LAYER.iter().position(|(n, _)| *n == m.name));
     let mut extras = measured.extras;
-    extras.push(Metric::new("trace.traced_unit_s", traced_wall_s, "s"));
-    extras.push(Metric::new("trace.untraced_unit_s", untraced_wall_s, "s"));
+    extras.push(Metric::new("trace.traced_unit_ref_s", traced_wall_s, "s"));
+    extras.push(Metric::new("trace.untraced_unit_ref_s", untraced_wall_s, "s"));
     Ok((
         Outcome {
             checks: measured.checks,

@@ -12,7 +12,7 @@ use std::process::{Command, ExitCode};
 use sca_perfbench::{out_dir, pool, run_traced, run_untraced, Options, Outcome, Workload};
 
 const USAGE: &str =
-    "usage: perfbench --workload portfolio-lanes8|portfolio-lanes1|corpus|service|all \
+    "usage: perfbench --workload portfolio-lanes8|corpus|service|all \
                      --seed N --seconds S --trace 0|1 [--smoke] \
                      | perfbench --record-expected FILE";
 
@@ -90,9 +90,10 @@ fn child(args: &[String]) -> Result<String, Box<dyn std::error::Error>> {
     Ok(String::from_utf8(output.stdout)?)
 }
 
-/// The `wall_s` value in a result line.
+/// The `wall_ref_s` value in a result line.
 fn wall_of(result_line: &str) -> Option<f64> {
-    let rest = &result_line[result_line.find("\"wall_s\": {\"value\": ")? + 20..];
+    const KEY: &str = "\"wall_ref_s\": {\"value\": ";
+    let rest = &result_line[result_line.find(KEY)? + KEY.len()..];
     rest[..rest.find(',')?].parse().ok()
 }
 
@@ -122,7 +123,7 @@ fn run(opts: &Options) -> Result<Outcome, Box<dyn std::error::Error>> {
         .lines()
         .last()
         .and_then(wall_of)
-        .ok_or("untraced child printed no wall_s")?;
+        .ok_or("untraced child printed no wall_ref_s")?;
     let (outcome, log) = run_traced(opts, untraced)?;
     let path = out_dir().join(format!(
         "trace-{}-seed{}.json",

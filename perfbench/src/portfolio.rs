@@ -1,6 +1,6 @@
-//! `portfolio-lanes8` / `portfolio-lanes1`: the quick cipher portfolio
-//! (CPA HW + HD, TVLA, characterization and audit on all four targets),
-//! as `portfolio --quick` runs it.
+//! `portfolio-lanes8`: the quick cipher portfolio (CPA HW + HD, TVLA,
+//! characterization and audit on all four targets), as `portfolio
+//! --quick --lanes 8` runs it, at a smaller trace budget.
 
 use std::error::Error;
 use std::time::{Duration, Instant};
@@ -36,16 +36,15 @@ fn phase_call(timing_name: &str) -> Option<&'static str> {
 pub fn run(
     setup: &Setup,
     opts: &Options,
-    lanes: usize,
     seconds: f64,
 ) -> Result<Measured, Box<dyn Error>> {
     let size = opts.sizes().portfolio;
     let index = opts.seed % POOL;
-    let config = pool::portfolio_config(&size, index, opts.threads, lanes);
+    let config = pool::portfolio_config(&size, index, opts.threads, 8);
     let expected = pool::expected(pool::portfolio_tag(&opts.sizes()), index);
     let traces_per_pass = (setup.targets.len() * (3 * size.traces + size.charz_traces)) as f64;
 
-    let mut measured = Measured::default();
+    let mut measured = Measured::new(opts);
     let start = Instant::now();
     loop {
         let runs_before = simulator_runs();
@@ -64,8 +63,8 @@ pub fn run(
             }
         }
         measured.add_sim(setup, runs, campaign_s);
-        measured.unit_walls.push(wall);
-        measured.trace_rates.push(traces_per_pass / wall);
+        measured.add_trace_rate(traces_per_pass / wall);
+        measured.end_unit(wall)?;
         if start.elapsed() >= Duration::from_secs_f64(seconds) {
             break;
         }

@@ -37,8 +37,8 @@ pub struct Service {
 /// # Errors
 ///
 /// I/O errors creating the root.
-pub fn prepare(opts: &Options) -> Result<Service, Box<dyn Error>> {
-    let root = crate::corpus::prepare("service")?;
+pub fn prepare(opts: &Options, name: &str) -> Result<Service, Box<dyn Error>> {
+    let root = crate::corpus::prepare(name)?;
     let every = opts.sizes().checkpoint_every;
     let server = CampaignServer::start(ServerConfig {
         workers: opts.threads,
@@ -179,7 +179,7 @@ pub fn run(
         |c: usize, round: usize| shuffled(POOL as usize, opts.seed ^ ((c as u64) << 40))[round];
 
     let before = service.server.stats();
-    let mut measured = Measured::default();
+    let mut measured = Measured::new(opts);
     let mut logs = Vec::new();
     let start = Instant::now();
     for round in 0..POOL as usize {
@@ -263,11 +263,9 @@ pub fn run(
                 logs.push(answer.log);
             }
         }
-        measured.unit_walls.push(wall);
         measured.add_sim(setup, simulator_runs() - runs_before, wall);
-        measured
-            .trace_rates
-            .push((ROUND_REQUESTS * sizes.spec_traces) as f64 / wall);
+        measured.add_trace_rate((ROUND_REQUESTS * sizes.spec_traces) as f64 / wall);
+        measured.end_unit(wall)?;
         if start.elapsed() >= Duration::from_secs_f64(seconds) {
             break;
         }

@@ -160,6 +160,21 @@ fn traced_runs_report_every_per_layer_metric_with_repeatable_counts() {
 }
 
 #[test]
+fn scalar_lanes_give_the_recorded_portfolio_lines() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let sizes = sca_perfbench::SMOKE;
+    for index in [0, 5] {
+        let config = pool::portfolio_config(&sizes.portfolio, index, 2, 1);
+        let result = sca_bench::run_portfolio(&config).expect("portfolio at lanes 1");
+        assert_eq!(
+            result.verdict_lines(),
+            pool::expected(pool::portfolio_tag(&sizes), index),
+            "lanes 1 and the lines recorded at lanes 8 differ for pool entry {index}"
+        );
+    }
+}
+
+#[test]
 fn recorded_verdicts_cover_every_pool_seed() {
     for tag in ["portfolio", "service", "smoke-portfolio", "smoke-service"] {
         for index in 0..pool::POOL {
