@@ -301,7 +301,8 @@ impl Measured {
     }
 
     /// Ends a unit of work that took `wall` seconds: times a few
-    /// throwaway set-ups, then the host kernel.
+    /// throwaway set-ups (untraced runs only, so a traced run's counts
+    /// cover its unit alone), then the host kernel.
     ///
     /// # Errors
     ///
@@ -310,8 +311,13 @@ impl Measured {
         let opts = self.opts.as_ref().expect("a record made by Measured::new");
         self.unit_walls.push(wall);
         let before = *self.host_cals.last().expect("a kernel time before each unit");
-        let Burst { state, walls, .. } = set_up(opts, SETUPS_BETWEEN_UNITS, "setup-sample")?;
-        tear_down(state)?;
+        let walls = if opts.trace {
+            Vec::new()
+        } else {
+            let burst = set_up(opts, SETUPS_BETWEEN_UNITS, "setup-sample")?;
+            tear_down(burst.state)?;
+            burst.walls
+        };
         let after = host::calibrate(opts.threads);
         self.host_cals.push(after);
         let speed = host::speed(before, after);
