@@ -64,7 +64,9 @@ fn walk(seed: u64, words: usize) -> u64 {
 
 /// Multiply-add sweeps over two vectors, with a running dot product.
 fn sweep(seed: u64) -> u64 {
-    let mut a: Vec<f64> = (0..SWEEP_LEN).map(|i| (i as f64 + seed as f64).sin()).collect();
+    let mut a: Vec<f64> = (0..SWEEP_LEN)
+        .map(|i| (i as f64 + seed as f64).sin())
+        .collect();
     let b: Vec<f64> = (0..SWEEP_LEN).map(|i| (i as f64 * 0.5).cos()).collect();
     let mut dot = 0.0;
     for round in 0..SWEEPS {

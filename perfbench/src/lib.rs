@@ -310,7 +310,10 @@ impl Measured {
     pub fn end_unit(&mut self, wall: f64) -> Result<(), Box<dyn Error>> {
         let opts = self.opts.as_ref().expect("a record made by Measured::new");
         self.unit_walls.push(wall);
-        let before = *self.host_cals.last().expect("a kernel time before each unit");
+        let before = *self
+            .host_cals
+            .last()
+            .expect("a kernel time before each unit");
         let walls = if opts.trace {
             Vec::new()
         } else {
@@ -501,10 +504,7 @@ fn run_timed(
     seconds: f64,
 ) -> Result<(Measured, Vec<service::RequestLog>), Box<dyn Error>> {
     Ok(match state {
-        State::Portfolio => (
-            portfolio::run(setup, opts, seconds)?,
-            Vec::new(),
-        ),
+        State::Portfolio => (portfolio::run(setup, opts, seconds)?, Vec::new()),
         State::Corpus(root) => (corpus::run(setup, opts, root, seconds)?, Vec::new()),
         State::Service(svc) => service::run(setup, opts, svc, seconds)?,
     })
@@ -595,8 +595,16 @@ pub fn run_untraced(opts: &Options) -> Result<Outcome, Box<dyn Error>> {
     // the peak resident set moves by a fifth from run to run with how
     // the two workers' jobs overlap.
     let mut extras = vec![
-        Metric::new("sim_insns_per_ref_s", at_reference(&measured.sim_rates), "1/s"),
-        Metric::new("traces_per_ref_s", at_reference(&measured.trace_rates), "1/s"),
+        Metric::new(
+            "sim_insns_per_ref_s",
+            at_reference(&measured.sim_rates),
+            "1/s",
+        ),
+        Metric::new(
+            "traces_per_ref_s",
+            at_reference(&measured.trace_rates),
+            "1/s",
+        ),
         Metric::new("wall_s", stats::median(&measured.unit_walls), "s"),
         Metric::new("sim_insns_per_s", raw(&measured.sim_rates), "1/s"),
         Metric::new("traces_per_s", raw(&measured.trace_rates), "1/s"),
@@ -732,7 +740,11 @@ pub fn run_traced(
     metrics.sort_by_key(|m| PER_LAYER.iter().position(|(n, _)| *n == m.name));
     let mut extras = measured.extras;
     extras.push(Metric::new("trace.traced_unit_ref_s", traced_wall_s, "s"));
-    extras.push(Metric::new("trace.untraced_unit_ref_s", untraced_wall_s, "s"));
+    extras.push(Metric::new(
+        "trace.untraced_unit_ref_s",
+        untraced_wall_s,
+        "s",
+    ));
     Ok((
         Outcome {
             checks: measured.checks,

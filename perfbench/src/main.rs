@@ -11,8 +11,7 @@ use std::process::{Command, ExitCode};
 
 use sca_perfbench::{out_dir, pool, run_traced, run_untraced, Options, Outcome, Workload};
 
-const USAGE: &str =
-    "usage: perfbench --workload portfolio-lanes8|corpus|service|all \
+const USAGE: &str = "usage: perfbench --workload portfolio-lanes8|corpus|service|all \
                      --seed N --seconds S --trace 0|1 [--smoke] \
                      | perfbench --record-expected FILE";
 

@@ -33,11 +33,7 @@ fn phase_call(timing_name: &str) -> Option<&'static str> {
 /// # Errors
 ///
 /// Campaign faults.
-pub fn run(
-    setup: &Setup,
-    opts: &Options,
-    seconds: f64,
-) -> Result<Measured, Box<dyn Error>> {
+pub fn run(setup: &Setup, opts: &Options, seconds: f64) -> Result<Measured, Box<dyn Error>> {
     let size = opts.sizes().portfolio;
     let index = opts.seed % POOL;
     let config = pool::portfolio_config(&size, index, opts.threads, 8);
