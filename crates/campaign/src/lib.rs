@@ -134,7 +134,10 @@
 //!   [`sca_analysis`]; `TtestSink` routes each trace into the fixed or
 //!   random TVLA population by classifying its input, which is how the
 //!   `masked` countermeasure campaigns run fixed-vs-random assessments
-//!   through the same sharded engine.
+//!   through the same sharded engine;
+//! * [`CropSink`] plus the `Vec<K>` sink impl — one campaign over the
+//!   union of several analysis windows, fanned out into one cropped
+//!   sink per analysis, bit-identical to one campaign per window.
 //!
 //! Nothing in this crate names a cipher: generation, staging and
 //! selection functions arrive as closures/trait objects. The
@@ -156,5 +159,5 @@ mod store_run;
 pub use arena::SimArena;
 pub use engine::{Campaign, CampaignConfig, DEFAULT_LANES};
 pub use shard::{run_sharded, Mergeable, ShardPlan, DEFAULT_BATCH};
-pub use sink::{CampaignSink, Checkpointable, CorrSink, CpaSink, TtestSink};
+pub use sink::{CampaignSink, Checkpointable, CorrSink, CpaSink, CropSink, TtestSink};
 pub use store_run::{reanalyze_store, CampaignError, KillPoint, StoreOptions, StoredRunReport};

@@ -96,6 +96,17 @@ impl<A: Mergeable, B: Mergeable> Mergeable for (A, B) {
     }
 }
 
+/// Element-wise: every worker builds the same list of states, so entry
+/// `i` merges with the other worker's entry `i`.
+impl<K: Mergeable> Mergeable for Vec<K> {
+    fn merge(&mut self, other: Vec<K>) {
+        assert_eq!(self.len(), other.len(), "merging lists of unequal length");
+        for (mine, theirs) in self.iter_mut().zip(other) {
+            mine.merge(theirs);
+        }
+    }
+}
+
 /// Runs a deterministic sharded map-reduce over `plan.items` indices.
 ///
 /// * `worker` builds one worker's private state (e.g. a cloned CPU) —

@@ -28,6 +28,81 @@ impl<A: CampaignSink, B: CampaignSink> CampaignSink for (A, B) {
     }
 }
 
+/// Feeds every batch to each sink of the list, in list order — the
+/// fan-out of one acquisition into several analyses.
+impl<K: CampaignSink> CampaignSink for Vec<K> {
+    fn absorb_batch(&mut self, inputs: &[Vec<u8>], traces: &[f32], samples: usize) {
+        for sink in self {
+            sink.absorb_batch(inputs, traces, samples);
+        }
+    }
+}
+
+/// Hands its inner sink samples `[offset, offset + samples)` of every
+/// trace, so analyses with different windows can share one campaign
+/// run over the union of their windows.
+///
+/// The inner sink's state is bit-identical to that of a campaign over
+/// the sub-window alone: clipped synthesis leaves every in-window sample
+/// (and the per-trace RNG stream) unchanged for any enclosing window,
+/// and the inner sink sees the same values in the same batches.
+#[derive(Debug)]
+pub struct CropSink<K> {
+    offset: usize,
+    samples: usize,
+    inner: K,
+    /// The batch's cropped traces, trace-major `inputs.len() × samples`.
+    cropped: Vec<f32>,
+}
+
+impl<K> CropSink<K> {
+    /// Wraps `inner`, which must be sized for `samples` points, to see
+    /// the sub-window starting `offset` samples into each trace.
+    pub fn new(offset: usize, samples: usize, inner: K) -> CropSink<K> {
+        CropSink {
+            offset,
+            samples,
+            inner,
+            cropped: Vec::new(),
+        }
+    }
+
+    /// The wrapped sink.
+    pub fn inner(&self) -> &K {
+        &self.inner
+    }
+}
+
+impl<K: Mergeable> Mergeable for CropSink<K> {
+    fn merge(&mut self, other: CropSink<K>) {
+        self.inner.merge(other.inner);
+    }
+}
+
+impl<K: CampaignSink> CampaignSink for CropSink<K> {
+    fn absorb_batch(&mut self, inputs: &[Vec<u8>], traces: &[f32], samples: usize) {
+        let end = self.offset + self.samples;
+        assert!(
+            end <= samples,
+            "sub-window {}..{end} outside {samples}-sample traces",
+            self.offset
+        );
+        if self.samples == samples {
+            self.inner.absorb_batch(inputs, traces, samples);
+            return;
+        }
+        self.cropped.clear();
+        // A zero-length sub-window hands over no samples at all (and
+        // `chunks_exact(0)` would panic).
+        if self.samples > 0 {
+            for trace in traces.chunks_exact(samples) {
+                self.cropped.extend_from_slice(&trace[self.offset..end]);
+            }
+        }
+        self.inner.absorb_batch(inputs, &self.cropped, self.samples);
+    }
+}
+
 /// A sink whose statistical state can be snapshotted exactly and
 /// restored later — the contract behind crash-safe resumable campaigns.
 ///
@@ -414,5 +489,50 @@ mod tests {
         }
         assert_eq!(pair.0.len(), set.len() as u64);
         assert_eq!(pair.1.len(), set.len() as u64);
+    }
+
+    #[test]
+    fn crop_sinks_see_their_own_sub_windows() {
+        let set = tiny_set();
+        let mut fanned = vec![
+            CropSink::new(1, 2, CpaSink::new(model(), 256, 2)),
+            CropSink::new(0, 3, CpaSink::new(model(), 256, 3)),
+        ];
+        let mut direct = CpaSink::new(model(), 256, 2);
+        for (input, trace) in set.iter() {
+            fanned.absorb_batch(&[input.to_vec()], trace, 3);
+            direct.absorb_batch(&[input.to_vec()], &trace[1..], 2);
+        }
+        assert_eq!(
+            fanned[0].inner().accumulator().raw_moments(),
+            direct.accumulator().raw_moments()
+        );
+        assert_eq!(fanned[1].inner().len(), set.len() as u64);
+    }
+
+    #[test]
+    fn zero_length_sub_windows_count_traces_without_panicking() {
+        let set = tiny_set();
+        let mut sinks = vec![
+            CropSink::new(3, 0, CpaSink::new(model(), 256, 0)),
+            CropSink::new(1, 0, CpaSink::new(model(), 256, 0)),
+        ];
+        let mut other = vec![
+            CropSink::new(3, 0, CpaSink::new(model(), 256, 0)),
+            CropSink::new(1, 0, CpaSink::new(model(), 256, 0)),
+        ];
+        for (i, (input, trace)) in set.iter().enumerate() {
+            let sink = if i % 2 == 0 { &mut sinks } else { &mut other };
+            sink.absorb_batch(&[input.to_vec()], trace, 3);
+        }
+        sinks.merge(other);
+        for sink in &sinks {
+            assert_eq!(sink.inner().len(), set.len() as u64);
+            assert_eq!(sink.inner().finish().samples(), 0);
+        }
+        // A zero-sample campaign hands every sink empty traces.
+        let mut empty = CropSink::new(0, 0, CpaSink::new(model(), 256, 0));
+        empty.absorb_batch(&[vec![1], vec![2]], &[], 0);
+        assert_eq!(empty.inner().len(), 2);
     }
 }
