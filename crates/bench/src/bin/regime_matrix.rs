@@ -111,7 +111,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 };
                 let campaign = TargetCampaign::new(target, &uarch, config)?;
                 let started = Instant::now();
-                let verdict = campaign.cpa(&model)?;
+                let verdict = campaign.cpa(std::slice::from_ref(&model))?.remove(0);
                 entries.push((
                     format!("regime/{}/t{threads}/b{batch}", target.name()),
                     started.elapsed().as_secs_f64(),

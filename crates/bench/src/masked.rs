@@ -438,7 +438,11 @@ fn tvla_outcome(
         target.stage,
         |samples| TtestSink::new(|input: &[u8]| input[..16] == TVLA_FIXED_PT, samples),
     )?;
-    Ok((sink.max_t(), sink.leaks(), sink.counts()))
+    let (fixed, random) = sink.counts();
+    if fixed < 2 || random < 2 {
+        return Err(sca_target::TargetError::TooFewTraces { fixed, random }.into());
+    }
+    Ok((sink.max_t(), sink.leaks(), (fixed, random)))
 }
 
 fn assess_target(

@@ -21,7 +21,7 @@ use sca_power::GaussianNoise;
 use sca_target::{
     characterize_target, portfolio, reanalyze_cpa, reanalyze_tvla, resolve_window, store_dir_name,
     CipherTarget, CpaVerdict, ModelKind, TargetCampaign, TargetCampaignConfig,
-    TargetCharacterization, TargetStoreConfig, TvlaVerdict,
+    TargetCharacterization, TargetError, TargetStoreConfig, TvlaVerdict,
 };
 use sca_uarch::UarchConfig;
 
@@ -248,20 +248,26 @@ fn assess_target(
         kill: store.next_kill(planned, config.traces as u64),
     };
 
+    // Every model attacks one acquisition: unstored, a single campaign
+    // feeds all of them; stored corpora stay one per (target, model).
     let models = target.models();
-    let mut cpa = Vec::new();
-    for model in &models {
-        let start = Instant::now();
-        let phase = format!("cpa-{}", model.kind.to_string().to_lowercase());
-        {
-            let _span = sca_telemetry::span!("{phase}");
-            cpa.push(match &config.store {
-                Some(store) => campaign.cpa_stored(model, &store_for(store, planned))?.0,
-                None => campaign.cpa(model)?,
-            });
+    let kinds: Vec<String> = models
+        .iter()
+        .map(|model| model.kind.to_string().to_lowercase())
+        .collect();
+    let phase = format!("cpa-{}", kinds.join("-"));
+    let start = Instant::now();
+    let cpa = {
+        let _span = sca_telemetry::span!("{phase}");
+        match &config.store {
+            Some(store) => models
+                .iter()
+                .map(|model| Ok(campaign.cpa_stored(model, &store_for(store, planned))?.0))
+                .collect::<Result<Vec<_>, TargetError>>()?,
+            None => campaign.cpa(&models)?,
         }
-        time(&phase, timings, start);
-    }
+    };
+    time(&phase, timings, start);
 
     let start = Instant::now();
     let tvla = {

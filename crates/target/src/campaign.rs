@@ -10,8 +10,8 @@ use std::path::{Path, PathBuf};
 
 use sca_analysis::{CpaResult, StateReader};
 use sca_campaign::{
-    reanalyze_store, Campaign, CampaignConfig, CpaSink, KillPoint, StoreOptions, StoredRunReport,
-    TtestSink, DEFAULT_BATCH,
+    reanalyze_store, Campaign, CampaignConfig, CpaSink, CropSink, KillPoint, StoreOptions,
+    StoredRunReport, TtestSink, DEFAULT_BATCH,
 };
 use sca_power::{GaussianNoise, LeakageWeights, SamplingConfig};
 use sca_store::{analysis_tag, TraceStore};
@@ -154,6 +154,14 @@ pub struct TvlaVerdict {
     pub counts: (u64, u64),
 }
 
+/// The `(start, len)` sample window covering a `(start, len)` cycle
+/// window, with the end-exclusive rounding the characterization layer
+/// shares, so the fractional sampling rate keeps the window's tail
+/// sample.
+fn sample_window((start, len): (u64, u64)) -> (usize, usize) {
+    SamplingConfig::picoscope_500msps_120mhz().window_to_samples(start, len)
+}
+
 fn cpa_verdict(model: &TargetModel, result: &CpaResult, window_cycles: u64) -> CpaVerdict {
     let correct = usize::from(model.correct);
     CpaVerdict {
@@ -208,18 +216,15 @@ impl<'a> TargetCampaign<'a> {
         &self.cpu
     }
 
-    fn engine(&self, seed_salt: u64, window_cycles: (u64, u64)) -> Campaign {
-        let sampling = SamplingConfig::picoscope_500msps_120mhz();
-        // End-exclusive rounding shared with the characterization layer:
-        // truncating `len * samples_per_cycle` here used to drop the
-        // window's tail sample at the fractional sampling rate.
-        let (start, len) = sampling.window_to_samples(window_cycles.0, window_cycles.1);
+    /// The campaign engine at `seed_salt`, cropped to a `(start, len)`
+    /// sample window.
+    fn engine(&self, seed_salt: u64, (start, len): (usize, usize)) -> Campaign {
         Campaign::new(
             LeakageWeights::cortex_a7(),
             CampaignConfig {
                 traces: self.config.traces,
                 executions_per_trace: self.config.executions_per_trace,
-                sampling,
+                sampling: SamplingConfig::picoscope_500msps_120mhz(),
                 noise: self.config.noise,
                 seed: self.config.seed ^ seed_salt,
                 threads: self.config.threads,
@@ -230,32 +235,66 @@ impl<'a> TargetCampaign<'a> {
         .with_window(start, len)
     }
 
-    /// Runs one CPA campaign with one of the target's models, cropped
-    /// to the model's window.
+    /// Runs one CPA campaign for all of `models` and returns one verdict
+    /// per model, in order.
+    ///
+    /// Every model attacks the same acquisition (seed salt `0x0`), so the
+    /// campaign simulates once over the union of the models' windows and
+    /// crops each trace to each model's own window ([`CropSink`]). Each
+    /// verdict is bit-identical to a campaign over its model's window
+    /// alone, i.e. to `cpa(&[model])`.
     ///
     /// # Errors
     ///
     /// Propagates simulator faults from any worker, and window
     /// misconfiguration as [`TargetError::Window`].
-    pub fn cpa(&self, model: &TargetModel) -> Result<CpaVerdict, TargetError> {
-        let window = resolve_window(self.target, &self.cpu, &model.window)?;
+    pub fn cpa(&self, models: &[TargetModel]) -> Result<Vec<CpaVerdict>, TargetError> {
+        let mut windows = Vec::with_capacity(models.len());
+        for model in models {
+            let cycles = resolve_window(self.target, &self.cpu, &model.window)?.trigger_relative;
+            windows.push((cycles.1, sample_window(cycles)));
+        }
+        let Some(start) = windows.iter().map(|(_, (start, _))| *start).min() else {
+            return Ok(Vec::new());
+        };
+        let end = windows
+            .iter()
+            .map(|(_, (start, len))| start + len)
+            .max()
+            .unwrap_or(start);
         let target = self.target;
-        let sink = self.engine(0x0, window.trigger_relative).run(
+        let sinks = self.engine(0x0, (start, end - start)).run(
             &self.cpu,
             target.program().entry(),
             |rng, index| target.generate(rng, index),
             |cpu, input| target.stage(cpu, input),
-            |samples| CpaSink::new(model, 256, samples),
+            |samples| {
+                // The engine clamps the union window to the trace
+                // length; clamp each model's window to the same end, as
+                // the engine would have clamped it alone.
+                let end = start + samples;
+                models
+                    .iter()
+                    .zip(&windows)
+                    .map(|(model, &(_, (lo, len)))| {
+                        let (lo, hi) = (lo.min(end), (lo + len).min(end));
+                        CropSink::new(lo - start, hi - lo, CpaSink::new(model, 256, hi - lo))
+                    })
+                    .collect::<Vec<_>>()
+            },
         )?;
-        Ok(cpa_verdict(
-            model,
-            &sink.finish(),
-            window.trigger_relative.1,
-        ))
+        Ok(models
+            .iter()
+            .zip(&windows)
+            .zip(&sinks)
+            .map(|((model, &(cycles, _)), sink)| cpa_verdict(model, &sink.inner().finish(), cycles))
+            .collect())
     }
 
-    /// Like [`TargetCampaign::cpa`], against a persistent trace store:
-    /// traces land in `store.root/<label>-<model tag>` as they are
+    /// Like [`TargetCampaign::cpa`] for one model, against a persistent
+    /// trace store (corpora are kept per model, so stored campaigns do
+    /// not share an acquisition): traces land in
+    /// `store.root/<label>-<model tag>` as they are
     /// simulated and the accumulator state is checkpointed every
     /// `store.checkpoint_every` traces, so a killed campaign resumes
     /// from the last checkpoint with a byte-identical verdict.
@@ -300,7 +339,7 @@ impl<'a> TargetCampaign<'a> {
             window_cycles: window.trigger_relative.1,
         };
         let (sink, report) = self
-            .engine(0x0, window.trigger_relative)
+            .engine(0x0, sample_window(window.trigger_relative))
             .run_stored_bounded(
                 &self.cpu,
                 target.program().entry(),
@@ -324,29 +363,28 @@ impl<'a> TargetCampaign<'a> {
     ///
     /// # Errors
     ///
-    /// Propagates simulator faults from any worker, and window
-    /// misconfiguration as [`TargetError::Window`].
+    /// Propagates simulator faults from any worker, window
+    /// misconfiguration as [`TargetError::Window`], and a campaign too
+    /// small for the Welch statistic as [`TargetError::TooFewTraces`].
     pub fn tvla(&self) -> Result<TvlaVerdict, TargetError> {
         let window = resolve_window(self.target, &self.cpu, &self.target.primary_window())?;
         let target = self.target;
-        let sink = self.engine(0x77e5, window.trigger_relative).run(
-            &self.cpu,
-            target.program().entry(),
-            |rng, index| {
-                if index != usize::MAX && index % 2 == 0 {
-                    target.finish_input(target.fixed_plaintext(), rng)
-                } else {
-                    target.generate(rng, index)
-                }
-            },
-            |cpu, input| target.stage(cpu, input),
-            |samples| TtestSink::new(|input: &[u8]| target.is_fixed_class(input), samples),
-        )?;
-        Ok(TvlaVerdict {
-            max_t: sink.max_t(),
-            leaks: sink.leaks(),
-            counts: sink.counts(),
-        })
+        let sink = self
+            .engine(0x77e5, sample_window(window.trigger_relative))
+            .run(
+                &self.cpu,
+                target.program().entry(),
+                |rng, index| {
+                    if index != usize::MAX && index % 2 == 0 {
+                        target.finish_input(target.fixed_plaintext(), rng)
+                    } else {
+                        target.generate(rng, index)
+                    }
+                },
+                |cpu, input| target.stage(cpu, input),
+                |samples| TtestSink::new(|input: &[u8]| target.is_fixed_class(input), samples),
+            )?;
+        tvla_verdict(&sink)
     }
 
     /// Like [`TargetCampaign::tvla`], against a persistent trace store
@@ -363,13 +401,8 @@ impl<'a> TargetCampaign<'a> {
         &self,
         store: &TargetStoreConfig,
     ) -> Result<(TvlaVerdict, StoredRunReport), TargetError> {
-        self.tvla_stored_bounded(store, u64::MAX)
-            .map(|(verdict, report)| {
-                (
-                    verdict.expect("an unbounded run absorbs both populations"),
-                    report,
-                )
-            })
+        let (sink, report) = self.tvla_stored_sink(store, u64::MAX)?;
+        Ok((tvla_verdict(&sink)?, report))
     }
 
     /// Like [`TargetCampaign::tvla_stored`], but simulates at most
@@ -386,6 +419,25 @@ impl<'a> TargetCampaign<'a> {
         store: &TargetStoreConfig,
         max_new_traces: u64,
     ) -> Result<(Option<TvlaVerdict>, StoredRunReport), TargetError> {
+        let (sink, report) = self.tvla_stored_sink(store, max_new_traces)?;
+        Ok((tvla_verdict(&sink).ok(), report))
+    }
+
+    /// The stored TVLA campaign behind [`TargetCampaign::tvla_stored`]
+    /// and [`TargetCampaign::tvla_stored_bounded`]: its t-test sink and
+    /// run report.
+    #[allow(clippy::type_complexity)]
+    fn tvla_stored_sink(
+        &self,
+        store: &TargetStoreConfig,
+        max_new_traces: u64,
+    ) -> Result<
+        (
+            TtestSink<impl Fn(&[u8]) -> bool + Send + '_>,
+            StoredRunReport,
+        ),
+        TargetError,
+    > {
         let window = resolve_window(self.target, &self.cpu, &self.target.primary_window())?;
         let target = self.target;
         let opts = StoreOptions {
@@ -397,8 +449,7 @@ impl<'a> TargetCampaign<'a> {
             kill: store.kill,
             window_cycles: window.trigger_relative.1,
         };
-        let (sink, report) = self
-            .engine(0x77e5, window.trigger_relative)
+        self.engine(0x77e5, sample_window(window.trigger_relative))
             .run_stored_bounded(
                 &self.cpu,
                 target.program().entry(),
@@ -414,19 +465,24 @@ impl<'a> TargetCampaign<'a> {
                 &opts,
                 max_new_traces,
             )
-            .map_err(TargetError::from)?;
-        Ok((tvla_verdict(&sink), report))
+            .map_err(TargetError::from)
     }
 }
 
-/// The TVLA verdict of a (possibly partial) t-test sink, or `None`
-/// while either population holds fewer than two traces.
-fn tvla_verdict<F: Fn(&[u8]) -> bool + Send>(sink: &TtestSink<F>) -> Option<TvlaVerdict> {
-    let counts = sink.counts();
-    (counts.0 >= 2 && counts.1 >= 2).then(|| TvlaVerdict {
+/// The TVLA verdict of a (possibly partial) t-test sink, or
+/// [`TargetError::TooFewTraces`] while either population holds fewer
+/// than two traces (the Welch statistic is undefined before that).
+fn tvla_verdict<F: Fn(&[u8]) -> bool + Send>(
+    sink: &TtestSink<F>,
+) -> Result<TvlaVerdict, TargetError> {
+    let (fixed, random) = sink.counts();
+    if fixed < 2 || random < 2 {
+        return Err(TargetError::TooFewTraces { fixed, random });
+    }
+    Ok(TvlaVerdict {
         max_t: sink.max_t(),
         leaks: sink.leaks(),
-        counts,
+        counts: (fixed, random),
     })
 }
 
@@ -494,7 +550,7 @@ pub fn restore_tvla(
     };
     let mut sink = TtestSink::new(|input: &[u8]| target.is_fixed_class(input), samples);
     load_sink_state(&mut sink, &state)?;
-    Ok(tvla_verdict(&sink))
+    Ok(tvla_verdict(&sink).ok())
 }
 
 /// The last checkpoint of `dir` for `analysis`, if the store exists and
@@ -538,7 +594,8 @@ fn load_sink_state<K: sca_campaign::Checkpointable>(
 ///
 /// # Errors
 ///
-/// Store I/O/corruption as [`TargetError::Campaign`].
+/// Store I/O/corruption as [`TargetError::Campaign`], and a corpus too
+/// small for the Welch statistic as [`TargetError::TooFewTraces`].
 pub fn reanalyze_tvla(dir: &Path, target: &dyn CipherTarget) -> Result<TvlaVerdict, TargetError> {
     let store = TraceStore::open_any(dir)?;
     let samples = store.meta().samples as usize;
@@ -548,9 +605,5 @@ pub fn reanalyze_tvla(dir: &Path, target: &dyn CipherTarget) -> Result<TvlaVerdi
         TtestSink::new(|input: &[u8]| target.is_fixed_class(input), samples),
     )
     .map_err(TargetError::from)?;
-    Ok(TvlaVerdict {
-        max_t: sink.max_t(),
-        leaks: sink.leaks(),
-        counts: sink.counts(),
-    })
+    tvla_verdict(&sink)
 }

@@ -104,6 +104,14 @@ pub enum TargetError {
     /// A stored campaign failed: trace-store I/O or corruption, a
     /// checkpoint snapshot mismatch, or an injected kill point firing.
     Campaign(CampaignError),
+    /// A TVLA campaign ended with fewer than two traces in a population,
+    /// where the Welch statistic is undefined.
+    TooFewTraces {
+        /// Traces in the fixed population.
+        fixed: u64,
+        /// Traces in the random population.
+        random: u64,
+    },
 }
 
 impl TargetError {
@@ -120,6 +128,11 @@ impl fmt::Display for TargetError {
             TargetError::Uarch(e) => write!(f, "simulator fault: {e}"),
             TargetError::Window(e) => write!(f, "window resolution failed: {e}"),
             TargetError::Campaign(e) => write!(f, "stored campaign failed: {e}"),
+            TargetError::TooFewTraces { fixed, random } => write!(
+                f,
+                "TVLA needs at least two traces per population, got {fixed} fixed and \
+                 {random} random"
+            ),
         }
     }
 }
@@ -130,6 +143,7 @@ impl std::error::Error for TargetError {
             TargetError::Uarch(e) => Some(e),
             TargetError::Window(e) => Some(e),
             TargetError::Campaign(e) => Some(e),
+            TargetError::TooFewTraces { .. } => None,
         }
     }
 }

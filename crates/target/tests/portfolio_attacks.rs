@@ -30,7 +30,10 @@ fn assert_hd_recovers(target: &dyn CipherTarget) {
         .iter()
         .find(|m| m.kind == ModelKind::TransitionHd)
         .expect("target has an HD model");
-    let verdict = campaign.cpa(hd).expect("campaign runs");
+    let verdict = campaign
+        .cpa(std::slice::from_ref(hd))
+        .expect("campaign runs")
+        .remove(0);
     assert!(
         verdict.success(),
         "[{}] {} (peak {:.4}, best wrong {:.4})",
