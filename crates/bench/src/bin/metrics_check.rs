@@ -11,7 +11,9 @@
 //! `{"name", "unit", "value"}` objects with string names, `"s"` or
 //! `"count"` units and numeric values), asserts the campaign simulated
 //! exactly what it planned (`campaign/traces_planned ==
-//! campaign/traces_simulated`), and asserts the span tree accounts for
+//! campaign/traces_simulated`), that every simulated trace is counted on
+//! exactly one path (`campaign/lockstep_traces + campaign/scalar_traces
+//! == campaign/traces_simulated`), and that the span tree accounts for
 //! the wall clock: the direct children of `span/portfolio` must sum to
 //! at least 90% of it.
 //!
@@ -140,6 +142,25 @@ fn check(path: &str) {
         fail(&format!(
             "planned {} traces but simulated {}",
             planned.raw, simulated.raw
+        ));
+    }
+
+    // Every simulated trace took exactly one path, lockstep or scalar;
+    // both counters are published even at zero, so the split shows
+    // whether lockstep engaged.
+    let count = |name: &str| -> u64 {
+        let entry = lookup(&entries, name).unwrap_or_else(|| fail(&format!("no {name} entry")));
+        entry
+            .raw
+            .parse()
+            .unwrap_or_else(|_| fail(&format!("{name} value '{}' is not a count", entry.raw)))
+    };
+    let lockstep = count("campaign/lockstep_traces");
+    let scalar = count("campaign/scalar_traces");
+    if lockstep + scalar != count("campaign/traces_simulated") {
+        fail(&format!(
+            "{lockstep} lockstep + {scalar} scalar traces != {} simulated",
+            simulated.raw
         ));
     }
 

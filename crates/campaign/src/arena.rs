@@ -325,14 +325,10 @@ impl SimArena {
             sca_telemetry::counter!("uarch/l2/accesses").add(cache.l2_hits + cache.l2_misses);
             sca_telemetry::counter!("uarch/l2/misses").add(cache.l2_misses);
         }
-        if tally.lockstep_traces > 0 {
-            sca_telemetry::counter!("campaign/lockstep_traces").add(tally.lockstep_traces);
-        }
-        if tally.scalar_traces > 0 {
-            sca_telemetry::counter!("campaign/scalar_traces").add(tally.scalar_traces);
-        }
-        if tally.blocks_poisoned > 0 {
-            sca_telemetry::counter!("campaign/blocks_poisoned").add(tally.blocks_poisoned);
-        }
+        // Published even at zero, so an export can tell "lockstep never
+        // fell back" from "not instrumented".
+        sca_telemetry::counter!("campaign/lockstep_traces").add(tally.lockstep_traces);
+        sca_telemetry::counter!("campaign/scalar_traces").add(tally.scalar_traces);
+        sca_telemetry::counter!("campaign/blocks_poisoned").add(tally.blocks_poisoned);
     }
 }
