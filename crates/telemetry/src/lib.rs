@@ -12,7 +12,7 @@
 //! * [`Histogram`] — fixed log-spaced buckets of `u64` (slice
 //!   latencies). Wall-clock valued, so observability-only.
 //! * spans — RAII timers ([`span()`] / [`span!`]) that build a
-//!   hierarchical phase-time tree (`portfolio/aes128/cpa-hw/simulate`)
+//!   hierarchical phase-time tree (`portfolio/aes128/cpa-hw-hd/simulate`)
 //!   from a thread-local path stack. Worker threads graft their spans
 //!   under the path their spawner captured with
 //!   [`current_span_path`] + [`span_at`].
