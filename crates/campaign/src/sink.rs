@@ -492,35 +492,15 @@ mod tests {
     }
 
     #[test]
-    fn crop_sinks_see_their_own_sub_windows() {
-        let set = tiny_set();
-        let mut fanned = vec![
-            CropSink::new(1, 2, CpaSink::new(model(), 256, 2)),
-            CropSink::new(0, 3, CpaSink::new(model(), 256, 3)),
-        ];
-        let mut direct = CpaSink::new(model(), 256, 2);
-        for (input, trace) in set.iter() {
-            fanned.absorb_batch(&[input.to_vec()], trace, 3);
-            direct.absorb_batch(&[input.to_vec()], &trace[1..], 2);
-        }
-        assert_eq!(
-            fanned[0].inner().accumulator().raw_moments(),
-            direct.accumulator().raw_moments()
-        );
-        assert_eq!(fanned[1].inner().len(), set.len() as u64);
-    }
-
-    #[test]
     fn zero_length_sub_windows_count_traces_without_panicking() {
         let set = tiny_set();
-        let mut sinks = vec![
-            CropSink::new(3, 0, CpaSink::new(model(), 256, 0)),
-            CropSink::new(1, 0, CpaSink::new(model(), 256, 0)),
-        ];
-        let mut other = vec![
-            CropSink::new(3, 0, CpaSink::new(model(), 256, 0)),
-            CropSink::new(1, 0, CpaSink::new(model(), 256, 0)),
-        ];
+        let make = || {
+            vec![
+                CropSink::new(3, 0, CpaSink::new(model(), 256, 0)),
+                CropSink::new(1, 0, CpaSink::new(model(), 256, 0)),
+            ]
+        };
+        let (mut sinks, mut other) = (make(), make());
         for (i, (input, trace)) in set.iter().enumerate() {
             let sink = if i % 2 == 0 { &mut sinks } else { &mut other };
             sink.absorb_batch(&[input.to_vec()], trace, 3);
