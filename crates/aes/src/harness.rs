@@ -1,7 +1,7 @@
 //! Running the assembly AES-128 on the simulated CPU.
 
 use sca_isa::Program;
-use sca_uarch::{Cpu, NullObserver, PipelineObserver, UarchConfig, UarchError};
+use sca_uarch::{BlockObserver, Cpu, NullObserver, UarchConfig, UarchError};
 
 use crate::{expand_key, ROUND_KEY_BYTES, SBOX};
 
@@ -109,10 +109,10 @@ impl AesSim {
     /// # Errors
     ///
     /// Propagates simulator faults.
-    pub fn encrypt_observed(
+    pub fn encrypt_observed<O: BlockObserver + ?Sized>(
         &mut self,
         plaintext: &[u8; 16],
-        observer: &mut dyn PipelineObserver,
+        observer: &mut O,
     ) -> Result<[u8; 16], UarchError> {
         self.cpu.restart(self.entry);
         self.cpu.mem_mut().write_bytes(STATE_ADDR, plaintext)?;

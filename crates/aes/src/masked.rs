@@ -14,7 +14,7 @@
 //! not the victim's mask RNG.
 
 use sca_isa::Program;
-use sca_uarch::{Cpu, NullObserver, PipelineObserver, UarchConfig, UarchError};
+use sca_uarch::{BlockObserver, Cpu, NullObserver, UarchConfig, UarchError};
 
 use crate::{expand_key, RK_ADDR, SBOX, SBOX_ADDR, STATE_ADDR};
 
@@ -137,10 +137,10 @@ impl MaskedAesSim {
     /// # Errors
     ///
     /// Propagates simulator faults.
-    pub fn encrypt_observed(
+    pub fn encrypt_observed<O: BlockObserver + ?Sized>(
         &mut self,
         input: &[u8],
-        observer: &mut dyn PipelineObserver,
+        observer: &mut O,
     ) -> Result<[u8; 16], UarchError> {
         self.cpu.restart(self.entry);
         Self::stage_input(&mut self.cpu, input);

@@ -26,6 +26,9 @@ pub struct CommonArgs {
     /// Lockstep lanes per simulation group (1 = scalar path). Results
     /// are bit-identical at every setting; only throughput changes.
     pub lanes: usize,
+    /// Whether `--lanes` was given, so binaries without lockstep lanes
+    /// can refuse it.
+    lanes_given: bool,
     /// Paper-scale campaign.
     pub full: bool,
     /// Write per-kernel wall-clock timings to this path, as a JSON
@@ -73,6 +76,7 @@ impl Default for CommonArgs {
             threads: 8,
             batch: sca_campaign::DEFAULT_BATCH,
             lanes: sca_campaign::DEFAULT_LANES,
+            lanes_given: false,
             full: false,
             bench_json: None,
             metrics_json: None,
@@ -145,7 +149,10 @@ impl CommonArgs {
                 "--seed" => out.seed = parse_value(&arg, &value(&arg)?)?,
                 "--threads" => out.threads = parse_value(&arg, &value(&arg)?)?,
                 "--batch" => out.batch = parse_value(&arg, &value(&arg)?)?,
-                "--lanes" => out.lanes = parse_value(&arg, &value(&arg)?)?,
+                "--lanes" => {
+                    out.lanes = parse_value(&arg, &value(&arg)?)?;
+                    out.lanes_given = true;
+                }
                 "--quick" => out.full = false,
                 "--full" => out.full = true,
                 "--bench-json" => out.bench_json = Some(value(&arg)?),
@@ -229,6 +236,17 @@ impl CommonArgs {
     pub fn reject_metrics_json(&self, binary: &str) {
         if self.metrics_json.is_some() {
             eprintln!("error: '--metrics-json' is not supported by '{binary}' (only 'portfolio')");
+            std::process::exit(2);
+        }
+    }
+
+    /// Rejects `--lanes` in binaries whose campaigns take no lane count
+    /// (only `portfolio` does), exiting with status 2 — the same
+    /// never-silently-ignored contract as
+    /// [`reject_bench_json`](CommonArgs::reject_bench_json).
+    pub fn reject_lanes(&self, binary: &str) {
+        if self.lanes_given {
+            eprintln!("error: '--lanes' is not supported by '{binary}' (only 'portfolio')");
             std::process::exit(2);
         }
     }

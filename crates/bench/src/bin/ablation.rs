@@ -49,6 +49,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     args.reject_bench_json("ablation");
     args.reject_metrics_json("ablation");
     args.reject_store_flags("ablation");
+    args.reject_lanes("ablation");
     let config = characterization(&args);
     let benchmarks = table2_benchmarks();
     println!("Ablations — impact of individual microarchitectural features\n");

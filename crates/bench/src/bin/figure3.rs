@@ -10,6 +10,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     args.reject_bench_json("figure3");
     args.reject_metrics_json("figure3");
     args.reject_store_flags("figure3");
+    args.reject_lanes("figure3");
     let config = Figure3Config {
         traces: args.trace_count(1500, 100_000),
         executions_per_trace: if args.full { 16 } else { 4 },

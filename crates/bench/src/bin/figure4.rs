@@ -11,6 +11,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args = CommonArgs::parse();
     args.reject_metrics_json("figure4");
     args.reject_store_flags("figure4");
+    args.reject_lanes("figure4");
     let config = Figure4Config {
         traces: args.trace_count(2500, 10_000),
         seed: args.seed,

@@ -11,6 +11,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     args.reject_bench_json("masked");
     args.reject_metrics_json("masked");
     args.reject_store_flags("masked");
+    args.reject_lanes("masked");
     let config = MaskedConfig {
         traces: args.trace_count(400, 5_000),
         executions_per_trace: if args.quick() { 8 } else { 16 },

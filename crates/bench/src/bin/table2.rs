@@ -12,6 +12,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args = CommonArgs::parse();
     args.reject_metrics_json("table2");
     args.reject_store_flags("table2");
+    args.reject_lanes("table2");
     let config = CharacterizationConfig {
         traces: args.trace_count(4000, 100_000),
         executions_per_trace: if args.full { 16 } else { 4 },

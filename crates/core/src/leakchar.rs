@@ -667,7 +667,11 @@ pub fn run_benchmark(
             probes.push(
                 NodeKind::ALL
                     .iter()
-                    .map(|&kind| rec.windowed_power(kind))
+                    .map(|&kind| {
+                        let mut series = Vec::new();
+                        rec.windowed_power_into(0, kind, &mut series);
+                        series
+                    })
                     .collect(),
             );
         }
@@ -747,7 +751,7 @@ pub fn run_benchmark(
                     for kind in NodeKind::ALL {
                         worker
                             .recorder
-                            .windowed_power_into(kind, &mut worker.samples);
+                            .windowed_power_into(0, kind, &mut worker.samples);
                         worker.samples.resize(window_len, 0.0);
                         gauss.add_to(&mut rng, &mut worker.samples);
                         for (a, s) in worker.accumulated[kind.index()]

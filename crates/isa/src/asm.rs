@@ -135,7 +135,7 @@ impl Assembler {
             match &line.stmt {
                 None => {}
                 Some(Stmt::Org(expr)) => {
-                    let addr = expr.eval(&symbols, line.number)? as u32;
+                    let addr = org_address(expr, &symbols, line.number)?;
                     if !emitted_any && origin.is_none() {
                         origin = Some(addr);
                     } else if addr < cursor {
@@ -153,7 +153,7 @@ impl Assembler {
                 }
                 Some(stmt) => {
                     emitted_any = true;
-                    cursor += stmt.size(cursor, line.number)?;
+                    cursor = advance(cursor, stmt.size(cursor, line.number)?, line.number)?;
                 }
             }
         }
@@ -177,7 +177,7 @@ impl Assembler {
                 match &line.stmt {
                     None => {}
                     Some(Stmt::Org(expr)) => {
-                        scan_cursor = expr.eval(&symbols2, line.number)? as u32;
+                        scan_cursor = org_address(expr, &symbols2, line.number)?;
                         for label in &line.labels {
                             symbols2.insert(label.clone(), i64::from(scan_cursor));
                         }
@@ -186,14 +186,20 @@ impl Assembler {
                         let value = expr.eval(&symbols2, line.number)?;
                         symbols2.insert(name.clone(), value);
                     }
-                    Some(stmt) => scan_cursor += stmt.size(scan_cursor, line.number)?,
+                    Some(stmt) => {
+                        let size = stmt.size(scan_cursor, line.number)?;
+                        scan_cursor = advance(scan_cursor, size, line.number)?;
+                    }
                 }
             }
         }
         let symbols = symbols2;
 
-        let emit = |image: &mut Vec<u8>, cursor: &mut u32, bytes: &[u8]| {
-            let offset = (*cursor - base) as usize;
+        let emit = |image: &mut Vec<u8>, cursor: &mut u32, bytes: &[u8], line: usize| {
+            let offset = cursor
+                .checked_sub(base)
+                .ok_or_else(|| IsaError::asm(line, "emitting below the image base"))?
+                as usize;
             if image.len() < offset {
                 image.resize(offset, 0);
             }
@@ -210,26 +216,32 @@ impl Assembler {
                     }
                 }
             }
-            *cursor += bytes.len() as u32;
+            *cursor = advance(*cursor, bytes.len() as u32, line)?;
+            Ok::<(), IsaError>(())
         };
 
         for line in &lines {
             match &line.stmt {
                 None | Some(Stmt::Equ(..)) => {}
                 Some(Stmt::Org(expr)) => {
-                    cursor = expr.eval(&symbols, line.number)? as u32;
+                    cursor = org_address(expr, &symbols, line.number)?;
                 }
                 Some(Stmt::Word(exprs)) => {
                     align_to(&mut image, &mut cursor, base, 4);
                     for expr in exprs {
                         let value = expr.eval(&symbols, line.number)? as u32;
-                        emit(&mut image, &mut cursor, &value.to_le_bytes());
+                        emit(&mut image, &mut cursor, &value.to_le_bytes(), line.number)?;
                     }
                 }
                 Some(Stmt::Byte(exprs)) => {
                     for expr in exprs {
                         let value = expr.eval(&symbols, line.number)?;
-                        emit(&mut image, &mut cursor, &[(value & 0xff) as u8]);
+                        emit(
+                            &mut image,
+                            &mut cursor,
+                            &[(value & 0xff) as u8],
+                            line.number,
+                        )?;
                     }
                 }
                 Some(Stmt::Space(expr)) => {
@@ -237,7 +249,12 @@ impl Assembler {
                     if count < 0 {
                         return Err(IsaError::asm(line.number, "negative .space"));
                     }
-                    emit(&mut image, &mut cursor, &vec![0u8; count as usize]);
+                    emit(
+                        &mut image,
+                        &mut cursor,
+                        &vec![0u8; count as usize],
+                        line.number,
+                    )?;
                 }
                 Some(Stmt::Align(expr)) => {
                     let align = expr.eval(&symbols, line.number)?;
@@ -252,7 +269,7 @@ impl Assembler {
                     let word =
                         encode(&insn).map_err(|e| IsaError::asm(line.number, e.to_string()))?;
                     line_of_addr.push((cursor, line.number));
-                    emit(&mut image, &mut cursor, &word.to_le_bytes());
+                    emit(&mut image, &mut cursor, &word.to_le_bytes(), line.number)?;
                 }
             }
         }
@@ -278,6 +295,21 @@ impl Assembler {
         program.set_entry(entry);
         Ok(program)
     }
+}
+
+/// Evaluates a `.org` target, which must lie in the 32-bit address space.
+fn org_address(expr: &Expr, symbols: &BTreeMap<String, i64>, line: usize) -> Result<u32, IsaError> {
+    let addr = expr.eval(symbols, line)?;
+    u32::try_from(addr)
+        .map_err(|_| IsaError::asm(line, format!(".org address {addr} out of range")))
+}
+
+/// Moves the layout cursor past `size` bytes; the image must end inside
+/// the 32-bit address space.
+fn advance(cursor: u32, size: u32, line: usize) -> Result<u32, IsaError> {
+    cursor
+        .checked_add(size)
+        .ok_or_else(|| IsaError::asm(line, "image runs past the 32-bit address space"))
 }
 
 fn align_to(image: &mut Vec<u8>, cursor: &mut u32, base: u32, align: u32) {
@@ -314,23 +346,25 @@ enum Stmt {
 impl Stmt {
     /// Size in bytes when laid out at `cursor` (pass 1).
     fn size(&self, cursor: u32, line: usize) -> Result<u32, IsaError> {
+        // Instructions and words force word alignment.
+        let words = |count: usize| {
+            let pad = cursor.checked_next_multiple_of(4)? - cursor;
+            u32::try_from(count).ok()?.checked_mul(4)?.checked_add(pad)
+        };
+        let overflow = || IsaError::asm(line, "image runs past the 32-bit address space");
         Ok(match self {
-            Stmt::Insn(_) => {
-                // Instructions also force word alignment.
-                let pad = cursor.next_multiple_of(4) - cursor;
-                pad + 4
-            }
-            Stmt::Word(exprs) => {
-                let pad = cursor.next_multiple_of(4) - cursor;
-                pad + 4 * exprs.len() as u32
-            }
+            Stmt::Insn(_) => words(1).ok_or_else(overflow)?,
+            Stmt::Word(exprs) => words(exprs.len()).ok_or_else(overflow)?,
             Stmt::Byte(exprs) => exprs.len() as u32,
             Stmt::Space(expr) => {
                 // Sizes must be known in pass 1: only constants allowed.
                 let n = expr
                     .eval(&BTreeMap::new(), line)
                     .map_err(|_| IsaError::asm(line, ".space size must be a literal constant"))?;
-                n as u32
+                if n < 0 {
+                    return Err(IsaError::asm(line, "negative .space"));
+                }
+                u32::try_from(n).map_err(|_| overflow())?
             }
             Stmt::Align(expr) => {
                 let align = expr
@@ -451,7 +485,10 @@ impl Expr {
                     .get(name)
                     .ok_or_else(|| IsaError::asm(line, format!("undefined symbol `{name}`")))?,
             };
-            total += sign * value;
+            total = sign
+                .checked_mul(value)
+                .and_then(|term| total.checked_add(term))
+                .ok_or_else(|| IsaError::asm(line, "expression overflows 64 bits"))?;
         }
         Ok(total)
     }
@@ -1393,6 +1430,26 @@ table:  .word 0
         assert!(assemble("mov r0, #0x12345\n").is_err());
         assert!(assemble("b missing\n").is_err());
         assert!(assemble("dup: nop\ndup: nop\n").is_err());
+    }
+
+    #[test]
+    fn out_of_range_layout_is_an_error_on_its_line() {
+        // (source, line the error must name)
+        let cases = [
+            (".org 0xfffffff0\n.word 1, 2, 3, 4, 5\n", 2),
+            (".org 0xfffffffc\n.word 1\n", 2),
+            (".org -4\nnop\n", 1),
+            ("nop\n.org 0x100000000\n", 2),
+            (".org 0xfffffffe\nnop\n", 2),
+            ("mov r0, #9223372036854775807 + 1\n", 1),
+            ("nop\n.space -4\n", 2),
+        ];
+        for (source, want) in cases {
+            match assemble(source) {
+                Err(IsaError::Asm { line, .. }) => assert_eq!(line, want, "{source:?}"),
+                other => panic!("{source:?}: expected an assembler error, got {other:?}"),
+            }
+        }
     }
 
     #[test]

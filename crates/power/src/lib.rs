@@ -9,7 +9,9 @@
 //!
 //! * [`LeakageWeights`] — per-component weights (register file silent,
 //!   shifter at 1/10, etc.);
-//! * [`PowerRecorder`] — a `PipelineObserver` integrating per-cycle power;
+//! * [`PowerRecorder`]/[`ComponentPowerRecorder`] — observers integrating
+//!   per-cycle power (total, or per component), one-lane instances of
+//!   recorders written once for any lane count;
 //! * [`SamplingConfig`] — 500 MS/s-style cycle→sample expansion;
 //! * [`GaussianNoise`]/[`NoiseSource`] — measurement and environment noise;
 //! * [`TraceSynthesizer`]/[`AcquisitionConfig`] — deterministic,
@@ -33,7 +35,8 @@ pub use io::{read_traces, write_traces};
 pub use model::LeakageWeights;
 pub use noise::{GaussianNoise, NoiseSource};
 pub use recorder::{
-    BlockComponentPowerRecorder, BlockPowerRecorder, ComponentPowerRecorder, PowerRecorder,
+    BlockComponentPowerRecorder, BlockPowerRecorder, ComponentPowerRecorder, LaneComponentRecorder,
+    LanePowerRecorder, PowerRecorder,
 };
 pub use sampling::{cycle_window_to_samples, SamplingConfig};
 pub use synth::{simulator_runs, AcquisitionConfig, SynthScratch, TraceSynthesizer};

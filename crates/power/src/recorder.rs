@@ -1,31 +1,82 @@
 //! Turning pipeline activity into per-cycle power.
+//!
+//! Two recorders, each written once for any lane count `L`: a
+//! [`LanePowerRecorder`] integrates the total power of every lane, a
+//! [`LaneComponentRecorder`] keeps one series per component kind. Their
+//! one-lane instances ([`PowerRecorder`], [`ComponentPowerRecorder`])
+//! observe a [`sca_uarch::Cpu`]; their [`MAX_LANES`] instances
+//! ([`BlockPowerRecorder`], [`BlockComponentPowerRecorder`]) observe a
+//! [`sca_uarch::CpuBlock`]. Each lane's series is computed exactly as a
+//! one-lane recorder observing that lane alone would compute it: the
+//! lane's events arrive in the same order and accumulate into the same
+//! `f64` slots (same addition order, hence bit-identical), and the
+//! shared trigger edges delimit the same window for every lane.
 
-use sca_uarch::{BlockObserver, NodeEvent, PipelineObserver};
+use sca_uarch::{BlockObserver, NodeEvent, NodeKind, MAX_LANES};
 
 use crate::LeakageWeights;
 
-/// A [`PipelineObserver`] that integrates node switching activity into a
-/// per-cycle power series, and records trigger edges for windowing.
-///
-/// One recorder observes one execution; the trace synthesizer then expands
-/// cycles to oscilloscope samples, adds noise and averages executions.
-#[derive(Clone, Debug)]
-pub struct PowerRecorder {
-    weights: LeakageWeights,
-    /// Power accumulated per cycle index.
-    power: Vec<f64>,
-    /// `(cycle, level)` trigger edges in order.
-    triggers: Vec<(u64, bool)>,
+/// The `(cycle, level)` trigger edges of one run.
+#[derive(Clone, Debug, Default)]
+struct Triggers(Vec<(u64, bool)>);
+
+impl Triggers {
+    /// The cycles `[start, end)` of the first high-trigger window within
+    /// `cycles` recorded cycles; all of them when no trigger rose (bench
+    /// code without `trig` instructions).
+    fn window(&self, cycles: usize) -> (usize, usize) {
+        let Some(start) = self.0.iter().find(|(_, h)| *h).map(|(c, _)| *c as usize) else {
+            return (0, cycles);
+        };
+        let end = self
+            .0
+            .iter()
+            .find(|(c, h)| !*h && *c as usize >= start)
+            .map_or(cycles, |(c, _)| *c as usize)
+            .min(cycles);
+        (start.min(end), end)
+    }
 }
+
+/// The lane count a recorder was built for: `L` itself for the one-lane
+/// instance, so its layout arithmetic folds away at compile time.
+fn lanes<const L: usize>(lanes: usize) -> usize {
+    if L == 1 {
+        1
+    } else {
+        lanes
+    }
+}
+
+/// Integrates node switching activity into a per-cycle power series per
+/// lane, and records trigger edges for windowing.
+///
+/// One recorder observes one execution (of every lane); the trace
+/// synthesizer then expands cycles to oscilloscope samples, adds noise
+/// and averages executions. Storage is lane-interleaved
+/// (`power[cycle * lanes + lane]`): a block emits each node's events
+/// lane by lane, so the writes of one batch land on adjacent slots — this
+/// recorder sits on the busiest observer path of the whole campaign
+/// engine.
+#[derive(Clone, Debug)]
+pub struct LanePowerRecorder<const L: usize> {
+    weights: LeakageWeights,
+    lanes: usize,
+    /// Lane-interleaved per-cycle power.
+    power: Vec<f64>,
+    triggers: Triggers,
+}
+
+/// The one-lane power recorder, observing a [`sca_uarch::Cpu`].
+pub type PowerRecorder = LanePowerRecorder<1>;
+
+/// The power recorder of a lockstep [`sca_uarch::CpuBlock`].
+pub type BlockPowerRecorder = LanePowerRecorder<MAX_LANES>;
 
 impl PowerRecorder {
     /// Creates a recorder with the given leakage weights.
     pub fn new(weights: LeakageWeights) -> PowerRecorder {
-        PowerRecorder {
-            weights,
-            power: Vec::new(),
-            triggers: Vec::new(),
-        }
+        LanePowerRecorder::with_lanes(weights, 1)
     }
 
     /// The raw per-cycle power series for the whole execution.
@@ -33,197 +84,109 @@ impl PowerRecorder {
         &self.power
     }
 
-    /// Recorded trigger edges.
-    pub fn triggers(&self) -> &[(u64, bool)] {
-        &self.triggers
-    }
-
-    /// The per-cycle power inside the first high-trigger window.
-    ///
-    /// Returns the whole series when no trigger fired (bench code without
-    /// `trig` instructions).
+    /// The per-cycle power inside the first high-trigger window (the
+    /// whole series when no trigger fired).
     pub fn windowed_power(&self) -> &[f64] {
-        let Some(start) = self
-            .triggers
-            .iter()
-            .find(|(_, h)| *h)
-            .map(|(c, _)| *c as usize)
-        else {
-            return &self.power;
-        };
-        let end = self
-            .triggers
-            .iter()
-            .find(|(c, h)| !*h && *c as usize >= start)
-            .map_or(self.power.len(), |(c, _)| *c as usize);
-        let end = end.min(self.power.len());
-        let start = start.min(end);
+        let (start, end) = self.window();
         &self.power[start..end]
     }
-
-    /// Clears recorded data, keeping the weights (reuse across the
-    /// averaged executions of one trace).
-    pub fn reset(&mut self) {
-        self.power.clear();
-        self.triggers.clear();
-    }
-}
-
-impl PipelineObserver for PowerRecorder {
-    fn begin_cycle(&mut self, cycle: u64) {
-        let needed = cycle as usize + 1;
-        if self.power.len() < needed {
-            self.power.resize(needed, 0.0);
-        }
-    }
-
-    fn node_event(&mut self, event: NodeEvent) {
-        let idx = event.cycle as usize;
-        if self.power.len() <= idx {
-            self.power.resize(idx + 1, 0.0);
-        }
-        self.power[idx] += self.weights.power_of_kind(event.node.kind(), &event);
-    }
-
-    fn trigger(&mut self, cycle: u64, high: bool) {
-        self.triggers.push((cycle, high));
-    }
-}
-
-/// A [`BlockObserver`] integrating one power series *per lane* of a
-/// lockstep [`sca_uarch::CpuBlock`] run.
-///
-/// Each lane's series is computed exactly as a scalar [`PowerRecorder`]
-/// observing that lane alone would compute it: per-lane events arrive
-/// in the same order, accumulate into the same `f64` per-cycle sums
-/// (same addition order, hence bit-identical), and the shared trigger
-/// edges delimit the same window for every lane.
-/// Storage is lane-major interleaved (`power[cycle * lanes + lane]`):
-/// the lockstep block emits each cycle's events lane-by-lane, so the
-/// writes of one cycle land on adjacent slots instead of `lanes`
-/// separate heap buffers — this recorder sits on the busiest observer
-/// path of the whole campaign engine.
-#[derive(Clone, Debug)]
-pub struct BlockPowerRecorder {
-    weights: LeakageWeights,
-    lanes: usize,
-    /// Lane-major interleaved per-cycle power.
-    power: Vec<f64>,
-    /// Cycles recorded so far (the stride count).
-    cycles: usize,
-    /// Shared `(cycle, level)` trigger edges in order.
-    triggers: Vec<(u64, bool)>,
 }
 
 impl BlockPowerRecorder {
     /// Creates a recorder for up to `lanes` lanes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lanes` exceeds [`MAX_LANES`].
     pub fn new(weights: LeakageWeights, lanes: usize) -> BlockPowerRecorder {
-        BlockPowerRecorder {
+        LanePowerRecorder::with_lanes(weights, lanes)
+    }
+}
+
+impl<const L: usize> LanePowerRecorder<L> {
+    fn with_lanes(weights: LeakageWeights, lanes: usize) -> LanePowerRecorder<L> {
+        assert!(lanes <= L, "lane count {lanes} above {L}");
+        LanePowerRecorder {
             weights,
             lanes: lanes.max(1),
             power: Vec::new(),
-            cycles: 0,
-            triggers: Vec::new(),
+            triggers: Triggers::default(),
         }
     }
 
     fn window(&self) -> (usize, usize) {
-        let Some(start) = self
-            .triggers
-            .iter()
-            .find(|(_, h)| *h)
-            .map(|(c, _)| *c as usize)
-        else {
-            return (0, self.cycles);
-        };
-        let end = self
-            .triggers
-            .iter()
-            .find(|(c, h)| !*h && *c as usize >= start)
-            .map_or(self.cycles, |(c, _)| *c as usize)
-            .min(self.cycles);
-        (start.min(end), end)
+        self.triggers
+            .window(self.power.len() / lanes::<L>(self.lanes))
     }
 
-    /// The per-cycle power of one lane inside the first high-trigger
-    /// window (whole series when no trigger fired) — the block analogue
-    /// of [`PowerRecorder::windowed_power`].
-    pub fn windowed_power(&self, lane: usize) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.windowed_power_into(lane, &mut out);
-        out
+    /// Recorded trigger edges.
+    pub fn triggers(&self) -> &[(u64, bool)] {
+        &self.triggers.0
     }
 
-    /// Allocation-free variant of
-    /// [`BlockPowerRecorder::windowed_power`]: clears `out` and fills
-    /// it with the lane's windowed series, reusing its capacity.
+    /// Fills `out` (cleared first, capacity reused) with one lane's
+    /// per-cycle power inside the first high-trigger window.
     pub fn windowed_power_into(&self, lane: usize, out: &mut Vec<f64>) {
+        let stride = lanes::<L>(self.lanes);
         let (start, end) = self.window();
         out.clear();
-        out.reserve(end - start);
         out.extend(
-            self.power[start * self.lanes..end * self.lanes]
+            self.power[start * stride..end * stride]
                 .iter()
                 .skip(lane)
-                .step_by(self.lanes),
+                .step_by(stride),
         );
     }
 
-    /// Clears recorded data, keeping weights and lane capacity.
+    /// Clears recorded data, keeping the weights and the allocated
+    /// capacity (reuse across the averaged executions of a trace).
     pub fn reset(&mut self) {
         self.power.clear();
-        self.cycles = 0;
-        self.triggers.clear();
+        self.triggers.0.clear();
+    }
+
+    /// Grows the series to cover `cycle`.
+    #[inline]
+    fn cover(&mut self, cycle: u64) {
+        let needed = (cycle as usize + 1) * lanes::<L>(self.lanes);
+        if self.power.len() < needed {
+            self.power.resize(needed, 0.0);
+        }
     }
 }
 
-impl BlockObserver for BlockPowerRecorder {
+impl<const L: usize> BlockObserver for LanePowerRecorder<L> {
+    #[inline]
     fn begin_cycle(&mut self, cycle: u64) {
-        let needed = cycle as usize + 1;
-        if self.cycles < needed {
-            self.power.resize(needed * self.lanes, 0.0);
-            self.cycles = needed;
-        }
+        self.cover(cycle);
     }
 
     fn node_event(&mut self, lane: usize, event: NodeEvent) {
-        let idx = event.cycle as usize;
-        if self.cycles <= idx {
-            self.power.resize((idx + 1) * self.lanes, 0.0);
-            self.cycles = idx + 1;
-        }
-        self.power[idx * self.lanes + lane] +=
-            self.weights.power_of_kind(event.node.kind(), &event);
+        self.cover(event.cycle);
+        let slot = event.cycle as usize * lanes::<L>(self.lanes) + lane;
+        self.power[slot] += self.weights.power_of(&event);
     }
 
+    #[inline(always)]
     fn node_events(&mut self, events: &[NodeEvent]) {
         let Some(first) = events.first() else {
             return;
         };
-        let idx = first.cycle as usize;
-        if self.cycles <= idx {
-            self.power.resize((idx + 1) * self.lanes, 0.0);
-            self.cycles = idx + 1;
-        }
-        // One kind/weight resolution for the whole batch; the per-lane
-        // arithmetic below is exactly `power_of_kind`, so each lane's
-        // slot receives the identical f64 the per-event path adds.
+        self.cover(first.cycle);
+        // One kind resolution for the whole batch.
         let kind = first.node.kind();
-        let whd = self.weights.hd(kind);
-        let whw = self.weights.hw(kind);
-        let base = idx * self.lanes;
+        let base = first.cycle as usize * lanes::<L>(self.lanes);
         for (slot, event) in self.power[base..base + events.len()].iter_mut().zip(events) {
-            *slot +=
-                whd * f64::from(event.hamming_distance()) + whw * f64::from(event.hamming_weight());
+            *slot += self.weights.power_of_kind(kind, event);
         }
     }
 
     fn trigger(&mut self, cycle: u64, high: bool) {
-        self.triggers.push((cycle, high));
+        self.triggers.0.push((cycle, high));
     }
 }
 
-/// A recorder that keeps one power series *per component kind*.
+/// A recorder that keeps one power series *per component kind* and lane.
 ///
 /// The paper attributes measured leakage to pipeline components
 /// "following the common practice employed in EDA tools of ascribing the
@@ -232,246 +195,127 @@ impl BlockObserver for BlockPowerRecorder {
 /// see), but the per-component characterization of Table 2 needs the
 /// attribution; in simulation it is exact.
 ///
-/// Storage is cycle-major (`power[cycle * COUNT + kind]`): the node
-/// events of one cycle then land on one cache line, which matters
-/// because this recorder observes every event of every characterization
-/// execution. [`ComponentPowerRecorder::reset`] clears the data but
-/// keeps the capacity, so a characterization worker reuses one recorder
-/// across its whole index range without reallocating.
+/// Each lane has its own cycle-major buffer
+/// (`power[lane][cycle * COUNT + kind]`): the node events of one cycle
+/// then land on one cache line, and extracting a lane's component series
+/// re-walks that lane's (L1-resident) buffer — interleaving the lanes
+/// would spread every extraction stride across `lanes` cache lines.
+/// [`Self::reset`] clears the data but keeps the capacity, so a
+/// characterization worker reuses one recorder across its whole index
+/// range without reallocating.
 #[derive(Clone, Debug)]
-pub struct ComponentPowerRecorder {
+pub struct LaneComponentRecorder<const L: usize> {
     weights: LeakageWeights,
-    /// Cycle-major strided storage, `cycles × NodeKind::COUNT`.
-    power: Vec<f64>,
-    /// Cycles recorded so far (the stride count).
-    cycles: usize,
-    triggers: Vec<(u64, bool)>,
+    lanes: usize,
+    /// One cycle-major series (`cycles × NodeKind::COUNT`) per lane.
+    power: [Vec<f64>; L],
+    triggers: Triggers,
 }
+
+/// The one-lane component recorder, observing a [`sca_uarch::Cpu`].
+pub type ComponentPowerRecorder = LaneComponentRecorder<1>;
+
+/// The component recorder of a lockstep block.
+pub type BlockComponentPowerRecorder = LaneComponentRecorder<MAX_LANES>;
 
 impl ComponentPowerRecorder {
     /// Creates a recorder with the given leakage weights.
     pub fn new(weights: LeakageWeights) -> ComponentPowerRecorder {
-        ComponentPowerRecorder {
+        LaneComponentRecorder::with_lanes(weights, 1)
+    }
+}
+
+impl BlockComponentPowerRecorder {
+    /// Creates a recorder for up to `lanes` lanes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lanes` exceeds [`MAX_LANES`].
+    pub fn new(weights: LeakageWeights, lanes: usize) -> BlockComponentPowerRecorder {
+        LaneComponentRecorder::with_lanes(weights, lanes)
+    }
+}
+
+impl<const L: usize> LaneComponentRecorder<L> {
+    fn with_lanes(weights: LeakageWeights, lanes: usize) -> LaneComponentRecorder<L> {
+        assert!(lanes <= L, "lane count {lanes} above {L}");
+        LaneComponentRecorder {
             weights,
-            power: Vec::new(),
-            cycles: 0,
-            triggers: Vec::new(),
+            lanes: lanes.max(1),
+            power: std::array::from_fn(|_| Vec::new()),
+            triggers: Triggers::default(),
         }
+    }
+
+    /// Cycles recorded so far (every lane's series grows together).
+    fn cycles(&self) -> usize {
+        self.power[0].len() / NodeKind::COUNT
     }
 
     /// Clears recorded data while keeping the weights and the allocated
     /// capacity (reuse across the averaged executions of a campaign).
     pub fn reset(&mut self) {
-        self.power.clear();
-        self.cycles = 0;
-        self.triggers.clear();
-    }
-
-    fn window(&self) -> (usize, usize) {
-        let Some(start) = self
-            .triggers
-            .iter()
-            .find(|(_, h)| *h)
-            .map(|(c, _)| *c as usize)
-        else {
-            return (0, self.cycles);
-        };
-        let end = self
-            .triggers
-            .iter()
-            .find(|(c, h)| !*h && *c as usize >= start)
-            .map_or(self.cycles, |(c, _)| *c as usize)
-            .min(self.cycles);
-        (start.min(end), end)
-    }
-
-    /// The per-cycle power of one component inside the first trigger
-    /// window (whole series when no trigger fired).
-    pub fn windowed_power(&self, kind: sca_uarch::NodeKind) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.windowed_power_into(kind, &mut out);
-        out
-    }
-
-    /// Allocation-free variant of
-    /// [`ComponentPowerRecorder::windowed_power`]: clears `out` and
-    /// fills it with the windowed series, reusing its capacity.
-    pub fn windowed_power_into(&self, kind: sca_uarch::NodeKind, out: &mut Vec<f64>) {
-        let (start, end) = self.window();
-        let k = kind.index();
-        out.clear();
-        out.reserve(end - start);
-        const COUNT: usize = sca_uarch::NodeKind::COUNT;
-        out.extend(
-            self.power[start * COUNT..end * COUNT]
-                .iter()
-                .skip(k)
-                .step_by(COUNT),
-        );
-    }
-}
-
-/// A [`BlockObserver`] keeping one per-component power series *per
-/// lane* of a lockstep [`sca_uarch::CpuBlock`] run — the block analogue
-/// of [`ComponentPowerRecorder`], with the same cycle-major strided
-/// storage per lane.
-///
-/// Each lane's series is computed exactly as a scalar
-/// [`ComponentPowerRecorder`] observing that lane alone would compute
-/// it: the lane's events arrive in the same order, accumulate into the
-/// same strided `f64` slots (same addition order, hence bit-identical),
-/// and the shared trigger edges delimit the same window for every lane.
-/// Unlike [`BlockPowerRecorder`], storage here stays *per lane* (one
-/// cycle-major strided buffer each, exactly like the scalar
-/// [`ComponentPowerRecorder`]): one lane's per-cycle component block is
-/// a single cache line, and the characterization extracts each lane's
-/// seven component series by re-walking that lane's (L1-resident)
-/// buffer — an interleaved layout would spread every extraction stride
-/// across `lanes` cache lines and thrash the gather.
-#[derive(Clone, Debug)]
-pub struct BlockComponentPowerRecorder {
-    weights: LeakageWeights,
-    /// One cycle-major strided series (`cycles × NodeKind::COUNT`) per
-    /// lane.
-    power: Vec<Vec<f64>>,
-    /// Cycles recorded so far (shared: `begin_cycle` grows every lane).
-    cycles: usize,
-    /// Shared `(cycle, level)` trigger edges in order.
-    triggers: Vec<(u64, bool)>,
-}
-
-impl BlockComponentPowerRecorder {
-    /// Creates a recorder for up to `lanes` lanes.
-    pub fn new(weights: LeakageWeights, lanes: usize) -> BlockComponentPowerRecorder {
-        BlockComponentPowerRecorder {
-            weights,
-            power: vec![Vec::new(); lanes.max(1)],
-            cycles: 0,
-            triggers: Vec::new(),
+        for series in &mut self.power {
+            series.clear();
         }
+        self.triggers.0.clear();
     }
 
-    /// Clears recorded data, keeping weights and lane capacity.
-    pub fn reset(&mut self) {
-        for lane in &mut self.power {
-            lane.clear();
-        }
-        self.cycles = 0;
-        self.triggers.clear();
-    }
-
-    fn window(&self) -> (usize, usize) {
-        let Some(start) = self
-            .triggers
-            .iter()
-            .find(|(_, h)| *h)
-            .map(|(c, _)| *c as usize)
-        else {
-            return (0, self.cycles);
-        };
-        let end = self
-            .triggers
-            .iter()
-            .find(|(c, h)| !*h && *c as usize >= start)
-            .map_or(self.cycles, |(c, _)| *c as usize)
-            .min(self.cycles);
-        (start.min(end), end)
-    }
-
-    /// Fills `out` with one lane's windowed per-cycle power for one
-    /// component — the lane-indexed analogue of
-    /// [`ComponentPowerRecorder::windowed_power_into`].
-    pub fn windowed_power_into(&self, lane: usize, kind: sca_uarch::NodeKind, out: &mut Vec<f64>) {
-        let (start, end) = self.window();
-        let k = kind.index();
+    /// Fills `out` (cleared first, capacity reused) with one lane's
+    /// per-cycle power for one component inside the first high-trigger
+    /// window.
+    pub fn windowed_power_into(&self, lane: usize, kind: NodeKind, out: &mut Vec<f64>) {
+        const COUNT: usize = NodeKind::COUNT;
+        let (start, end) = self.triggers.window(self.cycles());
         out.clear();
-        out.reserve(end - start);
-        const COUNT: usize = sca_uarch::NodeKind::COUNT;
         out.extend(
             self.power[lane][start * COUNT..end * COUNT]
                 .iter()
-                .skip(k)
+                .skip(kind.index())
                 .step_by(COUNT),
         );
     }
+
+    /// Grows every lane's series to cover `cycle`.
+    #[inline]
+    fn cover(&mut self, cycle: u64) {
+        let needed = (cycle as usize + 1) * NodeKind::COUNT;
+        if self.power[0].len() < needed {
+            for series in &mut self.power[..lanes::<L>(self.lanes)] {
+                series.resize(needed, 0.0);
+            }
+        }
+    }
 }
 
-impl BlockObserver for BlockComponentPowerRecorder {
+impl<const L: usize> BlockObserver for LaneComponentRecorder<L> {
+    #[inline]
     fn begin_cycle(&mut self, cycle: u64) {
-        let needed = cycle as usize + 1;
-        if self.cycles < needed {
-            for series in &mut self.power {
-                series.resize(needed * sca_uarch::NodeKind::COUNT, 0.0);
-            }
-            self.cycles = needed;
-        }
+        self.cover(cycle);
     }
 
     fn node_event(&mut self, lane: usize, event: NodeEvent) {
-        let idx = event.cycle as usize;
-        if self.cycles <= idx {
-            for series in &mut self.power {
-                series.resize((idx + 1) * sca_uarch::NodeKind::COUNT, 0.0);
-            }
-            self.cycles = idx + 1;
-        }
+        self.cover(event.cycle);
         let kind = event.node.kind();
-        self.power[lane][idx * sca_uarch::NodeKind::COUNT + kind.index()] +=
-            self.weights.power_of_kind(kind, &event);
+        let offset = event.cycle as usize * NodeKind::COUNT + kind.index();
+        self.power[lane][offset] += self.weights.power_of_kind(kind, &event);
     }
 
+    #[inline(always)]
     fn node_events(&mut self, events: &[NodeEvent]) {
         let Some(first) = events.first() else {
             return;
         };
-        let idx = first.cycle as usize;
-        if self.cycles <= idx {
-            for series in &mut self.power {
-                series.resize((idx + 1) * sca_uarch::NodeKind::COUNT, 0.0);
-            }
-            self.cycles = idx + 1;
-        }
-        // Same batching as `BlockPowerRecorder::node_events`: resolve
-        // the kind and both weights once, add the identical
-        // `power_of_kind` value to each lane's strided slot.
+        self.cover(first.cycle);
         let kind = first.node.kind();
-        let whd = self.weights.hd(kind);
-        let whw = self.weights.hw(kind);
-        let off = idx * sca_uarch::NodeKind::COUNT + kind.index();
+        let offset = first.cycle as usize * NodeKind::COUNT + kind.index();
         for (series, event) in self.power.iter_mut().zip(events) {
-            series[off] +=
-                whd * f64::from(event.hamming_distance()) + whw * f64::from(event.hamming_weight());
+            series[offset] += self.weights.power_of_kind(kind, event);
         }
     }
 
     fn trigger(&mut self, cycle: u64, high: bool) {
-        self.triggers.push((cycle, high));
-    }
-}
-
-impl PipelineObserver for ComponentPowerRecorder {
-    fn begin_cycle(&mut self, cycle: u64) {
-        let needed = cycle as usize + 1;
-        if self.cycles < needed {
-            self.power.resize(needed * sca_uarch::NodeKind::COUNT, 0.0);
-            self.cycles = needed;
-        }
-    }
-
-    fn node_event(&mut self, event: NodeEvent) {
-        let idx = event.cycle as usize;
-        if self.cycles <= idx {
-            self.power
-                .resize((idx + 1) * sca_uarch::NodeKind::COUNT, 0.0);
-            self.cycles = idx + 1;
-        }
-        let kind = event.node.kind();
-        self.power[idx * sca_uarch::NodeKind::COUNT + kind.index()] +=
-            self.weights.power_of_kind(kind, &event);
-    }
-
-    fn trigger(&mut self, cycle: u64, high: bool) {
-        self.triggers.push((cycle, high));
+        self.triggers.0.push((cycle, high));
     }
 }
 
@@ -494,10 +338,10 @@ mod tests {
         let mut rec =
             PowerRecorder::new(LeakageWeights::zero().with_hd(sca_uarch::NodeKind::Mdr, 1.0));
         rec.begin_cycle(0);
-        rec.node_event(ev(0, 0, 0b111));
-        rec.node_event(ev(0, 0, 0b1));
+        rec.node_event(0, ev(0, 0, 0b111));
+        rec.node_event(0, ev(0, 0, 0b1));
         rec.begin_cycle(1);
-        rec.node_event(ev(1, 0, 0b11));
+        rec.node_event(0, ev(1, 0, 0b11));
         assert_eq!(rec.cycle_power(), &[4.0, 2.0]);
     }
 
@@ -507,7 +351,7 @@ mod tests {
             PowerRecorder::new(LeakageWeights::zero().with_hd(sca_uarch::NodeKind::Mdr, 1.0));
         for c in 0..10 {
             rec.begin_cycle(c);
-            rec.node_event(ev(c, 0, 1));
+            rec.node_event(0, ev(c, 0, 1));
         }
         rec.trigger(3, true);
         rec.trigger(7, false);

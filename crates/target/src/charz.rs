@@ -326,7 +326,7 @@ pub fn characterize_target(
                         for (c, &kind) in CHARZ_COMPONENTS.iter().enumerate() {
                             worker
                                 .recorder
-                                .windowed_power_into(kind, &mut worker.samples);
+                                .windowed_power_into(0, kind, &mut worker.samples);
                             worker.samples.resize(start + len, 0.0);
                             worker.cropped.clear();
                             worker

@@ -19,7 +19,7 @@
 
 use sca_isa::Program;
 use sca_lint::{LintRegion, LintSpec, RegionKind};
-use sca_uarch::{Cpu, NullObserver, PipelineObserver, UarchConfig, UarchError};
+use sca_uarch::{BlockObserver, Cpu, NullObserver, UarchConfig, UarchError};
 
 use sca_analysis::SelectionFunction;
 
@@ -244,10 +244,10 @@ impl SpeckSim {
     /// # Errors
     ///
     /// Propagates simulator faults.
-    pub fn encrypt_observed(
+    pub fn encrypt_observed<O: BlockObserver + ?Sized>(
         &mut self,
         plaintext: &[u8; 8],
-        observer: &mut dyn PipelineObserver,
+        observer: &mut O,
     ) -> Result<[u8; 8], UarchError> {
         self.cpu.restart(self.entry);
         self.cpu

@@ -1,43 +1,26 @@
-//! Lockstep multi-trace simulation: one shared pipeline control path
-//! driving N independent architectural lanes.
+//! Lockstep multi-trace simulation: the pipeline (`pipeline.rs`)
+//! driving up to [`MAX_LANES`] independent architectural lanes.
 //!
 //! The portfolio ciphers are constant-time straight-line code: every
 //! trace executes the same instruction sequence with the same timing,
 //! differing only in the *data* flowing through the pipeline. A
 //! [`CpuBlock`] exploits that by cloning one warmed template [`Cpu`]
-//! into N lanes and stepping them in lockstep — the fetch/issue/retire
-//! machinery, stall bookkeeping and event scheduling run **once** per
-//! block, while register values, memory contents, flags and node
-//! transitions stay per-lane. Each lane's observable event stream is
-//! byte-identical to what a scalar [`Cpu::run`] over the same trace
-//! would emit.
-//!
-//! Safety of the shared control path is enforced *dynamically*: every
-//! control-relevant quantity (conditional outcomes, branch targets,
-//! cache hit/miss penalties, fetched instruction words) is checked for
-//! cross-lane uniformity at the point it would influence timing, and
-//! any mismatch — or any memory fault, undecodable instruction or
-//! cycle-budget overrun — aborts the block run with a [`Divergence`].
-//! Callers then fall back to per-lane scalar simulation, so divergence
-//! affects throughput, never results.
+//! into N lanes and stepping them in lockstep, each lane's event stream
+//! byte-identical to what [`Cpu::run`] over the same trace would emit.
+//! Any disagreement between the lanes on control flow or timing, and any
+//! fault in one of them, aborts the run with a [`Divergence`]; callers
+//! then fall back to per-lane scalar simulation, so divergence affects
+//! throughput, never results.
 
-use std::collections::VecDeque;
 use std::fmt;
 
-use sca_isa::{
-    apply_shift, decode, eval_dp, eval_mul, Insn, InsnKind, MemDir, MemMultiMode, MemOffset,
-    MemSize, Operand2, Reg, ShiftAmount,
-};
+use sca_isa::Insn;
 
-use crate::cpu::FrontendEntry;
-use crate::{Cpu, ExecStats, Node, NodeEvent, Pipe, StallCause, UarchConfig};
+use crate::pipeline::{Core, Lane, Lanes, Stop};
+use crate::{Cpu, ExecStats, NodeEvent, PipelineObserver, UarchError};
 
 /// Maximum number of lanes a [`CpuBlock`] can step at once.
 pub const MAX_LANES: usize = 8;
-
-/// Per-lane values of one node assertion (entries past the active lane
-/// count are unused).
-type LaneVals = [u32; MAX_LANES];
 
 /// The lockstep invariant broke: some per-lane quantity that the shared
 /// control path depends on differed across lanes (or a lane faulted).
@@ -60,7 +43,26 @@ impl fmt::Display for Divergence {
 
 impl std::error::Error for Divergence {}
 
-/// Receives per-lane microarchitectural activity from a [`CpuBlock`].
+impl From<Stop> for Divergence {
+    fn from(stop: Stop) -> Divergence {
+        // Faults are per-trace business: the block bows out and lets the
+        // scalar fallback surface them.
+        let reason = match stop {
+            Stop::Diverged(reason) => reason,
+            Stop::Fault(UarchError::CycleBudgetExceeded(_)) => "cycle budget exceeded",
+            Stop::Fault(UarchError::BadInstruction { .. }) => {
+                "undecodable instruction reached issue"
+            }
+            Stop::Fault(UarchError::BadAddress(_) | UarchError::ImageTooLarge { .. }) => {
+                "memory fault inside a lockstep block"
+            }
+        };
+        Divergence { reason }
+    }
+}
+
+/// Receives per-lane microarchitectural activity from the pipeline: the
+/// lanes of a [`CpuBlock`], or the one lane of a [`Cpu`].
 ///
 /// The shape mirrors [`crate::PipelineObserver`] with a lane index on
 /// [`BlockObserver::node_event`]; cycle boundaries, trigger edges and
@@ -103,113 +105,61 @@ pub trait BlockObserver {
     }
 }
 
-/// A node assertion scheduled for a future cycle, carrying one value
-/// per lane.
-#[derive(Clone, Copy, Debug)]
-struct BlockPendingEvent {
-    node: Node,
-    values: LaneVals,
-    precharged: bool,
-}
-
-/// The block's future-event queue — structurally identical to the
-/// scalar `EventQueue`, with per-lane payloads.
-#[derive(Clone, Debug, Default)]
-struct BlockEventQueue {
-    slots: VecDeque<Vec<BlockPendingEvent>>,
-    base: u64,
-    pool: Vec<Vec<BlockPendingEvent>>,
-}
-
-impl BlockEventQueue {
-    fn clear(&mut self) {
-        while let Some(mut slot) = self.slots.pop_front() {
-            slot.clear();
-            self.pool.push(slot);
-        }
-        self.base = 0;
+/// A pipeline observer watches lane 0 (a [`Cpu`]'s only lane).
+impl<T: PipelineObserver + ?Sized> BlockObserver for T {
+    #[inline]
+    fn begin_cycle(&mut self, cycle: u64) {
+        PipelineObserver::begin_cycle(self, cycle);
     }
 
-    fn push(&mut self, at: u64, event: BlockPendingEvent) {
-        debug_assert!(at >= self.base, "scheduling into the past");
-        let index = (at - self.base) as usize;
-        while self.slots.len() <= index {
-            self.slots.push_back(self.pool.pop().unwrap_or_default());
-        }
-        self.slots[index].push(event);
-    }
-
-    fn drain(&mut self, cycle: u64) -> Option<Vec<BlockPendingEvent>> {
-        while self.base < cycle {
-            if let Some(mut slot) = self.slots.pop_front() {
-                debug_assert!(slot.is_empty(), "skipped a cycle with pending events");
-                slot.clear();
-                self.pool.push(slot);
-            }
-            self.base += 1;
-        }
-        if self.base == cycle {
-            if let Some(slot) = self.slots.pop_front() {
-                self.base += 1;
-                if slot.is_empty() {
-                    self.pool.push(slot);
-                    return None;
-                }
-                return Some(slot);
-            }
-        }
-        None
-    }
-
-    fn recycle(&mut self, mut slot: Vec<BlockPendingEvent>) {
-        slot.clear();
-        self.pool.push(slot);
-    }
-}
-
-/// An instruction in flight between issue and retirement, carrying
-/// per-lane write-back values.
-#[derive(Clone, Copy, Debug)]
-struct BlockRetireEntry {
-    addr: u32,
-    insn: Insn,
-    complete_at: u64,
-    wb_values: Option<LaneVals>,
-    pipe: Option<Pipe>,
-    is_nop: bool,
-}
-
-/// Operand-bus values gathered during one dispatch, per lane — the
-/// block analogue of the scalar `BusList`.
-#[derive(Clone, Copy)]
-struct BlockBusList {
-    values: [LaneVals; 3],
-    len: usize,
-}
-
-impl Default for BlockBusList {
-    fn default() -> BlockBusList {
-        BlockBusList {
-            values: [[0; MAX_LANES]; 3],
-            len: 0,
-        }
-    }
-}
-
-impl BlockBusList {
-    fn push(&mut self, values: LaneVals) {
-        self.values[self.len] = values;
-        self.len += 1;
-    }
-
-    fn extend(&mut self, values: Option<LaneVals>) {
-        if let Some(values) = values {
-            self.push(values);
+    fn node_event(&mut self, lane: usize, event: NodeEvent) {
+        if lane == 0 {
+            PipelineObserver::node_event(self, event);
         }
     }
 
-    fn as_slice(&self) -> &[LaneVals] {
-        &self.values[..self.len]
+    #[inline(always)]
+    fn node_events(&mut self, events: &[NodeEvent]) {
+        if let Some(&event) = events.first() {
+            PipelineObserver::node_event(self, event);
+        }
+    }
+
+    #[inline]
+    fn trigger(&mut self, cycle: u64, high: bool) {
+        PipelineObserver::trigger(self, cycle, high);
+    }
+
+    #[inline]
+    fn retire(&mut self, cycle: u64, addr: u32, insn: Insn) {
+        PipelineObserver::retire(self, cycle, addr, insn);
+    }
+}
+
+/// A block's lanes: template clones whose architectural state the
+/// shared pipeline drives (their own pipelines stay idle).
+#[derive(Clone, Debug)]
+struct BlockLanes {
+    cpus: Vec<Cpu>,
+    /// Lanes driven by the current run (`restart_seeded` sets it from
+    /// the seed count; trailing lanes stay untouched).
+    active: usize,
+}
+
+impl Lanes for BlockLanes {
+    #[inline]
+    fn active(&self) -> usize {
+        self.active
+    }
+
+    #[inline]
+    fn get(&self, l: usize) -> &Lane {
+        &self.cpus[l].core.lanes
+    }
+
+    #[inline]
+    fn get_mut(&mut self, l: usize) -> &mut Lane {
+        &mut self.cpus[l].core.lanes
     }
 }
 
@@ -223,24 +173,7 @@ impl BlockBusList {
 /// caches and node values are per-lane.
 #[derive(Clone, Debug)]
 pub struct CpuBlock {
-    config: UarchConfig,
-    lanes: Vec<Cpu>,
-    /// Lanes driven by the current run (`restart_seeded` sets it from
-    /// the seed count; trailing lanes stay untouched).
-    active: usize,
-
-    pc: u32,
-    cycle: u64,
-    halted: bool,
-    trigger_level: bool,
-    frontend: VecDeque<FrontendEntry>,
-    fetch_ready_at: u64,
-    lsu_ready_at: u64,
-    reg_ready: [u64; 16],
-    flags_ready: u64,
-    retire_queue: VecDeque<BlockRetireEntry>,
-    pending: BlockEventQueue,
-    stats: ExecStats,
+    core: Core<MAX_LANES, BlockLanes>,
 }
 
 impl CpuBlock {
@@ -254,43 +187,31 @@ impl CpuBlock {
             (1..=MAX_LANES).contains(&lanes),
             "lane count {lanes} outside 1..={MAX_LANES}"
         );
+        let cpus = (0..lanes).map(|_| template.clone()).collect();
         CpuBlock {
-            config: template.config.clone(),
-            lanes: (0..lanes).map(|_| template.clone()).collect(),
-            active: lanes,
-            pc: 0,
-            cycle: 0,
-            halted: false,
-            trigger_level: false,
-            frontend: VecDeque::new(),
-            fetch_ready_at: 0,
-            lsu_ready_at: 0,
-            reg_ready: [0; 16],
-            flags_ready: 0,
-            retire_queue: VecDeque::new(),
-            pending: BlockEventQueue::default(),
-            stats: ExecStats::default(),
+            core: Core::new(
+                template.config().clone(),
+                BlockLanes {
+                    cpus,
+                    active: lanes,
+                },
+            ),
         }
     }
 
     /// The block's lane capacity.
     pub fn max_lanes(&self) -> usize {
-        self.lanes.len()
-    }
-
-    /// Lanes driven by the current/last run.
-    pub fn active_lanes(&self) -> usize {
-        self.active
+        self.core.lanes.cpus.len()
     }
 
     /// One lane's CPU (for staging inputs and reading results).
     pub fn lane(&self, lane: usize) -> &Cpu {
-        &self.lanes[lane]
+        &self.core.lanes.cpus[lane]
     }
 
     /// Mutable access to one lane's CPU.
     pub fn lane_mut(&mut self, lane: usize) -> &mut Cpu {
-        &mut self.lanes[lane]
+        &mut self.core.lanes.cpus[lane]
     }
 
     /// Drains the cache hit/miss counters of the first `count` lanes
@@ -301,8 +222,8 @@ impl CpuBlock {
     /// construction, when the counts are template warm-up inheritance).
     pub fn drain_cache_counts(&mut self, count: usize) -> crate::CacheCounts {
         let mut total = crate::CacheCounts::default();
-        for lane in &mut self.lanes[..count] {
-            total.accumulate(&lane.drain_cache_counts());
+        for cpu in &mut self.core.lanes.cpus[..count] {
+            total.accumulate(&cpu.drain_cache_counts());
         }
         total
     }
@@ -317,28 +238,18 @@ impl CpuBlock {
     ///
     /// Panics if the seed count is zero or exceeds the lane capacity.
     pub fn restart_seeded(&mut self, entry: u32, scramble_seeds: &[u64]) {
+        let lanes = &mut self.core.lanes;
         assert!(
-            !scramble_seeds.is_empty() && scramble_seeds.len() <= self.lanes.len(),
+            !scramble_seeds.is_empty() && scramble_seeds.len() <= lanes.cpus.len(),
             "seed count {} outside 1..={}",
             scramble_seeds.len(),
-            self.lanes.len()
+            lanes.cpus.len()
         );
-        self.active = scramble_seeds.len();
-        for (lane, &seed) in self.lanes.iter_mut().zip(scramble_seeds) {
-            lane.restart_seeded(entry, seed);
+        lanes.active = scramble_seeds.len();
+        for (cpu, &seed) in lanes.cpus.iter_mut().zip(scramble_seeds) {
+            cpu.restart_seeded(entry, seed);
         }
-        self.pc = entry;
-        self.halted = false;
-        self.cycle = 0;
-        self.stats = ExecStats::default();
-        self.trigger_level = false;
-        self.frontend.clear();
-        self.retire_queue.clear();
-        self.pending.clear();
-        self.fetch_ready_at = 0;
-        self.lsu_ready_at = 0;
-        self.reg_ready = [0; 16];
-        self.flags_ready = 0;
+        self.core.restart(entry);
     }
 
     /// Runs all active lanes to `halt` in lockstep, streaming per-lane
@@ -350,971 +261,14 @@ impl CpuBlock {
     /// flow or timing (or a lane faults); the caller must re-simulate
     /// the affected traces through the scalar path.
     pub fn run<O: BlockObserver>(&mut self, observer: &mut O) -> Result<ExecStats, Divergence> {
-        while !self.halted {
-            if self.cycle >= self.config.max_cycles {
-                return Err(Divergence {
-                    reason: "cycle budget exceeded",
-                });
-            }
-            self.step(observer)?;
-        }
-        while !self.retire_queue.is_empty() {
-            self.step(observer)?;
-        }
-        Ok(self.stats)
-    }
-
-    fn step<O: BlockObserver>(&mut self, observer: &mut O) -> Result<(), Divergence> {
-        let cycle = self.cycle;
-        observer.begin_cycle(cycle);
-        if let Some(events) = self.pending.drain(cycle) {
-            let mut batch = [NodeEvent {
-                cycle: 0,
-                node: Node::Mdr,
-                before: 0,
-                after: 0,
-            }; MAX_LANES];
-            for ev in &events {
-                for (l, slot) in batch.iter_mut().enumerate().take(self.active) {
-                    *slot = if ev.precharged {
-                        self.lanes[l]
-                            .nodes
-                            .assert_precharged(cycle, ev.node, ev.values[l])
-                    } else {
-                        self.lanes[l].nodes.assert(cycle, ev.node, ev.values[l])
-                    };
-                }
-                observer.node_events(&batch[..self.active]);
-            }
-            self.pending.recycle(events);
-        }
-        self.retire(observer);
-        if !self.halted {
-            self.issue(observer)?;
-            self.fetch(observer)?;
-        }
-        self.cycle += 1;
-        self.stats.cycles += 1;
-        Ok(())
-    }
-
-    // ---- helpers ---------------------------------------------------------
-
-    /// Asserts `values[l]` on `node` in every active lane, emitting the
-    /// per-lane events in lane order (each lane's own event subsequence
-    /// matches the scalar emission order exactly).
-    fn assert_all<O: BlockObserver>(
-        &mut self,
-        observer: &mut O,
-        cycle: u64,
-        node: Node,
-        values: &LaneVals,
-    ) {
-        let mut batch = [NodeEvent {
-            cycle: 0,
-            node: Node::Mdr,
-            before: 0,
-            after: 0,
-        }; MAX_LANES];
-        for (l, slot) in batch.iter_mut().enumerate().take(self.active) {
-            *slot = self.lanes[l].nodes.assert(cycle, node, values[l]);
-        }
-        observer.node_events(&batch[..self.active]);
-    }
-
-    /// Gathers one per-lane value.
-    fn lane_vals(&self, f: impl Fn(&Cpu) -> u32) -> LaneVals {
-        let mut vals = [0u32; MAX_LANES];
-        for (l, cpu) in self.lanes[..self.active].iter().enumerate() {
-            vals[l] = f(cpu);
-        }
-        vals
-    }
-
-    /// Requires a control-relevant quantity to agree across lanes.
-    fn uniform(&self, vals: &LaneVals, reason: &'static str) -> Result<u32, Divergence> {
-        let first = vals[0];
-        if vals[1..self.active].iter().any(|&v| v != first) {
-            return Err(Divergence { reason });
-        }
-        Ok(first)
-    }
-
-    /// Evaluates `insn`'s condition in every lane; all must agree (a
-    /// split outcome would need per-lane squashing, which the shared
-    /// control path cannot express).
-    fn uniform_cond(&self, insn: &Insn) -> Result<bool, Divergence> {
-        let first = insn.cond.passes(self.lanes[0].flags);
-        for cpu in &self.lanes[1..self.active] {
-            if insn.cond.passes(cpu.flags) != first {
-                return Err(Divergence {
-                    reason: "conditional outcome differs across lanes",
-                });
-            }
-        }
-        Ok(first)
-    }
-
-    /// Per-lane data-cache access with a shared penalty: uniform misses
-    /// are fine (the shared timing absorbs them), split hit/miss is a
-    /// divergence.
-    fn dcache_access(&mut self, addrs: &LaneVals) -> Result<u64, Divergence> {
-        let first = self.lanes[0].dcache.access(addrs[0]);
-        for (lane, &addr) in self.lanes[1..self.active].iter_mut().zip(&addrs[1..]) {
-            if lane.dcache.access(addr) != first {
-                return Err(Divergence {
-                    reason: "dcache penalty differs across lanes",
-                });
-            }
-        }
-        Ok(first)
-    }
-
-    /// Per-lane instruction-cache access with a shared penalty.
-    fn icache_access(&mut self, addr: u32) -> Result<u64, Divergence> {
-        let first = self.lanes[0].icache.access(addr);
-        for l in 1..self.active {
-            if self.lanes[l].icache.access(addr) != first {
-                return Err(Divergence {
-                    reason: "icache penalty differs across lanes",
-                });
-            }
-        }
-        Ok(first)
-    }
-
-    fn schedule(&mut self, at: u64, node: Node, values: LaneVals, precharged: bool) {
-        self.pending.push(
-            at.max(self.cycle + 1),
-            BlockPendingEvent {
-                node,
-                values,
-                precharged,
-            },
-        );
-    }
-
-    fn ready_cycle(&self, forward_at: u64) -> u64 {
-        if self.config.forwarding {
-            forward_at
-        } else {
-            forward_at + 2
-        }
-    }
-
-    fn push_retire(
-        &mut self,
-        addr: u32,
-        insn: Insn,
-        complete_at: u64,
-        wb_values: Option<LaneVals>,
-        pipe: Option<Pipe>,
-        is_nop: bool,
-    ) {
-        self.retire_queue.push_back(BlockRetireEntry {
-            addr,
-            insn,
-            complete_at,
-            wb_values,
-            pipe,
-            is_nop,
-        });
-    }
-
-    fn redirect(&mut self, target: u32, resume_at: u64) {
-        self.frontend.clear();
-        self.pc = target;
-        self.fetch_ready_at = resume_at;
-        self.stats.taken_branches += 1;
-    }
-
-    // ---- retire stage ----------------------------------------------------
-
-    fn retire<O: BlockObserver>(&mut self, observer: &mut O) {
-        let cycle = self.cycle;
-        let mut slot = 0u8;
-        while slot < self.config.retire_width as u8 {
-            let Some(head) = self.retire_queue.front() else {
-                break;
-            };
-            if head.complete_at > cycle {
-                break;
-            }
-            let entry = self.retire_queue.pop_front().expect("checked front");
-            if entry.is_nop && self.config.nop_zeroes_wb {
-                for bus in 0..self.config.retire_width as u8 {
-                    self.assert_all(observer, cycle, Node::WbBus(bus), &[0; MAX_LANES]);
-                }
-            } else if let Some(values) = entry.wb_values {
-                if let Some(pipe) = entry.pipe {
-                    self.assert_all(observer, cycle, Node::ExWbBuf(pipe), &values);
-                }
-                self.assert_all(observer, cycle, Node::WbBus(slot), &values);
-            }
-            observer.retire(cycle, entry.addr, entry.insn);
-            self.stats.instructions += 1;
-            if entry.insn.is_branch() {
-                self.stats.branches += 1;
-            }
-            slot += 1;
-        }
-    }
-
-    // ---- issue stage -----------------------------------------------------
-
-    fn issue<O: BlockObserver>(&mut self, observer: &mut O) -> Result<(), Divergence> {
-        let cycle = self.cycle;
-        let Some(head) = self.frontend.front().copied() else {
-            self.stats.count_stall(StallCause::Frontend);
-            return Ok(());
-        };
-        if head.ready_at > cycle {
-            self.stats.count_stall(StallCause::Frontend);
-            return Ok(());
-        }
-        // The scalar path faults here; faults are per-trace business,
-        // so the block bows out and lets the fallback surface them.
-        let Ok(older) = head.insn else {
-            return Err(Divergence {
-                reason: "undecodable instruction reached issue",
-            });
-        };
-        if let Some(cause) = self.issue_blocker(&older) {
-            self.stats.count_stall(cause);
-            return Ok(());
-        }
-
-        self.frontend.pop_front();
-        let redirected = self.dispatch(observer, older, head.addr, 0, Pipe::Alu0)?;
-        if self.halted || redirected {
-            self.stats.single_issue_cycles += 1;
-            return Ok(());
-        }
-
-        if !self.config.dual_issue {
-            self.stats.single_issue_cycles += 1;
-            return Ok(());
-        }
-        let Some(second) = self.frontend.front().copied() else {
-            self.stats.single_issue_cycles += 1;
-            return Ok(());
-        };
-        let (Ok(younger), true) = (second.insn, second.ready_at <= cycle) else {
-            self.stats.single_issue_cycles += 1;
-            return Ok(());
-        };
-        // Pair legality is purely structural (register sets, ports) —
-        // identical across lanes, so lane 0 answers for the block.
-        let structurally_ok = self.lanes[0].pair_structurally_legal(&older, &younger);
-        if structurally_ok && !self.config.policy.allows(older.class(), younger.class()) {
-            self.stats.policy_rejections += 1;
-            self.stats.single_issue_cycles += 1;
-            return Ok(());
-        }
-        if !structurally_ok || self.issue_blocker(&younger).is_some() {
-            self.stats.single_issue_cycles += 1;
-            return Ok(());
-        }
-        self.frontend.pop_front();
-        let bus_base = older.read_ports().min(self.config.rf_read_ports) as u8;
-        let younger_pipe = Cpu::younger_default_pipe(&older, &younger);
-        self.dispatch(observer, younger, second.addr, bus_base, younger_pipe)?;
-        self.stats.dual_issue_cycles += 1;
-        Ok(())
-    }
-
-    /// Why `insn` cannot issue this cycle, if anything — over the
-    /// *shared* scoreboard (hazard timing is identical across lanes by
-    /// the lockstep invariant).
-    fn issue_blocker(&self, insn: &Insn) -> Option<StallCause> {
-        let cycle = self.cycle;
-        for reg in insn.reads().iter() {
-            if reg != Reg::PC && self.reg_ready[reg.index()] > cycle {
-                return Some(StallCause::RawHazard);
-            }
-        }
-        if insn.reads_flags() && self.flags_ready > cycle {
-            return Some(StallCause::FlagsHazard);
-        }
-        if insn.is_mem() && self.lsu_ready_at > cycle {
-            return Some(StallCause::Structural);
-        }
-        None
-    }
-
-    // ---- dispatch / execute ----------------------------------------------
-
-    fn drive_operand_buses<O: BlockObserver>(
-        &mut self,
-        observer: &mut O,
-        buses: &BlockBusList,
-        bus_base: u8,
-    ) {
-        let cycle = self.cycle;
-        for (i, values) in buses.as_slice().iter().enumerate() {
-            let bus = bus_base + i as u8;
-            if (bus as usize) < self.config.operand_buses() {
-                self.assert_all(observer, cycle, Node::RfRead(bus), values);
-                self.schedule(cycle + 1, Node::OperandBus(bus), *values, false);
-            }
-        }
-    }
-
-    fn latch_is_ex(&mut self, pipe: Pipe, slots: &[Option<LaneVals>; 2]) {
-        let cycle = self.cycle;
-        for (slot, values) in slots.iter().enumerate() {
-            if let Some(values) = values {
-                let node = Node::IsExOp {
-                    pipe,
-                    slot: slot as u8,
-                };
-                self.schedule(cycle + 1, node, *values, false);
-            }
-        }
-    }
-
-    /// Issues one instruction across all lanes — a lane-vectorized
-    /// mirror of the scalar `Cpu::dispatch`, same event order per lane.
-    /// Returns `true` when the front end was redirected.
-    fn dispatch<O: BlockObserver>(
-        &mut self,
-        observer: &mut O,
-        insn: Insn,
-        addr: u32,
-        bus_base: u8,
-        preferred_pipe: Pipe,
-    ) -> Result<bool, Divergence> {
-        let cycle = self.cycle;
-        match insn.kind {
-            InsnKind::Nop => {
-                if self.config.nop_drives_operand_buses {
-                    let mut buses = BlockBusList::default();
-                    buses.push([0; MAX_LANES]);
-                    buses.push([0; MAX_LANES]);
-                    self.drive_operand_buses(observer, &buses, bus_base);
-                }
-                self.push_retire(
-                    addr,
-                    insn,
-                    cycle + self.config.alu_latency,
-                    None,
-                    None,
-                    true,
-                );
-                Ok(false)
-            }
-            InsnKind::Trig { high } => {
-                self.trigger_level = high;
-                observer.trigger(cycle, high);
-                self.push_retire(addr, insn, cycle + 1, None, None, false);
-                Ok(false)
-            }
-            InsnKind::Halt => {
-                self.halted = true;
-                self.push_retire(addr, insn, cycle + 1, None, None, false);
-                Ok(false)
-            }
-            InsnKind::Dp {
-                op,
-                set_flags,
-                rd,
-                rn,
-                op2,
-            } => {
-                let cond_pass = self.uniform_cond(&insn)?;
-                let rn_vals = rn.map(|r| self.lane_vals(|cpu| cpu.operand(r, addr)));
-                let mut buses = BlockBusList::default();
-                buses.extend(rn_vals);
-                let mut op2_vals = [0u32; MAX_LANES];
-                let mut carry_vals = [false; MAX_LANES];
-                let shifted = match op2 {
-                    Operand2::Imm(v) => {
-                        for l in 0..self.active {
-                            op2_vals[l] = v;
-                            carry_vals[l] = self.lanes[l].flags.c;
-                        }
-                        false
-                    }
-                    Operand2::Reg(rm) => {
-                        let rm_vals = self.lane_vals(|cpu| cpu.operand(rm, addr));
-                        buses.push(rm_vals);
-                        for l in 0..self.active {
-                            op2_vals[l] = rm_vals[l];
-                            carry_vals[l] = self.lanes[l].flags.c;
-                        }
-                        false
-                    }
-                    Operand2::ShiftedReg { rm, kind, amount } => {
-                        let rm_vals = self.lane_vals(|cpu| cpu.operand(rm, addr));
-                        buses.push(rm_vals);
-                        let mut amount_vals = [0u32; MAX_LANES];
-                        match amount {
-                            ShiftAmount::Imm(n) => {
-                                for v in &mut amount_vals[..self.active] {
-                                    *v = u32::from(n);
-                                }
-                            }
-                            ShiftAmount::Reg(rs) => {
-                                let rs_vals = self.lane_vals(|cpu| cpu.operand(rs, addr));
-                                buses.push(rs_vals);
-                                for l in 0..self.active {
-                                    amount_vals[l] = rs_vals[l] & 0xff;
-                                }
-                            }
-                        }
-                        for l in 0..self.active {
-                            let out = apply_shift(
-                                kind,
-                                rm_vals[l],
-                                amount_vals[l],
-                                self.lanes[l].flags.c,
-                            );
-                            op2_vals[l] = out.value;
-                            carry_vals[l] = out.carry;
-                        }
-                        true
-                    }
-                };
-                self.drive_operand_buses(observer, &buses, bus_base);
-
-                let pipe = if shifted { Pipe::Alu0 } else { preferred_pipe };
-                let latency = if shifted {
-                    self.config.shift_latency
-                } else {
-                    self.config.alu_latency
-                };
-
-                if cond_pass {
-                    let slots = [Some(rn_vals.unwrap_or(op2_vals)), rn_vals.map(|_| op2_vals)];
-                    self.latch_is_ex(pipe, &slots);
-                    if shifted {
-                        self.schedule(
-                            cycle + self.config.shift_latency,
-                            Node::ShiftBuf,
-                            op2_vals,
-                            true,
-                        );
-                    }
-                    let mut out_vals = [0u32; MAX_LANES];
-                    for l in 0..self.active {
-                        let out = eval_dp(
-                            op,
-                            rn_vals.map_or(0, |v| v[l]),
-                            op2_vals[l],
-                            carry_vals[l],
-                            self.lanes[l].flags,
-                        );
-                        out_vals[l] = out.value;
-                        if set_flags || op.is_compare() {
-                            self.lanes[l].flags = out.flags;
-                        }
-                    }
-                    self.schedule(cycle + latency, Node::AluOut(pipe), out_vals, true);
-                    if set_flags || op.is_compare() {
-                        self.flags_ready = cycle + 1;
-                    }
-                    if let Some(rd) = rd {
-                        if rd == Reg::PC {
-                            let mut targets = [0u32; MAX_LANES];
-                            for l in 0..self.active {
-                                targets[l] = out_vals[l] & !3;
-                            }
-                            let target = self
-                                .uniform(&targets, "indirect branch target differs across lanes")?;
-                            self.redirect(target, cycle + 1);
-                            self.push_retire(addr, insn, cycle + latency, None, Some(pipe), false);
-                            return Ok(true);
-                        }
-                        for (lane, &val) in self.lanes.iter_mut().zip(&out_vals).take(self.active) {
-                            lane.regs[rd.index()] = val;
-                        }
-                        self.reg_ready[rd.index()] = self.ready_cycle(cycle + latency);
-                        self.push_retire(
-                            addr,
-                            insn,
-                            cycle + latency,
-                            Some(out_vals),
-                            Some(pipe),
-                            false,
-                        );
-                        return Ok(false);
-                    }
-                    self.push_retire(addr, insn, cycle + latency, None, Some(pipe), false);
-                    return Ok(false);
-                }
-                self.push_retire(addr, insn, cycle + latency, None, None, false);
-                Ok(false)
-            }
-            InsnKind::Mul {
-                op: _,
-                set_flags,
-                rd,
-                rm,
-                rs,
-                ra,
-            } => {
-                let cond_pass = self.uniform_cond(&insn)?;
-                let rm_vals = self.lane_vals(|cpu| cpu.operand(rm, addr));
-                let rs_vals = self.lane_vals(|cpu| cpu.operand(rs, addr));
-                let ra_vals = ra.map(|r| self.lane_vals(|cpu| cpu.operand(r, addr)));
-                let mut buses = BlockBusList::default();
-                buses.push(rm_vals);
-                buses.push(rs_vals);
-                buses.extend(ra_vals);
-                self.drive_operand_buses(observer, &buses, bus_base);
-                let latency = self.config.mul_latency;
-                if cond_pass {
-                    self.latch_is_ex(Pipe::Alu0, &[Some(rm_vals), Some(rs_vals)]);
-                    let mut values = [0u32; MAX_LANES];
-                    for l in 0..self.active {
-                        let value = eval_mul(rm_vals[l], rs_vals[l], ra_vals.map(|v| v[l]));
-                        values[l] = value;
-                        if set_flags {
-                            let mut flags = self.lanes[l].flags;
-                            flags.n = value >> 31 != 0;
-                            flags.z = value == 0;
-                            self.lanes[l].flags = flags;
-                        }
-                        self.lanes[l].regs[rd.index()] = value;
-                    }
-                    self.schedule(cycle + latency, Node::AluOut(Pipe::Alu0), values, true);
-                    if set_flags {
-                        self.flags_ready = cycle + 1;
-                    }
-                    self.reg_ready[rd.index()] = self.ready_cycle(cycle + latency);
-                    self.push_retire(
-                        addr,
-                        insn,
-                        cycle + latency,
-                        Some(values),
-                        Some(Pipe::Alu0),
-                        false,
-                    );
-                } else {
-                    self.push_retire(addr, insn, cycle + latency, None, None, false);
-                }
-                Ok(false)
-            }
-            InsnKind::Mem {
-                dir,
-                size,
-                rd,
-                addr: mode,
-            } => {
-                let cond_pass = self.uniform_cond(&insn)?;
-                let base_vals = self.lane_vals(|cpu| cpu.operand(mode.base, addr));
-                let mut offset_vals = [0i64; MAX_LANES];
-                let mut offset_bus: Option<LaneVals> = None;
-                match mode.offset {
-                    MemOffset::Imm(imm) => {
-                        for v in &mut offset_vals[..self.active] {
-                            *v = i64::from(imm);
-                        }
-                    }
-                    MemOffset::Reg {
-                        rm,
-                        kind,
-                        amount,
-                        sub,
-                    } => {
-                        let rm_vals = self.lane_vals(|cpu| cpu.operand(rm, addr));
-                        for l in 0..self.active {
-                            let shifted = apply_shift(
-                                kind,
-                                rm_vals[l],
-                                u32::from(amount),
-                                self.lanes[l].flags.c,
-                            )
-                            .value;
-                            offset_vals[l] = if sub {
-                                -i64::from(shifted)
-                            } else {
-                                i64::from(shifted)
-                            };
-                        }
-                        offset_bus = Some(rm_vals);
-                    }
-                }
-                let mut effective = [0u32; MAX_LANES];
-                let mut access = [0u32; MAX_LANES];
-                for l in 0..self.active {
-                    effective[l] = (i64::from(base_vals[l]) + offset_vals[l]) as u32;
-                    access[l] = match mode.index {
-                        sca_isa::IndexMode::PostIndex => base_vals[l],
-                        _ => effective[l],
-                    };
-                }
-
-                let mut buses = BlockBusList::default();
-                buses.push(base_vals);
-                buses.extend(offset_bus);
-                let data_vals =
-                    (dir == MemDir::Store).then(|| self.lane_vals(|cpu| cpu.operand(rd, addr)));
-                buses.extend(data_vals);
-                self.drive_operand_buses(observer, &buses, bus_base);
-
-                if !cond_pass {
-                    self.push_retire(
-                        addr,
-                        insn,
-                        cycle + self.config.load_latency,
-                        None,
-                        None,
-                        false,
-                    );
-                    return Ok(false);
-                }
-
-                if mode.writes_base() {
-                    for (lane, &val) in self.lanes.iter_mut().zip(&effective).take(self.active) {
-                        lane.regs[mode.base.index()] = val;
-                    }
-                    self.reg_ready[mode.base.index()] = self.ready_cycle(cycle + 1);
-                }
-
-                self.latch_is_ex(Pipe::Lsu, &[Some(access), data_vals]);
-
-                let penalty = self.dcache_access(&access)?;
-                if penalty > 0 {
-                    self.stats.dcache_misses += 1;
-                    self.lsu_ready_at = cycle + 1 + penalty;
-                }
-                let complete_at = cycle + self.config.load_latency + penalty;
-
-                let fault = Divergence {
-                    reason: "memory fault inside a lockstep block",
-                };
-                match dir {
-                    MemDir::Load => {
-                        let mut values = [0u32; MAX_LANES];
-                        let mut words = [0u32; MAX_LANES];
-                        for l in 0..self.active {
-                            let mem = &self.lanes[l].mem;
-                            values[l] = match size {
-                                MemSize::Word => mem.read_u32(access[l]),
-                                MemSize::Byte => mem.read_u8(access[l]).map(u32::from),
-                                MemSize::Half => mem.read_u16(access[l]).map(u32::from),
-                            }
-                            .map_err(|_| fault)?;
-                            words[l] = mem.containing_word(access[l]).map_err(|_| fault)?;
-                        }
-                        self.schedule(complete_at, Node::Mdr, words, false);
-                        if size.is_subword() && self.config.align_buffer {
-                            self.schedule(complete_at, Node::AlignBuf, values, false);
-                        }
-                        if rd == Reg::PC {
-                            let mut targets = [0u32; MAX_LANES];
-                            for l in 0..self.active {
-                                targets[l] = values[l] & !3;
-                            }
-                            let target = self
-                                .uniform(&targets, "indirect branch target differs across lanes")?;
-                            self.redirect(target, complete_at);
-                            self.push_retire(addr, insn, complete_at, None, Some(Pipe::Lsu), false);
-                            return Ok(true);
-                        }
-                        for (lane, &val) in self.lanes.iter_mut().zip(&values).take(self.active) {
-                            lane.regs[rd.index()] = val;
-                        }
-                        self.reg_ready[rd.index()] = self.ready_cycle(complete_at);
-                        self.push_retire(
-                            addr,
-                            insn,
-                            complete_at,
-                            Some(values),
-                            Some(Pipe::Lsu),
-                            false,
-                        );
-                    }
-                    MemDir::Store => {
-                        let data = data_vals.expect("stores read their data register");
-                        let mut words = [0u32; MAX_LANES];
-                        let mut subs = [0u32; MAX_LANES];
-                        for l in 0..self.active {
-                            let value = data[l];
-                            let mem = &mut self.lanes[l].mem;
-                            match size {
-                                MemSize::Word => mem.write_u32(access[l], value),
-                                MemSize::Byte => mem.write_u8(access[l], value as u8),
-                                MemSize::Half => mem.write_u16(access[l], value as u16),
-                            }
-                            .map_err(|_| fault)?;
-                            words[l] = mem.containing_word(access[l]).map_err(|_| fault)?;
-                            subs[l] = match size {
-                                MemSize::Byte => value & 0xff,
-                                _ => value & 0xffff,
-                            };
-                        }
-                        self.schedule(complete_at, Node::Mdr, words, false);
-                        if size.is_subword() && self.config.align_buffer {
-                            self.schedule(complete_at, Node::AlignBuf, subs, false);
-                        }
-                        self.push_retire(addr, insn, complete_at, None, None, false);
-                    }
-                }
-                Ok(false)
-            }
-            InsnKind::MemMulti {
-                dir,
-                base,
-                writeback,
-                regs,
-                mode,
-            } => {
-                let cond_pass = self.uniform_cond(&insn)?;
-                let base_vals = self.lane_vals(|cpu| cpu.operand(base, addr));
-                let n = regs.len() as u32;
-                let mut start = [0u32; MAX_LANES];
-                for l in 0..self.active {
-                    start[l] = match mode {
-                        MemMultiMode::Ia => base_vals[l],
-                        MemMultiMode::Db => base_vals[l].wrapping_sub(4 * n),
-                    };
-                }
-                let mut buses = BlockBusList::default();
-                buses.push(base_vals);
-                self.drive_operand_buses(observer, &buses, bus_base);
-                if !cond_pass {
-                    self.push_retire(
-                        addr,
-                        insn,
-                        cycle + self.config.load_latency,
-                        None,
-                        None,
-                        false,
-                    );
-                    return Ok(false);
-                }
-                self.latch_is_ex(Pipe::Lsu, &[Some(start), None]);
-
-                let base_reloaded = dir == MemDir::Load && regs.contains(base);
-                if writeback && !base_reloaded {
-                    for l in 0..self.active {
-                        self.lanes[l].regs[base.index()] = match mode {
-                            MemMultiMode::Ia => base_vals[l].wrapping_add(4 * n),
-                            MemMultiMode::Db => start[l],
-                        };
-                    }
-                    self.reg_ready[base.index()] = self.ready_cycle(cycle + 1);
-                }
-
-                let fault = Divergence {
-                    reason: "memory fault inside a lockstep block",
-                };
-                let mut penalty_total: u64 = 0;
-                let mut last_values = [0u32; MAX_LANES];
-                let mut redirect_target: Option<(u32, u64)> = None;
-                for (i, reg) in regs.iter().enumerate() {
-                    let mut beat_addrs = [0u32; MAX_LANES];
-                    for l in 0..self.active {
-                        beat_addrs[l] = start[l].wrapping_add(4 * i as u32);
-                    }
-                    let penalty = self.dcache_access(&beat_addrs)?;
-                    if penalty > 0 {
-                        self.stats.dcache_misses += 1;
-                    }
-                    penalty_total += penalty;
-                    let beat_complete = cycle + self.config.load_latency + i as u64 + penalty_total;
-                    match dir {
-                        MemDir::Load => {
-                            let mut values = [0u32; MAX_LANES];
-                            for l in 0..self.active {
-                                values[l] = self.lanes[l]
-                                    .mem
-                                    .read_u32(beat_addrs[l])
-                                    .map_err(|_| fault)?;
-                            }
-                            self.schedule(beat_complete, Node::Mdr, values, false);
-                            if reg == Reg::PC {
-                                let mut targets = [0u32; MAX_LANES];
-                                for l in 0..self.active {
-                                    targets[l] = values[l] & !3;
-                                }
-                                let target = self.uniform(
-                                    &targets,
-                                    "indirect branch target differs across lanes",
-                                )?;
-                                redirect_target = Some((target, beat_complete));
-                            } else {
-                                for (lane, &val) in
-                                    self.lanes.iter_mut().zip(&values).take(self.active)
-                                {
-                                    lane.regs[reg.index()] = val;
-                                }
-                                self.reg_ready[reg.index()] = self.ready_cycle(beat_complete);
-                            }
-                            last_values = values;
-                        }
-                        MemDir::Store => {
-                            let values = self.lane_vals(|cpu| cpu.operand(reg, addr));
-                            for l in 0..self.active {
-                                self.lanes[l]
-                                    .mem
-                                    .write_u32(beat_addrs[l], values[l])
-                                    .map_err(|_| fault)?;
-                            }
-                            self.schedule(beat_complete, Node::Mdr, values, false);
-                            last_values = values;
-                        }
-                    }
-                }
-                let beats = u64::from(n.max(1));
-                let complete = cycle + self.config.load_latency + beats - 1 + penalty_total;
-                self.lsu_ready_at = cycle + beats + penalty_total;
-                let wb_values = (dir == MemDir::Load).then_some(last_values);
-                self.push_retire(addr, insn, complete, wb_values, Some(Pipe::Lsu), false);
-                if let Some((target, at)) = redirect_target {
-                    self.redirect(target, at);
-                    return Ok(true);
-                }
-                Ok(false)
-            }
-            InsnKind::MulLong {
-                signed,
-                rd_hi,
-                rd_lo,
-                rm,
-                rs,
-            } => {
-                let cond_pass = self.uniform_cond(&insn)?;
-                let rm_vals = self.lane_vals(|cpu| cpu.operand(rm, addr));
-                let rs_vals = self.lane_vals(|cpu| cpu.operand(rs, addr));
-                let mut buses = BlockBusList::default();
-                buses.push(rm_vals);
-                buses.push(rs_vals);
-                self.drive_operand_buses(observer, &buses, bus_base);
-                let latency = self.config.mul_latency + 1;
-                if cond_pass {
-                    self.latch_is_ex(Pipe::Alu0, &[Some(rm_vals), Some(rs_vals)]);
-                    let mut lo = [0u32; MAX_LANES];
-                    let mut hi = [0u32; MAX_LANES];
-                    for l in 0..self.active {
-                        let product = if signed {
-                            (i64::from(rm_vals[l] as i32) * i64::from(rs_vals[l] as i32)) as u64
-                        } else {
-                            u64::from(rm_vals[l]) * u64::from(rs_vals[l])
-                        };
-                        lo[l] = product as u32;
-                        hi[l] = (product >> 32) as u32;
-                        self.lanes[l].regs[rd_lo.index()] = lo[l];
-                        self.lanes[l].regs[rd_hi.index()] = hi[l];
-                    }
-                    self.schedule(cycle + latency - 1, Node::AluOut(Pipe::Alu0), lo, true);
-                    self.schedule(cycle + latency, Node::AluOut(Pipe::Alu0), hi, true);
-                    self.reg_ready[rd_lo.index()] = self.ready_cycle(cycle + latency - 1);
-                    self.reg_ready[rd_hi.index()] = self.ready_cycle(cycle + latency);
-                    self.push_retire(
-                        addr,
-                        insn,
-                        cycle + latency,
-                        Some(hi),
-                        Some(Pipe::Alu0),
-                        false,
-                    );
-                } else {
-                    self.push_retire(addr, insn, cycle + latency, None, None, false);
-                }
-                Ok(false)
-            }
-            InsnKind::Branch { link, offset } => {
-                let cond_pass = self.uniform_cond(&insn)?;
-                if cond_pass {
-                    if link {
-                        for l in 0..self.active {
-                            self.lanes[l].regs[Reg::LR.index()] = addr.wrapping_add(4);
-                        }
-                        self.reg_ready[Reg::LR.index()] = self.ready_cycle(cycle + 1);
-                    }
-                    let target = addr
-                        .wrapping_add(4)
-                        .wrapping_add((offset as u32).wrapping_mul(4));
-                    self.redirect(target, cycle + 1);
-                    self.push_retire(addr, insn, cycle + 1, None, None, false);
-                    return Ok(true);
-                }
-                self.push_retire(addr, insn, cycle + 1, None, None, false);
-                Ok(false)
-            }
-            InsnKind::Bx { rm } => {
-                let cond_pass = self.uniform_cond(&insn)?;
-                let rm_vals = self.lane_vals(|cpu| cpu.operand(rm, addr));
-                let mut buses = BlockBusList::default();
-                buses.push(rm_vals);
-                self.drive_operand_buses(observer, &buses, bus_base);
-                if cond_pass {
-                    let mut targets = [0u32; MAX_LANES];
-                    for l in 0..self.active {
-                        targets[l] = rm_vals[l] & !3;
-                    }
-                    let target =
-                        self.uniform(&targets, "indirect branch target differs across lanes")?;
-                    self.redirect(target, cycle + 1);
-                    self.push_retire(addr, insn, cycle + 1, None, None, false);
-                    return Ok(true);
-                }
-                self.push_retire(addr, insn, cycle + 1, None, None, false);
-                Ok(false)
-            }
-        }
-    }
-
-    // ---- fetch stage -----------------------------------------------------
-
-    fn fetch<O: BlockObserver>(&mut self, observer: &mut O) -> Result<(), Divergence> {
-        let cycle = self.cycle;
-        if cycle < self.fetch_ready_at {
-            return Ok(());
-        }
-        let mut fetched = 0u8;
-        while fetched < self.config.fetch_width as u8
-            && self.frontend.len() < self.config.frontend_capacity
-        {
-            let addr = self.pc;
-            // Lanes share the program image, so fetched words (and
-            // fetch-fault status) must agree everywhere.
-            let first = self.lanes[0].mem.read_u32(addr).ok();
-            for l in 1..self.active {
-                if self.lanes[l].mem.read_u32(addr).ok() != first {
-                    return Err(Divergence {
-                        reason: "fetched instruction word differs across lanes",
-                    });
-                }
-            }
-            let Some(word) = first else {
-                // Running off the image: stop fetching, as the scalar
-                // path does; issue diverges only if execution gets here.
-                break;
-            };
-            let penalty = self.icache_access(addr)?;
-            if penalty > 0 {
-                self.stats.icache_misses += 1;
-                self.fetch_ready_at = cycle + penalty;
-            }
-            self.assert_all(
-                observer,
-                cycle,
-                Node::FetchWord(fetched),
-                &[word; MAX_LANES],
-            );
-            self.frontend.push_back(FrontendEntry {
-                addr,
-                insn: decode(word).map_err(|_| word),
-                ready_at: cycle + self.config.frontend_latency + penalty,
-            });
-            self.pc = addr.wrapping_add(4);
-            fetched += 1;
-            if penalty > 0 {
-                break;
-            }
-        }
-        Ok(())
+        self.core.run(observer).map_err(Divergence::from)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{NullObserver, UarchConfig};
+    use crate::{Node, NullObserver, UarchConfig};
     use sca_isa::assemble;
 
     /// Collects one scalar-shaped event stream per lane.
@@ -1426,8 +380,8 @@ data:   .word 0
                 );
                 for r in 0..16 {
                     assert_eq!(
-                        cpu.regs[r],
-                        block.lane(l).regs[r],
+                        cpu.core.lanes.regs[r],
+                        block.lane(l).core.lanes.regs[r],
                         "r{r} (lane {l} of {lanes})"
                     );
                 }

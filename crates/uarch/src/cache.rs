@@ -178,6 +178,7 @@ impl CacheHierarchy {
 
     /// Total extra latency for an access at `addr` (0 when everything
     /// hits or no caches are configured — the ideal-memory case).
+    #[inline]
     pub fn access(&mut self, addr: u32) -> u64 {
         let Some(l1) = &mut self.l1 else { return 0 };
         let a1 = l1.access(addr);

@@ -1,165 +1,10 @@
-//! The cycle-level CPU model.
-//!
-//! An in-order, partial dual-issue, 8-stage-equivalent pipeline modeled
-//! after the ARM Cortex-A7 as characterized in the paper:
-//!
-//! ```text
-//!            ┌────────────┐  3 operand buses   ┌─ ALU0 (shifter, mul, 3-stage)
-//!  Fetch ──▶ │ Prefetch   │ ──▶ Decode ──▶ Issue ──┼─ ALU1 (1-stage)
-//!  (2/cyc)   │ buffer     │        ▲  RF 3R/2W └─ LSU  (3-stage, MDR, align)
-//!            └────────────┘        │ immediate path
-//!                           write-back buses (2) ◀── EX/WB buffers
-//! ```
-//!
-//! Architectural execution is eager (results computed at issue) while the
-//! *timing* — forwarding latencies, dual-issue legality, retire-port
-//! arbitration, cache penalties — is modeled cycle by cycle. Every buffer
-//! from Figure 2 of the paper is a tracked [`Node`] whose transitions are
-//! streamed to a [`PipelineObserver`].
+//! The one-lane CPU: the lane-generic pipeline (`pipeline.rs`) driving
+//! a single lane, with faults reported in full detail.
 
-use std::collections::VecDeque;
+use sca_isa::{Flags, Program, Reg};
 
-use sca_isa::{
-    apply_shift, decode, eval_dp, eval_mul, Flags, Insn, InsnClass, InsnKind, MemDir, MemMultiMode,
-    MemOffset, MemSize, Operand2, Program, Reg, ShiftAmount,
-};
-
-use crate::{
-    CacheHierarchy, ExecStats, Memory, Node, NodeState, Pipe, PipelineObserver, StallCause,
-    UarchConfig, UarchError,
-};
-
-/// One instruction sitting in the front end (fetched, being decoded).
-/// Shared with the lockstep block simulator (`block.rs`), whose front
-/// end is identical by construction.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct FrontendEntry {
-    pub(crate) addr: u32,
-    /// `Err` marks a word that did not decode; it only faults if issue
-    /// actually reaches it (the fetch unit runs ahead of `halt`).
-    pub(crate) insn: Result<Insn, u32>,
-    /// Cycle from which the instruction is visible to the issue stage.
-    pub(crate) ready_at: u64,
-}
-
-/// An instruction in flight between issue and retirement.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct RetireEntry {
-    addr: u32,
-    insn: Insn,
-    complete_at: u64,
-    /// Result value bound for the register file (drives EX/WB nodes).
-    wb_value: Option<u32>,
-    /// Pipe that produced the result.
-    pipe: Option<Pipe>,
-    /// Retiring `nop`s reset write-back bus 0.
-    is_nop: bool,
-}
-
-/// A node assertion scheduled for a future cycle (e.g. a load's MDR
-/// update three cycles after issue).
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct PendingEvent {
-    node: Node,
-    value: u32,
-    precharged: bool,
-}
-
-/// The future-event queue: one slot of pending node assertions per
-/// upcoming cycle, kept as a ring so the hot `schedule`/`drain` pair
-/// never touches an ordered map. Slot vectors are recycled through a
-/// small pool — after the first few traces of a campaign the queue runs
-/// allocation-free.
-#[derive(Clone, Debug, Default)]
-pub(crate) struct EventQueue {
-    /// `slots[i]` holds the events for cycle `base + i`, in scheduling
-    /// order (the order observers must see them in).
-    slots: VecDeque<Vec<PendingEvent>>,
-    /// Cycle the front slot corresponds to.
-    base: u64,
-    /// Drained slot vectors awaiting reuse.
-    pool: Vec<Vec<PendingEvent>>,
-}
-
-impl EventQueue {
-    /// Empties the queue (keeping slot capacity for reuse) and re-bases
-    /// it at cycle zero.
-    fn clear(&mut self) {
-        while let Some(mut slot) = self.slots.pop_front() {
-            slot.clear();
-            self.pool.push(slot);
-        }
-        self.base = 0;
-    }
-
-    /// Appends an event at cycle `at` (which must not be in the past —
-    /// the pipeline only schedules into future cycles).
-    fn push(&mut self, at: u64, event: PendingEvent) {
-        debug_assert!(at >= self.base, "scheduling into the past");
-        let index = (at - self.base) as usize;
-        while self.slots.len() <= index {
-            self.slots.push_back(self.pool.pop().unwrap_or_default());
-        }
-        self.slots[index].push(event);
-    }
-
-    /// Removes and returns the events due at `cycle`, advancing the ring
-    /// past it. Returns `None` when the cycle has no events; the slot
-    /// vector must be handed back through [`EventQueue::recycle`].
-    fn drain(&mut self, cycle: u64) -> Option<Vec<PendingEvent>> {
-        while self.base < cycle {
-            if let Some(mut slot) = self.slots.pop_front() {
-                debug_assert!(slot.is_empty(), "skipped a cycle with pending events");
-                slot.clear();
-                self.pool.push(slot);
-            }
-            self.base += 1;
-        }
-        if self.base == cycle {
-            if let Some(slot) = self.slots.pop_front() {
-                self.base += 1;
-                if slot.is_empty() {
-                    self.pool.push(slot);
-                    return None;
-                }
-                return Some(slot);
-            }
-        }
-        None
-    }
-
-    /// Returns a drained slot vector to the reuse pool.
-    fn recycle(&mut self, mut slot: Vec<PendingEvent>) {
-        slot.clear();
-        self.pool.push(slot);
-    }
-}
-
-/// Operand-bus values gathered during one dispatch — at most three (the
-/// register file has three read ports), kept on the stack so the issue
-/// stage never allocates.
-#[derive(Clone, Copy, Default)]
-struct BusList {
-    values: [u32; 3],
-    len: usize,
-}
-
-impl BusList {
-    fn push(&mut self, value: u32) {
-        self.values[self.len] = value;
-        self.len += 1;
-    }
-
-    fn extend(&mut self, value: Option<u32>) {
-        if let Some(value) = value {
-            self.push(value);
-        }
-    }
-
-    fn as_slice(&self) -> &[u32] {
-        &self.values[..self.len]
-    }
-}
+use crate::pipeline::{Core, Lane, Stop};
+use crate::{BlockObserver, ExecStats, Memory, UarchConfig, UarchError};
 
 /// The simulated CPU.
 ///
@@ -181,70 +26,30 @@ impl BusList {
 /// ```
 ///
 /// `Cpu` is `Clone`: acquisition pipelines clone one warmed-up CPU per
-/// worker thread so every trace starts from identical cache state.
+/// worker thread so every trace starts from identical cache state, and a
+/// [`crate::CpuBlock`] clones one per lane.
 #[derive(Clone, Debug)]
 pub struct Cpu {
-    // Fields are crate-visible for the lockstep block simulator
-    // (`block.rs`), which drives N lane `Cpu`s through a shared control
-    // path and must read/write their architectural and node state
-    // directly.
-    pub(crate) config: UarchConfig,
-    pub(crate) regs: [u32; 16],
-    pub(crate) flags: Flags,
-    pub(crate) pc: u32,
-    pub(crate) mem: Memory,
-    pub(crate) icache: CacheHierarchy,
-    pub(crate) dcache: CacheHierarchy,
-    pub(crate) nodes: NodeState,
-    pub(crate) stats: ExecStats,
-    pub(crate) cycle: u64,
-    pub(crate) halted: bool,
-    pub(crate) trigger_level: bool,
-
-    pub(crate) frontend: VecDeque<FrontendEntry>,
-    pub(crate) fetch_ready_at: u64,
-    pub(crate) lsu_ready_at: u64,
-    pub(crate) reg_ready: [u64; 16],
-    pub(crate) flags_ready: u64,
-    pub(crate) retire_queue: VecDeque<RetireEntry>,
-    pub(crate) pending: EventQueue,
+    /// The pipeline and its one lane (crate-visible: a block reaches
+    /// into its lane CPUs' architectural state).
+    pub(crate) core: Core<1, Lane>,
     /// Monotonic restart counter seeding the node-state scramble.
-    pub(crate) restart_seq: u64,
+    restart_seq: u64,
 }
 
 impl Cpu {
     /// Builds a CPU with zeroed registers and memory.
     pub fn new(config: UarchConfig) -> Cpu {
-        let mem = Memory::new(config.mem_size);
-        let icache = CacheHierarchy::new(config.icache, config.l2, config.memory_latency);
-        let dcache = CacheHierarchy::new(config.dcache, config.l2, config.memory_latency);
+        let lane = Lane::new(&config);
         Cpu {
-            config,
-            regs: [0; 16],
-            flags: Flags::default(),
-            pc: 0,
-            mem,
-            icache,
-            dcache,
-            nodes: NodeState::new(),
-            stats: ExecStats::default(),
-            cycle: 0,
-            halted: false,
-            trigger_level: false,
-            frontend: VecDeque::new(),
-            fetch_ready_at: 0,
-            lsu_ready_at: 0,
-            reg_ready: [0; 16],
-            flags_ready: 0,
-            retire_queue: VecDeque::new(),
-            pending: EventQueue::default(),
+            core: Core::new(config, lane),
             restart_seq: 0,
         }
     }
 
     /// The active configuration.
     pub fn config(&self) -> &UarchConfig {
-        &self.config
+        &self.core.config
     }
 
     /// Loads a program image and points the fetch unit at its entry.
@@ -253,17 +58,18 @@ impl Cpu {
     ///
     /// [`UarchError::ImageTooLarge`] if the image does not fit in RAM.
     pub fn load(&mut self, program: &Program) -> Result<(), UarchError> {
+        let mem = &mut self.core.lanes.mem;
         let end = program.base() + program.len_bytes();
-        if end > self.mem.size() {
+        if end > mem.size() {
             return Err(UarchError::ImageTooLarge {
                 end,
-                mem_size: self.mem.size(),
+                mem_size: mem.size(),
             });
         }
         for (i, word) in program.words().iter().enumerate() {
-            self.mem.write_u32(program.base() + (i as u32) * 4, *word)?;
+            mem.write_u32(program.base() + (i as u32) * 4, *word)?;
         }
-        self.pc = program.entry();
+        self.core.pc = program.entry();
         Ok(())
     }
 
@@ -296,57 +102,46 @@ impl Cpu {
     /// while register values, memory contents and cache state persist
     /// exactly as they do across executions on silicon.
     pub fn restart_seeded(&mut self, entry: u32, scramble_seed: u64) {
-        self.pc = entry;
-        self.halted = false;
-        self.cycle = 0;
-        self.stats = ExecStats::default();
-        self.frontend.clear();
-        self.retire_queue.clear();
-        self.pending.clear();
+        self.core.restart(entry);
         // Stale buffer contents persist across executions on silicon;
         // scrambling (rather than zeroing) avoids fabricating
         // Hamming-weight leaks on first use while staying deterministic.
-        self.nodes.scramble(scramble_seed);
-        self.fetch_ready_at = 0;
-        self.lsu_ready_at = 0;
-        self.reg_ready = [0; 16];
-        self.flags_ready = 0;
-        self.trigger_level = false;
+        self.core.lanes.nodes.scramble(scramble_seed);
     }
 
     /// Current value of a register.
     pub fn reg(&self, reg: Reg) -> u32 {
-        self.regs[reg.index()]
+        self.core.lanes.regs[reg.index()]
     }
 
     /// Sets a register (for staging benchmark inputs).
     pub fn set_reg(&mut self, reg: Reg, value: u32) {
-        self.regs[reg.index()] = value;
+        self.core.lanes.regs[reg.index()] = value;
     }
 
     /// Current architectural flags.
     pub fn flags(&self) -> Flags {
-        self.flags
+        self.core.lanes.flags
     }
 
     /// Sets the architectural flags.
     pub fn set_flags(&mut self, flags: Flags) {
-        self.flags = flags;
+        self.core.lanes.flags = flags;
     }
 
     /// Direct memory access for staging inputs and reading outputs.
     pub fn mem(&self) -> &Memory {
-        &self.mem
+        &self.core.lanes.mem
     }
 
     /// Mutable direct memory access.
     pub fn mem_mut(&mut self) -> &mut Memory {
-        &mut self.mem
+        &mut self.core.lanes.mem
     }
 
     /// Statistics of the run so far.
     pub fn stats(&self) -> ExecStats {
-        self.stats
+        self.core.stats
     }
 
     /// Returns the hit/miss counts accumulated by every cache instance
@@ -357,8 +152,9 @@ impl Cpu {
     /// creation (discarding the warm-up counts the clone inherited) and
     /// then per batch, attributing the deltas to telemetry.
     pub fn drain_cache_counts(&mut self) -> crate::CacheCounts {
-        let ((l1i_hits, l1i_misses), (l2i_hits, l2i_misses)) = self.icache.drain_counts();
-        let ((l1d_hits, l1d_misses), (l2d_hits, l2d_misses)) = self.dcache.drain_counts();
+        let lane = &mut self.core.lanes;
+        let ((l1i_hits, l1i_misses), (l2i_hits, l2i_misses)) = lane.icache.drain_counts();
+        let ((l1d_hits, l1d_misses), (l2d_hits, l2d_misses)) = lane.dcache.drain_counts();
         crate::CacheCounts {
             l1i_hits,
             l1i_misses,
@@ -371,814 +167,30 @@ impl Cpu {
 
     /// Cycles elapsed.
     pub fn cycle(&self) -> u64 {
-        self.cycle
+        self.core.cycle
     }
 
     /// Whether `halt` has been executed.
     pub fn is_halted(&self) -> bool {
-        self.halted
+        self.core.halted
     }
 
-    /// Runs until `halt`, streaming activity to `observer`.
+    /// Runs until `halt`, streaming activity to `observer` (any
+    /// [`crate::PipelineObserver`], or a [`BlockObserver`] seeing one
+    /// lane).
     ///
     /// # Errors
     ///
     /// Propagates bad fetches/accesses and enforces the configured cycle
     /// budget.
-    pub fn run(&mut self, observer: &mut dyn PipelineObserver) -> Result<ExecStats, UarchError> {
-        while !self.halted {
-            if self.cycle >= self.config.max_cycles {
-                return Err(UarchError::CycleBudgetExceeded(self.config.max_cycles));
-            }
-            self.step(observer)?;
-        }
-        // Drain in-flight instructions so their write-back activity and
-        // retire counts are not lost; this costs trailing cycles outside
-        // any measurement window.
-        while !self.retire_queue.is_empty() {
-            self.step(observer)?;
-        }
-        Ok(self.stats)
-    }
-
-    /// Advances one cycle.
-    ///
-    /// # Errors
-    ///
-    /// Propagates fetch/memory faults.
-    pub fn step(&mut self, observer: &mut dyn PipelineObserver) -> Result<(), UarchError> {
-        let cycle = self.cycle;
-        observer.begin_cycle(cycle);
-        if let Some(events) = self.pending.drain(cycle) {
-            for ev in &events {
-                let event = if ev.precharged {
-                    self.nodes.assert_precharged(cycle, ev.node, ev.value)
-                } else {
-                    self.nodes.assert(cycle, ev.node, ev.value)
-                };
-                observer.node_event(event);
-            }
-            self.pending.recycle(events);
-        }
-        self.retire(observer);
-        if !self.halted {
-            self.issue(observer)?;
-            self.fetch(observer)?;
-        }
-        self.cycle += 1;
-        self.stats.cycles += 1;
-        Ok(())
-    }
-
-    // ---- retire stage ----------------------------------------------------
-
-    fn retire(&mut self, observer: &mut dyn PipelineObserver) {
-        let cycle = self.cycle;
-        let mut slot = 0u8;
-        while slot < self.config.retire_width as u8 {
-            let Some(head) = self.retire_queue.front() else {
-                break;
-            };
-            if head.complete_at > cycle {
-                break;
-            }
-            let entry = self.retire_queue.pop_front().expect("checked front");
-            if entry.is_nop && self.config.nop_zeroes_wb {
-                // The A7 nop flows to write-back as a bubble that resets
-                // the buses — the source of the paper's † boundary
-                // leakage.
-                for bus in 0..self.config.retire_width as u8 {
-                    let ev = self.nodes.assert(cycle, Node::WbBus(bus), 0);
-                    observer.node_event(ev);
-                }
-            } else if let Some(value) = entry.wb_value {
-                if let Some(pipe) = entry.pipe {
-                    let ev = self.nodes.assert(cycle, Node::ExWbBuf(pipe), value);
-                    observer.node_event(ev);
-                }
-                let ev = self.nodes.assert(cycle, Node::WbBus(slot), value);
-                observer.node_event(ev);
-            }
-            observer.retire(cycle, entry.addr, entry.insn);
-            self.stats.instructions += 1;
-            if entry.insn.is_branch() {
-                self.stats.branches += 1;
-            }
-            slot += 1;
-        }
-    }
-
-    // ---- issue stage -----------------------------------------------------
-
-    fn issue(&mut self, observer: &mut dyn PipelineObserver) -> Result<(), UarchError> {
-        let cycle = self.cycle;
-        let Some(head) = self.frontend.front().copied() else {
-            self.stats.count_stall(StallCause::Frontend);
-            return Ok(());
-        };
-        if head.ready_at > cycle {
-            self.stats.count_stall(StallCause::Frontend);
-            return Ok(());
-        }
-        let older = match head.insn {
-            Ok(insn) => insn,
-            Err(word) => {
-                return Err(UarchError::BadInstruction {
-                    addr: head.addr,
-                    word: Some(word),
-                })
-            }
-        };
-        if let Some(cause) = self.issue_blocker(&older) {
-            self.stats.count_stall(cause);
-            return Ok(());
-        }
-
-        self.frontend.pop_front();
-        let redirected = self.dispatch(observer, older, head.addr, 0, Pipe::Alu0)?;
-        if self.halted || redirected {
-            self.stats.single_issue_cycles += 1;
-            return Ok(());
-        }
-
-        // Try to pair a younger instruction.
-        if !self.config.dual_issue {
-            self.stats.single_issue_cycles += 1;
-            return Ok(());
-        }
-        let Some(second) = self.frontend.front().copied() else {
-            self.stats.single_issue_cycles += 1;
-            return Ok(());
-        };
-        let (Ok(younger), true) = (second.insn, second.ready_at <= cycle) else {
-            self.stats.single_issue_cycles += 1;
-            return Ok(());
-        };
-        let structurally_ok = self.pair_structurally_legal(&older, &younger);
-        if structurally_ok && !self.config.policy.allows(older.class(), younger.class()) {
-            self.stats.policy_rejections += 1;
-            self.stats.single_issue_cycles += 1;
-            return Ok(());
-        }
-        if !structurally_ok || self.issue_blocker(&younger).is_some() {
-            self.stats.single_issue_cycles += 1;
-            return Ok(());
-        }
-        self.frontend.pop_front();
-        let bus_base = older.read_ports().min(self.config.rf_read_ports) as u8;
-        let younger_pipe = Self::younger_default_pipe(&older, &younger);
-        self.dispatch(observer, younger, second.addr, bus_base, younger_pipe)?;
-        self.stats.dual_issue_cycles += 1;
-        Ok(())
-    }
-
-    /// Why `insn` cannot issue this cycle, if anything.
-    fn issue_blocker(&self, insn: &Insn) -> Option<StallCause> {
-        let cycle = self.cycle;
-        for reg in insn.reads().iter() {
-            if reg != Reg::PC && self.reg_ready[reg.index()] > cycle {
-                return Some(StallCause::RawHazard);
-            }
-        }
-        if insn.reads_flags() && self.flags_ready > cycle {
-            return Some(StallCause::FlagsHazard);
-        }
-        if insn.is_mem() && self.lsu_ready_at > cycle {
-            return Some(StallCause::Structural);
-        }
-        None
-    }
-
-    /// Structural legality of a dual-issue pair, independent of the
-    /// pairing policy: read-port budget, write-port (WAW) conflicts,
-    /// intra-group RAW/flag dependences, and a taken-branch guard.
-    pub(crate) fn pair_structurally_legal(&self, older: &Insn, younger: &Insn) -> bool {
-        if older.read_ports() + younger.read_ports() > self.config.rf_read_ports {
-            return false;
-        }
-        if older.writes().intersects(younger.writes()) {
-            return false;
-        }
-        if older.writes().intersects(younger.reads()) {
-            return false;
-        }
-        if older.sets_flags() && (younger.reads_flags() || younger.sets_flags()) {
-            return false;
-        }
-        // Both needing the shifter/multiplier pipe or both needing the
-        // LSU is illegal; the measured policy already excludes these, but
-        // custom policies must not break the structural model.
-        let needs_pipe0 = |i: &Insn| matches!(i.class(), InsnClass::Shift | InsnClass::Mul);
-        if needs_pipe0(older) && needs_pipe0(younger) {
-            return false;
-        }
-        if older.is_mem() && younger.is_mem() {
-            return false;
-        }
-        true
-    }
-
-    /// Pipe for the younger instruction of a dual-issued pair.
-    pub(crate) fn younger_default_pipe(older: &Insn, younger: &Insn) -> Pipe {
-        let older_takes_alu0 = matches!(
-            older.class(),
-            InsnClass::Mov | InsnClass::Alu | InsnClass::AluImm | InsnClass::Shift | InsnClass::Mul
-        );
-        let younger_needs_alu0 = matches!(younger.class(), InsnClass::Shift | InsnClass::Mul);
-        if younger_needs_alu0 || !older_takes_alu0 {
-            Pipe::Alu0
-        } else {
-            Pipe::Alu1
-        }
-    }
-
-    // ---- dispatch / execute ------------------------------------------------
-
-    /// Reads a register as an operand (PC reads yield `addr + 8`).
-    pub(crate) fn operand(&self, reg: Reg, addr: u32) -> u32 {
-        if reg == Reg::PC {
-            addr.wrapping_add(8)
-        } else {
-            self.regs[reg.index()]
-        }
-    }
-
-    /// Reads the register file (read-port nodes switch in the issue
-    /// cycle) and schedules the shared operand-bus drivers for the next
-    /// cycle — the issue/execute clock boundary. The one-cycle offset
-    /// matters for characterization: it is what lets the paper's
-    /// "correlation in the correct clock cycle" criterion tell the
-    /// (silent) read ports apart from the (leaky) operand buses carrying
-    /// the same values.
-    fn drive_operand_buses(
+    pub fn run<O: BlockObserver + ?Sized>(
         &mut self,
-        observer: &mut dyn PipelineObserver,
-        values: &[u32],
-        bus_base: u8,
-    ) {
-        let cycle = self.cycle;
-        for (i, &value) in values.iter().enumerate() {
-            let bus = bus_base + i as u8;
-            if (bus as usize) < self.config.operand_buses() {
-                let ev = self.nodes.assert(cycle, Node::RfRead(bus), value);
-                observer.node_event(ev);
-                self.schedule(cycle + 1, Node::OperandBus(bus), value, false);
-            }
-        }
-    }
-
-    /// Latches the per-pipe IS/EX operand buffers (at the issue/execute
-    /// boundary, one cycle after the register read).
-    fn latch_is_ex(&mut self, pipe: Pipe, slots: &[Option<u32>; 2]) {
-        let cycle = self.cycle;
-        for (slot, value) in slots.iter().enumerate() {
-            if let Some(value) = value {
-                let node = Node::IsExOp {
-                    pipe,
-                    slot: slot as u8,
-                };
-                self.schedule(cycle + 1, node, *value, false);
-            }
-        }
-    }
-
-    fn schedule(&mut self, at: u64, node: Node, value: u32, precharged: bool) {
-        self.pending.push(
-            at.max(self.cycle + 1),
-            PendingEvent {
-                node,
-                value,
-                precharged,
-            },
-        );
-    }
-
-    fn ready_cycle(&self, forward_at: u64) -> u64 {
-        if self.config.forwarding {
-            forward_at
-        } else {
-            forward_at + 2
-        }
-    }
-
-    fn push_retire(
-        &mut self,
-        addr: u32,
-        insn: Insn,
-        complete_at: u64,
-        wb_value: Option<u32>,
-        pipe: Option<Pipe>,
-        is_nop: bool,
-    ) {
-        self.retire_queue.push_back(RetireEntry {
-            addr,
-            insn,
-            complete_at,
-            wb_value,
-            pipe,
-            is_nop,
-        });
-    }
-
-    fn redirect(&mut self, target: u32, resume_at: u64) {
-        self.frontend.clear();
-        self.pc = target;
-        self.fetch_ready_at = resume_at;
-        self.stats.taken_branches += 1;
-    }
-
-    /// Issues one instruction: reads operands (driving the shared buses),
-    /// executes eagerly, emits/schedules node events and enqueues the
-    /// retirement. Returns `true` when the front end was redirected.
-    fn dispatch(
-        &mut self,
-        observer: &mut dyn PipelineObserver,
-        insn: Insn,
-        addr: u32,
-        bus_base: u8,
-        preferred_pipe: Pipe,
-    ) -> Result<bool, UarchError> {
-        let cycle = self.cycle;
-        let cond_pass = insn.cond.passes(self.flags);
-        match insn.kind {
-            InsnKind::Nop => {
-                // A never-executed conditional with zero-valued operands:
-                // drives zeros on the operand buses, latches nothing, and
-                // resets the WB bus at retirement.
-                if self.config.nop_drives_operand_buses {
-                    self.drive_operand_buses(observer, &[0, 0], bus_base);
-                }
-                // (The zero "register reads" above also keep the read-port
-                // nodes cycling with data-independent values.)
-                self.push_retire(
-                    addr,
-                    insn,
-                    cycle + self.config.alu_latency,
-                    None,
-                    None,
-                    true,
-                );
-                Ok(false)
-            }
-            InsnKind::Trig { high } => {
-                self.trigger_level = high;
-                observer.trigger(cycle, high);
-                self.push_retire(addr, insn, cycle + 1, None, None, false);
-                Ok(false)
-            }
-            InsnKind::Halt => {
-                self.halted = true;
-                self.push_retire(addr, insn, cycle + 1, None, None, false);
-                Ok(false)
-            }
-            InsnKind::Dp {
-                op,
-                set_flags,
-                rd,
-                rn,
-                op2,
-            } => {
-                let rn_val = rn.map(|r| self.operand(r, addr));
-                // Operand-2 evaluation through the immediate path or the
-                // barrel shifter.
-                let mut buses = BusList::default();
-                buses.extend(rn_val);
-                let (op2_val, shifter_carry, shifted) = match op2 {
-                    Operand2::Imm(v) => (v, self.flags.c, false),
-                    Operand2::Reg(rm) => {
-                        let rm_val = self.operand(rm, addr);
-                        buses.push(rm_val);
-                        (rm_val, self.flags.c, false)
-                    }
-                    Operand2::ShiftedReg { rm, kind, amount } => {
-                        let rm_val = self.operand(rm, addr);
-                        buses.push(rm_val);
-                        let amount_val = match amount {
-                            ShiftAmount::Imm(n) => u32::from(n),
-                            ShiftAmount::Reg(rs) => {
-                                let rs_val = self.operand(rs, addr);
-                                buses.push(rs_val);
-                                rs_val & 0xff
-                            }
-                        };
-                        let out = apply_shift(kind, rm_val, amount_val, self.flags.c);
-                        (out.value, out.carry, true)
-                    }
-                };
-                self.drive_operand_buses(observer, buses.as_slice(), bus_base);
-
-                let pipe = if shifted { Pipe::Alu0 } else { preferred_pipe };
-                let latency = if shifted {
-                    self.config.shift_latency
-                } else {
-                    self.config.alu_latency
-                };
-
-                if cond_pass {
-                    // IS/EX buffers latch only for instructions that
-                    // proceed to execute.
-                    let slots = [rn_val.or(Some(op2_val)), rn_val.map(|_| op2_val)];
-                    self.latch_is_ex(pipe, &slots);
-                    if shifted {
-                        self.schedule(
-                            cycle + self.config.shift_latency,
-                            Node::ShiftBuf,
-                            op2_val,
-                            true,
-                        );
-                    }
-                    let out = eval_dp(op, rn_val.unwrap_or(0), op2_val, shifter_carry, self.flags);
-                    self.schedule(cycle + latency, Node::AluOut(pipe), out.value, true);
-                    if set_flags || op.is_compare() {
-                        self.flags = out.flags;
-                        self.flags_ready = cycle + 1;
-                    }
-                    if let Some(rd) = rd {
-                        if rd == Reg::PC {
-                            // mov pc, … acts as an indirect branch.
-                            self.redirect(out.value & !3, cycle + 1);
-                            self.push_retire(addr, insn, cycle + latency, None, Some(pipe), false);
-                            return Ok(true);
-                        }
-                        self.regs[rd.index()] = out.value;
-                        self.reg_ready[rd.index()] = self.ready_cycle(cycle + latency);
-                        self.push_retire(
-                            addr,
-                            insn,
-                            cycle + latency,
-                            Some(out.value),
-                            Some(pipe),
-                            false,
-                        );
-                        return Ok(false);
-                    }
-                    // Compare/test: flags only.
-                    self.push_retire(addr, insn, cycle + latency, None, Some(pipe), false);
-                    return Ok(false);
-                }
-                // Condition failed: occupies the pipe as a bubble.
-                self.push_retire(addr, insn, cycle + latency, None, None, false);
-                Ok(false)
-            }
-            InsnKind::Mul {
-                op: _,
-                set_flags,
-                rd,
-                rm,
-                rs,
-                ra,
-            } => {
-                let rm_val = self.operand(rm, addr);
-                let rs_val = self.operand(rs, addr);
-                let ra_val = ra.map(|r| self.operand(r, addr));
-                let mut buses = BusList::default();
-                buses.push(rm_val);
-                buses.push(rs_val);
-                buses.extend(ra_val);
-                self.drive_operand_buses(observer, buses.as_slice(), bus_base);
-                let latency = self.config.mul_latency;
-                if cond_pass {
-                    self.latch_is_ex(Pipe::Alu0, &[Some(rm_val), Some(rs_val)]);
-                    let value = eval_mul(rm_val, rs_val, ra_val);
-                    self.schedule(cycle + latency, Node::AluOut(Pipe::Alu0), value, true);
-                    if set_flags {
-                        let mut flags = self.flags;
-                        flags.n = value >> 31 != 0;
-                        flags.z = value == 0;
-                        self.flags = flags;
-                        self.flags_ready = cycle + 1;
-                    }
-                    self.regs[rd.index()] = value;
-                    self.reg_ready[rd.index()] = self.ready_cycle(cycle + latency);
-                    self.push_retire(
-                        addr,
-                        insn,
-                        cycle + latency,
-                        Some(value),
-                        Some(Pipe::Alu0),
-                        false,
-                    );
-                } else {
-                    self.push_retire(addr, insn, cycle + latency, None, None, false);
-                }
-                Ok(false)
-            }
-            InsnKind::Mem {
-                dir,
-                size,
-                rd,
-                addr: mode,
-            } => {
-                let base_val = self.operand(mode.base, addr);
-                let (offset_val, offset_bus) = match mode.offset {
-                    MemOffset::Imm(imm) => (imm as i64, None),
-                    MemOffset::Reg {
-                        rm,
-                        kind,
-                        amount,
-                        sub,
-                    } => {
-                        let rm_val = self.operand(rm, addr);
-                        let shifted =
-                            apply_shift(kind, rm_val, u32::from(amount), self.flags.c).value;
-                        let signed = if sub {
-                            -(i64::from(shifted))
-                        } else {
-                            i64::from(shifted)
-                        };
-                        (signed, Some(rm_val))
-                    }
-                };
-                let effective = (i64::from(base_val) + offset_val) as u32;
-                let access_addr = match mode.index {
-                    sca_isa::IndexMode::PostIndex => base_val,
-                    _ => effective,
-                };
-
-                // Buses: base, then offset register, then store data.
-                let mut buses = BusList::default();
-                buses.push(base_val);
-                buses.extend(offset_bus);
-                let data_val = if dir == MemDir::Store {
-                    Some(self.operand(rd, addr))
-                } else {
-                    None
-                };
-                buses.extend(data_val);
-                self.drive_operand_buses(observer, buses.as_slice(), bus_base);
-
-                if !cond_pass {
-                    self.push_retire(
-                        addr,
-                        insn,
-                        cycle + self.config.load_latency,
-                        None,
-                        None,
-                        false,
-                    );
-                    return Ok(false);
-                }
-
-                // Address generation happens in the issue stage (paper,
-                // Section 3.2), so base writeback is fast.
-                if mode.writes_base() {
-                    self.regs[mode.base.index()] = effective;
-                    self.reg_ready[mode.base.index()] = self.ready_cycle(cycle + 1);
-                }
-
-                self.latch_is_ex(Pipe::Lsu, &[Some(access_addr), data_val]);
-
-                let penalty = self.dcache.access(access_addr);
-                if penalty > 0 {
-                    self.stats.dcache_misses += 1;
-                    self.lsu_ready_at = cycle + 1 + penalty;
-                }
-                let complete_at = cycle + self.config.load_latency + penalty;
-
-                match dir {
-                    MemDir::Load => {
-                        let value = match size {
-                            MemSize::Word => self.mem.read_u32(access_addr)?,
-                            MemSize::Byte => u32::from(self.mem.read_u8(access_addr)?),
-                            MemSize::Half => u32::from(self.mem.read_u16(access_addr)?),
-                        };
-                        let word = self.mem.containing_word(access_addr)?;
-                        self.schedule(complete_at, Node::Mdr, word, false);
-                        if size.is_subword() && self.config.align_buffer {
-                            self.schedule(complete_at, Node::AlignBuf, value, false);
-                        }
-                        if rd == Reg::PC {
-                            self.redirect(value & !3, complete_at);
-                            self.push_retire(addr, insn, complete_at, None, Some(Pipe::Lsu), false);
-                            return Ok(true);
-                        }
-                        self.regs[rd.index()] = value;
-                        self.reg_ready[rd.index()] = self.ready_cycle(complete_at);
-                        self.push_retire(
-                            addr,
-                            insn,
-                            complete_at,
-                            Some(value),
-                            Some(Pipe::Lsu),
-                            false,
-                        );
-                    }
-                    MemDir::Store => {
-                        let value = data_val.expect("stores read their data register");
-                        match size {
-                            MemSize::Word => self.mem.write_u32(access_addr, value)?,
-                            MemSize::Byte => self.mem.write_u8(access_addr, value as u8)?,
-                            MemSize::Half => self.mem.write_u16(access_addr, value as u16)?,
-                        }
-                        // The MDR carries the full merged word even for
-                        // sub-word stores (paper, Section 4.1).
-                        let word = self.mem.containing_word(access_addr)?;
-                        self.schedule(complete_at, Node::Mdr, word, false);
-                        if size.is_subword() && self.config.align_buffer {
-                            let sub = match size {
-                                MemSize::Byte => value & 0xff,
-                                _ => value & 0xffff,
-                            };
-                            self.schedule(complete_at, Node::AlignBuf, sub, false);
-                        }
-                        self.push_retire(addr, insn, complete_at, None, None, false);
-                    }
-                }
-                Ok(false)
-            }
-            InsnKind::MemMulti {
-                dir,
-                base,
-                writeback,
-                regs,
-                mode,
-            } => {
-                let base_val = self.operand(base, addr);
-                let n = regs.len() as u32;
-                let start = match mode {
-                    MemMultiMode::Ia => base_val,
-                    MemMultiMode::Db => base_val.wrapping_sub(4 * n),
-                };
-                self.drive_operand_buses(observer, &[base_val], bus_base);
-                if !cond_pass {
-                    self.push_retire(
-                        addr,
-                        insn,
-                        cycle + self.config.load_latency,
-                        None,
-                        None,
-                        false,
-                    );
-                    return Ok(false);
-                }
-                self.latch_is_ex(Pipe::Lsu, &[Some(start), None]);
-
-                // Base writeback is resolved by the AGU in the issue
-                // stage; a load that also targets the base lets the
-                // loaded value win (writeback suppressed).
-                let new_base = match mode {
-                    MemMultiMode::Ia => base_val.wrapping_add(4 * n),
-                    MemMultiMode::Db => start,
-                };
-                let base_reloaded = dir == MemDir::Load && regs.contains(base);
-                if writeback && !base_reloaded {
-                    self.regs[base.index()] = new_base;
-                    self.reg_ready[base.index()] = self.ready_cycle(cycle + 1);
-                }
-
-                // One LSU beat per register, lowest register at the
-                // lowest address; each beat moves a full word through the
-                // MDR.
-                let mut penalty_total: u64 = 0;
-                let mut last_value = 0u32;
-                let mut redirect_target: Option<(u32, u64)> = None;
-                for (i, reg) in regs.iter().enumerate() {
-                    let beat_addr = start.wrapping_add(4 * i as u32);
-                    let penalty = self.dcache.access(beat_addr);
-                    if penalty > 0 {
-                        self.stats.dcache_misses += 1;
-                    }
-                    penalty_total += penalty;
-                    let beat_complete = cycle + self.config.load_latency + i as u64 + penalty_total;
-                    match dir {
-                        MemDir::Load => {
-                            let value = self.mem.read_u32(beat_addr)?;
-                            self.schedule(beat_complete, Node::Mdr, value, false);
-                            if reg == Reg::PC {
-                                redirect_target = Some((value & !3, beat_complete));
-                            } else {
-                                self.regs[reg.index()] = value;
-                                self.reg_ready[reg.index()] = self.ready_cycle(beat_complete);
-                            }
-                            last_value = value;
-                        }
-                        MemDir::Store => {
-                            let value = self.operand(reg, addr);
-                            self.mem.write_u32(beat_addr, value)?;
-                            self.schedule(beat_complete, Node::Mdr, value, false);
-                            last_value = value;
-                        }
-                    }
-                }
-                let beats = u64::from(n.max(1));
-                let complete = cycle + self.config.load_latency + beats - 1 + penalty_total;
-                self.lsu_ready_at = cycle + beats + penalty_total;
-                let wb_value = (dir == MemDir::Load).then_some(last_value);
-                self.push_retire(addr, insn, complete, wb_value, Some(Pipe::Lsu), false);
-                if let Some((target, at)) = redirect_target {
-                    self.redirect(target, at);
-                    return Ok(true);
-                }
-                Ok(false)
-            }
-            InsnKind::MulLong {
-                signed,
-                rd_hi,
-                rd_lo,
-                rm,
-                rs,
-            } => {
-                let rm_val = self.operand(rm, addr);
-                let rs_val = self.operand(rs, addr);
-                self.drive_operand_buses(observer, &[rm_val, rs_val], bus_base);
-                // The 64-bit result drains through the write-back path
-                // over two cycles (lo, then hi).
-                let latency = self.config.mul_latency + 1;
-                if cond_pass {
-                    self.latch_is_ex(Pipe::Alu0, &[Some(rm_val), Some(rs_val)]);
-                    let product = if signed {
-                        (i64::from(rm_val as i32) * i64::from(rs_val as i32)) as u64
-                    } else {
-                        u64::from(rm_val) * u64::from(rs_val)
-                    };
-                    let lo = product as u32;
-                    let hi = (product >> 32) as u32;
-                    self.schedule(cycle + latency - 1, Node::AluOut(Pipe::Alu0), lo, true);
-                    self.schedule(cycle + latency, Node::AluOut(Pipe::Alu0), hi, true);
-                    self.regs[rd_lo.index()] = lo;
-                    self.regs[rd_hi.index()] = hi;
-                    self.reg_ready[rd_lo.index()] = self.ready_cycle(cycle + latency - 1);
-                    self.reg_ready[rd_hi.index()] = self.ready_cycle(cycle + latency);
-                    self.push_retire(
-                        addr,
-                        insn,
-                        cycle + latency,
-                        Some(hi),
-                        Some(Pipe::Alu0),
-                        false,
-                    );
-                } else {
-                    self.push_retire(addr, insn, cycle + latency, None, None, false);
-                }
-                Ok(false)
-            }
-            InsnKind::Branch { link, offset } => {
-                if cond_pass {
-                    if link {
-                        self.regs[Reg::LR.index()] = addr.wrapping_add(4);
-                        self.reg_ready[Reg::LR.index()] = self.ready_cycle(cycle + 1);
-                    }
-                    let target = addr
-                        .wrapping_add(4)
-                        .wrapping_add((offset as u32).wrapping_mul(4));
-                    self.redirect(target, cycle + 1);
-                    self.push_retire(addr, insn, cycle + 1, None, None, false);
-                    return Ok(true);
-                }
-                self.push_retire(addr, insn, cycle + 1, None, None, false);
-                Ok(false)
-            }
-            InsnKind::Bx { rm } => {
-                let rm_val = self.operand(rm, addr);
-                self.drive_operand_buses(observer, &[rm_val], bus_base);
-                if cond_pass {
-                    self.redirect(rm_val & !3, cycle + 1);
-                    self.push_retire(addr, insn, cycle + 1, None, None, false);
-                    return Ok(true);
-                }
-                self.push_retire(addr, insn, cycle + 1, None, None, false);
-                Ok(false)
-            }
-        }
-    }
-
-    // ---- fetch stage -----------------------------------------------------
-
-    fn fetch(&mut self, observer: &mut dyn PipelineObserver) -> Result<(), UarchError> {
-        let cycle = self.cycle;
-        if cycle < self.fetch_ready_at {
-            return Ok(());
-        }
-        let mut fetched = 0u8;
-        while fetched < self.config.fetch_width as u8
-            && self.frontend.len() < self.config.frontend_capacity
-        {
-            let addr = self.pc;
-            let Ok(word) = self.mem.read_u32(addr) else {
-                // Running off the image: stop fetching; issue faults only
-                // if execution actually gets here.
-                break;
-            };
-            let penalty = self.icache.access(addr);
-            if penalty > 0 {
-                self.stats.icache_misses += 1;
-                self.fetch_ready_at = cycle + penalty;
-            }
-            let ev = self.nodes.assert(cycle, Node::FetchWord(fetched), word);
-            observer.node_event(ev);
-            let insn = decode(word).map_err(|_| word);
-            self.frontend.push_back(FrontendEntry {
-                addr,
-                insn: insn.map_err(|_| word),
-                ready_at: cycle + self.config.frontend_latency + penalty,
-            });
-            self.pc = addr.wrapping_add(4);
-            fetched += 1;
-            if penalty > 0 {
-                break;
-            }
-        }
-        Ok(())
+        observer: &mut O,
+    ) -> Result<ExecStats, UarchError> {
+        self.core.run(observer).map_err(|stop| match stop {
+            Stop::Fault(error) => error,
+            Stop::Diverged(reason) => unreachable!("a single lane diverged: {reason}"),
+        })
     }
 }
 
@@ -1186,7 +198,7 @@ impl Cpu {
 mod tests {
     use super::*;
     use crate::{NullObserver, RecordingObserver};
-    use sca_isa::{assemble, AddrMode, ProgramBuilder};
+    use sca_isa::{assemble, AddrMode, Insn, ProgramBuilder};
 
     fn run_asm(src: &str) -> (Cpu, ExecStats) {
         let program = assemble(src).expect("benchmark assembles");
@@ -1471,6 +483,18 @@ cell:       .word 0
             Err(UarchError::BadInstruction { addr: 0, .. }) => {}
             other => panic!("expected bad instruction, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn loading_outside_ram_is_an_error() {
+        let program = assemble("mov r0, #0x40000000\nldr r1, [r0]\nhalt\n").unwrap();
+        let mut cpu = Cpu::new(UarchConfig::cortex_a7());
+        cpu.load(&program).unwrap();
+        assert!(cpu.mem().size() <= 0x4000_0000);
+        assert_eq!(
+            cpu.run(&mut NullObserver),
+            Err(UarchError::BadAddress(0x4000_0000))
+        );
     }
 
     #[test]

@@ -45,6 +45,7 @@ mod error;
 mod mem;
 mod nodes;
 mod observer;
+mod pipeline;
 mod policy;
 mod stats;
 

@@ -25,6 +25,7 @@ impl Memory {
         self.bytes.len() as u32
     }
 
+    #[inline]
     fn check(&self, addr: u32, len: u32) -> Result<usize, UarchError> {
         let end = addr.checked_add(len).ok_or(UarchError::BadAddress(addr))?;
         if end as usize > self.bytes.len() {
@@ -54,6 +55,7 @@ impl Memory {
 
     /// Reads a little-endian word (address word-aligned by clearing the
     /// low two bits).
+    #[inline]
     pub fn read_u32(&self, addr: u32) -> Result<u32, UarchError> {
         let addr = addr & !3;
         let i = self.check(addr, 4)?;
@@ -85,6 +87,7 @@ impl Memory {
     }
 
     /// Writes a little-endian word (aligned).
+    #[inline]
     pub fn write_u32(&mut self, addr: u32, value: u32) -> Result<(), UarchError> {
         let addr = addr & !3;
         let i = self.check(addr, 4)?;
@@ -108,6 +111,7 @@ impl Memory {
     /// The aligned 32-bit word containing `addr` — what the data cache
     /// moves on every access, and therefore what the MDR holds even for
     /// sub-word operations (paper, Section 4.1).
+    #[inline]
     pub fn containing_word(&self, addr: u32) -> Result<u32, UarchError> {
         self.read_u32(addr & !3)
     }

@@ -15,11 +15,12 @@ use rand::rngs::StdRng;
 
 use sca_target::{characterize_target, portfolio, TargetCampaignConfig};
 use superscalar_sca::campaign::{Campaign, CampaignConfig, Mergeable};
+use superscalar_sca::isa::{assemble, Reg};
 use superscalar_sca::power::{
     AcquisitionConfig, BlockPowerRecorder, GaussianNoise, PowerRecorder, SamplingConfig,
     SynthScratch, TraceSynthesizer,
 };
-use superscalar_sca::uarch::{Cpu, CpuBlock, UarchConfig};
+use superscalar_sca::uarch::{Cpu, CpuBlock, UarchConfig, UarchError};
 
 const LANE_COUNTS: [usize; 4] = [1, 2, 5, 8];
 
@@ -201,6 +202,72 @@ fn campaign_results_are_lane_count_invariant() {
         for (i, (a, b)) in got.flat.iter().zip(&reference.flat).enumerate() {
             assert_eq!(a.to_bits(), b.to_bits(), "lanes {lanes} flat sample {i}");
         }
+    }
+}
+
+/// A fault is per-trace business: one trace whose staged input sends its
+/// load outside RAM fails the whole campaign with that load's
+/// `BadAddress`, at one lane (straight from the scalar path) and at
+/// eight (the block diverges, and the scalar fallback re-runs the group
+/// and surfaces the fault).
+#[test]
+fn a_faulting_trace_fails_the_campaign_with_its_bad_address() {
+    const GOOD: u32 = 0x800;
+    const BAD: u32 = 0x4000_0000;
+    let program = assemble(
+        "
+        trig #1
+        ldr r1, [r10]
+        nop
+        nop
+        nop
+        nop
+        trig #0
+        halt
+    ",
+    )
+    .expect("assembles");
+    let mut template = Cpu::new(UarchConfig::cortex_a7());
+    template.load(&program).expect("loads");
+    assert!(template.mem().size() <= BAD);
+
+    let run = |lanes: usize| {
+        Campaign::new(
+            superscalar_sca::power::LeakageWeights::cortex_a7(),
+            CampaignConfig {
+                traces: 16,
+                executions_per_trace: 2,
+                sampling: SamplingConfig::per_cycle(),
+                noise: GaussianNoise::bare_metal(),
+                seed: 0xbad,
+                threads: 2,
+                batch: 8,
+            },
+        )
+        .with_lanes(lanes)
+        .run(
+            &template,
+            program.entry(),
+            |_: &mut StdRng, index| {
+                (if index == 11 { BAD } else { GOOD })
+                    .to_le_bytes()
+                    .to_vec()
+            },
+            |cpu: &mut Cpu, input: &[u8]| {
+                let addr = u32::from_le_bytes(input.try_into().expect("4-byte input"));
+                cpu.set_reg(Reg::R10, addr);
+            },
+            |_| CollectSink::default(),
+        )
+        .map(|sink| sink.inputs.len())
+    };
+
+    for lanes in [1, 8] {
+        assert_eq!(
+            run(lanes),
+            Err(UarchError::BadAddress(BAD)),
+            "lanes {lanes}"
+        );
     }
 }
 

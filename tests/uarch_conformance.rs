@@ -9,7 +9,8 @@
 //! conditional execution, shifter operands, long multiplies and
 //! load/store-multiple in the mix) must leave identical architectural
 //! state on the `Cpu` under a matrix of `UarchConfig` ablations and on
-//! the interpreter.
+//! the interpreter — and so must every lane of a lockstep `CpuBlock`
+//! whose lanes agree on control flow.
 
 use proptest::prelude::*;
 
@@ -17,7 +18,9 @@ use superscalar_sca::isa::{
     AddrMode, Cond, DpOp, Insn, InsnKind, Interp, Operand2, Program, Reg, RegSet, ShiftAmount,
     ShiftKind,
 };
-use superscalar_sca::uarch::{Cpu, DualIssuePolicy, NullObserver, UarchConfig};
+use superscalar_sca::uarch::{
+    Cpu, CpuBlock, Divergence, DualIssuePolicy, NullObserver, UarchConfig,
+};
 
 /// Scratch RAM used by generated memory instructions.
 const SCRATCH: u32 = 0x4000;
@@ -190,15 +193,26 @@ fn build(insns: &[Insn]) -> Program {
     Program::from_insns(0, &body).expect("encodes")
 }
 
+/// The registers a run starts from: seeded data in r0..r7 and the
+/// scratch base in r10.
+fn initial_regs(seed: u64) -> impl Iterator<Item = (Reg, u32)> {
+    (0..8u8)
+        .map(move |i| (Reg::from_index(i).expect("reg"), seed_reg(seed, i)))
+        .chain([(Reg::R10, SCRATCH)])
+}
+
 fn run_on_cpu(program: &Program, mut config: UarchConfig, seed: u64) -> ArchState {
     config.mem_size = MEM_SIZE;
     let mut cpu = Cpu::new(config);
     cpu.load(program).expect("loads");
-    for i in 0..8u8 {
-        cpu.set_reg(Reg::from_index(i).expect("reg"), seed_reg(seed, i));
+    for (reg, value) in initial_regs(seed) {
+        cpu.set_reg(reg, value);
     }
-    cpu.set_reg(Reg::R10, SCRATCH);
     cpu.run(&mut NullObserver).expect("runs");
+    cpu_state(&cpu)
+}
+
+fn cpu_state(cpu: &Cpu) -> ArchState {
     ArchState {
         regs: (0..13u8)
             .map(|i| cpu.reg(Reg::from_index(i).expect("reg")))
@@ -212,14 +226,22 @@ fn run_on_cpu(program: &Program, mut config: UarchConfig, seed: u64) -> ArchStat
     }
 }
 
-fn run_on_interp(program: &Program, seed: u64) -> ArchState {
+fn staged_interp(program: &Program, seed: u64) -> Interp {
     let mut interp = Interp::new(MEM_SIZE);
     interp.load(program).expect("loads");
-    for i in 0..8u8 {
-        interp.set_reg(Reg::from_index(i).expect("reg"), seed_reg(seed, i));
+    for (reg, value) in initial_regs(seed) {
+        interp.set_reg(reg, value);
     }
-    interp.set_reg(Reg::R10, SCRATCH);
+    interp
+}
+
+fn run_on_interp(program: &Program, seed: u64) -> ArchState {
+    let mut interp = staged_interp(program, seed);
     interp.run(1_000_000).expect("halts");
+    interp_state(&interp)
+}
+
+fn interp_state(interp: &Interp) -> ArchState {
     ArchState {
         regs: (0..13u8)
             .map(|i| interp.reg(Reg::from_index(i).expect("reg")))
@@ -270,6 +292,90 @@ proptest! {
             );
         }
     }
+}
+
+/// One interpreter per lane, stepped through the straight-line program
+/// together: their final states, and whether the lanes agreed on the
+/// outcome of every instruction's condition.
+fn run_lanes_on_interp(program: &Program, insns: &[Insn], seeds: &[u64]) -> (Vec<ArchState>, bool) {
+    let mut interps: Vec<Interp> = seeds.iter().map(|&s| staged_interp(program, s)).collect();
+    let mut agree = true;
+    for insn in insns {
+        let first = insn.cond.passes(interps[0].flags());
+        agree &= interps.iter().all(|i| insn.cond.passes(i.flags()) == first);
+        for interp in &mut interps {
+            interp.step().expect("steps");
+        }
+    }
+    for interp in &mut interps {
+        interp.run(1).expect("halts");
+    }
+    (interps.iter().map(interp_state).collect(), agree)
+}
+
+fn run_on_block(
+    program: &Program,
+    mut config: UarchConfig,
+    seeds: &[u64],
+) -> Result<Vec<ArchState>, Divergence> {
+    config.mem_size = MEM_SIZE;
+    let mut template = Cpu::new(config);
+    template.load(program).expect("loads");
+    let mut block = CpuBlock::from_template(&template, seeds.len());
+    block.restart_seeded(program.entry(), seeds);
+    for (lane, &seed) in seeds.iter().enumerate() {
+        for (reg, value) in initial_regs(seed) {
+            block.lane_mut(lane).set_reg(reg, value);
+        }
+    }
+    block.run(&mut NullObserver)?;
+    Ok((0..seeds.len()).map(|l| cpu_state(block.lane(l))).collect())
+}
+
+/// The lockstep path against the same oracle: a block at 2 and 8 lanes,
+/// each lane with its own register seed. Where the lanes' interpreters
+/// agree on every condition the block must complete with every lane
+/// matching its interpreter; where they disagree it must refuse with a
+/// `Divergence`. Half the programs drop their conditions, so both
+/// outcomes are exercised.
+#[test]
+fn lockstep_block_conforms_to_the_golden_model() {
+    let strategy = (arb_program(), any::<u64>(), any::<bool>());
+    let mut rng = proptest::fresh_rng("lockstep_block_conforms_to_the_golden_model");
+    let (mut completed, mut diverged) = (0, 0);
+    for case in 0..40 {
+        let (mut insns, seed, unconditional) = strategy.sample(&mut rng);
+        if unconditional {
+            for insn in &mut insns {
+                *insn = insn.with_cond(Cond::Al);
+            }
+        }
+        let program = build(&insns);
+        for lanes in [2u64, 8] {
+            let seeds: Vec<u64> = (0..lanes)
+                .map(|l| seed ^ l.wrapping_mul(0x9e37_79b9_7f4a_7c15))
+                .collect();
+            let (golden, agree) = run_lanes_on_interp(&program, &insns, &seeds);
+            for (name, config) in ablations() {
+                match run_on_block(&program, config, &seeds) {
+                    Ok(states) => {
+                        assert!(agree, "case {case}, {lanes} lanes, '{name}': lanes disagree on a condition, yet the block completed");
+                        assert_eq!(states, golden, "case {case}, {lanes} lanes, '{name}'");
+                        completed += 1;
+                    }
+                    Err(divergence) => {
+                        assert!(!agree, "case {case}, {lanes} lanes, '{name}': {divergence}");
+                        assert!(divergence.reason.contains("conditional"), "{divergence}");
+                        diverged += 1;
+                    }
+                }
+            }
+        }
+    }
+    assert!(
+        completed > 0 && diverged > 0,
+        "both outcomes must be exercised: {completed} completed, {diverged} diverged"
+    );
 }
 
 /// A deterministic corner-case battery (kept out of proptest so failures
