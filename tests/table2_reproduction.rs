@@ -120,3 +120,30 @@ fn shifter_leak_is_weakest() {
         "shifter/ALU correlation ratio {ratio} should be near the paper's ~1/10"
     );
 }
+
+/// Table 2's exact rendering at a small fixed campaign, pinned byte for
+/// byte: every correlation, peak instant and verdict. The verdict tests
+/// above would not notice an acquisition change that moves correlations
+/// without flipping a cell; this one does.
+#[test]
+fn render_is_pinned_at_a_small_campaign() {
+    let report = characterize(
+        &UarchConfig::cortex_a7(),
+        &CharacterizationConfig {
+            traces: 96,
+            executions_per_trace: 1,
+            noise: GaussianNoise {
+                sd: 1.5,
+                baseline: 10.0,
+            },
+            threads: 2,
+            ..CharacterizationConfig::default()
+        },
+    )
+    .expect("characterizes");
+    let got = report.render();
+    assert!(
+        got == include_str!("table2_pin.txt"),
+        "Table 2 rendering drifted from tests/table2_pin.txt; got:\n<<<{got}>>>"
+    );
+}
