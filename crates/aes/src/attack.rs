@@ -75,17 +75,15 @@ mod tests {
     use super::*;
     use crate::AesSim;
     use rand::Rng;
-    use sca_power::{
-        AcquisitionConfig, GaussianNoise, LeakageWeights, SamplingConfig, TraceSynthesizer,
-    };
+    use sca_campaign::{Campaign, CampaignConfig};
+    use sca_power::{GaussianNoise, LeakageWeights, SamplingConfig, TraceSet};
     use sca_uarch::UarchConfig;
 
     #[test]
     fn recovers_every_byte_of_the_key() {
         let key = *b"\x00\x01\x02\x03\x04\x05\x06\x07\x08\x09\x0a\x0b\x0c\x0d\x0e\x0f";
         let sim = AesSim::new(UarchConfig::cortex_a7().with_ideal_memory(), &key).expect("builds");
-        let acquisition = AcquisitionConfig {
-            traces: 300,
+        let config = CampaignConfig {
             executions_per_trace: 1,
             sampling: SamplingConfig::per_cycle(),
             noise: GaussianNoise {
@@ -94,10 +92,11 @@ mod tests {
             },
             seed: 5,
             threads: 4,
+            ..CampaignConfig::new(300)
         };
-        let synth = TraceSynthesizer::new(LeakageWeights::cortex_a7(), acquisition);
-        let traces = synth
-            .acquire(
+        let traces = Campaign::new(LeakageWeights::cortex_a7(), config)
+            .with_window(0, 380)
+            .run(
                 sim.cpu(),
                 sim.entry(),
                 |rng, _| {
@@ -106,9 +105,9 @@ mod tests {
                     pt
                 },
                 AesSim::stage_plaintext,
+                TraceSet::new,
             )
-            .expect("acquires")
-            .truncated(380);
+            .expect("acquires");
         let recovered = recover_full_key(&traces, 4);
         assert_eq!(
             recovered.key,

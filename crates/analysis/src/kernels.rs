@@ -2,8 +2,7 @@
 //!
 //! The streaming accumulator's per-batch work is three element-wise
 //! loops (the `Σy/Σy²` sweep and, per guess × trace, the `Σx·y` row
-//! update). With the `simd` feature (default on) those loops run in
-//! fixed-width chunks — [`F64_LANES`] elements at a time with a scalar
+//! update). Those loops run in fixed-width chunks — [`F64_LANES`] elements at a time with a scalar
 //! tail — which is the shape LLVM reliably turns into packed vector
 //! code on stable Rust, with no nightly intrinsics and no external
 //! crates.
@@ -18,8 +17,7 @@
 //! so IEEE-754 guarantees the results are bit-identical at every lane
 //! count, including the scalar tail. `tests/simd_conformance.rs`
 //! enforces this differentially against the `*_scalar` references
-//! below, which are compiled (and exercised) under both feature
-//! settings.
+//! below, which also compute the chunk tails.
 
 /// Lane width of the `f64` kernels (AVX2-sized: 4 × 64-bit).
 pub const F64_LANES: usize = 4;
@@ -49,7 +47,6 @@ pub fn axpy_scalar(row: &mut [f64], x: f64, trace: &[f32]) {
 }
 
 /// `Σy`/`Σy²` sweep, vectorized in [`F32_LANES`]-wide chunks.
-#[cfg(feature = "simd")]
 pub fn moments(sum_y: &mut [f64], sum_yy: &mut [f64], trace: &[f32]) {
     let n = sum_y.len().min(sum_yy.len()).min(trace.len());
     let (sy, syy, tr) = (&mut sum_y[..n], &mut sum_yy[..n], &trace[..n]);
@@ -70,14 +67,7 @@ pub fn moments(sum_y: &mut [f64], sum_yy: &mut [f64], trace: &[f32]) {
     );
 }
 
-/// `Σy`/`Σy²` sweep (scalar build).
-#[cfg(not(feature = "simd"))]
-pub fn moments(sum_y: &mut [f64], sum_yy: &mut [f64], trace: &[f32]) {
-    moments_scalar(sum_y, sum_yy, trace);
-}
-
 /// `row[i] += x * trace[i]`, vectorized in [`F64_LANES`]-wide chunks.
-#[cfg(feature = "simd")]
 pub fn axpy(row: &mut [f64], x: f64, trace: &[f32]) {
     let n = row.len().min(trace.len());
     let (row, tr) = (&mut row[..n], &trace[..n]);
@@ -89,12 +79,6 @@ pub fn axpy(row: &mut [f64], x: f64, trace: &[f32]) {
         }
     }
     axpy_scalar(row_c.into_remainder(), x, tr_c.remainder());
-}
-
-/// `row[i] += x * trace[i]` (scalar build).
-#[cfg(not(feature = "simd"))]
-pub fn axpy(row: &mut [f64], x: f64, trace: &[f32]) {
-    axpy_scalar(row, x, trace);
 }
 
 #[cfg(test)]

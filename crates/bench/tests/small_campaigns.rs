@@ -1,6 +1,8 @@
-//! Campaigns too small for a TVLA verdict (fewer than two traces in a
-//! population) are a caller error, not a crash: the binaries must exit
-//! non-zero with a one-line error instead of panicking in the t-test.
+//! Campaigns too small for their statistic are a caller error, not a
+//! crash: a TVLA verdict needs two traces per population and a
+//! characterization's significance threshold four traces, and the
+//! binaries must exit non-zero with a one-line error instead of
+//! panicking in the t-test or the threshold.
 
 use std::process::Command;
 
@@ -16,7 +18,8 @@ fn run(bin: &str, args: &[&str]) -> (bool, String) {
     )
 }
 
-fn assert_clean_failure(name: &str, (success, stderr): (bool, String)) {
+/// A failed run whose stderr is exactly one line naming `error`.
+fn assert_clean_failure(name: &str, error: &str, (success, stderr): (bool, String)) {
     assert!(!success, "{name} succeeded with too few traces");
     assert!(!stderr.contains("panicked"), "{name} panicked:\n{stderr}");
     let lines: Vec<&str> = stderr.lines().filter(|l| !l.trim().is_empty()).collect();
@@ -26,7 +29,7 @@ fn assert_clean_failure(name: &str, (success, stderr): (bool, String)) {
         "{name}: expected a one-line error:\n{stderr}"
     );
     assert!(
-        lines[0].contains("TooFewTraces"),
+        lines[0].contains(error),
         "{name}: unexpected error: {}",
         lines[0]
     );
@@ -38,6 +41,7 @@ fn portfolio_rejects_too_few_tvla_traces() {
     for traces in ["0", "3"] {
         assert_clean_failure(
             &format!("portfolio --traces {traces}"),
+            "TooFewTraces",
             run(bin, &["--quick", "--traces", traces, "--threads", "2"]),
         );
     }
@@ -46,6 +50,7 @@ fn portfolio_rejects_too_few_tvla_traces() {
     let store_arg = store.to_str().expect("utf-8 temp path");
     assert_clean_failure(
         "portfolio --store --traces 3",
+        "TooFewTraces",
         run(
             bin,
             &[
@@ -66,9 +71,53 @@ fn portfolio_rejects_too_few_tvla_traces() {
 fn masked_rejects_too_few_tvla_traces() {
     assert_clean_failure(
         "masked --traces 3",
+        "TooFewTraces",
         run(
             env!("CARGO_BIN_EXE_masked"),
             &["--quick", "--traces", "3", "--threads", "2"],
         ),
+    );
+}
+
+#[test]
+fn characterizations_reject_too_few_traces() {
+    for (name, bin) in [
+        ("table2", env!("CARGO_BIN_EXE_table2")),
+        ("ablation", env!("CARGO_BIN_EXE_ablation")),
+    ] {
+        for traces in ["0", "3"] {
+            assert_clean_failure(
+                &format!("{name} --traces {traces}"),
+                "TooFewObservations",
+                run(bin, &["--traces", traces, "--threads", "2"]),
+            );
+        }
+    }
+}
+
+#[test]
+fn characterize_target_rejects_too_few_traces() {
+    use sca_target::{characterize_target, portfolio, TargetCampaignConfig, TargetError};
+    use sca_uarch::UarchConfig;
+
+    let targets = portfolio();
+    let target = targets[0].as_ref();
+    let cpu = target
+        .build(&UarchConfig::cortex_a7())
+        .expect("target builds");
+    let config = TargetCampaignConfig {
+        traces: 3,
+        ..TargetCampaignConfig::default()
+    };
+    let got = characterize_target(target, &cpu, &target.models(), &config, 0.995);
+    assert!(
+        matches!(
+            got,
+            Err(TargetError::TooFewObservations {
+                traces: 3,
+                needed: 4
+            })
+        ),
+        "{got:?}"
     );
 }

@@ -83,8 +83,7 @@ pub struct SimArena {
 impl SimArena {
     /// Creates a worker arena for `synth`, cloning the warmed template
     /// CPU once. The recorder is built with the synthesizer's leakage
-    /// weights, so arena traces are bit-identical to the materializing
-    /// path's.
+    /// weights, as [`TraceSynthesizer::synth_into`] requires.
     pub fn new(synth: &TraceSynthesizer, template: &Cpu) -> SimArena {
         let mut cpu = template.clone();
         // The clone inherits the template's warm-up hit/miss counts;
@@ -130,9 +129,9 @@ impl SimArena {
     }
 
     /// Synthesizes the trace at `index` into the arena's buffers and
-    /// returns `(trace, input)` — the reusable-state equivalent of
-    /// [`TraceSynthesizer::synthesize_trace`], byte-identical to it for
-    /// any prior arena history.
+    /// returns `(trace, input)` — byte-identical to a
+    /// [`TraceSynthesizer::synth_into`] on a fresh CPU clone and fresh
+    /// buffers, for any prior arena history.
     ///
     /// # Errors
     ///
@@ -173,52 +172,12 @@ impl SimArena {
         self.flat.clear();
     }
 
-    /// Synthesizes the trace at `index`, pads it to `full` samples, and
-    /// appends its `[start, start + samples)` window (and its input) to
-    /// the current batch. When `clip` is true the synthesis itself is
-    /// clipped to the window (legal only when the post hook is a no-op
-    /// — out-of-window samples are then discarded unseen).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn push_windowed<G, S, P>(
-        &mut self,
-        synth: &TraceSynthesizer,
-        entry: u32,
-        index: usize,
-        (full, start, samples): (usize, usize, usize),
-        clip: bool,
-        generate: &G,
-        stage: &S,
-        post: &P,
-    ) -> Result<(), UarchError>
-    where
-        G: Fn(&mut StdRng, usize) -> Vec<u8> + Sync,
-        S: Fn(&mut Cpu, &[u8]) + Sync,
-        P: Fn(&mut StdRng, &mut Vec<f64>) + Sync,
-    {
-        let input = synth.synth_into(
-            &mut self.cpu,
-            &mut self.recorder,
-            &mut self.scratch,
-            &mut self.trace,
-            entry,
-            index,
-            clip.then_some((start, start + samples)),
-            generate,
-            stage,
-            post,
-        )?;
-        self.trace.resize(full, 0.0);
-        self.flat
-            .extend_from_slice(&self.trace[start..start + samples]);
-        self.inputs.push(input);
-        self.tally.scalar_traces += 1;
-        Ok(())
-    }
-
     /// Synthesizes the `count` consecutive traces starting at
-    /// `base_index` and appends their windows (and inputs) to the
-    /// current batch, exactly like `count` [`SimArena::push_windowed`]
-    /// calls in index order.
+    /// `base_index`, pads each to `full` samples, and appends its
+    /// `[start, start + samples)` window (and its input) to the current
+    /// batch, in index order. When `clip` is true the synthesis itself
+    /// is clipped to the window (legal only when the post hook is a
+    /// no-op — out-of-window samples are then discarded unseen).
     ///
     /// When the arena has a lockstep block (and `count > 1`), the whole
     /// group runs through it in one pipeline walk. The results are
@@ -243,8 +202,13 @@ impl SimArena {
         S: Fn(&mut Cpu, &[u8]) + Sync,
         P: Fn(&mut StdRng, &mut Vec<f64>) + Sync,
     {
-        if count > 1 && self.block.is_some() {
-            let block = self.block.as_mut().expect("just checked");
+        let clip = clip.then_some((start, start + samples));
+        let mut push = |trace: &mut Vec<f32>, input: Vec<u8>| {
+            trace.resize(full, 0.0);
+            self.flat.extend_from_slice(&trace[start..start + samples]);
+            self.inputs.push(input);
+        };
+        if let Some(block) = self.block.as_mut().filter(|_| count > 1) {
             debug_assert!(count <= block.block.max_lanes());
             let got = synth.synth_block_into(
                 &mut block.block,
@@ -254,51 +218,46 @@ impl SimArena {
                 entry,
                 base_index,
                 count,
-                clip.then_some((start, start + samples)),
+                clip,
                 generate,
                 stage,
                 post,
             );
-            match got {
-                Some(inputs) => {
-                    let counts = block.block.drain_cache_counts(count);
-                    self.tally.cache.accumulate(&counts);
-                    self.tally.lockstep_traces += count as u64;
-                    for (lane, input) in inputs.into_iter().enumerate() {
-                        block.traces[lane].resize(full, 0.0);
-                        self.flat
-                            .extend_from_slice(&block.traces[lane][start..start + samples]);
-                        self.inputs.push(input);
-                    }
-                    return Ok(());
+            if let Some(inputs) = got {
+                let counts = block.block.drain_cache_counts(count);
+                self.tally.cache.accumulate(&counts);
+                self.tally.lockstep_traces += count as u64;
+                for (trace, input) in block.traces.iter_mut().zip(inputs) {
+                    push(trace, input);
                 }
-                // Divergence: the lanes' microarchitectural state was
-                // perturbed mid-run, so retire the block for good and
-                // re-run this group (and all later ones) scalar —
-                // `synth_into` is self-contained per trace. The lanes'
-                // partial cache work is drained and discarded: only the
-                // scalar rerun counts, keeping the totals identical to a
-                // single-lane run.
-                None => {
-                    let block = self.block.as_mut().expect("just checked");
-                    let lanes = block.block.max_lanes();
-                    let _ = block.block.drain_cache_counts(lanes);
-                    self.tally.blocks_poisoned += 1;
-                    self.block = None;
-                }
+                return Ok(());
             }
+            // Divergence: the lanes' microarchitectural state was
+            // perturbed mid-run, so retire the block for good and re-run
+            // this group (and all later ones) scalar — `synth_into` is
+            // self-contained per trace. The lanes' partial cache work is
+            // drained and discarded: only the scalar rerun counts,
+            // keeping the totals identical to a single-lane run.
+            let lanes = block.block.max_lanes();
+            let _ = block.block.drain_cache_counts(lanes);
+            self.tally.blocks_poisoned += 1;
+            self.block = None;
         }
-        for offset in 0..count {
-            self.push_windowed(
-                synth,
+        for index in base_index..base_index + count {
+            let input = synth.synth_into(
+                &mut self.cpu,
+                &mut self.recorder,
+                &mut self.scratch,
+                &mut self.trace,
                 entry,
-                base_index + offset,
-                (full, start, samples),
+                index,
                 clip,
                 generate,
                 stage,
                 post,
             )?;
+            push(&mut self.trace, input);
+            self.tally.scalar_traces += 1;
         }
         Ok(())
     }

@@ -1,0 +1,225 @@
+//! The per-component campaign: one execution-averaged power series per
+//! pipeline component and trace — the acquisition behind every
+//! Table-2-style characterization.
+//!
+//! [`Campaign`](crate::Campaign) records what a probe sees: every
+//! component's power summed into one trace. A characterization needs the
+//! attribution instead — the paper ascribes "the power consumption of a
+//! signal to its driving circuit" — so each trace here carries one
+//! channel per requested [`NodeKind`], cropped to a cycle window and
+//! noised per execution. The portfolio's `characterize_target` and the
+//! Table 2 micro-benchmarks both run through this one loop, lockstep
+//! lanes included.
+
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+
+use sca_power::{
+    BlockComponentPowerRecorder, ComponentPowerRecorder, GaussianNoise, LaneComponentRecorder,
+    LeakageWeights, NoiseSource,
+};
+use sca_uarch::{Cpu, CpuBlock, LaneSim, NodeKind, UarchError, MAX_LANES};
+
+use crate::{run_sharded, Mergeable, ShardPlan};
+
+/// A per-component acquisition campaign, recorded with the Cortex-A7
+/// leakage weights.
+///
+/// Trace `t` draws its input, then its noise, from one RNG stream
+/// seeded with `seed + t·0x9e37`; execution `e` of trace `t` scrambles
+/// the stale node state with `seed ^ (t << 8 | e)`. A trace is therefore
+/// a pure function of `(seed, t)`, whichever worker or lane runs it.
+#[derive(Clone, Debug)]
+pub struct ComponentCampaign<'a> {
+    /// The components recorded, one channel each, in this order.
+    pub components: &'a [NodeKind],
+    /// `(start, len)`: each channel keeps cycles `start..start + len` of
+    /// the trigger window, zero-padded past its end.
+    pub window: (usize, usize),
+    /// Master seed of the input, noise and scramble streams.
+    pub seed: u64,
+    /// Measurement noise, drawn per execution and channel.
+    pub noise: GaussianNoise,
+    /// Executions averaged into each trace.
+    pub executions: usize,
+    /// Lockstep lanes: consecutive traces simulated together through one
+    /// `CpuBlock` pipeline walk (1 disables lockstep). Results are
+    /// bit-identical at every setting.
+    pub lanes: usize,
+    /// How the trace indices are split across workers.
+    pub plan: ShardPlan,
+}
+
+/// One worker's reusable state: a scalar CPU and recorder, the lockstep
+/// block until its first divergence, and the per-trace buffers.
+struct Worker {
+    cpu: Cpu,
+    recorder: ComponentPowerRecorder,
+    block: Option<(CpuBlock, BlockComponentPowerRecorder)>,
+    /// `lanes × components` execution-summed power.
+    sums: Vec<Vec<Vec<f64>>>,
+    /// One component's windowed per-cycle power of one execution.
+    samples: Vec<f64>,
+    /// One trace's averaged channels, as handed to the sink.
+    channels: Vec<Vec<f32>>,
+}
+
+impl ComponentCampaign<'_> {
+    /// Runs the campaign on clones of `template` (loaded and warmed),
+    /// handing every trace to `absorb(sink, input, channels)`, where
+    /// `channels[c]` is the averaged series of `components[c]`. Each
+    /// worker absorbs its traces in index order into its own `sink()`,
+    /// and the worker sinks merge in worker order.
+    ///
+    /// # Errors
+    ///
+    /// Propagates simulator faults.
+    pub fn run<G, S, K, A>(
+        &self,
+        template: &Cpu,
+        entry: u32,
+        generate: G,
+        stage: S,
+        sink: impl Fn() -> K + Sync,
+        absorb: A,
+    ) -> Result<K, UarchError>
+    where
+        G: Fn(&mut StdRng, usize) -> Vec<u8> + Sync,
+        S: Fn(&mut Cpu, &[u8]) + Sync,
+        K: Mergeable + Send,
+        A: Fn(&mut K, &[u8], &[Vec<f32>]) + Sync,
+    {
+        let lanes = self.lanes.clamp(1, MAX_LANES);
+        let components = self.components.len();
+        let worker = || Worker {
+            cpu: template.clone(),
+            recorder: ComponentPowerRecorder::new(LeakageWeights::cortex_a7()),
+            block: (lanes > 1).then(|| {
+                (
+                    CpuBlock::from_template(template, lanes),
+                    BlockComponentPowerRecorder::new(LeakageWeights::cortex_a7(), lanes),
+                )
+            }),
+            sums: vec![vec![Vec::new(); components]; lanes],
+            samples: Vec::new(),
+            channels: vec![Vec::new(); components],
+        };
+        run_sharded(&self.plan, worker, sink, |worker, sink, range| {
+            let mut t = range.start;
+            while t < range.end {
+                let width = if worker.block.is_some() { lanes } else { 1 };
+                let group = width.min(range.end - t);
+                if let Some((block, recorder)) = worker.block.as_mut().filter(|_| group > 1) {
+                    let recorded = self.record_group(
+                        block,
+                        recorder,
+                        (&mut worker.sums, &mut worker.samples),
+                        (entry, t, group),
+                        &generate,
+                        &stage,
+                    );
+                    if let Ok(inputs) = recorded {
+                        self.absorb_all(worker, sink, &inputs, &absorb);
+                        t += group;
+                        continue;
+                    }
+                    // Divergence: retire the block for this worker and
+                    // re-run the group on the scalar path (nothing of it
+                    // was absorbed yet).
+                    worker.block = None;
+                }
+                for index in t..t + group {
+                    let inputs = self.record_group(
+                        &mut worker.cpu,
+                        &mut worker.recorder,
+                        (&mut worker.sums, &mut worker.samples),
+                        (entry, index, 1),
+                        &generate,
+                        &stage,
+                    )?;
+                    self.absorb_all(worker, sink, &inputs, &absorb);
+                }
+                t += group;
+            }
+            Ok(())
+        })
+    }
+
+    /// Records traces `base..base + count`, one per lane of `sim`, into
+    /// `sums[..count]`; returns their inputs. Each lane draws from its
+    /// own per-index streams and the recorder keeps each lane's events
+    /// in one-lane order, so the sums do not depend on the lane count.
+    #[inline]
+    fn record_group<C: LaneSim, const L: usize, G, S>(
+        &self,
+        sim: &mut C,
+        recorder: &mut LaneComponentRecorder<L>,
+        (sums, samples): (&mut [Vec<Vec<f64>>], &mut Vec<f64>),
+        (entry, base, count): (u32, usize, usize),
+        generate: &G,
+        stage: &S,
+    ) -> Result<Vec<Vec<u8>>, C::Error>
+    where
+        G: Fn(&mut StdRng, usize) -> Vec<u8> + Sync,
+        S: Fn(&mut Cpu, &[u8]) + Sync,
+    {
+        let (start, len) = self.window;
+        let mut rngs: Vec<StdRng> = (base..base + count)
+            .map(|t| StdRng::seed_from_u64(self.seed.wrapping_add(t as u64 * 0x9e37)))
+            .collect();
+        let inputs: Vec<Vec<u8>> = rngs
+            .iter_mut()
+            .zip(base..)
+            .map(|(rng, t)| generate(rng, t))
+            .collect();
+        let sums = &mut sums[..count];
+        for channel in sums.iter_mut().flatten() {
+            channel.clear();
+            channel.resize(len, 0.0);
+        }
+        let mut seeds = [0u64; MAX_LANES];
+        for e in 0..self.executions.max(1) {
+            for (seed, t) in seeds[..count].iter_mut().zip(base..) {
+                *seed = self.seed ^ ((t as u64) << 8 | e as u64);
+            }
+            sim.restart_lanes(entry, &seeds[..count]);
+            for (lane, input) in inputs.iter().enumerate() {
+                stage(sim.lane_cpu(lane), input);
+            }
+            recorder.reset();
+            sim.run_lanes(recorder)?;
+            for (lane, (rng, channels)) in rngs.iter_mut().zip(sums.iter_mut()).enumerate() {
+                let mut noise = self.noise;
+                for (&kind, channel) in self.components.iter().zip(channels) {
+                    recorder.windowed_power_into(lane, kind, samples);
+                    samples.resize(start + len, 0.0);
+                    let cropped = &mut samples[start..];
+                    noise.add_to(rng, cropped);
+                    for (sum, s) in channel.iter_mut().zip(&*cropped) {
+                        *sum += s;
+                    }
+                }
+            }
+        }
+        Ok(inputs)
+    }
+
+    /// Averages the recorded lanes' sums into channels and hands each
+    /// trace to the sink, in index order.
+    fn absorb_all<K>(
+        &self,
+        worker: &mut Worker,
+        sink: &mut K,
+        inputs: &[Vec<u8>],
+        absorb: &impl Fn(&mut K, &[u8], &[Vec<f32>]),
+    ) {
+        let inv = 1.0 / self.executions.max(1) as f64;
+        for (input, sums) in inputs.iter().zip(&worker.sums) {
+            for (channel, sum) in worker.channels.iter_mut().zip(sums) {
+                channel.clear();
+                channel.extend(sum.iter().map(|&s| (s * inv) as f32));
+            }
+            absorb(sink, input, &worker.channels);
+        }
+    }
+}

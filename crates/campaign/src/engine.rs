@@ -54,17 +54,17 @@ impl CampaignConfig {
 
 /// A streaming trace-acquisition campaign over a simulated CPU.
 ///
-/// Wraps a [`TraceSynthesizer`] (so every trace is bit-identical to what
-/// the materializing [`TraceSynthesizer::acquire`] path would record)
-/// and drives it through the sharded engine: workers synthesize batches
-/// of traces and fold them straight into per-worker [`CampaignSink`]s,
-/// which merge in worker order at the end. Peak memory is the sink's
-/// accumulator plus one batch of traces per worker — never the full
-/// `traces × samples` matrix.
+/// Wraps a [`TraceSynthesizer`] (trace `i` is its
+/// [`TraceSynthesizer::synth_into`] trace at index `i`) and drives it
+/// through the sharded engine over the synthesizer's thread count:
+/// workers synthesize batches of traces and fold them straight into
+/// per-worker [`CampaignSink`]s, which merge in worker order at the
+/// end. Peak memory is the sink's accumulator plus one batch of traces
+/// per worker — never the full `traces × samples` matrix, unless the
+/// sink is a [`sca_power::TraceSet`] that keeps every trace.
 #[derive(Clone, Debug)]
 pub struct Campaign {
     pub(crate) synth: TraceSynthesizer,
-    pub(crate) threads: usize,
     pub(crate) batch: usize,
     pub(crate) lanes: usize,
     pub(crate) window: Option<(usize, usize)>,
@@ -73,20 +73,17 @@ pub struct Campaign {
 impl Campaign {
     /// Creates a campaign engine.
     pub fn new(weights: LeakageWeights, config: CampaignConfig) -> Campaign {
-        let threads = config.threads.max(1);
-        let batch = config.batch.max(1);
         let acquisition = AcquisitionConfig {
             traces: config.traces,
             executions_per_trace: config.executions_per_trace,
             sampling: config.sampling,
             noise: config.noise,
             seed: config.seed,
-            threads,
+            threads: config.threads.max(1),
         };
         Campaign {
             synth: TraceSynthesizer::new(weights, acquisition),
-            threads,
-            batch,
+            batch: config.batch.max(1),
             lanes: DEFAULT_LANES,
             window: None,
         }
@@ -121,9 +118,10 @@ impl Campaign {
 
     /// The sharding plan this campaign will run with.
     pub fn plan(&self) -> ShardPlan {
+        let config = self.synth.config();
         ShardPlan {
-            items: self.synth.config().traces,
-            threads: self.threads,
+            items: config.traces,
+            threads: config.threads,
             batch: self.batch,
         }
     }
@@ -132,7 +130,11 @@ impl Campaign {
     ///
     /// * `cpu` — loaded (and ideally warmed) template CPU;
     /// * `entry` — program entry point;
-    /// * `generate` / `stage` — as in [`TraceSynthesizer::acquire`];
+    /// * `generate` — draws one input (opaque bytes) per trace from the
+    ///   trace's own RNG stream;
+    /// * `stage` — writes an input into CPU registers/memory; called
+    ///   before *every* execution, so it must fully re-initialize any
+    ///   memory the program mutates;
     /// * `sink` — builds one worker's empty sink, given the (windowed)
     ///   samples per trace.
     ///
@@ -159,9 +161,9 @@ impl Campaign {
     }
 
     /// Like [`Campaign::run`], with a post-processing hook applied to
-    /// each raw execution's samples (the OS-noise environments inject
-    /// co-resident workload power and jitter through it, exactly as in
-    /// [`TraceSynthesizer::acquire_with`]).
+    /// each raw execution's samples after leakage expansion and Gaussian
+    /// noise (the OS-noise environments in `sca-osnoise` inject
+    /// co-resident workload power and jitter through it).
     ///
     /// # Errors
     ///

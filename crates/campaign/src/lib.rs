@@ -1,7 +1,10 @@
 //! # sca-campaign — sharded, streaming side-channel campaigns
 //!
 //! Every experiment in this reproduction — the Figure 3/4 CPA attacks,
-//! the Table 2 characterization, the ablations — is the same pipeline:
+//! the Table 2 characterization, the ablations — is the same pipeline,
+//! run by one of two engines: [`Campaign`] for single-channel traces
+//! (what a probe sees) and [`ComponentCampaign`] for per-component
+//! traces (one channel per pipeline component):
 //!
 //! ```text
 //!  seed ──► per-trace RNG streams ──► simulate + synthesize ──► statistics
@@ -17,7 +20,8 @@
 //! merges the per-worker sinks in worker order. No trace outlives its
 //! batch: a 100k-trace `--full` campaign peaks at the accumulator size —
 //! `O(guesses × samples)` for CPA — instead of the `O(traces × samples)`
-//! matrix the old materialize-then-correlate flow allocated.
+//! matrix a [`sca_power::TraceSet`] sink keeps for callers that want
+//! the materialized traces.
 //!
 //! ## The determinism contract
 //!
@@ -45,7 +49,7 @@
 //! use sca_analysis::{cpa_attack, hw8, CpaConfig, FnSelection};
 //! use sca_campaign::{Campaign, CampaignConfig, CpaSink};
 //! use sca_isa::{assemble, Reg};
-//! use sca_power::{GaussianNoise, LeakageWeights, SamplingConfig, TraceSynthesizer};
+//! use sca_power::{GaussianNoise, LeakageWeights, SamplingConfig, TraceSet};
 //! use sca_uarch::{Cpu, UarchConfig};
 //!
 //! let program = assemble(
@@ -86,7 +90,8 @@
 //! };
 //!
 //! // Streaming, sharded campaign...
-//! let sink = Campaign::new(LeakageWeights::cortex_a7(), config.clone()).run(
+//! let campaign = Campaign::new(LeakageWeights::cortex_a7(), config);
+//! let sink = campaign.run(
 //!     &cpu,
 //!     program.entry(),
 //!     generate,
@@ -96,18 +101,7 @@
 //! let streamed = sink.finish();
 //!
 //! // ...agrees with materializing every trace and running batch CPA.
-//! let synth = TraceSynthesizer::new(
-//!     LeakageWeights::cortex_a7(),
-//!     sca_power::AcquisitionConfig {
-//!         traces: config.traces,
-//!         executions_per_trace: config.executions_per_trace,
-//!         sampling: config.sampling,
-//!         noise: config.noise,
-//!         seed: config.seed,
-//!         threads: 1,
-//!     },
-//! );
-//! let set = synth.acquire(&cpu, program.entry(), generate, stage)?;
+//! let set = campaign.run(&cpu, program.entry(), generate, stage, TraceSet::new)?;
 //! let batch = cpa_attack(&set, &model, &CpaConfig { guesses: 256, threads: 1 });
 //! assert_eq!(streamed.best_guess(), batch.best_guess());
 //! for g in 0..256 {
@@ -121,20 +115,24 @@
 //! ## Layering
 //!
 //! * [`ShardPlan`] / [`run_sharded`] / [`Mergeable`] — the generic
-//!   deterministic map-reduce; `sca-core`'s Table 2 characterization
-//!   drives its multi-channel acquisition through this directly;
+//!   deterministic map-reduce both engines run on;
 //! * [`SimArena`] — one worker's reusable simulation state (staged CPU,
 //!   power recorder, synthesis scratch, batch buffers): created once per
 //!   shard and reused across the worker's whole index range, so the
 //!   steady-state trace loop is allocation-free;
 //! * [`Campaign`] / [`CampaignConfig`] — the standard power-trace
 //!   campaign (probe for the window length, synthesize, crop, stream);
+//! * [`ComponentCampaign`] — the per-component campaign of the Table 2
+//!   characterization and `sca-target`'s `characterize_target`: one
+//!   execution-averaged channel per requested component, handed trace
+//!   by trace to a caller-supplied sink;
 //! * [`CampaignSink`] / [`CpaSink`] / [`CorrSink`] / [`TtestSink`] —
 //!   streaming reducers built on the mergeable accumulators in
 //!   [`sca_analysis`]; `TtestSink` routes each trace into the fixed or
 //!   random TVLA population by classifying its input, which is how the
 //!   `masked` countermeasure campaigns run fixed-vs-random assessments
-//!   through the same sharded engine;
+//!   through the same sharded engine; a [`sca_power::TraceSet`] sink
+//!   keeps every trace, in index order;
 //! * [`CropSink`] plus the `Vec<K>` sink impl — one campaign over the
 //!   union of several analysis windows, fanned out into one cropped
 //!   sink per analysis, bit-identical to one campaign per window.
@@ -151,12 +149,14 @@
 #![warn(missing_debug_implementations)]
 
 mod arena;
+mod component;
 mod engine;
 mod shard;
 mod sink;
 mod store_run;
 
 pub use arena::SimArena;
+pub use component::ComponentCampaign;
 pub use engine::{Campaign, CampaignConfig, DEFAULT_LANES};
 pub use shard::{run_sharded, Mergeable, ShardPlan, DEFAULT_BATCH};
 pub use sink::{CampaignSink, Checkpointable, CorrSink, CpaSink, CropSink, TtestSink};

@@ -9,6 +9,7 @@ use sca_analysis::{
     CpaAccumulator, CpaResult, PearsonAccumulator, SelectionFunction, StateError, StateReader,
     TtestAccumulator,
 };
+use sca_power::TraceSet;
 
 use crate::Mergeable;
 
@@ -35,6 +36,32 @@ impl<K: CampaignSink> CampaignSink for Vec<K> {
         for sink in self {
             sink.absorb_batch(inputs, traces, samples);
         }
+    }
+}
+
+/// Keeps every trace with its input, in index order: the sink of a
+/// caller that needs the whole trace matrix (batch CPA, persistence).
+impl Mergeable for TraceSet {
+    fn merge(&mut self, other: TraceSet) {
+        TraceSet::merge(self, other);
+    }
+}
+
+impl CampaignSink for TraceSet {
+    fn absorb_batch(&mut self, inputs: &[Vec<u8>], traces: &[f32], samples: usize) {
+        for (i, input) in inputs.iter().enumerate() {
+            self.push(
+                traces[i * samples..(i + 1) * samples].to_vec(),
+                input.clone(),
+            );
+        }
+    }
+}
+
+/// One correlation series per characterization cell.
+impl Mergeable for PearsonAccumulator {
+    fn merge(&mut self, other: PearsonAccumulator) {
+        PearsonAccumulator::merge(self, &other);
     }
 }
 

@@ -434,7 +434,7 @@ impl Campaign {
     {
         let plan = ShardPlan {
             items: (segment.end - segment.start) as usize,
-            threads: self.threads,
+            threads: self.synth.config().threads,
             batch: self.batch,
         };
         let seg_start = segment.start;

@@ -27,10 +27,11 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 
 use sca_analysis::{significance_threshold, PearsonAccumulator};
-use sca_campaign::{run_sharded, Mergeable, ShardPlan};
+use sca_campaign::{ComponentCampaign, ShardPlan};
 use sca_isa::{AddrMode, Insn, Program, ProgramBuilder, Reg, ShiftKind};
-use sca_power::{ComponentPowerRecorder, GaussianNoise, LeakageWeights, NoiseSource};
-use sca_uarch::{Cpu, NodeKind, NullObserver, UarchConfig, UarchError};
+use sca_power::{ComponentPowerRecorder, GaussianNoise, LeakageWeights};
+use sca_target::{check_charz_traces, TargetError};
+use sca_uarch::{Cpu, NodeKind, NullObserver, UarchConfig};
 
 /// Paper-derived expectation for one model cell of Table 2.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -594,24 +595,6 @@ impl Default for CharacterizationConfig {
     }
 }
 
-/// Streaming sink of one characterization row: one mergeable Pearson
-/// accumulator per model cell, each correlating its expression against
-/// its component's power sub-trace.
-struct RowSink {
-    /// Index-aligned with the benchmark's `models`.
-    accs: Vec<PearsonAccumulator>,
-    traces: u64,
-}
-
-impl Mergeable for RowSink {
-    fn merge(&mut self, other: RowSink) {
-        for (acc, theirs) in self.accs.iter_mut().zip(&other.accs) {
-            acc.merge(theirs);
-        }
-        self.traces += other.traces;
-    }
-}
-
 /// Runs one benchmark row and evaluates its models.
 ///
 /// Leakage is attributed per component: the acquisition records one
@@ -624,17 +607,24 @@ impl Mergeable for RowSink {
 /// register-file read ports from the operand buses that carry the same
 /// values one cycle later.
 ///
+/// The acquisition is the [`ComponentCampaign`] that `sca-target`'s
+/// `characterize_target` also runs, here over every component kind and
+/// the whole trigger window, with lockstep lanes; the probe instants,
+/// the one-component cells and the dual-issue check are Table 2's own.
+///
 /// # Errors
 ///
-/// Propagates simulator faults.
+/// Propagates simulator faults; fewer than four traces fail with
+/// [`TargetError::TooFewObservations`] before any simulation.
 pub fn run_benchmark(
     benchmark: &LeakBenchmark,
     uarch: &UarchConfig,
     config: &CharacterizationConfig,
-) -> Result<RowResult, UarchError> {
+) -> Result<RowResult, TargetError> {
     use rand::Rng as _;
     use rand::SeedableRng;
 
+    check_charz_traces(config.traces)?;
     // Template CPU, warmed by one throwaway execution.
     let mut template = Cpu::new(uarch.clone());
     template.load(&benchmark.program)?;
@@ -690,100 +680,49 @@ pub fn run_benchmark(
         (window_len, instants)
     };
 
-    // Streaming acquisition through the sharded campaign engine: each
-    // worker synthesizes its index range's multi-channel traces and folds
-    // them straight into per-cell Pearson accumulators, so memory is
-    // O(cells × window) instead of O(traces × components × window).
-    let seed = config.seed ^ ((benchmark.row as u64) << 32);
-    let plan = ShardPlan {
-        items: config.traces,
-        threads: config.threads,
-        batch: config.batch,
-    };
-    let stage = &benchmark.stage;
+    // Streaming acquisition: each trace's channels fold straight into
+    // per-cell Pearson accumulators, so memory is O(cells × window)
+    // instead of O(traces × components × window). The channels cover
+    // every component kind, in `index()` order (the noise draws span
+    // all of them); each cell correlates against its own component's
+    // channel.
     let words = benchmark.input_words;
-    let noise = config.noise;
-    let executions = config.executions_per_trace.max(1);
-    // One reusable multi-channel worker per shard (the `SimArena`
-    // pattern): CPU clone, recorder and scratch buffers live for the
-    // whole index range instead of being allocated per execution.
-    struct RowWorker {
-        cpu: Cpu,
-        recorder: ComponentPowerRecorder,
-        accumulated: Vec<Vec<f64>>,
-        samples: Vec<f64>,
-        channels: Vec<Vec<f32>>,
+    let stage = &benchmark.stage;
+    let accs = ComponentCampaign {
+        components: &NodeKind::ALL,
+        window: (0, window_len),
+        seed: config.seed ^ ((benchmark.row as u64) << 32),
+        noise: config.noise,
+        executions: config.executions_per_trace,
+        lanes: sca_campaign::DEFAULT_LANES,
+        plan: ShardPlan {
+            items: config.traces,
+            threads: config.threads,
+            batch: config.batch,
+        },
     }
-    let sink = run_sharded(
-        &plan,
-        || RowWorker {
-            cpu: template.clone(),
-            recorder: ComponentPowerRecorder::new(LeakageWeights::cortex_a7()),
-            accumulated: vec![Vec::new(); NodeKind::COUNT],
-            samples: Vec::new(),
-            channels: vec![Vec::new(); NodeKind::COUNT],
+    .run(
+        &template,
+        0,
+        |rng, _| {
+            let mut input = vec![0u8; words * 4];
+            rng.fill(&mut input[..]);
+            input
         },
-        || RowSink {
-            accs: benchmark
-                .models
-                .iter()
-                .map(|_| PearsonAccumulator::new(window_len))
-                .collect(),
-            traces: 0,
-        },
-        |worker, sink, range| {
-            for t in range {
-                let mut rng = StdRng::seed_from_u64(seed.wrapping_add(t as u64 * 0x9e37));
-                let mut input = vec![0u8; words * 4];
-                rng.fill(&mut input[..]);
-                for channel in &mut worker.accumulated {
-                    channel.clear();
-                    channel.resize(window_len, 0.0);
-                }
-                for e in 0..executions {
-                    worker
-                        .cpu
-                        .restart_seeded(0, seed ^ ((t as u64) << 8 | e as u64));
-                    stage(&mut worker.cpu, &input);
-                    worker.recorder.reset();
-                    worker.cpu.run(&mut worker.recorder)?;
-                    let mut gauss = noise;
-                    for kind in NodeKind::ALL {
-                        worker
-                            .recorder
-                            .windowed_power_into(0, kind, &mut worker.samples);
-                        worker.samples.resize(window_len, 0.0);
-                        gauss.add_to(&mut rng, &mut worker.samples);
-                        for (a, s) in worker.accumulated[kind.index()]
-                            .iter_mut()
-                            .zip(&worker.samples)
-                        {
-                            *a += s;
-                        }
-                    }
-                }
-                let inv = 1.0 / executions as f64;
-                for (channel, accumulated) in worker.channels.iter_mut().zip(&worker.accumulated) {
-                    channel.clear();
-                    channel.extend(accumulated.iter().map(|&s| (s * inv) as f32));
-                }
-                for (spec, acc) in benchmark.models.iter().zip(&mut sink.accs) {
-                    acc.add(
-                        (spec.model)(&input),
-                        &worker.channels[spec.component.index()],
-                    );
-                }
-                sink.traces += 1;
+        |cpu, input| stage(cpu, input),
+        || vec![PearsonAccumulator::new(window_len); benchmark.models.len()],
+        |accs: &mut Vec<PearsonAccumulator>, input, channels| {
+            for (spec, acc) in benchmark.models.iter().zip(accs) {
+                acc.add((spec.model)(input), &channels[spec.component.index()]);
             }
-            Ok::<(), UarchError>(())
         },
     )?;
 
-    let n = sink.traces;
+    let n = config.traces as u64;
     let cells = benchmark
         .models
         .iter()
-        .zip(&sink.accs)
+        .zip(&accs)
         .map(|(spec, acc)| {
             let series = acc.correlations();
             let candidates = &instants[spec.component.index()];
@@ -812,7 +751,7 @@ pub fn run_benchmark(
         row: benchmark.row,
         sequence: benchmark.sequence.clone(),
         dual_issued,
-        traces: n as usize,
+        traces: config.traces,
         cells,
     })
 }
@@ -821,11 +760,11 @@ pub fn run_benchmark(
 ///
 /// # Errors
 ///
-/// Propagates simulator faults.
+/// As [`run_benchmark`].
 pub fn characterize(
     uarch: &UarchConfig,
     config: &CharacterizationConfig,
-) -> Result<Table2Report, UarchError> {
+) -> Result<Table2Report, TargetError> {
     let rows = table2_benchmarks()
         .iter()
         .map(|b| run_benchmark(b, uarch, config))

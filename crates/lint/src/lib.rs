@@ -14,7 +14,7 @@
 //!
 //! Two passes share one taint domain ([`Taint`]):
 //!
-//! * the **concrete-path taint machine** ([`exec`]) executes the
+//! * the **concrete-path taint machine** (`exec`) executes the
 //!   target's canonical staged input with the same semantics tables as
 //!   the reference interpreter, shadowing every register, flag and
 //!   memory byte with labels — secret bytes, input bytes, and an

@@ -13,7 +13,7 @@
 //!   the capture with foreign activity;
 //! * [`TraceJitter`] — per-execution trigger/clock misalignment;
 //! * [`LinuxEnvironment`] — the composition, pluggable into
-//!   `sca_power::TraceSynthesizer::acquire_with`.
+//!   `sca_campaign::Campaign::run_with`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -4,7 +4,7 @@
 //! Figure 3: additive second-core workload power (Apache under HTTPerf at
 //! 1000 requests/s), occasional preemption of the victim process, and
 //! per-execution trigger jitter. Plugs into
-//! `sca_power::TraceSynthesizer::acquire_with` as the post-processing
+//! `sca_campaign::Campaign::run_with` as the post-processing
 //! hook.
 
 use rand::rngs::StdRng;
@@ -71,19 +71,21 @@ impl LinuxEnvironment {
     }
 
     /// Applies the environment to one execution's samples — pass this to
-    /// `TraceSynthesizer::acquire_with` as the `post` hook:
+    /// `sca_campaign::Campaign::run_with` as the `post` hook:
     ///
     /// ```no_run
-    /// # use sca_power::{AcquisitionConfig, LeakageWeights, SamplingConfig, TraceSynthesizer};
+    /// # use sca_campaign::Campaign;
+    /// # use sca_power::{SamplingConfig, TraceSet};
     /// # use sca_osnoise::LinuxEnvironment;
-    /// # fn demo(synth: &TraceSynthesizer, cpu: &sca_uarch::Cpu) -> Result<(), Box<dyn std::error::Error>> {
+    /// # fn demo(campaign: &Campaign, cpu: &sca_uarch::Cpu) -> Result<(), Box<dyn std::error::Error>> {
     /// let env = LinuxEnvironment::loaded_apache(&SamplingConfig::default())?;
-    /// let traces = synth.acquire_with(
+    /// let traces = campaign.run_with(
     ///     cpu,
     ///     0,
     ///     |rng, _| { use rand::Rng; vec![rng.gen::<u8>(); 16] },
     ///     |cpu, input| { /* stage input */ },
     ///     |rng, samples| env.apply(rng, samples),
+    ///     TraceSet::new,
     /// )?;
     /// # Ok(()) }
     /// ```

@@ -14,8 +14,10 @@
 //!   recorders written once for any lane count;
 //! * [`SamplingConfig`] — 500 MS/s-style cycle→sample expansion;
 //! * [`GaussianNoise`]/[`NoiseSource`] — measurement and environment noise;
-//! * [`TraceSynthesizer`]/[`AcquisitionConfig`] — deterministic,
-//!   optionally multi-threaded campaign runner producing [`TraceSet`]s.
+//! * [`TraceSynthesizer`]/[`AcquisitionConfig`] — deterministic per-trace
+//!   synthesis, one body for a one-lane `Cpu` and a lockstep `CpuBlock`
+//!   (`sca-campaign` runs it across threads and lanes);
+//! * [`TraceSet`] — a materialized trace matrix with its inputs.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

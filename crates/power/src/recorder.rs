@@ -138,6 +138,19 @@ impl<const L: usize> LanePowerRecorder<L> {
         );
     }
 
+    /// One lane's per-cycle power inside the first high-trigger window:
+    /// borrowed in place from a one-lane recorder, gathered into
+    /// `gather` (cleared first, capacity reused) otherwise.
+    #[inline]
+    pub(crate) fn lane_window<'a>(&'a self, lane: usize, gather: &'a mut Vec<f64>) -> &'a [f64] {
+        if L == 1 {
+            let (start, end) = self.window();
+            return &self.power[start..end];
+        }
+        self.windowed_power_into(lane, gather);
+        gather
+    }
+
     /// Clears recorded data, keeping the weights and the allocated
     /// capacity (reuse across the averaged executions of a trace).
     pub fn reset(&mut self) {

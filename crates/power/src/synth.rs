@@ -1,5 +1,5 @@
-//! Trace acquisition: run a program many times with random inputs and
-//! synthesize the oscilloscope traces an attacker would capture.
+//! Trace synthesis: run a program with an input and turn its activity
+//! into the averaged oscilloscope trace an attacker would capture.
 //!
 //! The protocol mirrors the paper's Section 4 setup:
 //!
@@ -12,16 +12,18 @@
 //!    expanded to samples and gets fresh Gaussian noise;
 //! 4. the executions are averaged into one stored trace.
 //!
-//! Acquisition is deterministic given the seed, independent of the thread
-//! count: every trace derives its own RNG stream.
+//! A trace is a pure function of `(seed, index)`: every trace derives
+//! its own RNG stream. The campaign engine in `sca-campaign` fans the
+//! indices out over worker threads and lockstep lanes.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use sca_uarch::{Cpu, CpuBlock, UarchError};
+use sca_uarch::{Cpu, CpuBlock, LaneSim, UarchError, MAX_LANES};
 
 use crate::{
-    BlockPowerRecorder, GaussianNoise, LeakageWeights, PowerRecorder, SamplingConfig, TraceSet,
+    BlockPowerRecorder, GaussianNoise, LanePowerRecorder, LeakageWeights, PowerRecorder,
+    SamplingConfig,
 };
 
 /// Acquisition campaign parameters.
@@ -37,7 +39,8 @@ pub struct AcquisitionConfig {
     pub noise: GaussianNoise,
     /// Master seed; all randomness (inputs and noise) derives from it.
     pub seed: u64,
-    /// Worker threads (1 = serial). Results are identical regardless.
+    /// Worker threads of the campaign engine (1 = serial). Results are
+    /// identical regardless.
     pub threads: usize,
 }
 
@@ -53,26 +56,14 @@ impl AcquisitionConfig {
             threads: 1,
         }
     }
-
-    /// Sets the seed (builder style).
-    #[must_use]
-    pub fn with_seed(mut self, seed: u64) -> AcquisitionConfig {
-        self.seed = seed;
-        self
-    }
-
-    /// Sets the thread count (builder style).
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> AcquisitionConfig {
-        self.threads = threads.max(1);
-        self
-    }
 }
 
 /// The `power/simulator_runs` telemetry counter: simulator executions
-/// started by trace synthesis (every `cpu.run` issued by
-/// [`TraceSynthesizer::synth_into`] and
-/// [`TraceSynthesizer::probe_samples`], across all threads).
+/// of trace synthesis — every window probe
+/// ([`TraceSynthesizer::probe_samples`]) and every execution a
+/// [`TraceSynthesizer::synth_into`] or
+/// [`TraceSynthesizer::synth_block_into`] run completes, across all
+/// threads.
 ///
 /// Re-analysis paths that replay a stored corpus assert this counter
 /// does not move — stored traces must never trigger resimulation. The
@@ -83,7 +74,7 @@ fn simulator_runs_counter() -> &'static std::sync::Arc<sca_telemetry::Counter> {
     sca_telemetry::counter!("power/simulator_runs")
 }
 
-/// How many simulator executions trace synthesis has started in this
+/// How many simulator executions trace synthesis has run in this
 /// process so far. Monotonic; sample it before and after an operation
 /// to count the runs it caused.
 ///
@@ -110,7 +101,7 @@ fn child_seed(master: u64, index: u64) -> u64 {
 #[derive(Clone, Debug, Default)]
 pub struct SynthScratch {
     /// Execution-averaged power, in f64 (converted to f32 only at the
-    /// end, exactly like the materializing path).
+    /// end).
     accum: Vec<f64>,
     /// One execution's expanded (and noised) sample series.
     samples: Vec<f64>,
@@ -123,7 +114,7 @@ impl SynthScratch {
     }
 }
 
-/// Synthesizes trace sets from a CPU, a leakage model and an acquisition
+/// Synthesizes traces from a CPU, a leakage model and an acquisition
 /// configuration.
 #[derive(Clone, Debug)]
 pub struct TraceSynthesizer {
@@ -146,111 +137,6 @@ impl TraceSynthesizer {
     /// built with to reproduce this synthesizer's traces).
     pub fn weights(&self) -> &LeakageWeights {
         &self.weights
-    }
-
-    /// Acquires a trace set.
-    ///
-    /// * `cpu` — a loaded (and ideally warmed) CPU used as the template
-    ///   for every execution.
-    /// * `entry` — program entry point for each (re-)run.
-    /// * `generate` — draws one input (opaque bytes) per trace.
-    /// * `stage` — writes an input into CPU registers/memory; called
-    ///   before *every* execution, so it must fully re-initialize any
-    ///   memory the program mutates.
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulator faults from any execution.
-    pub fn acquire<G, S>(
-        &self,
-        cpu: &Cpu,
-        entry: u32,
-        generate: G,
-        stage: S,
-    ) -> Result<TraceSet, UarchError>
-    where
-        G: Fn(&mut StdRng, usize) -> Vec<u8> + Sync,
-        S: Fn(&mut Cpu, &[u8]) + Sync,
-    {
-        self.acquire_with(cpu, entry, generate, stage, |_, _| {})
-    }
-
-    /// Like [`TraceSynthesizer::acquire`], with a post-processing hook
-    /// applied to each raw execution's samples (after leakage expansion
-    /// and Gaussian noise). The OS-noise models in `sca-osnoise` inject
-    /// co-resident workload power and trace jitter through this hook.
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulator faults from any execution.
-    pub fn acquire_with<G, S, P>(
-        &self,
-        cpu: &Cpu,
-        entry: u32,
-        generate: G,
-        stage: S,
-        post: P,
-    ) -> Result<TraceSet, UarchError>
-    where
-        G: Fn(&mut StdRng, usize) -> Vec<u8> + Sync,
-        S: Fn(&mut Cpu, &[u8]) + Sync,
-        P: Fn(&mut StdRng, &mut Vec<f64>) + Sync,
-    {
-        let samples_per_trace = self.probe_samples(cpu, entry, &generate, &stage)?;
-
-        let threads = self.config.threads.max(1).min(self.config.traces.max(1));
-        if threads <= 1 {
-            let mut set = TraceSet::new(samples_per_trace);
-            let mut worker_cpu = cpu.clone();
-            for t in 0..self.config.traces {
-                let (trace, input) =
-                    self.synthesize_trace(&mut worker_cpu, entry, t, &generate, &stage, &post)?;
-                set.push(trace, input);
-            }
-            return Ok(set);
-        }
-
-        // Contiguous chunks per thread; merged in order afterwards.
-        let chunk = self.config.traces.div_ceil(threads);
-        let mut partials: Vec<Result<TraceSet, UarchError>> = Vec::new();
-        std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for w in 0..threads {
-                let lo = w * chunk;
-                let hi = ((w + 1) * chunk).min(self.config.traces);
-                if lo >= hi {
-                    break;
-                }
-                let generate = &generate;
-                let stage = &stage;
-                let post = &post;
-                let template = cpu;
-                handles.push(scope.spawn(move || {
-                    let mut set = TraceSet::new(samples_per_trace);
-                    let mut worker_cpu = template.clone();
-                    for t in lo..hi {
-                        let (trace, input) = self.synthesize_trace(
-                            &mut worker_cpu,
-                            entry,
-                            t,
-                            generate,
-                            stage,
-                            post,
-                        )?;
-                        set.push(trace, input);
-                    }
-                    Ok(set)
-                }));
-            }
-            for handle in handles {
-                partials.push(handle.join().expect("worker panicked"));
-            }
-        });
-        let mut set = TraceSet::new(samples_per_trace);
-        for partial in partials {
-            set.merge(partial?);
-        }
-        Ok(set)
     }
 
     /// Draws trace `index`'s input without running the simulator.
@@ -303,64 +189,16 @@ impl TraceSynthesizer {
             .sample_count(recorder.windowed_power().len()))
     }
 
-    /// Synthesizes the single trace at `index`: draws the input from the
-    /// trace's own seeded RNG stream, runs `executions_per_trace`
-    /// executions, and averages them (noise and `post` applied per
-    /// execution).
+    /// The allocation-free synthesis path: synthesizes the trace at
+    /// `index` into caller-owned buffers — the simulator, the power
+    /// recorder, the f64 accumulation scratch and the output f32 trace —
+    /// that are reused across calls. `recorder` must have been built with
+    /// this synthesizer's [`TraceSynthesizer::weights`]; `trace` is
+    /// cleared and filled with the averaged trace. Returns the input.
     ///
-    /// A trace depends only on `(config.seed, index)` — never on the
-    /// thread that produced it — which is the determinism contract the
-    /// sharded campaign engine in `sca-campaign` is built on. `cpu` is a
-    /// worker-local clone of the loaded template CPU.
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulator faults.
-    pub fn synthesize_trace<G, S, P>(
-        &self,
-        cpu: &mut Cpu,
-        entry: u32,
-        index: usize,
-        generate: &G,
-        stage: &S,
-        post: &P,
-    ) -> Result<(Vec<f32>, Vec<u8>), UarchError>
-    where
-        G: Fn(&mut StdRng, usize) -> Vec<u8> + Sync,
-        S: Fn(&mut Cpu, &[u8]) + Sync,
-        P: Fn(&mut StdRng, &mut Vec<f64>) + Sync,
-    {
-        let mut recorder = PowerRecorder::new(self.weights.clone());
-        let mut scratch = SynthScratch::new();
-        let mut trace = Vec::new();
-        let input = self.synth_into(
-            cpu,
-            &mut recorder,
-            &mut scratch,
-            &mut trace,
-            entry,
-            index,
-            None,
-            generate,
-            stage,
-            post,
-        )?;
-        Ok((trace, input))
-    }
-
-    /// The allocation-free synthesis path: like
-    /// [`TraceSynthesizer::synthesize_trace`], but every buffer — the
-    /// simulator, the power recorder, the f64 accumulation scratch and
-    /// the output f32 trace — is caller-owned and reused across calls.
-    /// `recorder` must have been built with this synthesizer's
-    /// [`TraceSynthesizer::weights`]; `trace` is cleared and filled with
-    /// the averaged trace.
-    ///
-    /// Bit-for-bit identical to `synthesize_trace` (same RNG streams,
-    /// same f64 accumulation order, same f32 conversion): the trace
-    /// remains a pure function of `(config.seed, index)` no matter how
-    /// many traces the buffers have already produced — the differential
-    /// tests in `tests/campaign_determinism.rs` pin this.
+    /// The trace is a pure function of `(config.seed, index)` no matter
+    /// how many traces the buffers have already produced — the
+    /// differential tests in `tests/campaign_determinism.rs` pin this.
     ///
     /// `clip`, when `Some((start, end))`, restricts sample synthesis to
     /// that end-exclusive window: out-of-window samples stay at zero
@@ -394,52 +232,28 @@ impl TraceSynthesizer {
         S: Fn(&mut Cpu, &[u8]) + Sync,
         P: Fn(&mut StdRng, &mut Vec<f64>) + Sync,
     {
-        let mut rng = StdRng::seed_from_u64(child_seed(self.config.seed, index as u64));
-        let input = generate(&mut rng, index);
-        let executions = self.config.executions_per_trace.max(1);
-        scratch.accum.clear();
-        let mut noise = self.config.noise;
-        let keep = clip.unwrap_or((0, usize::MAX));
-        for execution in 0..executions {
-            let scramble = child_seed(
-                self.config.seed ^ 0x5eed_0f0d_e500,
-                (index as u64) << 8 | execution as u64,
-            );
-            cpu.restart_seeded(entry, scramble);
-            stage(cpu, &input);
-            recorder.reset();
-            simulator_runs_counter().inc();
-            cpu.run(recorder)?;
-            self.config.sampling.expand_into_clipped(
-                recorder.windowed_power(),
-                &mut scratch.samples,
-                keep,
-            );
-            noise.add_to_clipped(&mut rng, &mut scratch.samples, keep);
-            post(&mut rng, &mut scratch.samples);
-            if scratch.accum.is_empty() {
-                scratch.accum.extend_from_slice(&scratch.samples);
-            } else {
-                crate::vecops::add_assign(&mut scratch.accum, &scratch.samples);
-            }
-        }
-        let inv = 1.0 / executions as f64;
-        trace.clear();
-        crate::vecops::scaled_narrow_extend(trace, &scratch.accum, inv);
-        Ok(input)
+        let mut inputs = self.synth_lanes(
+            cpu,
+            recorder,
+            std::slice::from_mut(scratch),
+            std::slice::from_mut(trace),
+            entry,
+            index,
+            1,
+            clip,
+            generate,
+            stage,
+            post,
+        )?;
+        Ok(inputs.swap_remove(0))
     }
 
-    /// Lockstep multi-trace synthesis: like `count` consecutive
+    /// Lockstep multi-trace synthesis: `count` consecutive
     /// [`TraceSynthesizer::synth_into`] calls for indices
-    /// `base_index..base_index + count`, but every execution steps all
-    /// traces through one [`CpuBlock`] in a single pipeline walk.
-    ///
-    /// Bit-for-bit identical to the scalar path by construction: each
-    /// lane draws from its own per-index RNG streams (inputs, noise,
-    /// scrambles) exactly as the scalar path does, and the block emits
-    /// per-lane node events in the same order a scalar run would, so the
-    /// f64 accumulation order matches. The differential tests in
-    /// `sca-campaign` pin this across every lane count.
+    /// `base_index..base_index + count`, with every execution stepping
+    /// all traces through one [`CpuBlock`] in a single pipeline walk.
+    /// Both run the same synthesis body, so each lane's trace is the
+    /// one-lane trace of its index.
     ///
     /// Returns `None` when the block detects lockstep divergence (data-
     /// dependent control flow or timing); the caller must then fall back
@@ -470,48 +284,83 @@ impl TraceSynthesizer {
     {
         assert!(count >= 1 && count <= block.max_lanes(), "bad lane count");
         assert!(scratches.len() >= count && traces.len() >= count);
+        self.synth_lanes(
+            block, recorder, scratches, traces, entry, base_index, count, clip, generate, stage,
+            post,
+        )
+        .ok()
+    }
 
-        let mut rngs: Vec<StdRng> = (0..count)
-            .map(|l| StdRng::seed_from_u64(child_seed(self.config.seed, (base_index + l) as u64)))
+    /// The one synthesis body: traces `base_index..base_index + count`,
+    /// one per lane of `sim`. Each lane draws from its own per-index RNG
+    /// streams (input, noise, scrambles), and the recorder accumulates
+    /// each lane's events in the order a one-lane run emits them, so
+    /// the `f64` sums — and hence the traces — do not depend on the
+    /// lane count.
+    #[allow(clippy::too_many_arguments)]
+    #[inline]
+    fn synth_lanes<C, const L: usize, G, S, P>(
+        &self,
+        sim: &mut C,
+        recorder: &mut LanePowerRecorder<L>,
+        scratches: &mut [SynthScratch],
+        traces: &mut [Vec<f32>],
+        entry: u32,
+        base_index: usize,
+        count: usize,
+        clip: Option<(usize, usize)>,
+        generate: &G,
+        stage: &S,
+        post: &P,
+    ) -> Result<Vec<Vec<u8>>, C::Error>
+    where
+        C: LaneSim,
+        G: Fn(&mut StdRng, usize) -> Vec<u8> + Sync,
+        S: Fn(&mut Cpu, &[u8]) + Sync,
+        P: Fn(&mut StdRng, &mut Vec<f64>) + Sync,
+    {
+        let config = &self.config;
+        let mut rngs: Vec<StdRng> = (base_index..base_index + count)
+            .map(|index| StdRng::seed_from_u64(child_seed(config.seed, index as u64)))
             .collect();
-        let inputs: Vec<Vec<u8>> = (0..count)
-            .map(|l| generate(&mut rngs[l], base_index + l))
+        let inputs: Vec<Vec<u8>> = rngs
+            .iter_mut()
+            .zip(base_index..)
+            .map(|(rng, index)| generate(rng, index))
             .collect();
-        let executions = self.config.executions_per_trace.max(1);
-        let mut noises: Vec<GaussianNoise> = vec![self.config.noise; count];
-        for scratch in scratches.iter_mut().take(count) {
+        let scratches = &mut scratches[..count];
+        for scratch in scratches.iter_mut() {
             scratch.accum.clear();
         }
+        let executions = config.executions_per_trace.max(1);
         let keep = clip.unwrap_or((0, usize::MAX));
-        // Gather buffer for one lane's windowed series (the recorder
-        // stores lanes interleaved); grows once and is reused across
-        // every (execution, lane) of this group.
-        let mut windowed: Vec<f64> = Vec::new();
-        let mut seeds = [0u64; sca_uarch::MAX_LANES];
+        let mut noise = config.noise;
+        // One lane's windowed series, gathered out of a lockstep
+        // recorder's interleaved storage (a one-lane recorder lends its
+        // own, so this never allocates on the scalar path).
+        let mut gather = Vec::new();
+        let mut seeds = [0u64; MAX_LANES];
         for execution in 0..executions {
-            for (l, seed) in seeds.iter_mut().enumerate().take(count) {
+            for (seed, index) in seeds[..count].iter_mut().zip(base_index..) {
                 *seed = child_seed(
-                    self.config.seed ^ 0x5eed_0f0d_e500,
-                    ((base_index + l) as u64) << 8 | execution as u64,
+                    config.seed ^ 0x5eed_0f0d_e500,
+                    (index as u64) << 8 | execution as u64,
                 );
             }
-            block.restart_seeded(entry, &seeds[..count]);
-            for (l, input) in inputs.iter().enumerate() {
-                stage(block.lane_mut(l), input);
+            sim.restart_lanes(entry, &seeds[..count]);
+            for (lane, input) in inputs.iter().enumerate() {
+                stage(sim.lane_cpu(lane), input);
             }
             recorder.reset();
-            if block.run(recorder).is_err() {
-                return None;
-            }
+            sim.run_lanes(recorder)?;
             simulator_runs_counter().add(count as u64);
-            for l in 0..count {
-                let scratch = &mut scratches[l];
-                recorder.windowed_power_into(l, &mut windowed);
-                self.config
+            for (lane, (scratch, rng)) in scratches.iter_mut().zip(&mut rngs).enumerate() {
+                let windowed = recorder.lane_window(lane, &mut gather);
+                config
                     .sampling
-                    .expand_into_clipped(&windowed, &mut scratch.samples, keep);
-                noises[l].add_to_clipped(&mut rngs[l], &mut scratch.samples, keep);
-                post(&mut rngs[l], &mut scratch.samples);
+                    .expand_into_clipped(windowed, &mut scratch.samples, keep);
+                noise.add_to_clipped(rng, &mut scratch.samples, keep);
+                post(rng, &mut scratch.samples);
                 if scratch.accum.is_empty() {
                     scratch.accum.extend_from_slice(&scratch.samples);
                 } else {
@@ -520,11 +369,11 @@ impl TraceSynthesizer {
             }
         }
         let inv = 1.0 / executions as f64;
-        for l in 0..count {
-            traces[l].clear();
-            crate::vecops::scaled_narrow_extend(&mut traces[l], &scratches[l].accum, inv);
+        for (trace, scratch) in traces.iter_mut().zip(scratches.iter()) {
+            trace.clear();
+            crate::vecops::scaled_narrow_extend(trace, &scratch.accum, inv);
         }
-        Some(inputs)
+        Ok(inputs)
     }
 }
 
@@ -565,6 +414,44 @@ mod tests {
         cpu.mem_mut().write_u32(0x800, word).unwrap();
     }
 
+    fn random_word(rng: &mut StdRng, _: usize) -> Vec<u8> {
+        use rand::Rng;
+        rng.gen::<u32>().to_le_bytes().to_vec()
+    }
+
+    /// Every `(trace, input)` of the configured campaign, each
+    /// synthesized on a fresh CPU clone and fresh buffers.
+    fn synthesize_all<G>(
+        synth: &TraceSynthesizer,
+        cpu: &Cpu,
+        entry: u32,
+        generate: G,
+    ) -> Vec<(Vec<f32>, Vec<u8>)>
+    where
+        G: Fn(&mut StdRng, usize) -> Vec<u8> + Sync,
+    {
+        (0..synth.config().traces)
+            .map(|index| {
+                let mut trace = Vec::new();
+                let input = synth
+                    .synth_into(
+                        &mut cpu.clone(),
+                        &mut PowerRecorder::new(synth.weights().clone()),
+                        &mut SynthScratch::new(),
+                        &mut trace,
+                        entry,
+                        index,
+                        None,
+                        &generate,
+                        &stage,
+                        &|_: &mut StdRng, _: &mut Vec<f64>| {},
+                    )
+                    .unwrap();
+                (trace, input)
+            })
+            .collect()
+    }
+
     #[test]
     fn acquisition_is_deterministic() {
         let (cpu, entry) = fixture();
@@ -580,54 +467,10 @@ mod tests {
             threads: 1,
         };
         let synth = TraceSynthesizer::new(LeakageWeights::cortex_a7(), config);
-        let gen = |rng: &mut StdRng, _| {
-            use rand::Rng;
-            rng.gen::<u32>().to_le_bytes().to_vec()
-        };
-        let a = synth.acquire(&cpu, entry, gen, stage).unwrap();
-        let b = synth.acquire(&cpu, entry, gen, stage).unwrap();
+        let a = synthesize_all(&synth, &cpu, entry, random_word);
+        let b = synthesize_all(&synth, &cpu, entry, random_word);
         assert_eq!(a.len(), 6);
-        for i in 0..a.len() {
-            assert_eq!(a.trace(i), b.trace(i));
-            assert_eq!(a.input(i), b.input(i));
-        }
-    }
-
-    #[test]
-    fn threading_does_not_change_results() {
-        let (cpu, entry) = fixture();
-        let make = |threads| {
-            let config = AcquisitionConfig {
-                traces: 9,
-                executions_per_trace: 2,
-                sampling: SamplingConfig::per_cycle(),
-                noise: GaussianNoise {
-                    sd: 0.5,
-                    baseline: 1.0,
-                },
-                seed: 1234,
-                threads,
-            };
-            let synth = TraceSynthesizer::new(LeakageWeights::cortex_a7(), config);
-            synth
-                .acquire(
-                    &cpu,
-                    entry,
-                    |rng: &mut StdRng, _| {
-                        use rand::Rng;
-                        rng.gen::<u32>().to_le_bytes().to_vec()
-                    },
-                    stage,
-                )
-                .unwrap()
-        };
-        let serial = make(1);
-        let parallel = make(4);
-        assert_eq!(serial.len(), parallel.len());
-        for i in 0..serial.len() {
-            assert_eq!(serial.trace(i), parallel.trace(i), "trace {i}");
-            assert_eq!(serial.input(i), parallel.input(i), "input {i}");
-        }
+        assert_eq!(a, b);
     }
 
     #[test]
@@ -645,13 +488,11 @@ mod tests {
             threads: 1,
         };
         let synth = TraceSynthesizer::new(LeakageWeights::cortex_a7(), config);
-        let gen = |rng: &mut StdRng, _| {
-            use rand::Rng;
-            rng.gen::<u32>().to_le_bytes().to_vec()
-        };
-        let set = synth.acquire(&cpu, entry, gen, stage).unwrap();
-        for i in 0..set.len() {
-            assert_eq!(synth.input_for(i, &gen), set.input(i), "trace {i}");
+        for (i, (_, input)) in synthesize_all(&synth, &cpu, entry, random_word)
+            .iter()
+            .enumerate()
+        {
+            assert_eq!(&synth.input_for(i, &random_word), input, "trace {i}");
         }
         // Exact simulator-run-counter assertions live in the dedicated
         // single-test binary `tests/sim_counter.rs` (the counter is
@@ -661,7 +502,7 @@ mod tests {
     #[test]
     fn averaging_reduces_noise() {
         let (cpu, entry) = fixture();
-        let acquire_with_avg = |executions| {
+        let with_averaging = |executions| {
             let config = AcquisitionConfig {
                 traces: 40,
                 executions_per_trace: executions,
@@ -674,25 +515,19 @@ mod tests {
                 threads: 1,
             };
             let synth = TraceSynthesizer::new(LeakageWeights::zero(), config);
-            synth
-                .acquire(&cpu, entry, |_, _| vec![0, 0, 0, 0], stage)
-                .unwrap()
+            synthesize_all(&synth, &cpu, entry, |_, _| vec![0, 0, 0, 0])
         };
         // With zero leakage weights and a fixed input, traces are pure
         // noise; their variance should shrink with averaging.
-        let variance = |set: &TraceSet| {
-            let mut acc = 0.0f64;
-            let mut n = 0usize;
-            for i in 0..set.len() {
-                for &s in set.trace(i) {
-                    acc += f64::from(s) * f64::from(s);
-                    n += 1;
-                }
-            }
-            acc / n as f64
+        let variance = |set: &[(Vec<f32>, Vec<u8>)]| {
+            let samples: Vec<f64> = set
+                .iter()
+                .flat_map(|(trace, _)| trace.iter().map(|&s| f64::from(s)))
+                .collect();
+            samples.iter().map(|s| s * s).sum::<f64>() / samples.len() as f64
         };
-        let raw = variance(&acquire_with_avg(1));
-        let averaged = variance(&acquire_with_avg(16));
+        let raw = variance(&with_averaging(1));
+        let averaged = variance(&with_averaging(16));
         assert!(averaged < raw / 8.0, "raw {raw} averaged {averaged}");
     }
 
@@ -709,22 +544,15 @@ mod tests {
         };
         let synth = TraceSynthesizer::new(LeakageWeights::cortex_a7(), config);
         // Two fixed, different inputs: all-zeros vs all-ones word.
-        let set = synth
-            .acquire(
-                &cpu,
-                entry,
-                |_, t| {
-                    if t % 2 == 0 {
-                        vec![0, 0, 0, 0]
-                    } else {
-                        vec![0xff; 4]
-                    }
-                },
-                stage,
-            )
-            .unwrap();
-        let e0: f32 = set.trace(0).iter().sum();
-        let e1: f32 = set.trace(1).iter().sum();
+        let set = synthesize_all(&synth, &cpu, entry, |_, t| {
+            if t % 2 == 0 {
+                vec![0, 0, 0, 0]
+            } else {
+                vec![0xff; 4]
+            }
+        });
+        let e0: f32 = set[0].0.iter().sum();
+        let e1: f32 = set[1].0.iter().sum();
         assert!(
             e1 > e0 + 1.0,
             "loading 0xffffffff must consume more modeled power: {e0} vs {e1}"

@@ -2,8 +2,8 @@
 //!
 //! Same contract as `sca_analysis::kernels`: every kernel is strictly
 //! element-wise (no horizontal reduction, no re-association), chunked
-//! to a fixed width with a scalar tail, so the `simd` build is
-//! bit-identical to the scalar reference at every length. The noise
+//! to a fixed width with a scalar tail, so every kernel is
+//! bit-identical to its scalar reference at every length. The noise
 //! loop is deliberately *not* here: Gaussian noise draws from a
 //! sequential RNG stream whose order is part of the determinism
 //! contract, so it stays scalar by construction.
@@ -28,7 +28,6 @@ pub fn scaled_narrow_extend_scalar(out: &mut Vec<f32>, accum: &[f64], inv: f64) 
 }
 
 /// `accum[i] += samples[i]`, vectorized in [`F64_LANES`]-wide chunks.
-#[cfg(feature = "simd")]
 pub fn add_assign(accum: &mut [f64], samples: &[f64]) {
     let n = accum.len().min(samples.len());
     let (acc, src) = (&mut accum[..n], &samples[..n]);
@@ -42,14 +41,7 @@ pub fn add_assign(accum: &mut [f64], samples: &[f64]) {
     add_assign_scalar(acc_c.into_remainder(), src_c.remainder());
 }
 
-/// `accum[i] += samples[i]` (scalar build).
-#[cfg(not(feature = "simd"))]
-pub fn add_assign(accum: &mut [f64], samples: &[f64]) {
-    add_assign_scalar(accum, samples);
-}
-
 /// Average-and-narrow, vectorized in [`F64_LANES`]-wide chunks.
-#[cfg(feature = "simd")]
 pub fn scaled_narrow_extend(out: &mut Vec<f32>, accum: &[f64], inv: f64) {
     out.reserve(accum.len());
     let mut chunks = accum.chunks_exact(F64_LANES);
@@ -61,12 +53,6 @@ pub fn scaled_narrow_extend(out: &mut Vec<f32>, accum: &[f64], inv: f64) {
         }
     }
     scaled_narrow_extend_scalar(out, chunks.remainder(), inv);
-}
-
-/// Average-and-narrow (scalar build).
-#[cfg(not(feature = "simd"))]
-pub fn scaled_narrow_extend(out: &mut Vec<f32>, accum: &[f64], inv: f64) {
-    scaled_narrow_extend_scalar(out, accum, inv);
 }
 
 #[cfg(test)]

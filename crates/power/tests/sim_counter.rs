@@ -9,8 +9,8 @@
 use rand::rngs::StdRng;
 use sca_isa::{assemble, Reg};
 use sca_power::{
-    simulator_runs, AcquisitionConfig, GaussianNoise, LeakageWeights, SamplingConfig,
-    TraceSynthesizer,
+    simulator_runs, AcquisitionConfig, GaussianNoise, LeakageWeights, PowerRecorder,
+    SamplingConfig, SynthScratch, TraceSynthesizer,
 };
 use sca_uarch::{Cpu, UarchConfig};
 
@@ -55,17 +55,37 @@ fn counter_is_exact_and_input_derivation_is_free() {
     };
 
     assert_eq!(simulator_runs(), 0, "nothing has simulated yet");
-    let set = synth.acquire(&cpu, entry, gen, stage).unwrap();
+    // The window probe is exactly one run.
+    synth.probe_samples(&cpu, entry, &gen, &stage).unwrap();
+    assert_eq!(simulator_runs(), 1);
+    let inputs: Vec<Vec<u8>> = (0..synth.config().traces)
+        .map(|index| {
+            synth
+                .synth_into(
+                    &mut cpu.clone(),
+                    &mut PowerRecorder::new(synth.weights().clone()),
+                    &mut SynthScratch::new(),
+                    &mut Vec::new(),
+                    entry,
+                    index,
+                    None,
+                    &gen,
+                    &stage,
+                    &|_: &mut StdRng, _: &mut Vec<f64>| {},
+                )
+                .unwrap()
+        })
+        .collect();
     // One window probe plus traces × executions.
     assert_eq!(simulator_runs(), 1 + 3 * 4);
 
     // Re-deriving every input afterwards costs zero simulator runs.
-    for i in 0..set.len() {
-        assert_eq!(synth.input_for(i, &gen), set.input(i), "trace {i}");
+    for (i, input) in inputs.iter().enumerate() {
+        assert_eq!(&synth.input_for(i, &gen), input, "trace {i}");
     }
     assert_eq!(simulator_runs(), 1 + 3 * 4, "input_for must not simulate");
 
-    // The probe alone is exactly one run.
+    // A second probe is exactly one more run.
     synth.probe_samples(&cpu, entry, &gen, &stage).unwrap();
     assert_eq!(simulator_runs(), 1 + 3 * 4 + 1);
 }

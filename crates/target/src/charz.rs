@@ -9,17 +9,29 @@
 //! exactly the characterization step the paper runs before mounting an
 //! attack, generalized over the portfolio.
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
 use sca_analysis::{significance_threshold, PearsonAccumulator};
-use sca_campaign::{run_sharded, Mergeable, ShardPlan};
-use sca_power::{
-    BlockComponentPowerRecorder, ComponentPowerRecorder, GaussianNoise, LeakageWeights, NoiseSource,
-};
-use sca_uarch::{Cpu, CpuBlock, NodeKind, UarchError};
+use sca_campaign::{ComponentCampaign, ShardPlan};
+use sca_uarch::{Cpu, NodeKind};
 
 use crate::{resolve_window, CipherTarget, TargetCampaignConfig, TargetError, TargetModel};
+
+/// Checks, before any simulation, that a characterization of `traces`
+/// traces has the four observations its Fisher-z significance threshold
+/// needs.
+///
+/// # Errors
+///
+/// [`TargetError::TooFewObservations`] below four traces.
+pub fn check_charz_traces(traces: usize) -> Result<(), TargetError> {
+    const NEEDED: usize = 4;
+    if traces < NEEDED {
+        return Err(TargetError::TooFewObservations {
+            traces,
+            needed: NEEDED,
+        });
+    }
+    Ok(())
+}
 
 /// The components characterized — Table 2's seven columns.
 pub const CHARZ_COMPONENTS: [NodeKind; 7] = [
@@ -84,160 +96,9 @@ impl TargetCharacterization {
     }
 }
 
-struct CharzSink {
-    /// `models × components` Pearson accumulators.
-    accs: Vec<Vec<PearsonAccumulator>>,
-}
-
-/// One characterization worker's reusable state — the multi-channel
-/// analog of `sca_campaign::SimArena`: a staged CPU clone, a
-/// per-component power recorder, and the per-trace scratch buffers, all
-/// created once per shard and reused across its index range.
-struct CharzWorker {
-    cpu: Cpu,
-    recorder: ComponentPowerRecorder,
-    /// Lockstep group state; `None` at one lane, or permanently after a
-    /// divergence (same poison policy as `sca_campaign::SimArena`).
-    block: Option<CharzBlock>,
-    /// Per-component execution-averaged power (f64, one per component).
-    accumulated: Vec<Vec<f64>>,
-    /// One component's windowed per-cycle power.
-    samples: Vec<f64>,
-    /// The same, cropped to the analysis window and noised.
-    cropped: Vec<f64>,
-    /// Per-component averaged f32 channels handed to the accumulators.
-    channels: Vec<Vec<f32>>,
-}
-
-/// The lockstep counterpart of the scalar worker fields: a `CpuBlock`
-/// stepping up to `lanes` characterization traces together, a per-lane
-/// per-component recorder, and per-lane accumulation buffers.
-struct CharzBlock {
-    block: CpuBlock,
-    recorder: BlockComponentPowerRecorder,
-    /// `lanes × components` execution-averaged power.
-    accumulated: Vec<Vec<Vec<f64>>>,
-}
-
-impl CharzWorker {
-    fn new(template: &Cpu, components: usize, lanes: usize) -> CharzWorker {
-        CharzWorker {
-            cpu: template.clone(),
-            recorder: ComponentPowerRecorder::new(LeakageWeights::cortex_a7()),
-            block: (lanes > 1).then(|| CharzBlock {
-                block: CpuBlock::from_template(template, lanes),
-                recorder: BlockComponentPowerRecorder::new(LeakageWeights::cortex_a7(), lanes),
-                accumulated: vec![vec![Vec::new(); components]; lanes],
-            }),
-            accumulated: vec![Vec::new(); components],
-            samples: Vec::new(),
-            cropped: Vec::new(),
-            channels: vec![Vec::new(); components],
-        }
-    }
-}
-
-impl Mergeable for CharzSink {
-    fn merge(&mut self, other: CharzSink) {
-        for (row, theirs) in self.accs.iter_mut().zip(&other.accs) {
-            for (acc, that) in row.iter_mut().zip(theirs) {
-                acc.merge(that);
-            }
-        }
-    }
-}
-
-/// Runs one lockstep group of `count` characterization traces starting
-/// at index `base` through the worker's `CpuBlock`, absorbing each
-/// lane's channels into the sink in trace-index order.
-///
-/// Every lane computes exactly what the scalar path computes for its
-/// index — same RNG streams, same noise draw order, same `f64`
-/// accumulation order — so the result is bit-identical. Returns
-/// `Ok(false)` on cross-lane divergence *before* touching the sink, so
-/// the caller can re-run the group on the scalar path.
-#[allow(clippy::too_many_arguments)]
-fn charz_block_group(
-    worker: &mut CharzWorker,
-    sink: &mut CharzSink,
-    target: &dyn CipherTarget,
-    models: &[TargetModel],
-    entry: u32,
-    seed: u64,
-    noise: GaussianNoise,
-    executions: usize,
-    start: usize,
-    len: usize,
-    base: usize,
-    count: usize,
-) -> Result<bool, UarchError> {
-    let Some(blk) = worker.block.as_mut() else {
-        return Ok(false);
-    };
-    debug_assert!(count > 1 && count <= blk.block.max_lanes());
-    let mut rngs: Vec<StdRng> = (0..count)
-        .map(|l| StdRng::seed_from_u64(seed.wrapping_add((base + l) as u64 * 0x9e37)))
-        .collect();
-    let inputs: Vec<Vec<u8>> = rngs
-        .iter_mut()
-        .enumerate()
-        .map(|(l, rng)| target.generate(rng, base + l))
-        .collect();
-    for lane in 0..count {
-        for channel in &mut blk.accumulated[lane] {
-            channel.clear();
-            channel.resize(len, 0.0);
-        }
-    }
-    let mut seeds = [0u64; sca_uarch::MAX_LANES];
-    for e in 0..executions {
-        for (l, s) in seeds[..count].iter_mut().enumerate() {
-            *s = seed ^ (((base + l) as u64) << 8 | e as u64);
-        }
-        blk.block.restart_seeded(entry, &seeds[..count]);
-        for (l, input) in inputs.iter().enumerate() {
-            target.stage(blk.block.lane_mut(l), input);
-        }
-        blk.recorder.reset();
-        if blk.block.run(&mut blk.recorder).is_err() {
-            return Ok(false);
-        }
-        for (l, rng) in rngs.iter_mut().enumerate() {
-            let mut gauss = noise;
-            for (c, &kind) in CHARZ_COMPONENTS.iter().enumerate() {
-                blk.recorder
-                    .windowed_power_into(l, kind, &mut worker.samples);
-                worker.samples.resize(start + len, 0.0);
-                worker.cropped.clear();
-                worker
-                    .cropped
-                    .extend_from_slice(&worker.samples[start..start + len]);
-                gauss.add_to(rng, &mut worker.cropped);
-                for (a, s) in blk.accumulated[l][c].iter_mut().zip(&worker.cropped) {
-                    *a += s;
-                }
-            }
-        }
-    }
-    let inv = 1.0 / executions as f64;
-    for (l, input) in inputs.iter().enumerate() {
-        for (channel, accumulated) in worker.channels.iter_mut().zip(&blk.accumulated[l]) {
-            channel.clear();
-            channel.extend(accumulated.iter().map(|&s| (s * inv) as f32));
-        }
-        for (model, row) in models.iter().zip(&mut sink.accs) {
-            let prediction = model.predict_true(input);
-            for (acc, channel) in row.iter_mut().zip(&worker.channels) {
-                acc.add(prediction, channel);
-            }
-        }
-    }
-    Ok(true)
-}
-
 /// Characterizes a target's models against every pipeline component.
 ///
-/// One sharded acquisition serves every `(model, component)` cell:
+/// One [`ComponentCampaign`] serves every `(model, component)` cell:
 /// each trace records one power sub-trace per component (averaged over
 /// the configured executions, with per-execution noise), cropped to
 /// the target's primary window, and folds into per-cell Pearson
@@ -246,8 +107,9 @@ fn charz_block_group(
 ///
 /// # Errors
 ///
-/// Propagates simulator faults, and window misconfiguration as
-/// [`TargetError::Window`].
+/// Propagates simulator faults, window misconfiguration as
+/// [`TargetError::Window`], and fewer than four traces as
+/// [`TargetError::TooFewObservations`].
 pub fn characterize_target(
     target: &dyn CipherTarget,
     cpu: &Cpu,
@@ -255,6 +117,7 @@ pub fn characterize_target(
     config: &TargetCampaignConfig,
     confidence: f64,
 ) -> Result<Vec<TargetCharacterization>, TargetError> {
+    check_charz_traces(config.traces)?;
     let window = resolve_window(target, cpu, &target.primary_window())?;
     // The characterization records per-cycle power (one sample per
     // cycle), so the shared end-exclusive conversion is the identity
@@ -266,95 +129,32 @@ pub fn characterize_target(
         window.trigger_relative.1,
     );
 
-    let plan = ShardPlan {
-        items: config.traces,
-        threads: config.threads.max(1),
-        batch: config.batch.max(1),
-    };
-    let entry = target.program().entry();
-    let seed = config.seed ^ 0xc4a12;
-    let noise = config.noise;
-    let executions = config.executions_per_trace.max(1);
-    let lanes = config.lanes.clamp(1, sca_uarch::MAX_LANES);
-    let sink = run_sharded(
-        &plan,
-        || CharzWorker::new(cpu, CHARZ_COMPONENTS.len(), lanes),
-        || CharzSink {
-            accs: models
-                .iter()
-                .map(|_| {
-                    CHARZ_COMPONENTS
-                        .iter()
-                        .map(|_| PearsonAccumulator::new(len))
-                        .collect()
-                })
-                .collect(),
+    let accs = ComponentCampaign {
+        components: &CHARZ_COMPONENTS,
+        window: (start, len),
+        seed: config.seed ^ 0xc4a12,
+        noise: config.noise,
+        executions: config.executions_per_trace,
+        lanes: config.lanes,
+        plan: ShardPlan {
+            items: config.traces,
+            threads: config.threads.max(1),
+            batch: config.batch.max(1),
         },
-        |worker, sink, range| {
-            let mut t = range.start;
-            while t < range.end {
-                let width = worker.block.as_ref().map_or(1, |b| b.block.max_lanes());
-                let group = width.min(range.end - t);
-                if group > 1 {
-                    if charz_block_group(
-                        worker, sink, target, models, entry, seed, noise, executions, start, len,
-                        t, group,
-                    )? {
-                        t += group;
-                        continue;
-                    }
-                    // Divergence: poison the block for this worker and
-                    // re-run the whole group on the self-contained
-                    // scalar path (nothing was absorbed yet).
-                    worker.block = None;
+    }
+    .run(
+        cpu,
+        target.program().entry(),
+        |rng, index| target.generate(rng, index),
+        |cpu, input| target.stage(cpu, input),
+        || vec![vec![PearsonAccumulator::new(len); CHARZ_COMPONENTS.len()]; models.len()],
+        |accs: &mut Vec<Vec<PearsonAccumulator>>, input, channels| {
+            for (model, row) in models.iter().zip(accs) {
+                let prediction = model.predict_true(input);
+                for (acc, channel) in row.iter_mut().zip(channels) {
+                    acc.add(prediction, channel);
                 }
-                for i in t..t + group {
-                    let mut rng = StdRng::seed_from_u64(seed.wrapping_add(i as u64 * 0x9e37));
-                    let input = target.generate(&mut rng, i);
-                    for channel in &mut worker.accumulated {
-                        channel.clear();
-                        channel.resize(len, 0.0);
-                    }
-                    for e in 0..executions {
-                        worker
-                            .cpu
-                            .restart_seeded(entry, seed ^ ((i as u64) << 8 | e as u64));
-                        target.stage(&mut worker.cpu, &input);
-                        worker.recorder.reset();
-                        worker.cpu.run(&mut worker.recorder)?;
-                        let mut gauss = noise;
-                        for (c, &kind) in CHARZ_COMPONENTS.iter().enumerate() {
-                            worker
-                                .recorder
-                                .windowed_power_into(0, kind, &mut worker.samples);
-                            worker.samples.resize(start + len, 0.0);
-                            worker.cropped.clear();
-                            worker
-                                .cropped
-                                .extend_from_slice(&worker.samples[start..start + len]);
-                            gauss.add_to(&mut rng, &mut worker.cropped);
-                            for (a, s) in worker.accumulated[c].iter_mut().zip(&worker.cropped) {
-                                *a += s;
-                            }
-                        }
-                    }
-                    let inv = 1.0 / executions as f64;
-                    for (channel, accumulated) in
-                        worker.channels.iter_mut().zip(&worker.accumulated)
-                    {
-                        channel.clear();
-                        channel.extend(accumulated.iter().map(|&s| (s * inv) as f32));
-                    }
-                    for (model, row) in models.iter().zip(&mut sink.accs) {
-                        let prediction = model.predict_true(&input);
-                        for (acc, channel) in row.iter_mut().zip(&worker.channels) {
-                            acc.add(prediction, channel);
-                        }
-                    }
-                }
-                t += group;
             }
-            Ok::<(), UarchError>(())
         },
     )?;
 
@@ -364,7 +164,7 @@ pub fn characterize_target(
     let threshold = significance_threshold(config.traces as u64, corrected);
     Ok(models
         .iter()
-        .zip(&sink.accs)
+        .zip(&accs)
         .map(|(model, row)| TargetCharacterization {
             model: model.name.clone(),
             traces: config.traces,

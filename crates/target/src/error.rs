@@ -112,6 +112,14 @@ pub enum TargetError {
         /// Traces in the random population.
         random: u64,
     },
+    /// A characterization asked for fewer traces than its significance
+    /// threshold needs.
+    TooFewObservations {
+        /// Traces requested.
+        traces: usize,
+        /// Traces needed at least.
+        needed: usize,
+    },
 }
 
 impl TargetError {
@@ -133,6 +141,10 @@ impl fmt::Display for TargetError {
                 "TVLA needs at least two traces per population, got {fixed} fixed and \
                  {random} random"
             ),
+            TargetError::TooFewObservations { traces, needed } => write!(
+                f,
+                "a characterization needs at least {needed} traces, got {traces}"
+            ),
         }
     }
 }
@@ -143,7 +155,7 @@ impl std::error::Error for TargetError {
             TargetError::Uarch(e) => Some(e),
             TargetError::Window(e) => Some(e),
             TargetError::Campaign(e) => Some(e),
-            TargetError::TooFewTraces { .. } => None,
+            TargetError::TooFewTraces { .. } | TargetError::TooFewObservations { .. } => None,
         }
     }
 }

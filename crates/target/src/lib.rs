@@ -49,7 +49,8 @@ pub use campaign::{
     TargetCampaign, TargetCampaignConfig, TargetStoreConfig, TvlaVerdict,
 };
 pub use charz::{
-    characterize_target, NodeCharacterization, TargetCharacterization, CHARZ_COMPONENTS,
+    characterize_target, check_charz_traces, NodeCharacterization, TargetCharacterization,
+    CHARZ_COMPONENTS,
 };
 pub use error::{TargetError, WindowError};
 pub use present::{

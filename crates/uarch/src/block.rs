@@ -265,6 +265,76 @@ impl CpuBlock {
     }
 }
 
+/// A simulator stepping one or more lanes through one pipeline: a
+/// [`Cpu`] (one lane, faults as [`UarchError`]) or a [`CpuBlock`] (up
+/// to [`MAX_LANES`] lanes, any disagreement or fault as
+/// [`Divergence`]).
+///
+/// Acquisition loops are written once against this trait, so what a
+/// lockstep group records for a lane is, by construction, what a
+/// one-lane run records for the same trace.
+pub trait LaneSim {
+    /// Why a run stopped before `halt`.
+    type Error;
+
+    /// Restarts the first `seeds.len()` lanes at `entry`, each with its
+    /// own node-scramble seed (see [`Cpu::restart_seeded`]).
+    fn restart_lanes(&mut self, entry: u32, seeds: &[u64]);
+
+    /// Lane `lane`'s CPU, for staging its input.
+    fn lane_cpu(&mut self, lane: usize) -> &mut Cpu;
+
+    /// Runs the restarted lanes to `halt`, streaming their activity to
+    /// `observer`.
+    ///
+    /// # Errors
+    ///
+    /// A simulator fault, or for a block any lane disagreement.
+    fn run_lanes<O: BlockObserver>(&mut self, observer: &mut O) -> Result<ExecStats, Self::Error>;
+}
+
+impl LaneSim for Cpu {
+    type Error = UarchError;
+
+    #[inline]
+    fn restart_lanes(&mut self, entry: u32, seeds: &[u64]) {
+        let &[seed] = seeds else {
+            panic!("a Cpu has one lane, got {} seeds", seeds.len());
+        };
+        self.restart_seeded(entry, seed);
+    }
+
+    #[inline]
+    fn lane_cpu(&mut self, lane: usize) -> &mut Cpu {
+        debug_assert_eq!(lane, 0, "a Cpu has one lane");
+        self
+    }
+
+    #[inline]
+    fn run_lanes<O: BlockObserver>(&mut self, observer: &mut O) -> Result<ExecStats, UarchError> {
+        self.run(observer)
+    }
+}
+
+impl LaneSim for CpuBlock {
+    type Error = Divergence;
+
+    #[inline]
+    fn restart_lanes(&mut self, entry: u32, seeds: &[u64]) {
+        self.restart_seeded(entry, seeds);
+    }
+
+    #[inline]
+    fn lane_cpu(&mut self, lane: usize) -> &mut Cpu {
+        self.lane_mut(lane)
+    }
+
+    #[inline]
+    fn run_lanes<O: BlockObserver>(&mut self, observer: &mut O) -> Result<ExecStats, Divergence> {
+        self.run(observer)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -18,9 +18,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let sim = AesSim::new(UarchConfig::cortex_a7(), &key)?;
 
     // Acquire 800 averaged traces with random plaintexts — the attacker
-    // controls/observes plaintexts and the power probe only.
-    let acquisition = AcquisitionConfig {
-        traces: 800,
+    // controls/observes plaintexts and the power probe only. Only
+    // round 1 is kept (the first ~1500 samples cover ARK+SB).
+    let config = CampaignConfig {
         executions_per_trace: 4,
         sampling: SamplingConfig::picoscope_500msps_120mhz(),
         noise: GaussianNoise {
@@ -29,21 +29,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         },
         seed: 1,
         threads: 8,
+        ..CampaignConfig::new(800)
     };
-    let synth = TraceSynthesizer::new(LeakageWeights::cortex_a7(), acquisition);
-    let traces = synth.acquire(
-        sim.cpu(),
-        sim.entry(),
-        |rng, _| {
-            use rand::Rng;
-            let mut pt = vec![0u8; 16];
-            rng.fill(&mut pt[..]);
-            pt
-        },
-        AesSim::stage_plaintext,
-    )?;
-    // Focus on round 1 (the first ~1500 samples cover ARK+SB).
-    let traces = traces.truncated(1500);
+    let traces = Campaign::new(LeakageWeights::cortex_a7(), config)
+        .with_window(0, 1500)
+        .run(
+            sim.cpu(),
+            sim.entry(),
+            |rng, _| {
+                use rand::Rng;
+                let mut pt = vec![0u8; 16];
+                rng.fill(&mut pt[..]);
+                pt
+            },
+            AesSim::stage_plaintext,
+            TraceSet::new,
+        )?;
     println!(
         "acquired {} traces x {} samples\n",
         traces.len(),

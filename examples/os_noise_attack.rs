@@ -15,34 +15,35 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let environment = LinuxEnvironment::loaded_apache(&sampling)?;
     println!("environment: Apache-like workload on core 2, preemptive scheduler, trigger jitter");
 
-    let acquisition = AcquisitionConfig {
-        // The paper needs 100k traces in this environment; the simulated
-        // rail is kinder, but the loaded-system campaign still wants a
-        // few thousand.
-        traces: 3000,
+    let config = CampaignConfig {
         executions_per_trace: 16, // the paper's averaging factor
         sampling,
         noise: GaussianNoise::bare_metal(),
         seed: 7,
         threads: 8,
+        // The paper needs 100k traces in this environment; the simulated
+        // rail is kinder, but the loaded-system campaign still wants a
+        // few thousand.
+        ..CampaignConfig::new(3000)
     };
-    let synth = TraceSynthesizer::new(LeakageWeights::cortex_a7(), acquisition);
-    let traces = synth.acquire_with(
-        sim.cpu(),
-        sim.entry(),
-        |rng, _| {
-            use rand::Rng;
-            let mut pt = vec![0u8; 16];
-            rng.fill(&mut pt[..]);
-            pt
-        },
-        AesSim::stage_plaintext,
-        |rng, samples| environment.apply(rng, samples),
-    )?;
-    // Focus on the SubBytes region (the byte-1 store lands ~sample 200);
-    // a narrow window keeps the wrong-guess noise floor low, exactly as
+    // Keep the SubBytes region (the byte-1 store lands ~sample 200); a
+    // narrow window keeps the wrong-guess noise floor low, exactly as
     // the paper's 0.7 us Figure 4 span does.
-    let traces = traces.window(100, 600);
+    let traces = Campaign::new(LeakageWeights::cortex_a7(), config)
+        .with_window(100, 600)
+        .run_with(
+            sim.cpu(),
+            sim.entry(),
+            |rng, _| {
+                use rand::Rng;
+                let mut pt = vec![0u8; 16];
+                rng.fill(&mut pt[..]);
+                pt
+            },
+            AesSim::stage_plaintext,
+            |rng, samples| environment.apply(rng, samples),
+            TraceSet::new,
+        )?;
     println!(
         "acquired {} traces (each an average of 16 executions)\n",
         traces.len()

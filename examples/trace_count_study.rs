@@ -10,8 +10,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let key = *b"\x2b\x7e\x15\x16\x28\xae\xd2\xa6\xab\xf7\x15\x88\x09\xcf\x4f\x3c";
     let sim = AesSim::new(UarchConfig::cortex_a7(), &key)?;
 
-    let acquisition = AcquisitionConfig {
-        traces: 2400,
+    let config = CampaignConfig {
         executions_per_trace: 2,
         sampling: SamplingConfig::picoscope_500msps_120mhz(),
         noise: GaussianNoise {
@@ -20,10 +19,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         },
         seed: 21,
         threads: 8,
+        ..CampaignConfig::new(2400)
     };
-    let synth = TraceSynthesizer::new(LeakageWeights::cortex_a7(), acquisition);
-    let traces = synth
-        .acquire(
+    let traces = Campaign::new(LeakageWeights::cortex_a7(), config)
+        .with_window(0, 1600)
+        .run(
             sim.cpu(),
             sim.entry(),
             |rng, _| {
@@ -33,8 +33,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 pt
             },
             AesSim::stage_plaintext,
-        )?
-        .truncated(1600);
+            TraceSet::new,
+        )?;
 
     let checkpoints = [50, 100, 200, 400, 800, 1600, 2400];
     for (name, curve) in [

@@ -8,10 +8,9 @@ use rand::Rng;
 
 use superscalar_sca::aes::{AesSim, SubBytesHw, SubBytesStoreHd};
 use superscalar_sca::analysis::{cpa_attack, CpaConfig};
+use superscalar_sca::campaign::{Campaign, CampaignConfig};
 use superscalar_sca::osnoise::LinuxEnvironment;
-use superscalar_sca::power::{
-    AcquisitionConfig, GaussianNoise, LeakageWeights, SamplingConfig, TraceSynthesizer,
-};
+use superscalar_sca::power::{GaussianNoise, LeakageWeights, SamplingConfig};
 use superscalar_sca::prelude::TraceSet;
 use superscalar_sca::uarch::UarchConfig;
 
@@ -20,8 +19,7 @@ const KEY: [u8; 16] = *b"\x2b\x7e\x15\x16\x28\xae\xd2\xa6\xab\xf7\x15\x88\x09\xc
 fn acquire(traces: usize, noisy_os: bool, seed: u64) -> TraceSet {
     let sim = AesSim::new(UarchConfig::cortex_a7().with_ideal_memory(), &KEY).expect("builds");
     let sampling = SamplingConfig::per_cycle();
-    let acquisition = AcquisitionConfig {
-        traces,
+    let config = CampaignConfig {
         executions_per_trace: 1,
         sampling: sampling.clone(),
         noise: GaussianNoise {
@@ -30,31 +28,38 @@ fn acquire(traces: usize, noisy_os: bool, seed: u64) -> TraceSet {
         },
         seed,
         threads: 4,
+        ..CampaignConfig::new(traces)
     };
-    let synth = TraceSynthesizer::new(LeakageWeights::cortex_a7(), acquisition);
+    // Round 1 only (per-cycle sampling: ~350 cycles).
+    let campaign = Campaign::new(LeakageWeights::cortex_a7(), config).with_window(0, 380);
     let generate = |rng: &mut rand::rngs::StdRng, _| {
         let mut pt = vec![0u8; 16];
         rng.fill(&mut pt[..]);
         pt
     };
-    let set = if noisy_os {
+    if noisy_os {
         let environment = LinuxEnvironment::idle_linux(&sampling).expect("environment");
-        synth
-            .acquire_with(
+        campaign
+            .run_with(
                 sim.cpu(),
                 sim.entry(),
                 generate,
                 AesSim::stage_plaintext,
                 |rng, s| environment.apply(rng, s),
+                TraceSet::new,
             )
             .expect("acquires")
     } else {
-        synth
-            .acquire(sim.cpu(), sim.entry(), generate, AesSim::stage_plaintext)
+        campaign
+            .run(
+                sim.cpu(),
+                sim.entry(),
+                generate,
+                AesSim::stage_plaintext,
+                TraceSet::new,
+            )
             .expect("acquires")
-    };
-    // Round 1 only (per-cycle sampling: ~350 cycles).
-    set.truncated(380)
+    }
 }
 
 #[test]

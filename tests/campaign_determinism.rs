@@ -16,7 +16,8 @@ use superscalar_sca::analysis::{
 use superscalar_sca::campaign::{Campaign, CampaignConfig, CpaSink};
 use superscalar_sca::isa::{assemble, Reg};
 use superscalar_sca::power::{
-    AcquisitionConfig, GaussianNoise, LeakageWeights, SamplingConfig, TraceSynthesizer,
+    AcquisitionConfig, GaussianNoise, LeakageWeights, PowerRecorder, SamplingConfig, SynthScratch,
+    TraceSynthesizer,
 };
 use superscalar_sca::prelude::TraceSet;
 use superscalar_sca::uarch::{Cpu, UarchConfig};
@@ -77,6 +78,47 @@ fn campaign_config(threads: usize, batch: usize) -> CampaignConfig {
     }
 }
 
+fn synthesizer(config: &CampaignConfig) -> TraceSynthesizer {
+    TraceSynthesizer::new(
+        LeakageWeights::cortex_a7(),
+        AcquisitionConfig {
+            traces: config.traces,
+            executions_per_trace: config.executions_per_trace,
+            sampling: config.sampling.clone(),
+            noise: config.noise,
+            seed: config.seed,
+            threads: 1,
+        },
+    )
+}
+
+/// Trace `index` and its input, synthesized on a fresh CPU clone and
+/// fresh buffers: the reference every reusing, batching or sharding path
+/// must reproduce.
+fn fresh_trace(
+    synth: &TraceSynthesizer,
+    cpu: &Cpu,
+    entry: u32,
+    index: usize,
+) -> (Vec<f32>, Vec<u8>) {
+    let mut trace = Vec::new();
+    let input = synth
+        .synth_into(
+            &mut cpu.clone(),
+            &mut PowerRecorder::new(synth.weights().clone()),
+            &mut SynthScratch::new(),
+            &mut trace,
+            entry,
+            index,
+            None,
+            &generate,
+            &stage,
+            &|_: &mut rand::rngs::StdRng, _: &mut Vec<f64>| {},
+        )
+        .expect("fresh synthesis runs");
+    (trace, input)
+}
+
 fn run_campaign(threads: usize, batch: usize) -> CpaResult {
     let (cpu, entry) = fixture();
     let config = campaign_config(threads, batch);
@@ -93,20 +135,15 @@ fn single_shard_streaming_is_bit_identical_to_materialized_attack() {
     let streamed = run_campaign(1, 64);
     let (cpu, entry) = fixture();
     let config = campaign_config(1, 64);
-    let synth = TraceSynthesizer::new(
-        LeakageWeights::cortex_a7(),
-        AcquisitionConfig {
-            traces: config.traces,
-            executions_per_trace: config.executions_per_trace,
-            sampling: config.sampling,
-            noise: config.noise,
-            seed: config.seed,
-            threads: 1,
-        },
-    );
-    let set = synth
-        .acquire(&cpu, entry, generate, stage)
-        .expect("acquires");
+    let synth = synthesizer(&config);
+    let samples = synth
+        .probe_samples(&cpu, entry, &generate, &stage)
+        .expect("probes");
+    let mut set = TraceSet::new(samples);
+    for index in 0..config.traces {
+        let (trace, input) = fresh_trace(&synth, &cpu, entry, index);
+        set.push(trace, input);
+    }
     let batch = cpa_attack(
         &set,
         &model(),
@@ -170,18 +207,7 @@ fn arena_reuse_is_byte_identical_to_fresh_simulators() {
     use superscalar_sca::campaign::SimArena;
 
     let (cpu, entry) = fixture();
-    let config = campaign_config(1, 64);
-    let synth = TraceSynthesizer::new(
-        LeakageWeights::cortex_a7(),
-        AcquisitionConfig {
-            traces: config.traces,
-            executions_per_trace: config.executions_per_trace,
-            sampling: config.sampling,
-            noise: config.noise,
-            seed: config.seed,
-            threads: 1,
-        },
-    );
+    let synth = synthesizer(&campaign_config(1, 64));
     let post = |_: &mut rand::rngs::StdRng, _: &mut Vec<f64>| {};
 
     // One arena, reused across every trace — including a revisit of
@@ -196,12 +222,9 @@ fn arena_reuse_is_byte_identical_to_fresh_simulators() {
             (trace.to_vec(), input)
         };
         // Fresh per-trace state, exactly like the pre-arena engine.
-        let mut fresh_cpu = cpu.clone();
-        let (fresh_trace, fresh_input) = synth
-            .synthesize_trace(&mut fresh_cpu, entry, index, &generate, &stage, &post)
-            .expect("fresh synthesizes");
-        assert_eq!(arena_input, fresh_input, "index {index}");
-        assert_eq!(arena_trace, fresh_trace, "index {index}");
+        let (want_trace, want_input) = fresh_trace(&synth, &cpu, entry, index);
+        assert_eq!(arena_input, want_input, "index {index}");
+        assert_eq!(arena_trace, want_trace, "index {index}");
     }
 }
 

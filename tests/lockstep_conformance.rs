@@ -14,11 +14,11 @@
 use rand::rngs::StdRng;
 
 use sca_target::{characterize_target, portfolio, TargetCampaignConfig};
-use superscalar_sca::campaign::{Campaign, CampaignConfig, Mergeable};
+use superscalar_sca::campaign::{Campaign, CampaignConfig};
 use superscalar_sca::isa::{assemble, Reg};
 use superscalar_sca::power::{
     AcquisitionConfig, BlockPowerRecorder, GaussianNoise, PowerRecorder, SamplingConfig,
-    SynthScratch, TraceSynthesizer,
+    SynthScratch, TraceSet, TraceSynthesizer,
 };
 use superscalar_sca::uarch::{Cpu, CpuBlock, UarchConfig, UarchError};
 
@@ -129,28 +129,6 @@ fn block_synthesis_matches_scalar_per_target_and_lane_count() {
     }
 }
 
-/// A sink that materializes every (input, windowed trace) it absorbs,
-/// in index order — the campaign-level fingerprint.
-#[derive(Debug, Default)]
-struct CollectSink {
-    inputs: Vec<Vec<u8>>,
-    flat: Vec<f32>,
-}
-
-impl Mergeable for CollectSink {
-    fn merge(&mut self, other: CollectSink) {
-        self.inputs.extend(other.inputs);
-        self.flat.extend(other.flat);
-    }
-}
-
-impl superscalar_sca::campaign::CampaignSink for CollectSink {
-    fn absorb_batch(&mut self, inputs: &[Vec<u8>], traces: &[f32], _samples: usize) {
-        self.inputs.extend(inputs.iter().cloned());
-        self.flat.extend_from_slice(traces);
-    }
-}
-
 /// End-to-end through the campaign engine: every trace the engine
 /// delivers to its sinks is bit-identical at every lane count — across
 /// group-boundary remainders (traces % lanes ≠ 0), batch chunking and
@@ -167,7 +145,7 @@ fn campaign_results_are_lane_count_invariant() {
     let template = target.build(&uarch).expect("target builds");
     let entry = target.program().entry();
 
-    let run = |lanes: usize| -> CollectSink {
+    let run = |lanes: usize| -> TraceSet {
         let campaign = Campaign::new(
             superscalar_sca::power::LeakageWeights::cortex_a7(),
             CampaignConfig {
@@ -188,19 +166,30 @@ fn campaign_results_are_lane_count_invariant() {
                 entry,
                 |rng: &mut StdRng, index| target.generate(rng, index),
                 |cpu: &mut Cpu, input: &[u8]| target.stage(cpu, input),
-                |_| CollectSink::default(),
+                TraceSet::new,
             )
             .expect("campaign runs")
     };
 
     let reference = run(1);
-    assert_eq!(reference.inputs.len(), 21);
+    assert_eq!(reference.len(), 21);
     for lanes in [2, 5, 8] {
         let got = run(lanes);
-        assert_eq!(got.inputs, reference.inputs, "lanes {lanes}: inputs");
-        assert_eq!(got.flat.len(), reference.flat.len(), "lanes {lanes}: size");
-        for (i, (a, b)) in got.flat.iter().zip(&reference.flat).enumerate() {
-            assert_eq!(a.to_bits(), b.to_bits(), "lanes {lanes} flat sample {i}");
+        assert_eq!(got.len(), reference.len(), "lanes {lanes}: size");
+        assert_eq!(
+            got.samples_per_trace(),
+            reference.samples_per_trace(),
+            "lanes {lanes}: width"
+        );
+        for (t, ((gi, gt), (ri, rt))) in got.iter().zip(reference.iter()).enumerate() {
+            assert_eq!(gi, ri, "lanes {lanes} trace {t}: input");
+            for (s, (a, b)) in gt.iter().zip(rt).enumerate() {
+                assert_eq!(
+                    a.to_bits(),
+                    b.to_bits(),
+                    "lanes {lanes} trace {t} sample {s}"
+                );
+            }
         }
     }
 }
@@ -257,9 +246,9 @@ fn a_faulting_trace_fails_the_campaign_with_its_bad_address() {
                 let addr = u32::from_le_bytes(input.try_into().expect("4-byte input"));
                 cpu.set_reg(Reg::R10, addr);
             },
-            |_| CollectSink::default(),
+            TraceSet::new,
         )
-        .map(|sink| sink.inputs.len())
+        .map(|set| set.len())
     };
 
     for lanes in [1, 8] {
@@ -272,7 +261,7 @@ fn a_faulting_trace_fails_the_campaign_with_its_bad_address() {
 }
 
 /// The per-component characterization rides the same lockstep block
-/// (`charz_block_group` + `BlockComponentPowerRecorder`): every
+/// (`ComponentCampaign` + `BlockComponentPowerRecorder`): every
 /// `(model, component)` peak correlation must be bit-identical at every
 /// lane count, for every portfolio target — including the trailing
 /// partial group (traces % lanes != 0) and the threaded shard split.

@@ -6,9 +6,8 @@ use rand::Rng;
 
 use superscalar_sca::aes::{recover_full_key, AesSim, SubBytesHw};
 use superscalar_sca::analysis::{rank_evolution, traces_to_rank0};
-use superscalar_sca::power::{
-    AcquisitionConfig, GaussianNoise, LeakageWeights, SamplingConfig, TraceSynthesizer,
-};
+use superscalar_sca::campaign::{Campaign, CampaignConfig};
+use superscalar_sca::power::{GaussianNoise, LeakageWeights, SamplingConfig};
 use superscalar_sca::prelude::TraceSet;
 use superscalar_sca::uarch::UarchConfig;
 
@@ -16,8 +15,7 @@ const KEY: [u8; 16] = *b"\xde\xad\xbe\xef\x01\x23\x45\x67\x89\xab\xcd\xef\x10\x3
 
 fn acquire(traces: usize) -> TraceSet {
     let sim = AesSim::new(UarchConfig::cortex_a7().with_ideal_memory(), &KEY).expect("builds");
-    let acquisition = AcquisitionConfig {
-        traces,
+    let config = CampaignConfig {
         executions_per_trace: 1,
         sampling: SamplingConfig::per_cycle(),
         noise: GaussianNoise {
@@ -26,10 +24,11 @@ fn acquire(traces: usize) -> TraceSet {
         },
         seed: 31,
         threads: 4,
+        ..CampaignConfig::new(traces)
     };
-    let synth = TraceSynthesizer::new(LeakageWeights::cortex_a7(), acquisition);
-    synth
-        .acquire(
+    Campaign::new(LeakageWeights::cortex_a7(), config)
+        .with_window(0, 380)
+        .run(
             sim.cpu(),
             sim.entry(),
             |rng, _| {
@@ -38,9 +37,9 @@ fn acquire(traces: usize) -> TraceSet {
                 pt
             },
             AesSim::stage_plaintext,
+            TraceSet::new,
         )
         .expect("acquires")
-        .truncated(380)
 }
 
 #[test]

@@ -2,15 +2,13 @@
 //! **bit-identical** to its scalar reference at every shape — including
 //! non-multiple-of-lane tails, empty batches and degenerate geometries.
 //!
-//! The `simd` feature chunks hot loops to explicit widths so LLVM
+//! The hot-loop kernels are chunked to explicit widths so LLVM
 //! vectorizes them; because every kernel is strictly element-wise (no
 //! horizontal reduction, no re-association), IEEE-754 guarantees the
 //! same bits as the scalar loop. These proptests pin that contract over
 //! arbitrary `(guesses, samples, batch, tail)` shapes, so a future
 //! "optimization" that silently re-associates gets caught here, not in
-//! a wrong verdict three layers up. They run under both feature
-//! settings: with `--no-default-features` both paths compile to the
-//! scalar reference and the tests are trivially green.
+//! a wrong verdict three layers up.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
