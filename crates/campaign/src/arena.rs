@@ -173,11 +173,12 @@ impl SimArena {
     }
 
     /// Synthesizes the `count` consecutive traces starting at
-    /// `base_index`, pads each to `full` samples, and appends its
-    /// `[start, start + samples)` window (and its input) to the current
-    /// batch, in index order. When `clip` is true the synthesis itself
-    /// is clipped to the window (legal only when the post hook is a
-    /// no-op — out-of-window samples are then discarded unseen).
+    /// `base_index` and appends each trace's `[start, start + samples)`
+    /// window, zero-padded past the trace's end, (and its input) to the
+    /// current batch, in index order. When `clip` is true the synthesis
+    /// itself is clipped to the window (legal only when the post hook
+    /// is a no-op — out-of-window samples are then discarded unseen),
+    /// so each trace arrives holding only the window's samples.
     ///
     /// When the arena has a lockstep block (and `count > 1`), the whole
     /// group runs through it in one pipeline walk. The results are
@@ -191,7 +192,7 @@ impl SimArena {
         entry: u32,
         base_index: usize,
         count: usize,
-        (full, start, samples): (usize, usize, usize),
+        (start, samples): (usize, usize),
         clip: bool,
         generate: &G,
         stage: &S,
@@ -202,10 +203,13 @@ impl SimArena {
         S: Fn(&mut Cpu, &[u8]) + Sync,
         P: Fn(&mut StdRng, &mut Vec<f64>) + Sync,
     {
+        // Where the window starts in each synthesized trace.
+        let offset = if clip { 0 } else { start };
         let clip = clip.then_some((start, start + samples));
         let mut push = |trace: &mut Vec<f32>, input: Vec<u8>| {
-            trace.resize(full, 0.0);
-            self.flat.extend_from_slice(&trace[start..start + samples]);
+            trace.resize(trace.len().max(offset + samples), 0.0);
+            self.flat
+                .extend_from_slice(&trace[offset..offset + samples]);
             self.inputs.push(input);
         };
         if let Some(block) = self.block.as_mut().filter(|_| count > 1) {

@@ -58,7 +58,8 @@ struct Worker {
     block: Option<(CpuBlock, BlockComponentPowerRecorder)>,
     /// `lanes × components` execution-summed power.
     sums: Vec<Vec<Vec<f64>>>,
-    /// One component's windowed per-cycle power of one execution.
+    /// One component's per-cycle power of one execution, in window
+    /// coordinates.
     samples: Vec<f64>,
     /// One trace's averaged channels, as handed to the sink.
     channels: Vec<Vec<f32>>,
@@ -91,14 +92,21 @@ impl ComponentCampaign<'_> {
     {
         let lanes = self.lanes.clamp(1, MAX_LANES);
         let components = self.components.len();
+        // The recorders integrate only the window's cycles.
+        let (start, len) = self.window;
+        let kept = Some((start, start.saturating_add(len)));
         let worker = || Worker {
             cpu: template.clone(),
-            recorder: ComponentPowerRecorder::new(LeakageWeights::cortex_a7()),
+            recorder: {
+                let mut recorder = ComponentPowerRecorder::new(LeakageWeights::cortex_a7());
+                recorder.keep_cycles(kept);
+                recorder
+            },
             block: (lanes > 1).then(|| {
-                (
-                    CpuBlock::from_template(template, lanes),
-                    BlockComponentPowerRecorder::new(LeakageWeights::cortex_a7(), lanes),
-                )
+                let mut recorder =
+                    BlockComponentPowerRecorder::new(LeakageWeights::cortex_a7(), lanes);
+                recorder.keep_cycles(kept);
+                (CpuBlock::from_template(template, lanes), recorder)
             }),
             sums: vec![vec![Vec::new(); components]; lanes],
             samples: Vec::new(),
@@ -163,7 +171,7 @@ impl ComponentCampaign<'_> {
         G: Fn(&mut StdRng, usize) -> Vec<u8> + Sync,
         S: Fn(&mut Cpu, &[u8]) + Sync,
     {
-        let (start, len) = self.window;
+        let len = self.window.1;
         let mut rngs: Vec<StdRng> = (base..base + count)
             .map(|t| StdRng::seed_from_u64(self.seed.wrapping_add(t as u64 * 0x9e37)))
             .collect();
@@ -191,11 +199,12 @@ impl ComponentCampaign<'_> {
             for (lane, (rng, channels)) in rngs.iter_mut().zip(sums.iter_mut()).enumerate() {
                 let mut noise = self.noise;
                 for (&kind, channel) in self.components.iter().zip(channels) {
+                    // The window's kept cycles, zero-padded past the
+                    // trigger window's end.
                     recorder.windowed_power_into(lane, kind, samples);
-                    samples.resize(start + len, 0.0);
-                    let cropped = &mut samples[start..];
-                    noise.add_to(rng, cropped);
-                    for (sum, s) in channel.iter_mut().zip(&*cropped) {
+                    samples.resize(len, 0.0);
+                    noise.add_to(rng, samples);
+                    for (sum, s) in channel.iter_mut().zip(&*samples) {
                         *sum += s;
                     }
                 }

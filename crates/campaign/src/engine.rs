@@ -240,7 +240,7 @@ impl Campaign {
                             entry,
                             index,
                             group,
-                            (full, start, samples),
+                            (start, samples),
                             clip,
                             &generate,
                             &stage,

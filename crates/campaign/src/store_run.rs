@@ -379,7 +379,7 @@ impl Campaign {
                 &sink,
                 &store,
                 high_water..seg_end,
-                (full, start, samples),
+                (start, samples),
                 opts.kill,
             )?;
             master.merge(segment);
@@ -424,7 +424,7 @@ impl Campaign {
         sink: &(impl Fn(usize) -> K + Sync),
         store: &TraceStore,
         segment: std::ops::Range<u64>,
-        (full, start, samples): (usize, usize, usize),
+        (start, samples): (usize, usize),
         kill: KillPoint,
     ) -> Result<K, CampaignError>
     where
@@ -457,7 +457,7 @@ impl Campaign {
                             entry,
                             (seg_start as usize) + local,
                             group,
-                            (full, start, samples),
+                            (start, samples),
                             true,
                             generate,
                             stage,

@@ -62,17 +62,23 @@ pub fn read_traces<R: Read>(mut reader: R) -> io::Result<TraceSet> {
     }
     let mut u64_buf = [0u8; 8];
     reader.read_exact(&mut u64_buf)?;
-    let samples = u64::from_le_bytes(u64_buf) as usize;
+    let samples = usize::try_from(u64::from_le_bytes(u64_buf))
+        .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "sample count overflows"))?;
     reader.read_exact(&mut u64_buf)?;
-    let count = u64::from_le_bytes(u64_buf) as usize;
+    let count = u64::from_le_bytes(u64_buf);
 
+    // The header's counts are untrusted: buffers grow only as bytes
+    // arrive, so a corrupt header fails at the end of the data instead
+    // of allocating what it claims.
     let mut set = TraceSet::new(samples);
     for _ in 0..count {
         reader.read_exact(&mut u32_buf)?;
-        let input_len = u32::from_le_bytes(u32_buf) as usize;
-        let mut input = vec![0u8; input_len];
-        reader.read_exact(&mut input)?;
-        let mut trace = Vec::with_capacity(samples);
+        let input_len = u64::from(u32::from_le_bytes(u32_buf));
+        let mut input = Vec::new();
+        if (&mut reader).take(input_len).read_to_end(&mut input)? as u64 != input_len {
+            return Err(io::ErrorKind::UnexpectedEof.into());
+        }
+        let mut trace = Vec::new();
         for _ in 0..samples {
             reader.read_exact(&mut u32_buf)?;
             trace.push(f32::from_le_bytes(u32_buf));
@@ -153,6 +159,36 @@ mod tests {
         write_traces(&mut buffer, &sample_set()).expect("writes");
         buffer.truncate(buffer.len() - 3);
         assert!(read_traces(buffer.as_slice()).is_err());
+    }
+
+    /// A header claiming `samples` samples per trace and `count`
+    /// traces, then `rest`.
+    fn header(samples: u64, count: u64, rest: &[u8]) -> Vec<u8> {
+        let mut buffer = MAGIC.to_vec();
+        buffer.extend_from_slice(&VERSION.to_le_bytes());
+        buffer.extend_from_slice(&samples.to_le_bytes());
+        buffer.extend_from_slice(&count.to_le_bytes());
+        buffer.extend_from_slice(rest);
+        buffer
+    }
+
+    #[test]
+    fn rejects_a_header_claiming_2_pow_62_samples() {
+        // 28 bytes: the header plus an empty input; used to panic with
+        // "capacity overflow" reserving the claimed trace.
+        let buffer = header(1 << 62, 1, &0u32.to_le_bytes());
+        assert_eq!(buffer.len(), 28);
+        let err = read_traces(buffer.as_slice()).expect_err("corrupt header");
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+    }
+
+    #[test]
+    fn rejects_an_input_length_past_the_end_without_allocating_it() {
+        // A 4 GiB input claim used to be allocated before the read
+        // failed.
+        let buffer = header(3, 1, &[&u32::MAX.to_le_bytes()[..], b"abc"].concat());
+        let err = read_traces(buffer.as_slice()).expect_err("corrupt header");
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
     }
 
     #[test]

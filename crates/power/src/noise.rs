@@ -7,7 +7,7 @@
 //! optional external noise source (the OS/second-core model from
 //! `sca-osnoise` plugs in through [`NoiseSource`]).
 
-use rand::rngs::StdRng;
+use rand::rngs::{Jump, StdRng};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -58,30 +58,70 @@ impl GaussianNoise {
 }
 
 impl GaussianNoise {
-    /// Like [`NoiseSource::add_to`], but only *writes* noise inside the
-    /// `[keep.0, keep.1)` sample window. The RNG is advanced exactly as
-    /// `add_to` advances it — one `gen_range` + one `gen` per sample
-    /// whenever `sd != 0` — so the in-window values are bit-identical
-    /// to the unclipped path; only the Box–Muller transcendentals
-    /// (`ln`/`sqrt`/`cos`) of discarded samples are skipped.
+    /// Noises the `window` of a longer sample series exactly as
+    /// [`NoiseSource::add_to`] over the whole series would:
+    /// `(before, after)` samples precede and follow the window. Each
+    /// sample costs two RNG draws whenever `sd != 0`, so the draws of
+    /// the samples outside the window are skipped with exact
+    /// [`rand::rngs::Jump`]s (cached per distance in `skips`): the
+    /// window's values and the RNG's final position are bit-identical to
+    /// the whole-series path. Only the window is ever materialized.
     ///
-    /// This is the campaign fast path: a windowed campaign crops every
-    /// trace to its analysis window *after* noising, so out-of-window
-    /// noise is dead work — a full AES execution spans ~12k samples of
-    /// which a round-1 window keeps a few hundred. Callers that post-
-    /// process whole traces (e.g. the OS-noise jitter, which shifts
-    /// samples *into* the window) must keep using `add_to`.
-    pub fn add_to_clipped(&mut self, rng: &mut StdRng, samples: &mut [f64], keep: (usize, usize)) {
-        for (i, s) in samples.iter_mut().enumerate() {
-            if i >= keep.0 && i < keep.1 {
-                *s += self.baseline + self.sample(rng);
-            } else if self.sd != 0.0 {
-                // Consume the same two draws `sample` would, keeping
-                // the per-trace RNG stream aligned sample for sample.
-                let _: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-                let _: f64 = rng.gen();
+    /// This is the campaign fast path: a windowed campaign keeps a few
+    /// hundred of the ~12k samples of a full AES execution. Callers that
+    /// post-process whole traces (e.g. the OS-noise jitter, which shifts
+    /// samples *into* the window) pass the whole series as the window.
+    pub(crate) fn add_to_window(
+        &self,
+        rng: &mut StdRng,
+        window: &mut [f64],
+        (before, after): (usize, usize),
+        skips: &mut NoiseSkips,
+    ) {
+        if self.sd == 0.0 {
+            // No draws at all: nothing to skip.
+            for s in window.iter_mut() {
+                *s += self.baseline;
             }
+            return;
         }
+        skips.skip(rng, before);
+        for s in window.iter_mut() {
+            *s += self.baseline + self.sample(rng);
+        }
+        skips.skip(rng, after);
+    }
+}
+
+/// The [`Jump`]s a worker skips noise samples with, one per distance.
+/// A campaign skips the same few distances — the samples before and
+/// after its window — execution after execution, so each jump
+/// polynomial is computed once and reused.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct NoiseSkips(Vec<Jump>);
+
+impl NoiseSkips {
+    /// Distinct distances kept before the cache starts over.
+    const CAPACITY: usize = 8;
+
+    /// Advances `rng` past the draws of `samples` noise samples.
+    fn skip(&mut self, rng: &mut StdRng, samples: usize) {
+        if samples == 0 {
+            return;
+        }
+        // `sample` makes two draws: `gen_range` and `gen`.
+        let steps = 2 * samples as u64;
+        let index = match self.0.iter().position(|jump| jump.steps() == steps) {
+            Some(index) => index,
+            None => {
+                if self.0.len() == Self::CAPACITY {
+                    self.0.clear();
+                }
+                self.0.push(Jump::new(steps));
+                self.0.len() - 1
+            }
+        };
+        rng.jump(&self.0[index]);
     }
 }
 
@@ -132,41 +172,76 @@ mod tests {
         assert!((var.sqrt() - 3.0).abs() < 0.1, "sd {}", var.sqrt());
     }
 
+    /// Noises `len` samples with [`GaussianNoise::add_to_window`],
+    /// keeping `[start, end)`; returns the window.
+    fn windowed(
+        noise: GaussianNoise,
+        rng: &mut StdRng,
+        skips: &mut NoiseSkips,
+        len: usize,
+        (start, end): (usize, usize),
+    ) -> Vec<f64> {
+        let mut window = vec![0.0f64; end - start];
+        noise.add_to_window(rng, &mut window, (start, len - end), skips);
+        window
+    }
+
     #[test]
     fn clipped_noise_is_bit_identical_inside_the_window() {
-        let make = || GaussianNoise {
+        let mut noise = GaussianNoise {
             sd: 4.0,
             baseline: 7.0,
         };
         let mut full = vec![0.0f64; 64];
-        make().add_to(&mut StdRng::seed_from_u64(99), &mut full);
-        let mut clipped = vec![0.0f64; 64];
-        make().add_to_clipped(&mut StdRng::seed_from_u64(99), &mut clipped, (20, 40));
-        assert_eq!(&clipped[20..40], &full[20..40], "window bit-identical");
-        assert!(clipped[..20]
-            .iter()
-            .chain(&clipped[40..])
-            .all(|&s| s == 0.0));
-        // The RNG stream stays aligned past the window: appending more
-        // draws after either pass yields the same values.
-        let mut a = StdRng::seed_from_u64(99);
-        let mut b = StdRng::seed_from_u64(99);
-        make().add_to(&mut a, &mut vec![0.0; 64]);
-        make().add_to_clipped(&mut b, &mut vec![0.0; 64], (0, 3));
-        assert_eq!(a.gen::<u64>(), b.gen::<u64>(), "stream alignment");
+        noise.add_to(&mut StdRng::seed_from_u64(99), &mut full);
+        let mut skips = NoiseSkips::default();
+        // Middle, either end, one sample, empty and whole windows.
+        for window in [(20, 40), (0, 3), (61, 64), (0, 64), (33, 34), (50, 50)] {
+            let mut rng = StdRng::seed_from_u64(99);
+            let got = windowed(noise, &mut rng, &mut skips, 64, window);
+            assert_eq!(got, &full[window.0..window.1], "window {window:?}");
+            // The RNG ends where the whole-series pass leaves it.
+            let mut whole = StdRng::seed_from_u64(99);
+            noise.add_to(&mut whole, &mut vec![0.0; 64]);
+            assert_eq!(rng.gen::<u64>(), whole.gen::<u64>(), "window {window:?}");
+        }
+    }
+
+    #[test]
+    fn consecutive_windows_stay_aligned_across_executions() {
+        // Three executions of one trace draw from one stream, as the
+        // synthesizer's executions do; lengths vary like pipeline drain.
+        let mut noise = GaussianNoise {
+            sd: 2.5,
+            baseline: 1.0,
+        };
+        let executions = [(80, (10, 30)), (80, (10, 30)), (81, (0, 5))];
+        let mut whole_rng = StdRng::seed_from_u64(0xe4ec);
+        let mut rng = StdRng::seed_from_u64(0xe4ec);
+        let mut skips = NoiseSkips::default();
+        for (e, &(len, window)) in executions.iter().enumerate() {
+            let mut full = vec![0.0f64; len];
+            noise.add_to(&mut whole_rng, &mut full);
+            let got = windowed(noise, &mut rng, &mut skips, len, window);
+            assert_eq!(got, &full[window.0..window.1], "execution {e}");
+        }
+        assert_eq!(rng.gen::<u64>(), whole_rng.gen::<u64>());
     }
 
     #[test]
     fn clipped_noise_with_zero_sd_draws_nothing() {
-        let mut noise = GaussianNoise {
+        let noise = GaussianNoise {
             sd: 0.0,
             baseline: 2.0,
         };
         let mut a = StdRng::seed_from_u64(5);
-        let mut samples = vec![0.0f64; 8];
-        noise.add_to_clipped(&mut a, &mut samples, (2, 4));
-        assert_eq!(samples, vec![0.0, 0.0, 2.0, 2.0, 0.0, 0.0, 0.0, 0.0]);
-        // sd == 0 consumes no randomness in either path.
+        let mut skips = NoiseSkips::default();
+        assert_eq!(
+            windowed(noise, &mut a, &mut skips, 8, (2, 4)),
+            vec![2.0, 2.0]
+        );
+        // sd == 0 consumes no randomness, so there is nothing to jump.
+        assert!(skips.0.is_empty(), "no jump computed");
         let mut b = StdRng::seed_from_u64(5);
         assert_eq!(a.gen::<u64>(), b.gen::<u64>());
     }

@@ -11,30 +11,153 @@
 //! lane's events arrive in the same order and accumulate into the same
 //! `f64` slots (same addition order, hence bit-identical), and the
 //! shared trigger edges delimit the same window for every lane.
+//!
+//! Both recorders share one kept-range mechanism (`Frame`): by default
+//! they integrate every cycle of a run, and `keep_cycles` narrows that to
+//! a range of trigger-relative cycles — the cycles a windowed campaign
+//! can ever see — so the rest of the run is never integrated or stored.
+
+use std::ops::Range;
 
 use sca_uarch::{BlockObserver, NodeEvent, NodeKind, MAX_LANES};
 
 use crate::LeakageWeights;
 
-/// The `(cycle, level)` trigger edges of one run.
-#[derive(Clone, Debug, Default)]
-struct Triggers(Vec<(u64, bool)>);
+/// One run's trigger edges and the cycles a recorder keeps of it.
+///
+/// By default every cycle is kept. A kept range `[lo, hi)` of
+/// trigger-relative cycles narrows that. Until the trigger rises, the
+/// recorder keeps cycles `lo..hi` of the run (a run that never triggers
+/// is its own window) and, when `lo == 0`, integrates the current cycle
+/// into a spare row: it may become the window's cycle 0, whose
+/// pending-drain and retire events reach the observer before the `trig`
+/// edge. At the first rising edge, at cycle `T`, that row moves to row 0
+/// and the recorder keeps cycles `T + lo..T + hi`. Kept cycles are
+/// stored as contiguous rows, row 0 holding absolute cycle `base`.
+#[derive(Clone, Debug)]
+struct Frame {
+    /// The `(cycle, level)` trigger edges.
+    edges: Vec<(u64, bool)>,
+    /// Trigger-relative cycles `[lo, hi)` to keep; `None` keeps all.
+    keep: Option<(usize, usize)>,
+    /// The absolute cycle stored in row 0.
+    base: usize,
+    /// The first absolute cycle past the kept ones.
+    limit: usize,
+    /// Whether an unkept current cycle goes to the spare row (before
+    /// the trigger rises, when the window's cycle 0 is kept).
+    spare: bool,
+    /// Cycles the run has begun.
+    cycles: usize,
+    /// The cycle begun last (`u64::MAX` before the first).
+    current: u64,
+    /// The current cycle's row, when it is integrated.
+    row: Option<usize>,
+}
 
-impl Triggers {
-    /// The cycles `[start, end)` of the first high-trigger window within
-    /// `cycles` recorded cycles; all of them when no trigger rose (bench
-    /// code without `trig` instructions).
-    fn window(&self, cycles: usize) -> (usize, usize) {
-        let Some(start) = self.0.iter().find(|(_, h)| *h).map(|(c, _)| *c as usize) else {
+impl Default for Frame {
+    fn default() -> Frame {
+        Frame {
+            edges: Vec::new(),
+            keep: None,
+            base: 0,
+            limit: usize::MAX,
+            spare: false,
+            cycles: 0,
+            current: u64::MAX,
+            row: None,
+        }
+    }
+}
+
+impl Frame {
+    /// Forgets the run, keeping the kept range.
+    fn reset(&mut self) {
+        let (lo, hi) = self.keep.unwrap_or((0, usize::MAX));
+        self.edges.clear();
+        self.base = lo;
+        self.limit = hi.max(lo);
+        self.spare = self.keep.is_some() && lo == 0 && hi > 0;
+        self.cycles = 0;
+        self.current = u64::MAX;
+        self.row = None;
+    }
+
+    /// Begins `cycle`; returns its row when it is integrated. A reused
+    /// (spare) row must be zeroed by the recorder.
+    #[inline]
+    fn begin(&mut self, cycle: u64) -> Option<usize> {
+        self.current = cycle;
+        let c = cycle as usize;
+        self.cycles = self.cycles.max(c.saturating_add(1));
+        self.row = if (self.base..self.limit).contains(&c) {
+            Some(c - self.base)
+        } else if self.spare {
+            Some(self.limit - self.base)
+        } else {
+            None
+        };
+        self.row
+    }
+
+    /// The row of an event at `cycle`, when its cycle is integrated.
+    /// Events belong to the cycle begun last: the pipeline emits every
+    /// event of a cycle after that cycle's `begin_cycle`.
+    #[inline]
+    fn row_of(&self, cycle: u64) -> Option<usize> {
+        debug_assert_eq!(cycle, self.current, "event outside the current cycle");
+        self.row
+    }
+
+    /// Records a trigger edge. At the first rising edge of a narrowed
+    /// frame, returns the row the recorder must move to row 0 (the
+    /// window's cycle 0, when kept) before dropping every other row.
+    fn trigger(&mut self, cycle: u64, high: bool) -> Option<Option<usize>> {
+        let first_rise = high && !self.edges.iter().any(|&(_, h)| h);
+        self.edges.push((cycle, high));
+        let (lo, hi) = self.keep.filter(|_| first_rise)?;
+        debug_assert_eq!(cycle, self.current, "trigger outside the current cycle");
+        let start = cycle as usize;
+        let kept = self.row.filter(|_| lo == 0 && hi > 0);
+        self.base = start.saturating_add(lo);
+        self.limit = start.saturating_add(hi);
+        self.spare = false;
+        self.row = kept.map(|_| 0);
+        Some(kept)
+    }
+
+    /// The absolute cycles `[start, end)` of the first high-trigger
+    /// window; the whole run when no trigger rose (bench code without
+    /// `trig` instructions).
+    fn window(&self) -> (usize, usize) {
+        let cycles = self.cycles;
+        let Some(start) = self
+            .edges
+            .iter()
+            .find(|(_, h)| *h)
+            .map(|(c, _)| *c as usize)
+        else {
             return (0, cycles);
         };
         let end = self
-            .0
+            .edges
             .iter()
             .find(|(c, h)| !*h && *c as usize >= start)
             .map_or(cycles, |(c, _)| *c as usize)
             .min(cycles);
         (start.min(end), end)
+    }
+
+    /// The kept cycles of the window, given the `stored` rows: their
+    /// rows, the trigger-relative cycle of the first, and the window's
+    /// length in cycles.
+    fn kept(&self, stored: usize) -> (Range<usize>, usize, usize) {
+        let (start, end) = self.window();
+        let (lo, hi) = self.keep.unwrap_or((0, usize::MAX));
+        let row = |cycle: usize| cycle.saturating_sub(self.base).min(stored);
+        let first = row(start.saturating_add(lo));
+        let last = row(end.min(start.saturating_add(hi))).max(first);
+        (first..last, self.base + first - start, end - start)
     }
 }
 
@@ -54,17 +177,17 @@ fn lanes<const L: usize>(lanes: usize) -> usize {
 /// One recorder observes one execution (of every lane); the trace
 /// synthesizer then expands cycles to oscilloscope samples, adds noise
 /// and averages executions. Storage is lane-interleaved
-/// (`power[cycle * lanes + lane]`): a block emits each node's events
-/// lane by lane, so the writes of one batch land on adjacent slots — this
-/// recorder sits on the busiest observer path of the whole campaign
-/// engine.
+/// (`power[row * lanes + lane]`, one row per kept cycle): a block emits
+/// each node's events lane by lane, so the writes of one batch land on
+/// adjacent slots — this recorder sits on the busiest observer path of
+/// the whole campaign engine.
 #[derive(Clone, Debug)]
 pub struct LanePowerRecorder<const L: usize> {
     weights: LeakageWeights,
     lanes: usize,
-    /// Lane-interleaved per-cycle power.
+    /// Lane-interleaved per-cycle power of the kept cycles.
     power: Vec<f64>,
-    triggers: Triggers,
+    frame: Frame,
 }
 
 /// The one-lane power recorder, observing a [`sca_uarch::Cpu`].
@@ -79,16 +202,18 @@ impl PowerRecorder {
         LanePowerRecorder::with_lanes(weights, 1)
     }
 
-    /// The raw per-cycle power series for the whole execution.
+    /// The raw per-cycle power series of the kept cycles: the whole
+    /// execution unless [`LanePowerRecorder::keep_cycles`] narrowed it.
     pub fn cycle_power(&self) -> &[f64] {
         &self.power
     }
 
     /// The per-cycle power inside the first high-trigger window (the
-    /// whole series when no trigger fired).
+    /// whole series when no trigger fired) — its kept cycles only, when
+    /// [`LanePowerRecorder::keep_cycles`] narrowed them.
     pub fn windowed_power(&self) -> &[f64] {
-        let (start, end) = self.window();
-        &self.power[start..end]
+        let (rows, _, _) = self.frame.kept(self.power.len());
+        &self.power[rows]
     }
 }
 
@@ -110,73 +235,91 @@ impl<const L: usize> LanePowerRecorder<L> {
             weights,
             lanes: lanes.max(1),
             power: Vec::new(),
-            triggers: Triggers::default(),
+            frame: Frame::default(),
         }
     }
 
-    fn window(&self) -> (usize, usize) {
-        self.triggers
-            .window(self.power.len() / lanes::<L>(self.lanes))
+    fn stride(&self) -> usize {
+        lanes::<L>(self.lanes)
+    }
+
+    /// Integrates only the trigger-relative cycles `[lo, hi)` of each
+    /// run from now on (`None`, the default, keeps every cycle), and
+    /// clears the recorded data. Cycles outside the range are never
+    /// integrated; the window accessors then return the kept part of
+    /// the trigger window.
+    pub fn keep_cycles(&mut self, cycles: Option<(usize, usize)>) {
+        self.frame.keep = cycles;
+        self.reset();
     }
 
     /// Recorded trigger edges.
     pub fn triggers(&self) -> &[(u64, bool)] {
-        &self.triggers.0
+        &self.frame.edges
     }
 
     /// Fills `out` (cleared first, capacity reused) with one lane's
-    /// per-cycle power inside the first high-trigger window.
+    /// per-cycle power inside the first high-trigger window (its kept
+    /// cycles).
     pub fn windowed_power_into(&self, lane: usize, out: &mut Vec<f64>) {
-        let stride = lanes::<L>(self.lanes);
-        let (start, end) = self.window();
+        let stride = self.stride();
+        let (rows, _, _) = self.frame.kept(self.power.len() / stride);
         out.clear();
         out.extend(
-            self.power[start * stride..end * stride]
+            self.power[rows.start * stride..rows.end * stride]
                 .iter()
                 .skip(lane)
                 .step_by(stride),
         );
     }
 
-    /// One lane's per-cycle power inside the first high-trigger window:
-    /// borrowed in place from a one-lane recorder, gathered into
-    /// `gather` (cleared first, capacity reused) otherwise.
+    /// One lane's kept per-cycle power inside the first high-trigger
+    /// window, with the trigger-relative cycle of its first entry and
+    /// the window's length in cycles. The series is borrowed in place
+    /// from a one-lane recorder, gathered into `gather` (cleared first,
+    /// capacity reused) otherwise.
     #[inline]
-    pub(crate) fn lane_window<'a>(&'a self, lane: usize, gather: &'a mut Vec<f64>) -> &'a [f64] {
+    pub(crate) fn lane_window<'a>(
+        &'a self,
+        lane: usize,
+        gather: &'a mut Vec<f64>,
+    ) -> (&'a [f64], usize, usize) {
+        let (rows, first, cycles) = self.frame.kept(self.power.len() / self.stride());
         if L == 1 {
-            let (start, end) = self.window();
-            return &self.power[start..end];
+            return (&self.power[rows], first, cycles);
         }
         self.windowed_power_into(lane, gather);
-        gather
+        (gather, first, cycles)
     }
 
-    /// Clears recorded data, keeping the weights and the allocated
-    /// capacity (reuse across the averaged executions of a trace).
+    /// Clears recorded data, keeping the weights, the kept range and
+    /// the allocated capacity (reuse across the averaged executions of
+    /// a trace).
     pub fn reset(&mut self) {
         self.power.clear();
-        self.triggers.0.clear();
-    }
-
-    /// Grows the series to cover `cycle`.
-    #[inline]
-    fn cover(&mut self, cycle: u64) {
-        let needed = (cycle as usize + 1) * lanes::<L>(self.lanes);
-        if self.power.len() < needed {
-            self.power.resize(needed, 0.0);
-        }
+        self.frame.reset();
     }
 }
 
 impl<const L: usize> BlockObserver for LanePowerRecorder<L> {
     #[inline]
     fn begin_cycle(&mut self, cycle: u64) {
-        self.cover(cycle);
+        if let Some(row) = self.frame.begin(cycle) {
+            let stride = self.stride();
+            let (start, end) = (row * stride, (row + 1) * stride);
+            if self.power.len() < end {
+                self.power.resize(end, 0.0);
+            } else {
+                self.power[start..end].fill(0.0);
+            }
+        }
     }
 
     fn node_event(&mut self, lane: usize, event: NodeEvent) {
-        self.cover(event.cycle);
-        let slot = event.cycle as usize * lanes::<L>(self.lanes) + lane;
+        let Some(row) = self.frame.row_of(event.cycle) else {
+            return;
+        };
+        let slot = row * self.stride() + lane;
         self.power[slot] += self.weights.power_of(&event);
     }
 
@@ -185,17 +328,25 @@ impl<const L: usize> BlockObserver for LanePowerRecorder<L> {
         let Some(first) = events.first() else {
             return;
         };
-        self.cover(first.cycle);
+        let Some(row) = self.frame.row_of(first.cycle) else {
+            return;
+        };
         // One kind resolution for the whole batch.
         let kind = first.node.kind();
-        let base = first.cycle as usize * lanes::<L>(self.lanes);
+        let base = row * self.stride();
         for (slot, event) in self.power[base..base + events.len()].iter_mut().zip(events) {
             *slot += self.weights.power_of_kind(kind, event);
         }
     }
 
     fn trigger(&mut self, cycle: u64, high: bool) {
-        self.triggers.0.push((cycle, high));
+        if let Some(kept) = self.frame.trigger(cycle, high) {
+            let stride = self.stride();
+            if let Some(row) = kept {
+                self.power.copy_within(row * stride..(row + 1) * stride, 0);
+            }
+            self.power.truncate(kept.map_or(0, |_| stride));
+        }
     }
 }
 
@@ -220,9 +371,10 @@ impl<const L: usize> BlockObserver for LanePowerRecorder<L> {
 pub struct LaneComponentRecorder<const L: usize> {
     weights: LeakageWeights,
     lanes: usize,
-    /// One cycle-major series (`cycles × NodeKind::COUNT`) per lane.
+    /// One cycle-major series (`rows × NodeKind::COUNT`, one row per
+    /// kept cycle) per lane.
     power: [Vec<f64>; L],
-    triggers: Triggers,
+    frame: Frame,
 }
 
 /// The one-lane component recorder, observing a [`sca_uarch::Cpu`].
@@ -256,61 +408,71 @@ impl<const L: usize> LaneComponentRecorder<L> {
             weights,
             lanes: lanes.max(1),
             power: std::array::from_fn(|_| Vec::new()),
-            triggers: Triggers::default(),
+            frame: Frame::default(),
         }
     }
 
-    /// Cycles recorded so far (every lane's series grows together).
-    fn cycles(&self) -> usize {
+    /// Rows recorded so far (every lane's series grows together).
+    fn rows(&self) -> usize {
         self.power[0].len() / NodeKind::COUNT
     }
 
-    /// Clears recorded data while keeping the weights and the allocated
-    /// capacity (reuse across the averaged executions of a campaign).
+    /// Integrates only the trigger-relative cycles `[lo, hi)` of each
+    /// run from now on (`None`, the default, keeps every cycle), and
+    /// clears the recorded data.
+    pub fn keep_cycles(&mut self, cycles: Option<(usize, usize)>) {
+        self.frame.keep = cycles;
+        self.reset();
+    }
+
+    /// Clears recorded data while keeping the weights, the kept range
+    /// and the allocated capacity (reuse across the averaged executions
+    /// of a campaign).
     pub fn reset(&mut self) {
         for series in &mut self.power {
             series.clear();
         }
-        self.triggers.0.clear();
+        self.frame.reset();
     }
 
     /// Fills `out` (cleared first, capacity reused) with one lane's
     /// per-cycle power for one component inside the first high-trigger
-    /// window.
+    /// window — with a kept range `[lo, hi)`, its cycles `lo..hi` (fewer
+    /// where the window ends first).
     pub fn windowed_power_into(&self, lane: usize, kind: NodeKind, out: &mut Vec<f64>) {
         const COUNT: usize = NodeKind::COUNT;
-        let (start, end) = self.triggers.window(self.cycles());
+        let (rows, _, _) = self.frame.kept(self.rows());
         out.clear();
         out.extend(
-            self.power[lane][start * COUNT..end * COUNT]
+            self.power[lane][rows.start * COUNT..rows.end * COUNT]
                 .iter()
                 .skip(kind.index())
                 .step_by(COUNT),
         );
-    }
-
-    /// Grows every lane's series to cover `cycle`.
-    #[inline]
-    fn cover(&mut self, cycle: u64) {
-        let needed = (cycle as usize + 1) * NodeKind::COUNT;
-        if self.power[0].len() < needed {
-            for series in &mut self.power[..lanes::<L>(self.lanes)] {
-                series.resize(needed, 0.0);
-            }
-        }
     }
 }
 
 impl<const L: usize> BlockObserver for LaneComponentRecorder<L> {
     #[inline]
     fn begin_cycle(&mut self, cycle: u64) {
-        self.cover(cycle);
+        if let Some(row) = self.frame.begin(cycle) {
+            let (start, end) = (row * NodeKind::COUNT, (row + 1) * NodeKind::COUNT);
+            for series in &mut self.power[..lanes::<L>(self.lanes)] {
+                if series.len() < end {
+                    series.resize(end, 0.0);
+                } else {
+                    series[start..end].fill(0.0);
+                }
+            }
+        }
     }
 
     fn node_event(&mut self, lane: usize, event: NodeEvent) {
-        self.cover(event.cycle);
+        let Some(row) = self.frame.row_of(event.cycle) else {
+            return;
+        };
         let kind = event.node.kind();
-        let offset = event.cycle as usize * NodeKind::COUNT + kind.index();
+        let offset = row * NodeKind::COUNT + kind.index();
         self.power[lane][offset] += self.weights.power_of_kind(kind, &event);
     }
 
@@ -319,16 +481,26 @@ impl<const L: usize> BlockObserver for LaneComponentRecorder<L> {
         let Some(first) = events.first() else {
             return;
         };
-        self.cover(first.cycle);
+        let Some(row) = self.frame.row_of(first.cycle) else {
+            return;
+        };
         let kind = first.node.kind();
-        let offset = first.cycle as usize * NodeKind::COUNT + kind.index();
+        let offset = row * NodeKind::COUNT + kind.index();
         for (series, event) in self.power.iter_mut().zip(events) {
             series[offset] += self.weights.power_of_kind(kind, event);
         }
     }
 
     fn trigger(&mut self, cycle: u64, high: bool) {
-        self.triggers.0.push((cycle, high));
+        if let Some(kept) = self.frame.trigger(cycle, high) {
+            const COUNT: usize = NodeKind::COUNT;
+            for series in &mut self.power[..lanes::<L>(self.lanes)] {
+                if let Some(row) = kept {
+                    series.copy_within(row * COUNT..(row + 1) * COUNT, 0);
+                }
+                series.truncate(kept.map_or(0, |_| COUNT));
+            }
+        }
     }
 }
 
@@ -378,6 +550,66 @@ mod tests {
             rec.begin_cycle(c);
         }
         assert_eq!(rec.windowed_power().len(), 5);
+    }
+
+    /// Ten cycles of one `c + 1`-bit event each, the trigger rising at
+    /// cycle 3 — after that cycle's first event, as the pipeline emits
+    /// pending-drain and retire events before the `trig` edge — and
+    /// falling at 8.
+    fn run(rec: &mut PowerRecorder, trigger: bool) {
+        rec.reset();
+        for c in 0..10 {
+            rec.begin_cycle(c);
+            rec.node_event(0, ev(c, 0, (1 << (c + 1)) - 1));
+            if trigger && c == 3 {
+                rec.trigger(3, true);
+                rec.node_event(0, ev(c, 0, 1));
+            }
+            if trigger && c == 8 {
+                rec.trigger(8, false);
+            }
+        }
+    }
+
+    #[test]
+    fn kept_range_integrates_only_its_trigger_relative_cycles() {
+        let weights = LeakageWeights::zero().with_hd(sca_uarch::NodeKind::Mdr, 1.0);
+        let mut whole = PowerRecorder::new(weights.clone());
+        run(&mut whole, true);
+        assert_eq!(whole.windowed_power(), &[5.0, 5.0, 6.0, 7.0, 8.0]);
+        let mut kept = PowerRecorder::new(weights);
+        for (range, want) in [
+            ((0, 2), &[5.0, 5.0][..]),
+            ((0, 9), &[5.0, 5.0, 6.0, 7.0, 8.0]),
+            ((1, 3), &[5.0, 6.0]),
+            ((3, 9), &[7.0, 8.0]),
+            ((6, 9), &[]),
+            ((2, 2), &[]),
+        ] {
+            kept.keep_cycles(Some(range));
+            run(&mut kept, true);
+            assert_eq!(kept.windowed_power(), want, "kept {range:?}");
+            // Nothing outside the kept range is stored.
+            assert!(
+                kept.cycle_power().len() <= range.1 - range.0,
+                "kept {range:?}"
+            );
+            let (_, first, cycles) = kept.lane_window(0, &mut Vec::new());
+            assert_eq!((first, cycles), (range.0, 5), "kept {range:?}");
+        }
+        // Without a trigger the whole run is the window.
+        kept.keep_cycles(Some((2, 4)));
+        run(&mut kept, false);
+        assert_eq!(kept.windowed_power(), &[3.0, 4.0]);
+        kept.keep_cycles(Some((0, 4)));
+        run(&mut kept, false);
+        assert_eq!(kept.windowed_power(), &[1.0, 2.0, 3.0, 4.0]);
+        kept.keep_cycles(Some((20, 30)));
+        run(&mut kept, false);
+        assert!(kept.windowed_power().is_empty(), "past the run's end");
+        kept.keep_cycles(None);
+        run(&mut kept, true);
+        assert_eq!(kept.windowed_power(), whole.windowed_power());
     }
 
     #[test]

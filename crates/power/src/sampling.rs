@@ -57,53 +57,88 @@ impl SamplingConfig {
 
     /// Allocation-free variant of [`SamplingConfig::expand`]: clears
     /// `out` and fills it with the expanded sample series, reusing its
-    /// capacity. This is the per-execution path of the trace-generation
-    /// arena — bit-identical to `expand` (same accumulation order).
+    /// capacity — bit-identical to `expand` (same accumulation order).
     pub fn expand_into(&self, cycle_power: &[f64], out: &mut Vec<f64>) {
-        self.expand_into_clipped(cycle_power, out, (0, usize::MAX));
+        let samples = self.sample_count(cycle_power.len());
+        self.expand_window_into(cycle_power, 0, (0, samples), out);
     }
 
-    /// Like [`SamplingConfig::expand_into`], but only materializes the
-    /// samples inside `[keep.0, keep.1)`; everything outside stays
-    /// zero. In-window samples are bit-identical to the unclipped
-    /// expansion (each receives the same per-cycle contributions in the
-    /// same order), so a campaign that crops to a window before its
-    /// sinks can skip expanding the rest of the execution.
-    pub fn expand_into_clipped(
+    /// Expands cycles into samples `[window.0, window.1)` of the series
+    /// only, in window coordinates: `out` is cleared and filled with
+    /// `window.1 - window.0` samples. `cycle_power[i]` is the power of
+    /// cycle `first_cycle + i`; it must hold every cycle whose pulse
+    /// reaches the window ([`SamplingConfig::cycles_reaching`]), and
+    /// `window.1` must not pass the series' [`SamplingConfig::sample_count`].
+    ///
+    /// Each window sample is bit-identical to the same sample of
+    /// [`SamplingConfig::expand`]: it receives the same per-cycle
+    /// contributions in the same order. This is the per-execution path
+    /// of trace synthesis, which expands only what a campaign keeps.
+    pub fn expand_window_into(
         &self,
         cycle_power: &[f64],
+        first_cycle: usize,
+        (lo, hi): (usize, usize),
         out: &mut Vec<f64>,
-        keep: (usize, usize),
     ) {
-        let n = self.sample_count(cycle_power.len());
         out.clear();
-        out.resize(n, 0.0);
+        out.resize(hi - lo, 0.0);
         let norm: f64 = self.kernel.iter().sum::<f64>().max(f64::MIN_POSITIVE);
-        for (c, &p) in cycle_power.iter().enumerate() {
+        for (c, &p) in (first_cycle..).zip(cycle_power) {
             if p == 0.0 {
                 continue;
             }
             let start = c as f64 * self.samples_per_cycle;
             let first = start.floor() as usize;
-            // A cycle's pulse covers samples [first, first + kernel_len];
-            // skip cycles that cannot touch the kept window.
-            if first >= keep.1 || first + self.kernel.len() < keep.0 {
-                continue;
-            }
             // Linear placement: fractional starting position splits the
             // kernel between adjacent samples.
             let frac = start - start.floor();
             for (k, &amp) in self.kernel.iter().enumerate() {
                 let contribution = p * amp / norm;
                 let idx = first + k;
-                if idx < n && idx >= keep.0 && idx < keep.1 {
-                    out[idx] += contribution * (1.0 - frac);
+                if idx >= lo && idx < hi {
+                    out[idx - lo] += contribution * (1.0 - frac);
                 }
-                if idx + 1 < n && idx + 1 >= keep.0 && idx + 1 < keep.1 {
-                    out[idx + 1] += contribution * frac;
+                if idx + 1 >= lo && idx + 1 < hi {
+                    out[idx + 1 - lo] += contribution * frac;
                 }
             }
         }
+    }
+
+    /// The cycles `[start, end)` whose pulses reach samples
+    /// `[lo, hi)`: cycle `c`'s pulse covers samples `floor(c · spc)`
+    /// through `floor(c · spc) + kernel.len()`. An unbounded window
+    /// (`hi == usize::MAX`) reaches every cycle from `start` on.
+    pub fn cycles_reaching(&self, (lo, hi): (usize, usize)) -> (usize, usize) {
+        let spc = self.samples_per_cycle;
+        if lo >= hi {
+            return (0, 0);
+        }
+        if spc <= 0.0 || spc.is_nan() {
+            // A degenerate rate: keep every cycle.
+            return (0, usize::MAX);
+        }
+        let first = |c: usize| (c as f64 * spc).floor() as usize;
+        // The first cycle whose pulse starts at or after `sample`
+        // (`first` is non-decreasing): estimate, then settle exactly.
+        let first_at = |sample: usize| {
+            let mut c = (sample as f64 / spc) as usize;
+            while c > 0 && first(c - 1) >= sample {
+                c -= 1;
+            }
+            while first(c) < sample {
+                c += 1;
+            }
+            c
+        };
+        let start = first_at(lo.saturating_sub(self.kernel.len()));
+        let end = if hi == usize::MAX {
+            usize::MAX
+        } else {
+            first_at(hi)
+        };
+        (start, end)
     }
 
     /// Maps a cycle offset (within a window) to its nominal sample index.
@@ -248,6 +283,40 @@ mod tests {
         // Exact products stay exact at the paper's fractional rate.
         let cfg = SamplingConfig::picoscope_500msps_120mhz();
         assert_eq!(cfg.window_to_samples(0, 120), (0, 500));
+    }
+
+    #[test]
+    fn windows_match_the_whole_expansion_from_the_cycles_reaching_them() {
+        let cfg = SamplingConfig::picoscope_500msps_120mhz();
+        let cycles: Vec<f64> = (0..60).map(|c| ((c * 7) % 11) as f64).collect();
+        let whole = cfg.expand(&cycles);
+        let n = whole.len();
+        let mut out = Vec::new();
+        for window in [
+            (0, 1),
+            (0, 40),
+            (17, 18),
+            (100, 180),
+            (n - 9, n),
+            (0, n),
+            (30, 30),
+        ] {
+            let (start, end) = cfg.cycles_reaching(window);
+            let end = end.min(cycles.len());
+            cfg.expand_window_into(&cycles[start..end], start, window, &mut out);
+            assert_eq!(out, &whole[window.0..window.1], "window {window:?}");
+            // Every cycle outside the range leaves the window untouched.
+            for c in (0..start).chain(end..cycles.len()) {
+                let mut lone = vec![0.0; cycles.len()];
+                lone[c] = 1.0;
+                let spread = cfg.expand(&lone);
+                assert!(
+                    spread[window.0..window.1].iter().all(|&s| s == 0.0),
+                    "cycle {c} reaches window {window:?}"
+                );
+            }
+        }
+        assert_eq!(cfg.cycles_reaching((5, usize::MAX)).1, usize::MAX);
     }
 
     #[test]

@@ -21,6 +21,7 @@ use rand::SeedableRng;
 
 use sca_uarch::{Cpu, CpuBlock, LaneSim, UarchError, MAX_LANES};
 
+use crate::noise::NoiseSkips;
 use crate::{
     BlockPowerRecorder, GaussianNoise, LanePowerRecorder, LeakageWeights, PowerRecorder,
     SamplingConfig,
@@ -74,6 +75,23 @@ fn simulator_runs_counter() -> &'static std::sync::Arc<sca_telemetry::Counter> {
     sca_telemetry::counter!("power/simulator_runs")
 }
 
+/// The `power/samples` telemetry counter: samples synthesized (expanded
+/// and noised) by [`TraceSynthesizer::synth_into`] and
+/// [`TraceSynthesizer::synth_block_into`], per execution and lane —
+/// the kept window of a clipped synthesis, the whole trace otherwise.
+/// A work counter, published like `power/simulator_runs`.
+fn samples_counter() -> &'static std::sync::Arc<sca_telemetry::Counter> {
+    sca_telemetry::counter!("power/samples")
+}
+
+/// The `power/samples_skipped` telemetry counter: samples of those
+/// executions that clipping never materialized (nor integrated the
+/// cycles of, nor drew the noise of). Zero when nothing was clipped;
+/// with `power/samples` it sums to every execution's full length.
+fn skipped_counter() -> &'static std::sync::Arc<sca_telemetry::Counter> {
+    sca_telemetry::counter!("power/samples_skipped")
+}
+
 /// How many simulator executions trace synthesis has run in this
 /// process so far. Monotonic; sample it before and after an operation
 /// to count the runs it caused.
@@ -95,16 +113,21 @@ fn child_seed(master: u64, index: u64) -> u64 {
 
 /// Reusable per-worker scratch for the allocation-free synthesis path
 /// ([`TraceSynthesizer::synth_into`]): the f64 accumulation buffer the
-/// averaged executions sum into and the per-execution expanded-sample
-/// buffer. A campaign worker owns one of these (inside its `SimArena`)
-/// for its entire index range.
+/// averaged executions sum into, the per-execution expanded-sample
+/// buffer — both in window coordinates, holding only the samples a
+/// clipped synthesis keeps — and the noise-skip jumps, one per distance
+/// skipped (a campaign skips the same few distances every execution, so
+/// each jump polynomial is computed once per worker). A campaign worker
+/// owns one of these (inside its `SimArena`) for its entire index range.
 #[derive(Clone, Debug, Default)]
 pub struct SynthScratch {
     /// Execution-averaged power, in f64 (converted to f32 only at the
     /// end).
     accum: Vec<f64>,
-    /// One execution's expanded (and noised) sample series.
+    /// One execution's expanded (and noised) samples of the window.
     samples: Vec<f64>,
+    /// Cached jumps over the noise draws of unkept samples.
+    skips: NoiseSkips,
 }
 
 impl SynthScratch {
@@ -200,15 +223,19 @@ impl TraceSynthesizer {
     /// how many traces the buffers have already produced — the
     /// differential tests in `tests/campaign_determinism.rs` pin this.
     ///
-    /// `clip`, when `Some((start, end))`, restricts sample synthesis to
-    /// that end-exclusive window: out-of-window samples stay at zero
-    /// (expansion skipped) and receive no noise (the noise RNG is still
-    /// advanced identically, so in-window samples are bit-identical to
-    /// the unclipped trace). Only pass a clip when everything past the
-    /// window is discarded unseen — i.e. the campaign crops to exactly
-    /// this window *and* `post` ignores the samples (the windowed
-    /// engine passes a no-op post on the clipped path; OS-noise jitter,
-    /// which shifts samples into the window, must run unclipped).
+    /// `clip`, when `Some((start, end))`, synthesizes only that
+    /// end-exclusive sample window, and `trace` holds just its samples
+    /// (`trace[i]` is sample `start + i`; fewer than `end - start` when
+    /// the execution is shorter). Each execution then costs the pipeline
+    /// walk plus O(window): the recorder integrates only the cycles whose
+    /// pulses reach the window, only the window is expanded and noised,
+    /// and the noise draws of the other samples are jumped over, so
+    /// every kept sample is bit-identical to the same sample of the
+    /// unclipped trace. `None` is the whole-trace window. Only pass a
+    /// clip when `post` ignores the samples (it sees the window alone;
+    /// the windowed engine passes a no-op post on the clipped path, and
+    /// OS-noise jitter, which shifts samples into the window, runs
+    /// unclipped).
     ///
     /// # Errors
     ///
@@ -296,7 +323,9 @@ impl TraceSynthesizer {
     /// streams (input, noise, scrambles), and the recorder accumulates
     /// each lane's events in the order a one-lane run emits them, so
     /// the `f64` sums — and hence the traces — do not depend on the
-    /// lane count.
+    /// lane count. Everything after the pipeline walk works in the
+    /// coordinates of the kept sample window (`clip`, or the whole
+    /// trace).
     #[allow(clippy::too_many_arguments)]
     #[inline]
     fn synth_lanes<C, const L: usize, G, S, P>(
@@ -320,6 +349,7 @@ impl TraceSynthesizer {
         P: Fn(&mut StdRng, &mut Vec<f64>) + Sync,
     {
         let config = &self.config;
+        let sampling = &config.sampling;
         let mut rngs: Vec<StdRng> = (base_index..base_index + count)
             .map(|index| StdRng::seed_from_u64(child_seed(config.seed, index as u64)))
             .collect();
@@ -333,8 +363,9 @@ impl TraceSynthesizer {
             scratch.accum.clear();
         }
         let executions = config.executions_per_trace.max(1);
-        let keep = clip.unwrap_or((0, usize::MAX));
-        let mut noise = config.noise;
+        let (first, last) = clip.unwrap_or((0, usize::MAX));
+        // Keep a cycle if its pulse can reach a kept sample.
+        recorder.keep_cycles(clip.map(|window| sampling.cycles_reaching(window)));
         // One lane's windowed series, gathered out of a lockstep
         // recorder's interleaved storage (a one-lane recorder lends its
         // own, so this never allocates on the scalar path).
@@ -354,19 +385,29 @@ impl TraceSynthesizer {
             recorder.reset();
             sim.run_lanes(recorder)?;
             simulator_runs_counter().add(count as u64);
+            let (mut kept, mut total) = (0, 0);
             for (lane, (scratch, rng)) in scratches.iter_mut().zip(&mut rngs).enumerate() {
-                let windowed = recorder.lane_window(lane, &mut gather);
-                config
-                    .sampling
-                    .expand_into_clipped(windowed, &mut scratch.samples, keep);
-                noise.add_to_clipped(rng, &mut scratch.samples, keep);
+                let (power, first_cycle, cycles) = recorder.lane_window(lane, &mut gather);
+                let samples = sampling.sample_count(cycles);
+                let window = (first.min(samples), last.min(samples));
+                sampling.expand_window_into(power, first_cycle, window, &mut scratch.samples);
+                config.noise.add_to_window(
+                    rng,
+                    &mut scratch.samples,
+                    (window.0, samples - window.1),
+                    &mut scratch.skips,
+                );
                 post(rng, &mut scratch.samples);
                 if scratch.accum.is_empty() {
                     scratch.accum.extend_from_slice(&scratch.samples);
                 } else {
                     crate::vecops::add_assign(&mut scratch.accum, &scratch.samples);
                 }
+                kept += window.1 - window.0;
+                total += samples;
             }
+            samples_counter().add(kept as u64);
+            skipped_counter().add((total - kept) as u64);
         }
         let inv = 1.0 / executions as f64;
         for (trace, scratch) in traces.iter_mut().zip(scratches.iter()) {

@@ -37,6 +37,8 @@ const WORK_COUNTERS: &[&str] = &[
     "campaign/traces_planned",
     "campaign/traces_simulated",
     "power/simulator_runs",
+    "power/samples",
+    "power/samples_skipped",
     "uarch/l1i/accesses",
     "uarch/l1i/misses",
     "uarch/l1d/accesses",
@@ -142,6 +144,7 @@ proptest! {
                 let moved = deltas(|| {
                     Campaign::new(LeakageWeights::cortex_a7(), config(seed, traces, threads))
                         .with_lanes(lanes)
+                        .with_window(1, 2)
                         .run(&cpu, entry, generate, stage, sink)
                         .expect("campaign runs");
                 });
@@ -158,6 +161,10 @@ proptest! {
         prop_assert_eq!(get("campaign/traces_planned"), traces as u64);
         prop_assert_eq!(get("campaign/traces_simulated"), traces as u64);
         prop_assert_eq!(get("power/simulator_runs"), 1 + 2 * traces as u64);
+        // Window clipping engaged: two executions keep two samples
+        // each, and the rest of every execution was never synthesized.
+        prop_assert_eq!(get("power/samples"), 2 * 2 * traces as u64);
+        prop_assert!(get("power/samples_skipped") > 0, "clipping skipped nothing");
         prop_assert!(get("uarch/l1d/accesses") > 0, "load kernel must hit L1D");
         prop_assert!(get("uarch/l1i/accesses") > 0, "fetch must hit L1I");
         for (threads, lanes, moved) in &runs[1..] {
