@@ -63,12 +63,12 @@ impl SamplingConfig {
         self.expand_window_into(cycle_power, 0, (0, samples), out);
     }
 
-    /// Expands cycles into samples `[window.0, window.1)` of the series
-    /// only, in window coordinates: `out` is cleared and filled with
-    /// `window.1 - window.0` samples. `cycle_power[i]` is the power of
-    /// cycle `first_cycle + i`; it must hold every cycle whose pulse
-    /// reaches the window ([`SamplingConfig::cycles_reaching`]), and
-    /// `window.1` must not pass the series' [`SamplingConfig::sample_count`].
+    /// Expands cycles into samples `lo..hi` of the series only, in
+    /// window coordinates: `out` is cleared and filled with `hi - lo`
+    /// samples. `cycle_power[i]` is the power of cycle
+    /// `first_cycle + i`; it must hold every cycle whose pulse reaches
+    /// the window ([`SamplingConfig::cycles_reaching`]), and `hi` must
+    /// not pass the series' [`SamplingConfig::sample_count`].
     ///
     /// Each window sample is bit-identical to the same sample of
     /// [`SamplingConfig::expand`]: it receives the same per-cycle
