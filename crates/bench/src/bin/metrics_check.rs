@@ -1,10 +1,11 @@
 //! CI validator for `portfolio --metrics-json` output.
 //!
-//! Two modes, both strict (any deviation exits 1; bad arguments exit 2):
+//! Three modes, all strict (any deviation exits 1; bad arguments exit 2):
 //!
 //! ```text
 //! metrics_check check FILE
 //! metrics_check diff-counters FILE_A FILE_B
+//! metrics_check zero FILE COUNTER...
 //! ```
 //!
 //! `check` validates the `customSmallerIsBetter` schema (an array of
@@ -22,6 +23,11 @@
 //! lane-invariant — and fails on the first differing value. Span times,
 //! batch counts and pool statistics are observability, not work, and
 //! are ignored.
+//!
+//! `zero` asserts that each named counter is present and 0 — for the
+//! counters that show a fast path falling back (`campaign/blocks_poisoned`,
+//! `campaign/horizon_fallbacks`), which would otherwise show only as a
+//! slowdown.
 
 /// One parsed `{"name", "unit", "value"}` entry.
 #[derive(Clone, Debug, PartialEq)]
@@ -230,14 +236,39 @@ fn diff_counters(path_a: &str, path_b: &str) {
     );
 }
 
+/// The named counters of `entries` that are missing or not 0, each
+/// with its value.
+fn nonzero<'n>(entries: &[Entry], names: &'n [String]) -> Vec<(&'n str, Option<String>)> {
+    names
+        .iter()
+        .filter_map(|name| match lookup(entries, name) {
+            Some(entry) if entry.unit == "count" && entry.value == 0.0 => None,
+            entry => Some((name.as_str(), entry.map(|e| e.raw.clone()))),
+        })
+        .collect()
+}
+
+fn zero(path: &str, names: &[String]) {
+    let entries = parse(path);
+    if let Some((name, value)) = nonzero(&entries, names).into_iter().next() {
+        match value {
+            Some(value) => fail(&format!("counter '{name}' is {value}, not 0")),
+            None => fail(&format!("no {name} counter in '{path}'")),
+        }
+    }
+    println!("metrics_check: OK: {} counters 0 in '{path}'", names.len());
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.as_slice() {
         [mode, file] if mode == "check" => check(file),
         [mode, a, b] if mode == "diff-counters" => diff_counters(a, b),
+        [mode, file, names @ ..] if mode == "zero" && !names.is_empty() => zero(file, names),
         _ => {
             eprintln!(
-                "usage: metrics_check check FILE | metrics_check diff-counters FILE_A FILE_B"
+                "usage: metrics_check check FILE | metrics_check diff-counters FILE_A FILE_B \
+                 | metrics_check zero FILE COUNTER..."
             );
             std::process::exit(2);
         }
@@ -279,5 +310,33 @@ mod tests {
         assert!(!is_work(&entry("campaign/batches", "count")));
         assert!(!is_work(&entry("store/page_hits", "count")));
         assert!(!is_work(&entry("span/portfolio", "s")));
+    }
+
+    #[test]
+    fn zero_flags_missing_and_nonzero_counters() {
+        let entry = |name: &str, raw: &str| Entry {
+            name: name.to_owned(),
+            unit: "count".to_owned(),
+            value: raw.parse().expect("number"),
+            raw: raw.to_owned(),
+        };
+        let entries = [
+            entry("campaign/blocks_poisoned", "0"),
+            entry("campaign/horizon_fallbacks", "3"),
+        ];
+        let names =
+            |names: &[&str]| -> Vec<String> { names.iter().map(|n| (*n).to_owned()).collect() };
+        assert!(nonzero(&entries, &names(&["campaign/blocks_poisoned"])).is_empty());
+        assert_eq!(
+            nonzero(
+                &entries,
+                &names(&["campaign/blocks_poisoned", "campaign/horizon_fallbacks"])
+            ),
+            [("campaign/horizon_fallbacks", Some("3".to_owned()))]
+        );
+        assert_eq!(
+            nonzero(&entries, &names(&["campaign/missing"])),
+            [("campaign/missing", None)]
+        );
     }
 }

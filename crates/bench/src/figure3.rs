@@ -14,6 +14,7 @@ use rand::Rng;
 use sca_aes::{aes128_program, AesSim, SubBytesHw};
 use sca_campaign::{Campaign, CampaignConfig, CpaSink};
 use sca_power::{GaussianNoise, LeakageWeights, SamplingConfig};
+use sca_target::check_charz_traces;
 use sca_uarch::UarchConfig;
 
 use crate::probe::RetireLog;
@@ -191,8 +192,11 @@ pub fn round1_regions(sim: &AesSim) -> Result<Vec<CycleRegion>, Box<dyn std::err
 ///
 /// # Errors
 ///
-/// Propagates simulator faults.
+/// Propagates simulator faults; fewer than four traces fail with
+/// [`sca_target::TargetError::TooFewObservations`] before any
+/// simulation.
 pub fn run_figure3(config: &Figure3Config) -> Result<Figure3Result, Box<dyn std::error::Error>> {
+    check_charz_traces(config.traces)?;
     let sim = AesSim::new(UarchConfig::cortex_a7(), &config.key)?;
     let sampling = SamplingConfig::picoscope_500msps_120mhz();
     let samples_per_cycle = sampling.samples_per_cycle;

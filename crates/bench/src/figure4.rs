@@ -15,6 +15,7 @@ use sca_analysis::SelectionFunction;
 use sca_campaign::{Campaign, CampaignConfig, CorrSink, CpaSink};
 use sca_osnoise::LinuxEnvironment;
 use sca_power::{GaussianNoise, LeakageWeights, SamplingConfig};
+use sca_target::check_charz_traces;
 use sca_uarch::UarchConfig;
 
 /// Figure 4 campaign parameters.
@@ -108,8 +109,11 @@ impl Figure4Result {
 ///
 /// # Errors
 ///
-/// Propagates simulator faults.
+/// Propagates simulator faults; fewer than four traces fail with
+/// [`sca_target::TargetError::TooFewObservations`] before any
+/// simulation.
 pub fn run_figure4(config: &Figure4Config) -> Result<Figure4Result, Box<dyn std::error::Error>> {
+    check_charz_traces(config.traces)?;
     let sim = AesSim::new(UarchConfig::cortex_a7(), &config.key)?;
     let sampling = SamplingConfig::picoscope_500msps_120mhz();
     let environment = LinuxEnvironment::loaded_apache(&sampling)?;

@@ -1,8 +1,9 @@
 //! Campaigns too small for their statistic are a caller error, not a
-//! crash: a TVLA verdict needs two traces per population and a
-//! characterization's significance threshold four traces, and the
-//! binaries must exit non-zero with a one-line error instead of
-//! panicking in the t-test or the threshold.
+//! crash: a TVLA verdict needs two traces per population, and a
+//! characterization's or a CPA figure's significance threshold four
+//! traces. The binaries must exit non-zero with a one-line error instead
+//! of panicking in the t-test or the threshold, or printing a verdict
+//! that means nothing.
 
 use std::process::Command;
 
@@ -86,6 +87,25 @@ fn characterizations_reject_too_few_traces() {
         ("ablation", env!("CARGO_BIN_EXE_ablation")),
     ] {
         for traces in ["0", "3"] {
+            assert_clean_failure(
+                &format!("{name} --traces {traces}"),
+                "TooFewObservations",
+                run(bin, &["--traces", traces, "--threads", "2"]),
+            );
+        }
+    }
+}
+
+/// The CPA figures print a recovered key byte and a correlation plot:
+/// below four traces both are meaningless (at 0 traces a flat plot and
+/// a "recovered" 0xff, at 2–3 every |corr| is 1), so they fail up front.
+#[test]
+fn cpa_figures_reject_too_few_traces() {
+    for (name, bin) in [
+        ("figure3", env!("CARGO_BIN_EXE_figure3")),
+        ("figure4", env!("CARGO_BIN_EXE_figure4")),
+    ] {
+        for traces in ["0", "1", "3"] {
             assert_clean_failure(
                 &format!("{name} --traces {traces}"),
                 "TooFewObservations",

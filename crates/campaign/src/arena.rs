@@ -22,7 +22,7 @@
 
 use rand::rngs::StdRng;
 
-use sca_power::{BlockPowerRecorder, PowerRecorder, SynthScratch, TraceSynthesizer};
+use sca_power::{BlockPowerRecorder, Clip, PowerRecorder, SynthScratch, TraceSynthesizer};
 use sca_uarch::{CacheCounts, Cpu, CpuBlock, UarchError};
 
 /// The lockstep half of an arena: a [`CpuBlock`] stepping several traces
@@ -175,10 +175,10 @@ impl SimArena {
     /// Synthesizes the `count` consecutive traces starting at
     /// `base_index` and appends each trace's `[start, start + samples)`
     /// window, zero-padded past the trace's end, (and its input) to the
-    /// current batch, in index order. When `clip` is true the synthesis
-    /// itself is clipped to the window (legal only when the post hook
-    /// is a no-op — out-of-window samples are then discarded unseen),
-    /// so each trace arrives holding only the window's samples.
+    /// current batch, in index order. A `clip` (of that window) clips
+    /// the synthesis itself to the window (legal only when the post hook
+    /// is a no-op — out-of-window samples are then discarded unseen), so
+    /// each trace arrives holding only the window's samples.
     ///
     /// When the arena has a lockstep block (and `count > 1`), the whole
     /// group runs through it in one pipeline walk. The results are
@@ -193,7 +193,7 @@ impl SimArena {
         base_index: usize,
         count: usize,
         (start, samples): (usize, usize),
-        clip: bool,
+        clip: Option<Clip>,
         generate: &G,
         stage: &S,
         post: &P,
@@ -203,9 +203,9 @@ impl SimArena {
         S: Fn(&mut Cpu, &[u8]) + Sync,
         P: Fn(&mut StdRng, &mut Vec<f64>) + Sync,
     {
+        debug_assert!(clip.is_none_or(|clip| clip.window == (start, start + samples)));
         // Where the window starts in each synthesized trace.
-        let offset = if clip { 0 } else { start };
-        let clip = clip.then_some((start, start + samples));
+        let offset = if clip.is_some() { 0 } else { start };
         let mut push = |trace: &mut Vec<f32>, input: Vec<u8>| {
             trace.resize(trace.len().max(offset + samples), 0.0);
             self.flat

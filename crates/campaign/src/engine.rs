@@ -155,8 +155,9 @@ impl Campaign {
         K: CampaignSink,
     {
         // No post hook ⇒ everything outside the analysis window is
-        // discarded unseen, so synthesis may clip to the window
-        // (in-window samples stay bit-identical; see `synth_into`).
+        // discarded unseen, so synthesis may clip to the window and stop
+        // each walk at its horizon (in-window samples stay bit-identical;
+        // see `synth_into`).
         self.run_inner(cpu, entry, generate, stage, |_, _| {}, sink, true)
     }
 
@@ -206,10 +207,11 @@ impl Campaign {
         P: Fn(&mut StdRng, &mut Vec<f64>) + Sync,
         K: CampaignSink,
     {
-        let full = {
+        let probe = {
             let _span = sca_telemetry::span!("probe");
-            self.synth.probe_samples(cpu, entry, &generate, &stage)?
+            self.synth.probe(cpu, entry, &generate, &stage)?
         };
+        let full = probe.samples();
         let (start, samples) = match self.window {
             Some((start, len)) => {
                 let start = start.min(full);
@@ -217,6 +219,7 @@ impl Campaign {
             }
             None => (0, full),
         };
+        let clip = clip.then(|| self.synth.clip(&probe, (start, start + samples)));
 
         let plan = self.plan();
         sca_telemetry::counter!("campaign/traces_planned").add(plan.items as u64);

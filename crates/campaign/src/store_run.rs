@@ -36,6 +36,7 @@ use std::path::PathBuf;
 use rand::rngs::StdRng;
 
 use sca_analysis::{StateError, StateReader};
+use sca_power::Clip;
 use sca_store::{analysis_tag, CorpusKey, StoreError, StoreMeta, TraceStore, META_FILE};
 use sca_uarch::{Cpu, UarchError};
 
@@ -328,10 +329,11 @@ impl Campaign {
 
         // Slow path: probe the window, open (validating) or create the
         // store, and run segment by segment.
-        let full = {
+        let probe = {
             let _span = sca_telemetry::span!("probe");
-            self.synth.probe_samples(cpu, entry, &generate, &stage)?
+            self.synth.probe(cpu, entry, &generate, &stage)?
         };
+        let full = probe.samples();
         let (start, samples) = match self.window {
             Some((start, len)) => {
                 let start = start.min(full);
@@ -339,6 +341,7 @@ impl Campaign {
             }
             None => (0, full),
         };
+        let clip = self.synth.clip(&probe, (start, start + samples));
         let input_len = self.synth.input_for(0, &generate).len() as u64;
         let expected = StoreMeta {
             key,
@@ -379,7 +382,7 @@ impl Campaign {
                 &sink,
                 &store,
                 high_water..seg_end,
-                (start, samples),
+                clip,
                 opts.kill,
             )?;
             master.merge(segment);
@@ -424,7 +427,7 @@ impl Campaign {
         sink: &(impl Fn(usize) -> K + Sync),
         store: &TraceStore,
         segment: std::ops::Range<u64>,
-        (start, samples): (usize, usize),
+        clip: Clip,
         kill: KillPoint,
     ) -> Result<K, CampaignError>
     where
@@ -438,6 +441,8 @@ impl Campaign {
             batch: self.batch,
         };
         let seg_start = segment.start;
+        let (start, end) = clip.window;
+        let samples = end - start;
         let no_post = |_: &mut StdRng, _: &mut Vec<f64>| {};
         let parent = sca_telemetry::current_span_path();
         run_sharded(
@@ -458,7 +463,7 @@ impl Campaign {
                             (seg_start as usize) + local,
                             group,
                             (start, samples),
-                            true,
+                            Some(clip),
                             generate,
                             stage,
                             &no_post,

@@ -25,8 +25,10 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use sca_analysis::{pearson, significance_threshold};
-use sca_isa::Program;
-use sca_uarch::{Cpu, Node, RecordingObserver, UarchConfig, UarchError};
+use sca_isa::{Insn, Program};
+use sca_uarch::{
+    Cpu, Node, NodeEvent, PipelineObserver, RecordingObserver, UarchConfig, UarchError,
+};
 
 /// Boxed secret-expression function.
 pub type SecretFn = Box<dyn Fn(&[u8]) -> f64 + Send + Sync>;
@@ -72,7 +74,9 @@ pub struct AuditConfig {
     /// program region in every execution; without one, auditing a full
     /// cipher would record per-execution activity for every (node,
     /// cycle) pair of the whole run. The countermeasure experiments use
-    /// this to focus on the round-1 SubBytes of the masked AES.
+    /// this to focus on the round-1 SubBytes of the masked AES. Every
+    /// execution but the first (whose retirements locate findings in
+    /// the source) stops its walk at `end`.
     pub window: Option<(u64, u64)>,
 }
 
@@ -153,6 +157,26 @@ impl AuditReport {
     }
 }
 
+/// A recording observer whose walk stops at `horizon`.
+struct Walk {
+    recording: RecordingObserver,
+    horizon: u64,
+}
+
+impl PipelineObserver for Walk {
+    fn node_event(&mut self, event: NodeEvent) {
+        self.recording.node_event(event);
+    }
+
+    fn retire(&mut self, cycle: u64, addr: u32, insn: Insn) {
+        self.recording.retire(cycle, addr, insn);
+    }
+
+    fn horizon(&self) -> u64 {
+        self.horizon
+    }
+}
+
 /// Runs the audit.
 ///
 /// `stage` receives the CPU and the input bytes before every execution;
@@ -188,8 +212,15 @@ pub fn audit_program(
         rng.fill(&mut input[..]);
         cpu.restart_seeded(program.entry(), 0xaad017 ^ execution as u64);
         stage(&mut cpu, &input);
-        let mut obs = RecordingObserver::new();
-        cpu.run(&mut obs)?;
+        let mut walk = Walk {
+            recording: RecordingObserver::new(),
+            horizon: match config.window {
+                Some((_, end)) if execution > 0 => end,
+                _ => u64::MAX,
+            },
+        };
+        cpu.run(&mut walk)?;
+        let obs = walk.recording;
         for event in &obs.events {
             if let Some((start, end)) = config.window {
                 if event.cycle < start || event.cycle >= end {

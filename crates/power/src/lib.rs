@@ -41,5 +41,5 @@ pub use recorder::{
     LanePowerRecorder, PowerRecorder,
 };
 pub use sampling::{cycle_window_to_samples, SamplingConfig};
-pub use synth::{simulator_runs, AcquisitionConfig, SynthScratch, TraceSynthesizer};
+pub use synth::{simulator_runs, AcquisitionConfig, Clip, Probe, SynthScratch, TraceSynthesizer};
 pub use trace::TraceSet;

@@ -15,7 +15,8 @@
 //! Both recorders share one kept-range mechanism (`Frame`): by default
 //! they integrate every cycle of a run, and `keep_cycles` narrows that to
 //! a range of trigger-relative cycles — the cycles a windowed campaign
-//! can ever see — so the rest of the run is never integrated or stored.
+//! can ever see — so the rest of the run is never integrated or stored,
+//! and the walk stops at the range's end ([`BlockObserver::horizon`]).
 
 use std::ops::Range;
 
@@ -34,6 +35,10 @@ use crate::LeakageWeights;
 /// edge. At the first rising edge, at cycle `T`, that row moves to row 0
 /// and the recorder keeps cycles `T + lo..T + hi`. Kept cycles are
 /// stored as contiguous rows, row 0 holding absolute cycle `base`.
+///
+/// The first rising edge also sets the walk's horizon to `T + hi`: no
+/// later cycle is kept. Until then, and without a kept range, the walk
+/// goes to `halt`.
 #[derive(Clone, Debug)]
 struct Frame {
     /// The `(cycle, level)` trigger edges.
@@ -53,6 +58,8 @@ struct Frame {
     current: u64,
     /// The current cycle's row, when it is integrated.
     row: Option<usize>,
+    /// The first cycle the walk need not begin.
+    horizon: u64,
 }
 
 impl Default for Frame {
@@ -66,6 +73,7 @@ impl Default for Frame {
             cycles: 0,
             current: u64::MAX,
             row: None,
+            horizon: u64::MAX,
         }
     }
 }
@@ -81,6 +89,7 @@ impl Frame {
         self.cycles = 0;
         self.current = u64::MAX;
         self.row = None;
+        self.horizon = u64::MAX;
     }
 
     /// Begins `cycle`; returns its row when it is integrated. A reused
@@ -123,6 +132,7 @@ impl Frame {
         self.limit = start.saturating_add(hi);
         self.spare = false;
         self.row = kept.map(|_| 0);
+        self.horizon = horizon(cycle, hi);
         Some(kept)
     }
 
@@ -130,22 +140,14 @@ impl Frame {
     /// window; the whole run when no trigger rose (bench code without
     /// `trig` instructions).
     fn window(&self) -> (usize, usize) {
-        let cycles = self.cycles;
-        let Some(start) = self
-            .edges
-            .iter()
-            .find(|(_, h)| *h)
-            .map(|(c, _)| *c as usize)
-        else {
-            return (0, cycles);
-        };
-        let end = self
-            .edges
-            .iter()
-            .find(|(c, h)| !*h && *c as usize >= start)
-            .map_or(cycles, |(c, _)| *c as usize)
-            .min(cycles);
-        (start.min(end), end)
+        trigger_window(&self.edges, self.cycles)
+    }
+
+    /// The cycle the trigger first rose at, while its window is still
+    /// open: no falling edge has followed it.
+    fn open_rise(&self) -> Option<u64> {
+        let rise = self.edges.iter().find(|(_, h)| *h)?.0;
+        (!self.edges.iter().any(|&(c, h)| !h && c >= rise)).then_some(rise)
     }
 
     /// The kept cycles of the window, given the `stored` rows: their
@@ -159,6 +161,29 @@ impl Frame {
         let last = row(end.min(start.saturating_add(hi))).max(first);
         (first..last, self.base + first - start, end - start)
     }
+}
+
+/// The horizon of a run whose trigger rose at cycle `rise` and which
+/// keeps trigger-relative cycles up to `reach`: the first cycle it need
+/// not begin (past `rise` itself, which has begun when the edge comes).
+pub(crate) fn horizon(rise: u64, reach: usize) -> u64 {
+    rise.saturating_add((reach as u64).max(1))
+}
+
+/// The absolute cycles `[start, end)` of the first high-trigger window
+/// of a run of `cycles` cycles with trigger `edges`: from the first
+/// rising edge to the first falling edge at or after it, or to the
+/// run's end; the whole run when no trigger rose.
+pub(crate) fn trigger_window(edges: &[(u64, bool)], cycles: usize) -> (usize, usize) {
+    let Some(start) = edges.iter().find(|(_, h)| *h).map(|(c, _)| *c as usize) else {
+        return (0, cycles);
+    };
+    let end = edges
+        .iter()
+        .find(|(c, h)| !*h && *c as usize >= start)
+        .map_or(cycles, |(c, _)| *c as usize)
+        .min(cycles);
+    (start.min(end), end)
 }
 
 /// The lane count a recorder was built for: `L` itself for the one-lane
@@ -247,7 +272,8 @@ impl<const L: usize> LanePowerRecorder<L> {
     /// run from now on (`None`, the default, keeps every cycle), and
     /// clears the recorded data. Cycles outside the range are never
     /// integrated; the window accessors then return the kept part of
-    /// the trigger window.
+    /// the trigger window. Once the trigger rises at cycle `T`, the walk
+    /// stops at its horizon `T + hi`.
     pub fn keep_cycles(&mut self, cycles: Option<(usize, usize)>) {
         self.frame.keep = cycles;
         self.reset();
@@ -299,6 +325,19 @@ impl<const L: usize> LanePowerRecorder<L> {
         self.power.clear();
         self.frame.reset();
     }
+
+    /// The cycle the trigger first rose at, when the run so far left its
+    /// window open: a walk stopped at the horizon then does not know the
+    /// window's length.
+    pub(crate) fn open_rise(&self) -> Option<u64> {
+        self.frame.open_rise()
+    }
+
+    /// Lifts the current run's horizon: the next `run` resumes the walk
+    /// to `halt`.
+    pub(crate) fn resume_to_halt(&mut self) {
+        self.frame.horizon = u64::MAX;
+    }
 }
 
 impl<const L: usize> BlockObserver for LanePowerRecorder<L> {
@@ -347,6 +386,11 @@ impl<const L: usize> BlockObserver for LanePowerRecorder<L> {
             }
             self.power.truncate(kept.map_or(0, |_| stride));
         }
+    }
+
+    #[inline]
+    fn horizon(&self) -> u64 {
+        self.frame.horizon
     }
 }
 
@@ -419,7 +463,9 @@ impl<const L: usize> LaneComponentRecorder<L> {
 
     /// Integrates only the trigger-relative cycles `[lo, hi)` of each
     /// run from now on (`None`, the default, keeps every cycle), and
-    /// clears the recorded data.
+    /// clears the recorded data. Once the trigger rises at cycle `T`,
+    /// the walk stops at its horizon `T + hi`: a walk stopped there kept
+    /// the same cycles as a whole walk.
     pub fn keep_cycles(&mut self, cycles: Option<(usize, usize)>) {
         self.frame.keep = cycles;
         self.reset();
@@ -501,6 +547,11 @@ impl<const L: usize> BlockObserver for LaneComponentRecorder<L> {
                 series.truncate(kept.map_or(0, |_| COUNT));
             }
         }
+    }
+
+    #[inline]
+    fn horizon(&self) -> u64 {
+        self.frame.horizon
     }
 }
 

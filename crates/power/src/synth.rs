@@ -19,9 +19,10 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use sca_uarch::{Cpu, CpuBlock, LaneSim, UarchError, MAX_LANES};
+use sca_uarch::{Cpu, CpuBlock, LaneSim, RecordingObserver, UarchError, MAX_LANES};
 
 use crate::noise::NoiseSkips;
+use crate::recorder::{horizon, trigger_window};
 use crate::{
     BlockPowerRecorder, GaussianNoise, LanePowerRecorder, LeakageWeights, PowerRecorder,
     SamplingConfig,
@@ -61,10 +62,11 @@ impl AcquisitionConfig {
 
 /// The `power/simulator_runs` telemetry counter: simulator executions
 /// of trace synthesis — every window probe
-/// ([`TraceSynthesizer::probe_samples`]) and every execution a
+/// ([`TraceSynthesizer::probe`]) and every execution a
 /// [`TraceSynthesizer::synth_into`] or
 /// [`TraceSynthesizer::synth_block_into`] run completes, across all
-/// threads.
+/// threads. An execution stopped at its horizon counts once, like one
+/// walked to `halt`.
 ///
 /// Re-analysis paths that replay a stored corpus assert this counter
 /// does not move — stored traces must never trigger resimulation. The
@@ -73,6 +75,22 @@ impl AcquisitionConfig {
 /// its scalar rerun counts once per trace, like every other trace).
 fn simulator_runs_counter() -> &'static std::sync::Arc<sca_telemetry::Counter> {
     sca_telemetry::counter!("power/simulator_runs")
+}
+
+/// The `uarch/cycles` telemetry counter: lane-cycles walked by the
+/// executions `power/simulator_runs` counts — to `halt`, or to the
+/// horizon where a clipped execution stopped. A work counter, published
+/// with `power/simulator_runs`.
+fn cycles_counter() -> &'static std::sync::Arc<sca_telemetry::Counter> {
+    sca_telemetry::counter!("uarch/cycles")
+}
+
+/// The `campaign/horizon_fallbacks` telemetry counter: clipped
+/// executions (per lane) that stopped at their horizon with the trigger
+/// window open but whose timing so far was not the probe's, so they
+/// walked on to `halt`. Observability: zero on a constant-time target.
+fn fallbacks_counter() -> &'static std::sync::Arc<sca_telemetry::Counter> {
+    sca_telemetry::counter!("campaign/horizon_fallbacks")
 }
 
 /// The `power/samples` telemetry counter: samples synthesized (expanded
@@ -90,6 +108,76 @@ fn samples_counter() -> &'static std::sync::Arc<sca_telemetry::Counter> {
 /// with `power/samples` it sums to every execution's full length.
 fn skipped_counter() -> &'static std::sync::Arc<sca_telemetry::Counter> {
     sca_telemetry::counter!("power/samples_skipped")
+}
+
+/// The work of one synthesis call, published once the call succeeds (a
+/// diverged lockstep group publishes nothing; its scalar rerun does).
+#[derive(Clone, Copy, Debug, Default)]
+struct Work {
+    runs: u64,
+    cycles: u64,
+    samples: u64,
+    skipped: u64,
+    fallbacks: u64,
+}
+
+impl Work {
+    fn publish(&self) {
+        simulator_runs_counter().add(self.runs);
+        cycles_counter().add(self.cycles);
+        samples_counter().add(self.samples);
+        skipped_counter().add(self.skipped);
+        fallbacks_counter().add(self.fallbacks);
+    }
+}
+
+/// A campaign's probe run ([`TraceSynthesizer::probe`]): one execution
+/// of a throwaway input, walked to `halt`. Its trigger window is the
+/// whole-trace length every campaign window is clamped to, and its
+/// timing is what a clipped execution stopped at its horizon is checked
+/// against ([`TraceSynthesizer::clip`]).
+#[derive(Clone, Debug)]
+pub struct Probe {
+    /// Samples of the trigger window.
+    samples: usize,
+    /// The cycle the trigger first rose at.
+    rise: Option<u64>,
+    /// The first cycle past the trigger window.
+    end: u64,
+    /// The cycle each instruction retired at, in order.
+    retirements: Vec<u64>,
+}
+
+impl Probe {
+    /// Samples in the probe's trigger window (the whole run without a
+    /// trigger).
+    pub fn samples(&self) -> usize {
+        self.samples
+    }
+}
+
+/// A clipped synthesis ([`TraceSynthesizer::clip`]): the sample window
+/// it keeps, and the probe's timing at that window's horizon.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Clip {
+    /// The end-exclusive sample window `(start, end)` kept.
+    pub window: (usize, usize),
+    /// The probe's trigger rise, the instructions it retired before the
+    /// horizon, and its trigger window's length in cycles — `None` when
+    /// its window was not open at the horizon.
+    at_horizon: Option<(u64, u64, usize)>,
+}
+
+impl Clip {
+    /// The probe's trigger-window length in cycles, when an execution
+    /// stopped at its horizon with the trigger window open, after rising
+    /// at `rise` and retiring `retired` instructions, has been timed like
+    /// the probe so far.
+    fn probe_cycles(&self, rise: u64, retired: u64) -> Option<usize> {
+        self.at_horizon
+            .filter(|&(r, n, _)| (r, n) == (rise, retired))
+            .map(|(_, _, cycles)| cycles)
+    }
 }
 
 /// How many simulator executions trace synthesis has run in this
@@ -177,12 +265,57 @@ impl TraceSynthesizer {
         generate(&mut rng, index)
     }
 
-    /// Probe run: determines the trace window length in samples by
-    /// executing once with a throwaway input (index `usize::MAX`, so the
-    /// probe's RNG stream never collides with a real trace's).
+    /// Probe run: executes once, to `halt`, with a throwaway input
+    /// (index `usize::MAX`, so the probe's RNG stream never collides
+    /// with a real trace's), recording the trace window's length in
+    /// samples and the run's timing.
     ///
     /// Campaign engines call this up front so streaming sinks can size
-    /// their accumulators before the first real trace exists.
+    /// their accumulators before the first real trace exists, and clip
+    /// their syntheses with it ([`TraceSynthesizer::clip`]).
+    ///
+    /// # Errors
+    ///
+    /// Propagates simulator faults.
+    pub fn probe<G, S>(
+        &self,
+        cpu: &Cpu,
+        entry: u32,
+        generate: &G,
+        stage: &S,
+    ) -> Result<Probe, UarchError>
+    where
+        G: Fn(&mut StdRng, usize) -> Vec<u8> + Sync,
+        S: Fn(&mut Cpu, &[u8]) + Sync,
+    {
+        let mut probe_cpu = cpu.clone();
+        let mut rng = StdRng::seed_from_u64(child_seed(self.config.seed, u64::MAX));
+        let input = generate(&mut rng, usize::MAX);
+        probe_cpu.restart_seeded(entry, 0);
+        stage(&mut probe_cpu, &input);
+        let mut timing = RecordingObserver::new();
+        let stats = probe_cpu.run(&mut timing)?;
+        Work {
+            runs: 1,
+            cycles: stats.cycles,
+            ..Work::default()
+        }
+        .publish();
+        let (start, end) = trigger_window(&timing.triggers, stats.cycles as usize);
+        Ok(Probe {
+            samples: self.config.sampling.sample_count(end - start),
+            rise: timing
+                .triggers
+                .iter()
+                .find(|(_, high)| *high)
+                .map(|(c, _)| *c),
+            end: end as u64,
+            retirements: timing.retirements.iter().map(|&(cycle, _)| cycle).collect(),
+        })
+    }
+
+    /// The probe's trace window length in samples
+    /// ([`TraceSynthesizer::probe`]).
     ///
     /// # Errors
     ///
@@ -198,18 +331,37 @@ impl TraceSynthesizer {
         G: Fn(&mut StdRng, usize) -> Vec<u8> + Sync,
         S: Fn(&mut Cpu, &[u8]) + Sync,
     {
-        let mut probe_cpu = cpu.clone();
-        let mut rng = StdRng::seed_from_u64(child_seed(self.config.seed, u64::MAX));
-        let input = generate(&mut rng, usize::MAX);
-        probe_cpu.restart_seeded(entry, 0);
-        stage(&mut probe_cpu, &input);
-        let mut recorder = PowerRecorder::new(self.weights.clone());
-        simulator_runs_counter().inc();
-        probe_cpu.run(&mut recorder)?;
-        Ok(self
-            .config
-            .sampling
-            .sample_count(recorder.windowed_power().len()))
+        self.probe(cpu, entry, generate, stage)
+            .map(|probe| probe.samples)
+    }
+
+    /// Clips synthesis to the end-exclusive sample `window`, for
+    /// executions of the program `probe` ran.
+    ///
+    /// A clipped execution integrates only the cycles whose pulses reach
+    /// the window, and its walk stops at the first cycle whose pulse
+    /// reaches none: its horizon, `rise + cycles_reaching(window).1`.
+    /// What it does not walk, it must not need. The one thing it needs
+    /// is its trigger window's whole length, when that window is still
+    /// open at the horizon: the noise draws of the samples past the
+    /// window, which the next execution's draws follow, are skipped by
+    /// that length. The execution then takes the probe's length if its
+    /// trigger rose at the probe's cycle, it retired as many
+    /// instructions before the horizon as the probe did, and the probe's
+    /// window was still open there too. Otherwise it walks on to `halt`
+    /// and uses its own length (`campaign/horizon_fallbacks` counts
+    /// these), so an execution whose timing left the probe's by its
+    /// horizon synthesizes exactly what a whole walk would.
+    pub fn clip(&self, probe: &Probe, window: (usize, usize)) -> Clip {
+        let (_, reach) = self.config.sampling.cycles_reaching(window);
+        let at_horizon = probe.rise.and_then(|rise| {
+            let horizon = horizon(rise, reach);
+            (probe.end >= horizon).then(|| {
+                let retired = probe.retirements.partition_point(|&c| c < horizon);
+                (rise, retired as u64, (probe.end - rise) as usize)
+            })
+        });
+        Clip { window, at_horizon }
     }
 
     /// The allocation-free synthesis path: synthesizes the trace at
@@ -223,19 +375,24 @@ impl TraceSynthesizer {
     /// how many traces the buffers have already produced — the
     /// differential tests in `tests/campaign_determinism.rs` pin this.
     ///
-    /// `clip`, when `Some((start, end))`, synthesizes only that
-    /// end-exclusive sample window, and `trace` holds just its samples
-    /// (`trace[i]` is sample `start + i`; fewer than `end - start` when
-    /// the execution is shorter). Each execution then costs the pipeline
-    /// walk plus O(window): the recorder integrates only the cycles whose
-    /// pulses reach the window, only the window is expanded and noised,
-    /// and the noise draws of the other samples are jumped over, so
-    /// every kept sample is bit-identical to the same sample of the
-    /// unclipped trace. `None` is the whole-trace window. Only pass a
-    /// clip when `post` ignores the samples (it sees the window alone;
-    /// the windowed engine passes a no-op post on the clipped path, and
-    /// OS-noise jitter, which shifts samples into the window, runs
-    /// unclipped).
+    /// `clip` ([`TraceSynthesizer::clip`]), when `Some`, synthesizes
+    /// only its end-exclusive sample window `(start, end)`, and `trace`
+    /// holds just its samples (`trace[i]` is sample `start + i`; fewer
+    /// than `end - start` when the execution is shorter). Each execution
+    /// then costs the walk up to the window's horizon plus O(window): the
+    /// walk stops at the first cycle whose pulse reaches no kept sample,
+    /// the recorder integrates only the cycles whose pulses reach the
+    /// window, only the window is expanded and noised, and the noise
+    /// draws of the other samples are jumped over, so every kept sample
+    /// is bit-identical to the same sample of the unclipped trace. With
+    /// several executions per trace, an execution whose timing changes
+    /// only after its horizon skips the probe's window length instead of
+    /// its own, which moves the later executions' noise draws (see
+    /// [`TraceSynthesizer::clip`]). `None` is the whole-trace window,
+    /// walked to `halt`. Only pass a clip when `post` ignores the samples
+    /// (it sees the window alone; the windowed engine passes a no-op post
+    /// on the clipped path, and OS-noise jitter, which shifts samples
+    /// into the window, runs unclipped).
     ///
     /// # Errors
     ///
@@ -249,7 +406,7 @@ impl TraceSynthesizer {
         trace: &mut Vec<f32>,
         entry: u32,
         index: usize,
-        clip: Option<(usize, usize)>,
+        clip: Option<Clip>,
         generate: &G,
         stage: &S,
         post: &P,
@@ -299,7 +456,7 @@ impl TraceSynthesizer {
         entry: u32,
         base_index: usize,
         count: usize,
-        clip: Option<(usize, usize)>,
+        clip: Option<Clip>,
         generate: &G,
         stage: &S,
         post: &P,
@@ -337,7 +494,7 @@ impl TraceSynthesizer {
         entry: u32,
         base_index: usize,
         count: usize,
-        clip: Option<(usize, usize)>,
+        clip: Option<Clip>,
         generate: &G,
         stage: &S,
         post: &P,
@@ -363,14 +520,17 @@ impl TraceSynthesizer {
             scratch.accum.clear();
         }
         let executions = config.executions_per_trace.max(1);
-        let (first, last) = clip.unwrap_or((0, usize::MAX));
-        // Keep a cycle if its pulse can reach a kept sample.
-        recorder.keep_cycles(clip.map(|window| sampling.cycles_reaching(window)));
+        let (first, last) = clip.map_or((0, usize::MAX), |clip| clip.window);
+        // Keep a cycle if its pulse can reach a kept sample; the walk
+        // stops at the first cycle whose pulse reaches none.
+        recorder.keep_cycles(clip.map(|clip| sampling.cycles_reaching(clip.window)));
         // One lane's windowed series, gathered out of a lockstep
         // recorder's interleaved storage (a one-lane recorder lends its
         // own, so this never allocates on the scalar path).
         let mut gather = Vec::new();
         let mut seeds = [0u64; MAX_LANES];
+        let mut work = Work::default();
+        let lanes = count as u64;
         for execution in 0..executions {
             for (seed, index) in seeds[..count].iter_mut().zip(base_index..) {
                 *seed = child_seed(
@@ -383,12 +543,24 @@ impl TraceSynthesizer {
                 stage(sim.lane_cpu(lane), input);
             }
             recorder.reset();
-            sim.run_lanes(recorder)?;
-            simulator_runs_counter().add(count as u64);
-            let (mut kept, mut total) = (0, 0);
+            let mut stats = sim.run_lanes(recorder)?;
+            // A walk stopped at its horizon with the trigger window open
+            // takes the probe's window length if it has been timed like
+            // the probe, and otherwise walks on to learn its own.
+            let mut probe_cycles = None;
+            if let Some(rise) = recorder.open_rise().filter(|_| !sim.finished()) {
+                probe_cycles = clip.and_then(|clip| clip.probe_cycles(rise, stats.instructions));
+                if probe_cycles.is_none() {
+                    work.fallbacks += lanes;
+                    recorder.resume_to_halt();
+                    stats = sim.run_lanes(recorder)?;
+                }
+            }
+            work.runs += lanes;
+            work.cycles += stats.cycles * lanes;
             for (lane, (scratch, rng)) in scratches.iter_mut().zip(&mut rngs).enumerate() {
                 let (power, first_cycle, cycles) = recorder.lane_window(lane, &mut gather);
-                let samples = sampling.sample_count(cycles);
+                let samples = sampling.sample_count(probe_cycles.unwrap_or(cycles));
                 let window = (first.min(samples), last.min(samples));
                 sampling.expand_window_into(power, first_cycle, window, &mut scratch.samples);
                 config.noise.add_to_window(
@@ -403,17 +575,16 @@ impl TraceSynthesizer {
                 } else {
                     crate::vecops::add_assign(&mut scratch.accum, &scratch.samples);
                 }
-                kept += window.1 - window.0;
-                total += samples;
+                work.samples += (window.1 - window.0) as u64;
+                work.skipped += (samples - (window.1 - window.0)) as u64;
             }
-            samples_counter().add(kept as u64);
-            skipped_counter().add((total - kept) as u64);
         }
         let inv = 1.0 / executions as f64;
         for (trace, scratch) in traces.iter_mut().zip(scratches.iter()) {
             trace.clear();
             crate::vecops::scaled_narrow_extend(trace, &scratch.accum, inv);
         }
+        work.publish();
         Ok(inputs)
     }
 }

@@ -15,9 +15,9 @@ use sca_uarch::{Cpu, NodeKind};
 
 use crate::{resolve_window, CipherTarget, TargetCampaignConfig, TargetError, TargetModel};
 
-/// Checks, before any simulation, that a characterization of `traces`
-/// traces has the four observations its Fisher-z significance threshold
-/// needs.
+/// Checks, before any simulation, that a characterization (or a CPA
+/// figure) of `traces` traces has the four observations its Fisher-z
+/// significance threshold needs.
 ///
 /// # Errors
 ///

@@ -103,6 +103,15 @@ pub trait BlockObserver {
     fn retire(&mut self, cycle: u64, addr: u32, insn: Insn) {
         let _ = (cycle, addr, insn);
     }
+
+    /// The first cycle this observer no longer needs: a run returns
+    /// before beginning it, and calling `run` again resumes there. Asked
+    /// before every cycle, so it may move as the run unfolds (the power
+    /// recorders set it when the trigger rises). The default,
+    /// `u64::MAX`, walks to `halt`.
+    fn horizon(&self) -> u64 {
+        u64::MAX
+    }
 }
 
 /// A pipeline observer watches lane 0 (a [`Cpu`]'s only lane).
@@ -133,6 +142,11 @@ impl<T: PipelineObserver + ?Sized> BlockObserver for T {
     #[inline]
     fn retire(&mut self, cycle: u64, addr: u32, insn: Insn) {
         PipelineObserver::retire(self, cycle, addr, insn);
+    }
+
+    #[inline]
+    fn horizon(&self) -> u64 {
+        PipelineObserver::horizon(self)
     }
 }
 
@@ -252,8 +266,9 @@ impl CpuBlock {
         self.core.restart(entry);
     }
 
-    /// Runs all active lanes to `halt` in lockstep, streaming per-lane
-    /// activity to `observer`.
+    /// Runs all active lanes in lockstep to `halt` or to the observer's
+    /// [`BlockObserver::horizon`], streaming per-lane activity to
+    /// `observer`; calling again resumes where the last run stopped.
     ///
     /// # Errors
     ///
@@ -284,13 +299,19 @@ pub trait LaneSim {
     /// Lane `lane`'s CPU, for staging its input.
     fn lane_cpu(&mut self, lane: usize) -> &mut Cpu;
 
-    /// Runs the restarted lanes to `halt`, streaming their activity to
-    /// `observer`.
+    /// Runs the restarted lanes to `halt` or to the observer's
+    /// [`BlockObserver::horizon`], streaming their activity to
+    /// `observer`; calling again resumes where the last run stopped. The
+    /// statistics count every cycle since the restart.
     ///
     /// # Errors
     ///
     /// A simulator fault, or for a block any lane disagreement.
     fn run_lanes<O: BlockObserver>(&mut self, observer: &mut O) -> Result<ExecStats, Self::Error>;
+
+    /// Whether the lanes reached `halt` and drained: false after a run
+    /// stopped at its observer's horizon.
+    fn finished(&self) -> bool;
 }
 
 impl LaneSim for Cpu {
@@ -314,6 +335,11 @@ impl LaneSim for Cpu {
     fn run_lanes<O: BlockObserver>(&mut self, observer: &mut O) -> Result<ExecStats, UarchError> {
         self.run(observer)
     }
+
+    #[inline]
+    fn finished(&self) -> bool {
+        self.core.finished()
+    }
 }
 
 impl LaneSim for CpuBlock {
@@ -333,6 +359,11 @@ impl LaneSim for CpuBlock {
     fn run_lanes<O: BlockObserver>(&mut self, observer: &mut O) -> Result<ExecStats, Divergence> {
         self.run(observer)
     }
+
+    #[inline]
+    fn finished(&self) -> bool {
+        self.core.finished()
+    }
 }
 
 #[cfg(test)]
@@ -341,11 +372,13 @@ mod tests {
     use crate::{Node, NullObserver, UarchConfig};
     use sca_isa::assemble;
 
-    /// Collects one scalar-shaped event stream per lane.
-    #[derive(Default)]
+    /// Collects one scalar-shaped event stream per lane, walking to
+    /// `horizon`.
     struct PerLaneRecorder {
         events: Vec<Vec<(u64, Node, u32, u32)>>,
         triggers: Vec<(u64, bool)>,
+        retirements: Vec<(u64, u32)>,
+        horizon: u64,
     }
 
     impl PerLaneRecorder {
@@ -353,6 +386,8 @@ mod tests {
             PerLaneRecorder {
                 events: vec![Vec::new(); lanes],
                 triggers: Vec::new(),
+                retirements: Vec::new(),
+                horizon: u64::MAX,
             }
         }
     }
@@ -365,13 +400,34 @@ mod tests {
         fn trigger(&mut self, cycle: u64, high: bool) {
             self.triggers.push((cycle, high));
         }
+
+        fn retire(&mut self, cycle: u64, addr: u32, _insn: Insn) {
+            self.retirements.push((cycle, addr));
+        }
+
+        fn horizon(&self) -> u64 {
+            self.horizon
+        }
     }
 
-    /// Scalar observer with the same tuple shape for direct comparison.
-    #[derive(Default)]
+    /// Scalar observer with the same tuple shape for direct comparison,
+    /// walking to `horizon`.
     struct ScalarRecorder {
         events: Vec<(u64, Node, u32, u32)>,
         triggers: Vec<(u64, bool)>,
+        retirements: Vec<(u64, u32)>,
+        horizon: u64,
+    }
+
+    impl Default for ScalarRecorder {
+        fn default() -> ScalarRecorder {
+            ScalarRecorder {
+                events: Vec::new(),
+                triggers: Vec::new(),
+                retirements: Vec::new(),
+                horizon: u64::MAX,
+            }
+        }
     }
 
     impl crate::PipelineObserver for ScalarRecorder {
@@ -382,6 +438,14 @@ mod tests {
 
         fn trigger(&mut self, cycle: u64, high: bool) {
             self.triggers.push((cycle, high));
+        }
+
+        fn retire(&mut self, cycle: u64, addr: u32, _insn: Insn) {
+            self.retirements.push((cycle, addr));
+        }
+
+        fn horizon(&self) -> u64 {
+            self.horizon
         }
     }
 
@@ -455,6 +519,88 @@ data:   .word 0
                         "r{r} (lane {l} of {lanes})"
                     );
                 }
+            }
+        }
+    }
+
+    /// A run stopped at a horizon (or several, one after another) and
+    /// then resumed to `halt` emits exactly the events, trigger edges
+    /// and retirements of one run to `halt`, and ends in the same state —
+    /// for a `Cpu` and for every lane of a `CpuBlock`.
+    #[test]
+    fn runs_stopped_at_a_horizon_resume_to_the_whole_walk() {
+        let template = template();
+        let inputs: [u32; 3] = [0xdead_beef, 0x1234_5678, 0];
+        let seeds = [0x51u64, 0x52, 0x53];
+        let stage = |cpu: &mut Cpu, input: u32| cpu.mem_mut().write_u32(0x100, input).unwrap();
+
+        let mut whole_cpu = template.clone();
+        whole_cpu.restart_seeded(0, seeds[0]);
+        stage(&mut whole_cpu, inputs[0]);
+        let mut whole = ScalarRecorder::default();
+        let whole_stats = whole_cpu.run(&mut whole).expect("runs");
+        let full = whole_stats.cycles;
+        assert!(full > 8, "the fixture runs {full} cycles");
+
+        let mut whole_block = CpuBlock::from_template(&template, 3);
+        whole_block.restart_seeded(0, &seeds);
+        for (l, &input) in inputs.iter().enumerate() {
+            stage(whole_block.lane_mut(l), input);
+        }
+        let mut whole_lanes = PerLaneRecorder::new(3);
+        whole_block.run(&mut whole_lanes).expect("no divergence");
+        assert_eq!(whole_lanes.events[0], whole.events);
+
+        let schedules: [&[u64]; 5] = [
+            &[0],
+            &[1],
+            &[full / 2],
+            &[3, 3, full / 2 + 1, full - 1],
+            &[full, full + 10],
+        ];
+        for stops in schedules {
+            let mut cpu = template.clone();
+            cpu.restart_seeded(0, seeds[0]);
+            stage(&mut cpu, inputs[0]);
+            let mut rec = ScalarRecorder::default();
+            let mut block = CpuBlock::from_template(&template, 3);
+            block.restart_seeded(0, &seeds);
+            for (l, &input) in inputs.iter().enumerate() {
+                stage(block.lane_mut(l), input);
+            }
+            let mut lanes = PerLaneRecorder::new(3);
+            for &stop in stops {
+                rec.horizon = stop;
+                lanes.horizon = stop;
+                let stats = cpu.run(&mut rec).expect("runs");
+                let block_stats = block.run(&mut lanes).expect("no divergence");
+                assert_eq!(stats.cycles, stop.min(full), "stopped at {stop}");
+                assert_eq!(stats, block_stats, "stopped at {stop}");
+                assert_eq!(LaneSim::finished(&cpu), stop >= full, "stop {stop}");
+                assert_eq!(LaneSim::finished(&block), stop >= full, "stop {stop}");
+                assert!(rec.events.iter().all(|e| e.0 < stop), "stop {stop}");
+            }
+            rec.horizon = u64::MAX;
+            lanes.horizon = u64::MAX;
+            assert_eq!(cpu.run(&mut rec).expect("resumes"), whole_stats);
+            assert_eq!(block.run(&mut lanes).expect("resumes"), whole_stats);
+            assert!(LaneSim::finished(&cpu) && LaneSim::finished(&block));
+            assert_eq!(rec.events, whole.events, "schedule {stops:?}");
+            assert_eq!(rec.triggers, whole.triggers, "schedule {stops:?}");
+            assert_eq!(rec.retirements, whole.retirements, "schedule {stops:?}");
+            assert_eq!(lanes.events, whole_lanes.events, "schedule {stops:?}");
+            assert_eq!(lanes.triggers, whole_lanes.triggers, "schedule {stops:?}");
+            assert_eq!(
+                lanes.retirements, whole_lanes.retirements,
+                "schedule {stops:?}"
+            );
+            assert_eq!(cpu.core.lanes.regs, whole_cpu.core.lanes.regs);
+            for l in 0..3 {
+                assert_eq!(
+                    block.lane(l).core.lanes.regs,
+                    whole_block.lane(l).core.lanes.regs,
+                    "lane {l}"
+                );
             }
         }
     }

@@ -175,9 +175,11 @@ impl Cpu {
         self.core.halted
     }
 
-    /// Runs until `halt`, streaming activity to `observer` (any
-    /// [`crate::PipelineObserver`], or a [`BlockObserver`] seeing one
-    /// lane).
+    /// Runs to `halt` or to the observer's [`BlockObserver::horizon`],
+    /// streaming activity to `observer` (any [`crate::PipelineObserver`],
+    /// or a [`BlockObserver`] seeing one lane); calling again resumes
+    /// where the last run stopped. The statistics count every cycle since
+    /// the last restart.
     ///
     /// # Errors
     ///

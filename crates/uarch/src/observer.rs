@@ -33,6 +33,14 @@ pub trait PipelineObserver {
     fn retire(&mut self, cycle: u64, addr: u32, insn: Insn) {
         let _ = (cycle, addr, insn);
     }
+
+    /// The first cycle this observer no longer needs: a run returns
+    /// before beginning it, and calling `run` again resumes there. Asked
+    /// before every cycle, so it may move as the run unfolds. The
+    /// default, `u64::MAX`, walks to `halt`.
+    fn horizon(&self) -> u64 {
+        u64::MAX
+    }
 }
 
 /// A no-op observer for runs where only architectural results matter.

@@ -287,21 +287,30 @@ impl<const N: usize, L: Lanes> Core<N, L> {
 
     /// Runs until `halt`, then drains the in-flight instructions so their
     /// write-back activity and retire counts are not lost (trailing
-    /// cycles outside any measurement window).
+    /// cycles outside any measurement window). Returns early, before
+    /// beginning the observer's [`BlockObserver::horizon`] cycle; the
+    /// state is then that of a walk paused there, and the next call
+    /// resumes it.
     pub(crate) fn run<O: BlockObserver + ?Sized>(
         &mut self,
         observer: &mut O,
     ) -> Result<ExecStats, Stop> {
-        while !self.halted {
-            if self.cycle >= self.config.max_cycles {
+        while !self.finished() {
+            if self.cycle >= observer.horizon() {
+                break;
+            }
+            if !self.halted && self.cycle >= self.config.max_cycles {
                 return Err(UarchError::CycleBudgetExceeded(self.config.max_cycles).into());
             }
             self.step(observer)?;
         }
-        while !self.retire_queue.is_empty() {
-            self.step(observer)?;
-        }
         Ok(self.stats)
+    }
+
+    /// Whether the run reached `halt` and drained its in-flight
+    /// instructions.
+    pub(crate) fn finished(&self) -> bool {
+        self.halted && self.retire_queue.is_empty()
     }
 
     fn step<O: BlockObserver + ?Sized>(&mut self, observer: &mut O) -> Result<(), Stop> {

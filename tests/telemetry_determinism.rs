@@ -39,6 +39,7 @@ const WORK_COUNTERS: &[&str] = &[
     "power/simulator_runs",
     "power/samples",
     "power/samples_skipped",
+    "uarch/cycles",
     "uarch/l1i/accesses",
     "uarch/l1i/misses",
     "uarch/l1d/accesses",
