@@ -114,27 +114,32 @@ impl CpaResult {
         best
     }
 
-    /// The guess with the highest peak |correlation|.
+    /// Every guess's peak |correlation|, each series scanned once.
+    fn peaks(&self) -> Vec<f64> {
+        (0..self.guesses).map(|g| self.peak(g).1.abs()).collect()
+    }
+
+    /// The guess with the highest peak |correlation| (the last of tied
+    /// guesses).
     pub fn best_guess(&self) -> usize {
+        let peaks = self.peaks();
         (0..self.guesses)
             .max_by(|&a, &b| {
-                self.peak(a)
-                    .1
-                    .abs()
-                    .partial_cmp(&self.peak(b).1.abs())
+                peaks[a]
+                    .partial_cmp(&peaks[b])
                     .expect("correlations are finite")
             })
             .expect("at least one guess")
     }
 
-    /// Guesses ordered best-first by peak |correlation|.
+    /// Guesses ordered best-first by peak |correlation| (tied guesses in
+    /// guess order).
     pub fn ranking(&self) -> Vec<usize> {
+        let peaks = self.peaks();
         let mut order: Vec<usize> = (0..self.guesses).collect();
         order.sort_by(|&a, &b| {
-            self.peak(b)
-                .1
-                .abs()
-                .partial_cmp(&self.peak(a).1.abs())
+            peaks[b]
+                .partial_cmp(&peaks[a])
                 .expect("correlations are finite")
         });
         order
@@ -630,6 +635,29 @@ mod tests {
         for g in 0..256 {
             assert_eq!(a.series(g), b.series(g), "guess {g}");
         }
+    }
+
+    /// Ties keep their order: `best_guess` takes the last of the tied
+    /// best guesses (`max_by`), `ranking` lists tied guesses in guess
+    /// order (a stable sort), whatever the peaks' signs and positions.
+    #[test]
+    fn verdicts_order_tied_peaks_by_guess() {
+        let result = CpaResult {
+            guesses: 5,
+            samples: 3,
+            corr: vec![
+                0.2, -0.1, 0.0, // guess 0: 0.2
+                0.0, 0.7, 0.1, // guess 1: 0.7
+                -0.7, 0.3, 0.0, // guess 2: 0.7 (negative)
+                0.1, 0.2, 0.2, // guess 3: 0.2, peak first reached at sample 1
+                0.0, 0.0, 0.7, // guess 4: 0.7
+            ],
+            n: 10,
+        };
+        assert_eq!(result.best_guess(), 4);
+        assert_eq!(result.ranking(), [1, 2, 4, 0, 3]);
+        assert_eq!(result.rank_of(2), 1);
+        assert_eq!(result.rank_of(3), 4);
     }
 
     #[test]
