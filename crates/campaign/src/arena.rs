@@ -11,11 +11,13 @@
 //! exactly once) and reuses it across the worker's entire index range,
 //! so the steady-state hot loop performs no heap allocation at all.
 //!
-//! Reuse never changes results: the simulator is re-pointed at the
-//! program with [`Cpu::restart_seeded`] (the cheap architectural reset —
-//! pipeline, node and trigger state are overwritten in place, while
-//! registers, memory and caches persist exactly as they do across
-//! executions on silicon), and every buffer is cleared before refill.
+//! Reuse never changes results: every trace returns the simulator to
+//! the template's registers, flags and memory
+//! ([`Cpu::restore_template`]), each execution re-points it at the
+//! program with [`Cpu::restart_seeded`] (the cheap reset — pipeline,
+//! node and trigger state are overwritten in place, while registers,
+//! memory and caches persist across the executions of a trace exactly
+//! as they do on silicon), and every buffer is cleared before refill.
 //! Traces remain a pure function of `(seed, index)`; the differential
 //! tests in `tests/campaign_determinism.rs` pin arena-vs-fresh
 //! byte-identity.
@@ -23,7 +25,7 @@
 use rand::rngs::StdRng;
 
 use sca_power::{BlockPowerRecorder, Clip, PowerRecorder, SynthScratch, TraceSynthesizer};
-use sca_uarch::{CacheCounts, Cpu, CpuBlock, UarchError};
+use sca_uarch::{Cpu, CpuBlock, UarchError};
 
 /// The lockstep half of an arena: a [`CpuBlock`] stepping several traces
 /// through one pipeline walk, with per-lane recorder/scratch buffers.
@@ -41,15 +43,13 @@ struct BlockSim {
     traces: Vec<Vec<f32>>,
 }
 
-/// Work counts a worker accumulates locally (plain integers, no atomics
-/// on the hot path) and publishes to the global telemetry registry at
-/// batch boundaries via [`SimArena::publish_metrics`].
+/// Scheduling counts a worker accumulates locally (plain integers, no
+/// atomics on the hot path) and publishes to the global telemetry
+/// registry at batch boundaries via [`SimArena::publish_metrics`]. The
+/// work counters, cache work included, are published by the synthesis
+/// itself, once per trace or lockstep group.
 #[derive(Clone, Copy, Debug, Default)]
 struct WorkerTally {
-    /// Cache work attributable to committed traces (warm-up counts the
-    /// template clones inherited are drained and discarded up front;
-    /// diverged lockstep work is drained and discarded too).
-    cache: CacheCounts,
     /// Traces synthesized through the lockstep block.
     lockstep_traces: u64,
     /// Traces synthesized on the scalar path.
@@ -85,12 +85,8 @@ impl SimArena {
     /// CPU once. The recorder is built with the synthesizer's leakage
     /// weights, as [`TraceSynthesizer::synth_into`] requires.
     pub fn new(synth: &TraceSynthesizer, template: &Cpu) -> SimArena {
-        let mut cpu = template.clone();
-        // The clone inherits the template's warm-up hit/miss counts;
-        // discard them so the tally attributes cache work to traces only.
-        let _ = cpu.drain_cache_counts();
         SimArena {
-            cpu,
+            cpu: template.clone(),
             recorder: PowerRecorder::new(synth.weights().clone()),
             scratch: SynthScratch::new(),
             trace: Vec::new(),
@@ -110,11 +106,8 @@ impl SimArena {
         let mut arena = SimArena::new(synth, template);
         let lanes = lanes.clamp(1, sca_uarch::MAX_LANES);
         if lanes > 1 {
-            let mut block = CpuBlock::from_template(template, lanes);
-            // Same warm-up-inheritance discard as the scalar CPU above.
-            let _ = block.drain_cache_counts(lanes);
             arena.block = Some(BlockSim {
-                block,
+                block: CpuBlock::from_template(template, lanes),
                 recorder: BlockPowerRecorder::new(synth.weights().clone(), lanes),
                 scratches: vec![SynthScratch::new(); lanes],
                 traces: vec![Vec::new(); lanes],
@@ -228,8 +221,6 @@ impl SimArena {
                 post,
             );
             if let Some(inputs) = got {
-                let counts = block.block.drain_cache_counts(count);
-                self.tally.cache.accumulate(&counts);
                 self.tally.lockstep_traces += count as u64;
                 for (trace, input) in block.traces.iter_mut().zip(inputs) {
                     push(trace, input);
@@ -239,11 +230,9 @@ impl SimArena {
             // Divergence: the lanes' microarchitectural state was
             // perturbed mid-run, so retire the block for good and re-run
             // this group (and all later ones) scalar — `synth_into` is
-            // self-contained per trace. The lanes' partial cache work is
-            // drained and discarded: only the scalar rerun counts,
-            // keeping the totals identical to a single-lane run.
-            let lanes = block.block.max_lanes();
-            let _ = block.block.drain_cache_counts(lanes);
+            // self-contained per trace. A diverged group publishes no
+            // work: only the scalar rerun counts, keeping the totals
+            // identical to a single-lane run.
             self.tally.blocks_poisoned += 1;
             self.block = None;
         }
@@ -275,19 +264,7 @@ impl SimArena {
     /// telemetry registry and resets it. Called at batch boundaries so
     /// the hot loop itself never touches shared atomics.
     pub(crate) fn publish_metrics(&mut self) {
-        // Attribute the scalar CPU's cache work accumulated this batch.
-        let scalar = self.cpu.drain_cache_counts();
-        self.tally.cache.accumulate(&scalar);
         let tally = std::mem::take(&mut self.tally);
-        let cache = tally.cache;
-        if !cache.is_zero() {
-            sca_telemetry::counter!("uarch/l1i/accesses").add(cache.l1i_hits + cache.l1i_misses);
-            sca_telemetry::counter!("uarch/l1i/misses").add(cache.l1i_misses);
-            sca_telemetry::counter!("uarch/l1d/accesses").add(cache.l1d_hits + cache.l1d_misses);
-            sca_telemetry::counter!("uarch/l1d/misses").add(cache.l1d_misses);
-            sca_telemetry::counter!("uarch/l2/accesses").add(cache.l2_hits + cache.l2_misses);
-            sca_telemetry::counter!("uarch/l2/misses").add(cache.l2_misses);
-        }
         // Published even at zero, so an export can tell "lockstep never
         // fell back" from "not instrumented".
         sca_telemetry::counter!("campaign/lockstep_traces").add(tally.lockstep_traces);

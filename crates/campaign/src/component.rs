@@ -18,7 +18,7 @@ use sca_power::{
     BlockComponentPowerRecorder, ComponentPowerRecorder, GaussianNoise, LaneComponentRecorder,
     LeakageWeights, NoiseSource,
 };
-use sca_uarch::{Cpu, CpuBlock, LaneSim, NodeKind, UarchError, MAX_LANES};
+use sca_uarch::{Cpu, CpuBlock, LaneSim, NodeKind, SharedWalk, UarchError, MAX_LANES};
 
 use crate::{run_sharded, Mergeable, ShardPlan};
 
@@ -27,8 +27,10 @@ use crate::{run_sharded, Mergeable, ShardPlan};
 ///
 /// Trace `t` draws its input, then its noise, from one RNG stream
 /// seeded with `seed + t·0x9e37`; execution `e` of trace `t` scrambles
-/// the stale node state with `seed ^ (t << 8 | e)`. A trace is therefore
-/// a pure function of `(seed, t)`, whichever worker or lane runs it.
+/// the stale node state with `seed ^ (t << 8 | e)`. Every trace starts
+/// from the template, so a trace is a pure function of `(seed, t)`,
+/// whichever worker or lane runs it. Its executions share one walk as
+/// `Campaign`'s do ([`SharedWalk`]).
 #[derive(Clone, Debug)]
 pub struct ComponentCampaign<'a> {
     /// The components recorded, one channel each, in this order.
@@ -157,6 +159,8 @@ impl ComponentCampaign<'_> {
     /// `sums[..count]`; returns their inputs. Each lane draws from its
     /// own per-index streams and the recorder keeps each lane's events
     /// in one-lane order, so the sums do not depend on the lane count.
+    /// An execution that starts where the last walk did rescrambles that
+    /// walk instead of walking.
     #[inline]
     fn record_group<C: LaneSim, const L: usize, G, S>(
         &self,
@@ -186,6 +190,7 @@ impl ComponentCampaign<'_> {
             channel.resize(len, 0.0);
         }
         let mut seeds = [0u64; MAX_LANES];
+        let mut shared = SharedWalk::start(sim, count);
         for e in 0..self.executions.max(1) {
             for (seed, t) in seeds[..count].iter_mut().zip(base..) {
                 *seed = self.seed ^ ((t as u64) << 8 | e as u64);
@@ -194,8 +199,13 @@ impl ComponentCampaign<'_> {
             for (lane, input) in inputs.iter().enumerate() {
                 stage(sim.lane_cpu(lane), input);
             }
-            recorder.reset();
-            sim.run_lanes(recorder)?;
+            if shared.must_walk(sim) {
+                recorder.reset();
+                sim.run_lanes(recorder)?;
+                shared.walked(sim);
+            } else {
+                recorder.rescramble(&seeds[..count]);
+            }
             for (lane, (rng, channels)) in rngs.iter_mut().zip(sums.iter_mut()).enumerate() {
                 let mut noise = self.noise;
                 for (&kind, channel) in self.components.iter().zip(channels) {
@@ -210,6 +220,7 @@ impl ComponentCampaign<'_> {
                 }
             }
         }
+        sca_telemetry::counter!("campaign/walk_fallbacks").add(shared.fallbacks);
         Ok(inputs)
     }
 

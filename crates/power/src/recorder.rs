@@ -17,10 +17,14 @@
 //! a range of trigger-relative cycles — the cycles a windowed campaign
 //! can ever see — so the rest of the run is never integrated or stored,
 //! and the walk stops at the range's end ([`BlockObserver::horizon`]).
+//!
+//! Both also note where the walk's stale node values entered their sums
+//! (`StaleSums`), so that `rescramble` turns the recorded walk into the
+//! record of an execution that shares it under other scramble seeds.
 
 use std::ops::Range;
 
-use sca_uarch::{BlockObserver, NodeEvent, NodeKind, MAX_LANES};
+use sca_uarch::{BlockObserver, Node, NodeEvent, NodeKind, NodeState, MAX_LANES};
 
 use crate::LeakageWeights;
 
@@ -143,6 +147,16 @@ impl Frame {
         trigger_window(&self.edges, self.cycles)
     }
 
+    /// The row absolute `cycle` is stored in, among `rows`, when the
+    /// run keeps it.
+    fn stored_row(&self, cycle: u64, rows: usize) -> Option<usize> {
+        let cycle = cycle as usize;
+        (self.base..self.limit)
+            .contains(&cycle)
+            .then(|| cycle - self.base)
+            .filter(|&row| row < rows)
+    }
+
     /// The cycle the trigger first rose at, while its window is still
     /// open: no falling edge has followed it.
     fn open_rise(&self) -> Option<u64> {
@@ -160,6 +174,178 @@ impl Frame {
         let first = row(start.saturating_add(lo));
         let last = row(end.min(start.saturating_add(hi))).max(first);
         (first..last, self.base + first - start, end - start)
+    }
+}
+
+/// The sums a walk's stale node values entered, kept so that an
+/// execution sharing the walk can redo them for its own scramble seeds.
+///
+/// A recorder sums each slot — one kept cycle's power, or one
+/// component's share of it — in emission order. Where a stale event
+/// lands, the slot's sum so far does not depend on the seeds, and
+/// neither does any later event that is not stale. So the slot is kept
+/// as that prefix, per lane, followed by its terms: the fixed
+/// contributions, and each stale event as its node and the values
+/// asserted. Redone in that order, with the stale values
+/// [`NodeState::scramble`] gives the new seeds, every sum comes out bit
+/// for bit as a walk under those seeds would have left it.
+#[derive(Clone, Debug)]
+struct StaleSums<const L: usize> {
+    /// The slots a stale event landed in, in the order met.
+    slots: Vec<StaleSlot<L>>,
+    /// The tracked slots' terms, in emission order.
+    terms: Vec<Term<L>>,
+    /// The current cycle's tracked sub-slots, one bit each.
+    tracked: u32,
+    /// The index in `slots` of each tracked sub-slot of the current
+    /// cycle.
+    current: [usize; NodeKind::COUNT],
+    /// Each slot's sums, while redoing them.
+    sums: Vec<[f64; L]>,
+}
+
+/// A slot a stale event landed in.
+#[derive(Clone, Copy, Debug)]
+struct StaleSlot<const L: usize> {
+    /// The absolute cycle.
+    cycle: u64,
+    /// The slot within the cycle: 0 for total power, the component's
+    /// index for per-component power.
+    sub: usize,
+    /// Each lane's sum before the slot's first stale event.
+    prefix: [f64; L],
+}
+
+/// One batch's addition to a tracked slot.
+#[derive(Clone, Copy, Debug)]
+struct Term<const L: usize> {
+    /// The slot's index in `StaleSums::slots`.
+    slot: usize,
+    value: TermValue<L>,
+}
+
+#[derive(Clone, Copy, Debug)]
+enum TermValue<const L: usize> {
+    /// Each lane's contribution of an event whose `before` did not come
+    /// from the scramble.
+    Fixed([f64; L]),
+    /// A stale event: its node and kind, and each lane's new value.
+    Stale {
+        node: Node,
+        kind: NodeKind,
+        after: [u32; L],
+    },
+}
+
+impl<const L: usize> Default for StaleSums<L> {
+    fn default() -> StaleSums<L> {
+        StaleSums {
+            slots: Vec::new(),
+            terms: Vec::new(),
+            tracked: 0,
+            current: [0; NodeKind::COUNT],
+            sums: Vec::new(),
+        }
+    }
+}
+
+impl<const L: usize> StaleSums<L> {
+    /// Forgets the walk (capacity kept).
+    fn clear(&mut self) {
+        self.slots.clear();
+        self.terms.clear();
+        self.tracked = 0;
+    }
+
+    /// A new cycle begins: none of its slots is tracked yet.
+    #[inline]
+    fn begin_cycle(&mut self) {
+        self.tracked = 0;
+    }
+
+    /// Whether sub-slot `sub` of the current cycle met a stale event.
+    #[inline]
+    fn tracks(&self, sub: usize) -> bool {
+        self.tracked & (1 << sub) != 0
+    }
+
+    /// A stale batch lands in sub-slot `sub` of `cycle`, whose lanes
+    /// summed to `sum(lane)` so far.
+    fn stale(&mut self, cycle: u64, sub: usize, sum: impl Fn(usize) -> f64, events: &[NodeEvent]) {
+        if !self.tracks(sub) {
+            let mut prefix = [0.0; L];
+            for (lane, value) in prefix.iter_mut().enumerate().take(events.len()) {
+                *value = sum(lane);
+            }
+            self.tracked |= 1 << sub;
+            self.current[sub] = self.slots.len();
+            self.slots.push(StaleSlot { cycle, sub, prefix });
+        }
+        let mut after = [0; L];
+        for (value, event) in after.iter_mut().zip(events) {
+            *value = event.after;
+        }
+        let node = events[0].node;
+        self.terms.push(Term {
+            slot: self.current[sub],
+            value: TermValue::Stale {
+                node,
+                kind: node.kind(),
+                after,
+            },
+        });
+    }
+
+    /// A batch that is not stale adds `contributions` to the tracked
+    /// sub-slot `sub`.
+    fn fixed(&mut self, sub: usize, contributions: impl Iterator<Item = f64>) {
+        let mut values = [0.0; L];
+        for (value, contribution) in values.iter_mut().zip(contributions) {
+            *value = contribution;
+        }
+        self.terms.push(Term {
+            slot: self.current[sub],
+            value: TermValue::Fixed(values),
+        });
+    }
+
+    /// Redoes every tracked slot for lanes scrambled with `seeds`,
+    /// handing each result to `store(cycle, sub, lane, sum)`.
+    fn redo(
+        &mut self,
+        weights: &LeakageWeights,
+        seeds: &[u64],
+        mut store: impl FnMut(u64, usize, usize, f64),
+    ) {
+        self.sums.clear();
+        self.sums.extend(self.slots.iter().map(|slot| slot.prefix));
+        for term in &self.terms {
+            let sum = &mut self.sums[term.slot];
+            match term.value {
+                TermValue::Fixed(values) => {
+                    for (sum, value) in sum.iter_mut().zip(values).take(seeds.len()) {
+                        *sum += value;
+                    }
+                }
+                TermValue::Stale { node, kind, after } => {
+                    let cycle = self.slots[term.slot].cycle;
+                    for ((sum, &seed), after) in sum.iter_mut().zip(seeds).zip(after) {
+                        let event = NodeEvent {
+                            cycle,
+                            node,
+                            before: NodeState::stale_value(seed, node),
+                            after,
+                        };
+                        *sum += weights.power_of_kind(kind, &event);
+                    }
+                }
+            }
+        }
+        for (slot, sums) in self.slots.iter().zip(&self.sums) {
+            for (lane, &sum) in sums.iter().enumerate().take(seeds.len()) {
+                store(slot.cycle, slot.sub, lane, sum);
+            }
+        }
     }
 }
 
@@ -213,6 +399,7 @@ pub struct LanePowerRecorder<const L: usize> {
     /// Lane-interleaved per-cycle power of the kept cycles.
     power: Vec<f64>,
     frame: Frame,
+    stale: StaleSums<L>,
 }
 
 /// The one-lane power recorder, observing a [`sca_uarch::Cpu`].
@@ -261,6 +448,7 @@ impl<const L: usize> LanePowerRecorder<L> {
             lanes: lanes.max(1),
             power: Vec::new(),
             frame: Frame::default(),
+            stale: StaleSums::default(),
         }
     }
 
@@ -324,6 +512,33 @@ impl<const L: usize> LanePowerRecorder<L> {
     pub fn reset(&mut self) {
         self.power.clear();
         self.frame.reset();
+        self.stale.clear();
+    }
+
+    /// Turns the recorded walk into the record of an execution that
+    /// shares it with lanes scrambled by `seeds`: redoes the sums its
+    /// stale node values entered ([`BlockObserver::stale_node_events`]),
+    /// bit for bit as a walk under those seeds would have left them.
+    /// Every other kept sum, the trigger edges and the horizon stay.
+    pub fn rescramble(&mut self, seeds: &[u64]) {
+        let stride = self.stride();
+        let rows = self.power.len() / stride;
+        let (frame, power) = (&self.frame, &mut self.power);
+        self.stale
+            .redo(&self.weights, seeds, |cycle, _, lane, sum| {
+                if let Some(row) = frame.stored_row(cycle, rows) {
+                    power[row * stride + lane] = sum;
+                }
+            });
+    }
+
+    /// Adds one batch's contributions to `row`.
+    #[inline(always)]
+    fn add(&mut self, row: usize, kind: NodeKind, events: &[NodeEvent]) {
+        let base = row * self.stride();
+        for (slot, event) in self.power[base..base + events.len()].iter_mut().zip(events) {
+            *slot += self.weights.power_of_kind(kind, event);
+        }
     }
 
     /// The cycle the trigger first rose at, when the run so far left its
@@ -343,6 +558,7 @@ impl<const L: usize> LanePowerRecorder<L> {
 impl<const L: usize> BlockObserver for LanePowerRecorder<L> {
     #[inline]
     fn begin_cycle(&mut self, cycle: u64) {
+        self.stale.begin_cycle();
         if let Some(row) = self.frame.begin(cycle) {
             let stride = self.stride();
             let (start, end) = (row * stride, (row + 1) * stride);
@@ -372,10 +588,25 @@ impl<const L: usize> BlockObserver for LanePowerRecorder<L> {
         };
         // One kind resolution for the whole batch.
         let kind = first.node.kind();
-        let base = row * self.stride();
-        for (slot, event) in self.power[base..base + events.len()].iter_mut().zip(events) {
-            *slot += self.weights.power_of_kind(kind, event);
+        if self.stale.tracks(0) {
+            let weights = &self.weights;
+            let contributions = events.iter().map(|e| weights.power_of_kind(kind, e));
+            self.stale.fixed(0, contributions);
         }
+        self.add(row, kind, events);
+    }
+
+    fn stale_node_events(&mut self, events: &[NodeEvent]) {
+        let Some(first) = events.first() else {
+            return;
+        };
+        let Some(row) = self.frame.row_of(first.cycle) else {
+            return;
+        };
+        let base = row * self.stride();
+        let power = &self.power[base..base + events.len()];
+        self.stale.stale(first.cycle, 0, |lane| power[lane], events);
+        self.add(row, first.node.kind(), events);
     }
 
     fn trigger(&mut self, cycle: u64, high: bool) {
@@ -419,6 +650,7 @@ pub struct LaneComponentRecorder<const L: usize> {
     /// kept cycle) per lane.
     power: [Vec<f64>; L],
     frame: Frame,
+    stale: StaleSums<L>,
 }
 
 /// The one-lane component recorder, observing a [`sca_uarch::Cpu`].
@@ -453,6 +685,7 @@ impl<const L: usize> LaneComponentRecorder<L> {
             lanes: lanes.max(1),
             power: std::array::from_fn(|_| Vec::new()),
             frame: Frame::default(),
+            stale: StaleSums::default(),
         }
     }
 
@@ -479,6 +712,29 @@ impl<const L: usize> LaneComponentRecorder<L> {
             series.clear();
         }
         self.frame.reset();
+        self.stale.clear();
+    }
+
+    /// Turns the recorded walk into the record of an execution that
+    /// shares it with lanes scrambled by `seeds`, as
+    /// [`LanePowerRecorder::rescramble`] does.
+    pub fn rescramble(&mut self, seeds: &[u64]) {
+        let rows = self.rows();
+        let (frame, power) = (&self.frame, &mut self.power);
+        self.stale
+            .redo(&self.weights, seeds, |cycle, kind, lane, sum| {
+                if let Some(row) = frame.stored_row(cycle, rows) {
+                    power[lane][row * NodeKind::COUNT + kind] = sum;
+                }
+            });
+    }
+
+    /// Adds one batch's contributions at `offset` of each lane's series.
+    #[inline(always)]
+    fn add(&mut self, offset: usize, kind: NodeKind, events: &[NodeEvent]) {
+        for (series, event) in self.power.iter_mut().zip(events) {
+            series[offset] += self.weights.power_of_kind(kind, event);
+        }
     }
 
     /// Fills `out` (cleared first, capacity reused) with one lane's
@@ -501,6 +757,7 @@ impl<const L: usize> LaneComponentRecorder<L> {
 impl<const L: usize> BlockObserver for LaneComponentRecorder<L> {
     #[inline]
     fn begin_cycle(&mut self, cycle: u64) {
+        self.stale.begin_cycle();
         if let Some(row) = self.frame.begin(cycle) {
             let (start, end) = (row * NodeKind::COUNT, (row + 1) * NodeKind::COUNT);
             for series in &mut self.power[..lanes::<L>(self.lanes)] {
@@ -531,10 +788,27 @@ impl<const L: usize> BlockObserver for LaneComponentRecorder<L> {
             return;
         };
         let kind = first.node.kind();
-        let offset = row * NodeKind::COUNT + kind.index();
-        for (series, event) in self.power.iter_mut().zip(events) {
-            series[offset] += self.weights.power_of_kind(kind, event);
+        if self.stale.tracks(kind.index()) {
+            let weights = &self.weights;
+            let contributions = events.iter().map(|e| weights.power_of_kind(kind, e));
+            self.stale.fixed(kind.index(), contributions);
         }
+        self.add(row * NodeKind::COUNT + kind.index(), kind, events);
+    }
+
+    fn stale_node_events(&mut self, events: &[NodeEvent]) {
+        let Some(first) = events.first() else {
+            return;
+        };
+        let Some(row) = self.frame.row_of(first.cycle) else {
+            return;
+        };
+        let kind = first.node.kind();
+        let offset = row * NodeKind::COUNT + kind.index();
+        let power = &self.power;
+        let sum = |lane: usize| power[lane][offset];
+        self.stale.stale(first.cycle, kind.index(), sum, events);
+        self.add(offset, kind, events);
     }
 
     fn trigger(&mut self, cycle: u64, high: bool) {

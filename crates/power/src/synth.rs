@@ -19,7 +19,9 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use sca_uarch::{Cpu, CpuBlock, LaneSim, RecordingObserver, UarchError, MAX_LANES};
+use sca_uarch::{
+    CacheCounts, Cpu, CpuBlock, LaneSim, RecordingObserver, SharedWalk, UarchError, MAX_LANES,
+};
 
 use crate::noise::NoiseSkips;
 use crate::recorder::{horizon, trigger_window};
@@ -64,9 +66,9 @@ impl AcquisitionConfig {
 /// of trace synthesis — every window probe
 /// ([`TraceSynthesizer::probe`]) and every execution a
 /// [`TraceSynthesizer::synth_into`] or
-/// [`TraceSynthesizer::synth_block_into`] run completes, across all
-/// threads. An execution stopped at its horizon counts once, like one
-/// walked to `halt`.
+/// [`TraceSynthesizer::synth_block_into`] run synthesizes, per lane,
+/// across all threads: walked, stopped at its horizon, or sharing an
+/// earlier execution's walk (`power/walks` counts the walks).
 ///
 /// Re-analysis paths that replay a stored corpus assert this counter
 /// does not move — stored traces must never trigger resimulation. The
@@ -77,10 +79,20 @@ fn simulator_runs_counter() -> &'static std::sync::Arc<sca_telemetry::Counter> {
     sca_telemetry::counter!("power/simulator_runs")
 }
 
+/// The `power/walks` telemetry counter: the executions of
+/// `power/simulator_runs` that walked the pipeline, per lane, probes
+/// included. The rest shared the walk of an earlier execution of their
+/// trace ([`SharedWalk`]). A work counter: a lockstep group that walks
+/// for some of its lanes counts only those.
+fn walks_counter() -> &'static std::sync::Arc<sca_telemetry::Counter> {
+    sca_telemetry::counter!("power/walks")
+}
+
 /// The `uarch/cycles` telemetry counter: lane-cycles walked by the
-/// executions `power/simulator_runs` counts — to `halt`, or to the
-/// horizon where a clipped execution stopped. A work counter, published
-/// with `power/simulator_runs`.
+/// executions `power/walks` counts — to `halt`, or to the horizon where
+/// a clipped execution stopped. A work counter, published with it, like
+/// the cache counters (`uarch/{l1i,l1d,l2}/{accesses,misses}`), which
+/// count the same walks' accesses.
 fn cycles_counter() -> &'static std::sync::Arc<sca_telemetry::Counter> {
     sca_telemetry::counter!("uarch/cycles")
 }
@@ -91,6 +103,15 @@ fn cycles_counter() -> &'static std::sync::Arc<sca_telemetry::Counter> {
 /// walked on to `halt`. Observability: zero on a constant-time target.
 fn fallbacks_counter() -> &'static std::sync::Arc<sca_telemetry::Counter> {
     sca_telemetry::counter!("campaign/horizon_fallbacks")
+}
+
+/// The `campaign/walk_fallbacks` telemetry counter: executions (per
+/// lane) after a trace's second that still walked the pipeline, because
+/// they started from other registers, flags or memory than the last
+/// walk did, or that walk missed in a cache. Published by both engines;
+/// observability, zero on the portfolio.
+fn walk_fallbacks_counter() -> &'static std::sync::Arc<sca_telemetry::Counter> {
+    sca_telemetry::counter!("campaign/walk_fallbacks")
 }
 
 /// The `power/samples` telemetry counter: samples synthesized (expanded
@@ -115,19 +136,33 @@ fn skipped_counter() -> &'static std::sync::Arc<sca_telemetry::Counter> {
 #[derive(Clone, Copy, Debug, Default)]
 struct Work {
     runs: u64,
+    walks: u64,
     cycles: u64,
+    cache: CacheCounts,
     samples: u64,
     skipped: u64,
     fallbacks: u64,
+    walk_fallbacks: u64,
 }
 
 impl Work {
     fn publish(&self) {
         simulator_runs_counter().add(self.runs);
+        walks_counter().add(self.walks);
         cycles_counter().add(self.cycles);
+        let cache = &self.cache;
+        if !cache.is_zero() {
+            sca_telemetry::counter!("uarch/l1i/accesses").add(cache.l1i_hits + cache.l1i_misses);
+            sca_telemetry::counter!("uarch/l1i/misses").add(cache.l1i_misses);
+            sca_telemetry::counter!("uarch/l1d/accesses").add(cache.l1d_hits + cache.l1d_misses);
+            sca_telemetry::counter!("uarch/l1d/misses").add(cache.l1d_misses);
+            sca_telemetry::counter!("uarch/l2/accesses").add(cache.l2_hits + cache.l2_misses);
+            sca_telemetry::counter!("uarch/l2/misses").add(cache.l2_misses);
+        }
         samples_counter().add(self.samples);
         skipped_counter().add(self.skipped);
         fallbacks_counter().add(self.fallbacks);
+        walk_fallbacks_counter().add(self.walk_fallbacks);
     }
 }
 
@@ -297,6 +332,7 @@ impl TraceSynthesizer {
         let stats = probe_cpu.run(&mut timing)?;
         Work {
             runs: 1,
+            walks: 1,
             cycles: stats.cycles,
             ..Work::default()
         }
@@ -483,6 +519,11 @@ impl TraceSynthesizer {
     /// lane count. Everything after the pipeline walk works in the
     /// coordinates of the kept sample window (`clip`, or the whole
     /// trace).
+    ///
+    /// Each trace starts from the template ([`SharedWalk::start`]), and
+    /// its executions walk only until one starts where the last walk
+    /// did: from then on, the recorder's walk is rescrambled for each
+    /// execution's seeds instead, bit-identical to walking it.
     #[allow(clippy::too_many_arguments)]
     #[inline]
     fn synth_lanes<C, const L: usize, G, S, P>(
@@ -530,7 +571,9 @@ impl TraceSynthesizer {
         let mut gather = Vec::new();
         let mut seeds = [0u64; MAX_LANES];
         let mut work = Work::default();
-        let lanes = count as u64;
+        let mut shared = SharedWalk::start(sim, count);
+        // The probe's window length, when the last walk took it.
+        let mut probe_cycles = None;
         for execution in 0..executions {
             for (seed, index) in seeds[..count].iter_mut().zip(base_index..) {
                 *seed = child_seed(
@@ -542,22 +585,29 @@ impl TraceSynthesizer {
             for (lane, input) in inputs.iter().enumerate() {
                 stage(sim.lane_cpu(lane), input);
             }
-            recorder.reset();
-            let mut stats = sim.run_lanes(recorder)?;
-            // A walk stopped at its horizon with the trigger window open
-            // takes the probe's window length if it has been timed like
-            // the probe, and otherwise walks on to learn its own.
-            let mut probe_cycles = None;
-            if let Some(rise) = recorder.open_rise().filter(|_| !sim.finished()) {
-                probe_cycles = clip.and_then(|clip| clip.probe_cycles(rise, stats.instructions));
-                if probe_cycles.is_none() {
-                    work.fallbacks += lanes;
-                    recorder.resume_to_halt();
-                    stats = sim.run_lanes(recorder)?;
+            if shared.must_walk(sim) {
+                recorder.reset();
+                let mut stats = sim.run_lanes(recorder)?;
+                // A walk stopped at its horizon with the trigger window
+                // open takes the probe's window length if it has been
+                // timed like the probe, and otherwise walks on to learn
+                // its own.
+                probe_cycles = None;
+                if let Some(rise) = recorder.open_rise().filter(|_| !sim.finished()) {
+                    probe_cycles =
+                        clip.and_then(|clip| clip.probe_cycles(rise, stats.instructions));
+                    if probe_cycles.is_none() {
+                        work.fallbacks += shared.walking();
+                        recorder.resume_to_halt();
+                        stats = sim.run_lanes(recorder)?;
+                    }
                 }
+                work.cycles += stats.cycles * shared.walking();
+                shared.walked(sim);
+            } else {
+                recorder.rescramble(&seeds[..count]);
             }
-            work.runs += lanes;
-            work.cycles += stats.cycles * lanes;
+            work.runs += count as u64;
             for (lane, (scratch, rng)) in scratches.iter_mut().zip(&mut rngs).enumerate() {
                 let (power, first_cycle, cycles) = recorder.lane_window(lane, &mut gather);
                 let samples = sampling.sample_count(probe_cycles.unwrap_or(cycles));
@@ -584,6 +634,9 @@ impl TraceSynthesizer {
             trace.clear();
             crate::vecops::scaled_narrow_extend(trace, &scratch.accum, inv);
         }
+        work.walks = shared.walks;
+        work.walk_fallbacks = shared.fallbacks;
+        work.cache = shared.cache;
         work.publish();
         Ok(inputs)
     }

@@ -17,7 +17,7 @@ use std::fmt;
 use sca_isa::Insn;
 
 use crate::pipeline::{Core, Lane, Lanes, Stop};
-use crate::{Cpu, ExecStats, NodeEvent, PipelineObserver, UarchError};
+use crate::{CacheCounts, Cpu, ExecStats, NodeEvent, PipelineObserver, UarchError};
 
 /// Maximum number of lanes a [`CpuBlock`] can step at once.
 pub const MAX_LANES: usize = 8;
@@ -92,6 +92,18 @@ pub trait BlockObserver {
         for (lane, &event) in events.iter().enumerate() {
             self.node_event(lane, event);
         }
+    }
+
+    /// Like [`BlockObserver::node_events`], for a batch whose `before`
+    /// values are stale: the node's first non-precharged assertion since
+    /// the restart, reporting what [`crate::NodeState::scramble`] left in
+    /// it ([`crate::NodeState::stale_value`] of each lane's seed). No
+    /// other part of a walk depends on the scramble seeds. The default
+    /// forwards to `node_events`; the power recorders also note where
+    /// these events land, so an execution that shares the walk can redo
+    /// those sums for its own seeds.
+    fn stale_node_events(&mut self, events: &[NodeEvent]) {
+        self.node_events(events);
     }
 
     /// The GPIO trigger pin changed level (all lanes switch together).
@@ -228,20 +240,6 @@ impl CpuBlock {
         &mut self.core.lanes.cpus[lane]
     }
 
-    /// Drains the cache hit/miss counters of the first `count` lanes
-    /// (see [`Cpu::drain_cache_counts`]) and returns their sum. Lane
-    /// state is untouched — callers use this to attribute cache work to
-    /// committed lockstep groups (draining only the active lanes) or to
-    /// discard it (draining every lane after a divergence or right after
-    /// construction, when the counts are template warm-up inheritance).
-    pub fn drain_cache_counts(&mut self, count: usize) -> crate::CacheCounts {
-        let mut total = crate::CacheCounts::default();
-        for cpu in &mut self.core.lanes.cpus[..count] {
-            total.accumulate(&cpu.drain_cache_counts());
-        }
-        total
-    }
-
     /// Restarts the first `scramble_seeds.len()` lanes at `entry` (each
     /// with its own node-scramble seed, exactly as the scalar
     /// [`Cpu::restart_seeded`] would) and resets the shared control
@@ -363,6 +361,101 @@ impl LaneSim for CpuBlock {
     #[inline]
     fn finished(&self) -> bool {
         self.core.finished()
+    }
+}
+
+/// Walk sharing across the executions of one trace, on the first
+/// `lanes` lanes of a [`LaneSim`].
+///
+/// A trace runs one input several times, each execution restarted with
+/// its own node-scramble seeds. An execution whose lane starts with the
+/// registers, flags and memory the lane's last walk started from, after
+/// a walk with no cache miss, would walk exactly that walk again (true
+/// LRU with every access hitting is idempotent): the same cycles,
+/// instructions, addresses and node events, but for the stale `before`
+/// of each node's first assertion, a pure function of the seed
+/// ([`crate::NodeState::stale_value`]). It need not be walked. Each
+/// lane decides for itself; a lockstep group walks when any of its lanes
+/// must, and counts only those lanes, so the counts are those of a
+/// one-lane run.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct SharedWalk {
+    /// Lanes the trace runs on.
+    lanes: usize,
+    /// Executions begun.
+    executions: usize,
+    /// Lanes whose last walk had no cache miss.
+    clean: [bool; MAX_LANES],
+    /// Lanes the current execution walks for.
+    walking: [bool; MAX_LANES],
+    /// Lane-executions walked.
+    pub walks: u64,
+    /// Lane-executions after the trace's second that were walked.
+    pub fallbacks: u64,
+    /// The cache work of the walked lane-executions.
+    pub cache: CacheCounts,
+}
+
+impl SharedWalk {
+    /// Starts a trace on the first `lanes` lanes of `sim`: returns each
+    /// to its template ([`Cpu::restore_template`]), so nothing of an
+    /// earlier trace carries over, and there is no walk to share yet.
+    /// Cache counts the lanes carry in (a template's warm-up, a diverged
+    /// group's partial walk) are drained and discarded: only walks
+    /// count.
+    pub fn start<C: LaneSim>(sim: &mut C, lanes: usize) -> SharedWalk {
+        for lane in 0..lanes {
+            let cpu = sim.lane_cpu(lane);
+            cpu.restore_template();
+            let _ = cpu.drain_cache_counts();
+        }
+        SharedWalk {
+            lanes,
+            ..SharedWalk::default()
+        }
+    }
+
+    /// Decides, after an execution's restart and staging, whether it
+    /// must be walked: false when every lane can share its last walk.
+    /// Otherwise marks every lane's starting state; run the lanes, then
+    /// call [`SharedWalk::walked`].
+    pub fn must_walk<C: LaneSim>(&mut self, sim: &mut C) -> bool {
+        self.executions += 1;
+        for lane in 0..self.lanes {
+            self.walking[lane] = !(self.clean[lane] && sim.lane_cpu(lane).unchanged_since_mark());
+        }
+        if !self.walking.contains(&true) {
+            return false;
+        }
+        for lane in 0..self.lanes {
+            sim.lane_cpu(lane).mark();
+        }
+        true
+    }
+
+    /// Lanes the current execution walks for: 0 when it shares the last
+    /// walk.
+    pub fn walking(&self) -> u64 {
+        self.walking.iter().filter(|&&walking| walking).count() as u64
+    }
+
+    /// Ends the current execution's walk: counts it for the lanes that
+    /// needed it, with their cache work, and notes which lanes' walks
+    /// had no cache miss. Every lane's cache counts are drained, so a
+    /// lane that was walked only because its group was counts nothing.
+    pub fn walked<C: LaneSim>(&mut self, sim: &mut C) {
+        for lane in 0..self.lanes {
+            let counts = sim.lane_cpu(lane).drain_cache_counts();
+            self.clean[lane] = counts.l1i_misses + counts.l1d_misses + counts.l2_misses == 0;
+            if self.walking[lane] {
+                self.cache.accumulate(&counts);
+            }
+        }
+        let walking = self.walking();
+        self.walks += walking;
+        if self.executions > 2 {
+            self.fallbacks += walking;
+        }
     }
 }
 
@@ -633,6 +726,71 @@ data:       .word 0
     struct NullRec;
 
     impl BlockObserver for NullRec {}
+
+    /// Runs `executions` executions of the store-over-load fixture on
+    /// the first `inputs.len()` lanes of `sim` through a [`SharedWalk`],
+    /// returning it and which executions walked.
+    fn share<C: LaneSim>(sim: &mut C, inputs: &[u32], executions: usize) -> (SharedWalk, Vec<bool>)
+    where
+        C::Error: fmt::Debug,
+    {
+        let seeds = [0x5eu64, 0x5f];
+        let mut shared = SharedWalk::start(sim, inputs.len());
+        let mut walked = Vec::new();
+        for _ in 0..executions {
+            sim.restart_lanes(0, &seeds[..inputs.len()]);
+            for (lane, &input) in inputs.iter().enumerate() {
+                sim.lane_cpu(lane).set_reg(sca_isa::Reg::R1, input);
+            }
+            let walk = shared.must_walk(sim);
+            if walk {
+                sim.run_lanes(&mut NullRec).expect("runs");
+                shared.walked(sim);
+            }
+            walked.push(walk);
+        }
+        (shared, walked)
+    }
+
+    /// Each execution loads a word and stores its input over it. A lane
+    /// whose input is the word's template value starts its second
+    /// execution where its first did; any other lane loads its own input
+    /// in the third, and shares only from the fourth on. A block walks
+    /// while any lane must, and counts per lane exactly what one-lane
+    /// runs count.
+    #[test]
+    fn shared_walk_decides_and_counts_per_lane() {
+        let program = assemble(
+            "
+            adr r10, data
+            ldr r0, [r10]
+            str r1, [r10]
+            halt
+            .org 0x100
+data:       .word 0
+        ",
+        )
+        .expect("assembles");
+        let mut template = Cpu::new(UarchConfig::cortex_a7());
+        template.load(&program).expect("loads");
+        template.run(&mut NullObserver).expect("warm-up runs");
+        let inputs = [0, 5];
+
+        let (zero, walked) = share(&mut template.clone(), &inputs[..1], 5);
+        assert_eq!(walked, [true, false, false, false, false]);
+        assert_eq!((zero.walks, zero.fallbacks), (1, 0));
+        let (five, walked) = share(&mut template.clone(), &inputs[1..], 5);
+        assert_eq!(walked, [true, true, true, false, false]);
+        assert_eq!((five.walks, five.fallbacks), (3, 1));
+
+        let (block, walked) = share(&mut CpuBlock::from_template(&template, 2), &inputs, 5);
+        assert_eq!(walked, [true, true, true, false, false]);
+        assert_eq!((block.walks, block.fallbacks), (4, 1));
+        let mut cache = zero.cache;
+        cache.accumulate(&five.cache);
+        assert_eq!(block.cache, cache, "lane 0's extra walks count nothing");
+        assert!(cache.l1i_hits > 0 && cache.l1i_misses + cache.l1d_misses == 0);
+    }
 
     #[test]
     fn lane_count_bounds_are_enforced() {

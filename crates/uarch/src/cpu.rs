@@ -3,7 +3,7 @@
 
 use sca_isa::{Flags, Program, Reg};
 
-use crate::pipeline::{Core, Lane, Stop};
+use crate::pipeline::{Core, Lane, Registers, Stop};
 use crate::{BlockObserver, ExecStats, Memory, UarchConfig, UarchError};
 
 /// The simulated CPU.
@@ -35,6 +35,11 @@ pub struct Cpu {
     pub(crate) core: Core<1, Lane>,
     /// Monotonic restart counter seeding the node-state scramble.
     restart_seq: u64,
+    /// The registers and flags [`Cpu::restore_template`] returns to,
+    /// with the memory checkpoint (taken by its first call).
+    template: Option<Registers>,
+    /// The registers and flags at the last [`Cpu::mark`] since then.
+    mark: Option<Registers>,
 }
 
 impl Cpu {
@@ -44,6 +49,8 @@ impl Cpu {
         Cpu {
             core: Core::new(config, lane),
             restart_seq: 0,
+            template: None,
+            mark: None,
         }
     }
 
@@ -109,6 +116,39 @@ impl Cpu {
         self.core.lanes.nodes.scramble(scramble_seed);
     }
 
+    /// Returns registers, flags and memory to the template: the state
+    /// this CPU was in at its first call, which takes it. Caches keep
+    /// their lines, and the pipeline and node values are left to the
+    /// next restart.
+    ///
+    /// Acquisition calls this at the start of every trace, so a trace is
+    /// a pure function of its index whatever traces this CPU ran
+    /// before. The memory's dirty-word log makes it O(words written).
+    pub fn restore_template(&mut self) {
+        let lane = &mut self.core.lanes;
+        match &self.template {
+            Some(template) => lane.restore(template),
+            None => self.template = Some(lane.checkpoint()),
+        }
+        self.mark = None;
+    }
+
+    /// Remembers the registers, flags and memory an execution starts
+    /// from (after its restart and staging), for
+    /// [`Cpu::unchanged_since_mark`].
+    pub fn mark(&mut self) {
+        self.mark = Some(self.core.lanes.mark());
+    }
+
+    /// Whether registers, flags and memory are what they were at the
+    /// last [`Cpu::mark`] since the template was restored: a restarted
+    /// execution would then walk exactly as the marked one did, provided
+    /// that walk hit in every cache access. False without a mark.
+    pub fn unchanged_since_mark(&self) -> bool {
+        self.mark
+            .is_some_and(|mark| self.core.lanes.unchanged_since(&mark))
+    }
+
     /// Current value of a register.
     pub fn reg(&self, reg: Reg) -> u32 {
         self.core.lanes.regs[reg.index()]
@@ -148,9 +188,10 @@ impl Cpu {
     /// since the last drain, and zeroes them. Cache *lines* are
     /// untouched — timing, and therefore every trace, is unaffected.
     ///
-    /// Campaign workers drain their template clone once at arena
-    /// creation (discarding the warm-up counts the clone inherited) and
-    /// then per batch, attributing the deltas to telemetry.
+    /// Trace synthesis drains every lane at each trace start
+    /// (discarding what it carries in, such as a template's warm-up) and
+    /// after each walk, attributing that walk's counts to telemetry
+    /// ([`crate::SharedWalk`]).
     pub fn drain_cache_counts(&mut self) -> crate::CacheCounts {
         let lane = &mut self.core.lanes;
         let ((l1i_hits, l1i_misses), (l2i_hits, l2i_misses)) = lane.icache.drain_counts();
@@ -461,6 +502,75 @@ cell:       .word 0
         let stats = cpu.run(&mut NullObserver).unwrap();
         assert_eq!(cpu.mem().read_u32(0x100).unwrap(), 2, "memory persisted");
         assert_eq!(stats.dcache_misses, 0, "caches stayed warm");
+    }
+
+    #[test]
+    fn restore_template_undoes_registers_flags_and_memory() {
+        let program = assemble(
+            "
+            adr r0, cell
+            ldr r1, [r0]
+            add r1, r1, #1
+            str r1, [r0]
+            cmp r1, #1
+            halt
+            .org 0x100
+cell:       .word 0
+        ",
+        )
+        .unwrap();
+        let mut cpu = Cpu::new(UarchConfig::cortex_a7());
+        cpu.load(&program).unwrap();
+        cpu.set_reg(Reg::R7, 0x77);
+        cpu.restore_template();
+        for _ in 0..2 {
+            cpu.restart(program.entry());
+            cpu.run(&mut NullObserver).unwrap();
+            assert_eq!(cpu.mem().read_u32(0x100).unwrap(), 1);
+            assert_eq!(cpu.reg(Reg::R1), 1);
+            assert!(cpu.flags().z);
+            cpu.restore_template();
+            assert_eq!(cpu.mem().read_u32(0x100).unwrap(), 0);
+            assert_eq!((cpu.reg(Reg::R1), cpu.reg(Reg::R7)), (0, 0x77));
+            assert!(!cpu.flags().z);
+        }
+    }
+
+    #[test]
+    fn a_mark_holds_until_registers_flags_or_memory_move() {
+        let program = assemble(
+            "
+            adr r0, cell
+            ldr r1, [r0]
+            add r1, r1, #1
+            str r1, [r0]
+            halt
+            .org 0x100
+cell:       .word 0
+        ",
+        )
+        .unwrap();
+        let mut cpu = Cpu::new(UarchConfig::cortex_a7());
+        cpu.load(&program).unwrap();
+        cpu.restore_template();
+        assert!(!cpu.unchanged_since_mark(), "no mark yet");
+        cpu.restart(program.entry());
+        cpu.mark();
+        assert!(cpu.unchanged_since_mark());
+        cpu.run(&mut NullObserver).unwrap();
+        assert!(!cpu.unchanged_since_mark(), "the counter moved");
+        cpu.mem_mut().write_u32(0x100, 0).unwrap();
+        assert!(!cpu.unchanged_since_mark(), "r1 moved");
+        cpu.set_reg(Reg::R1, 0);
+        cpu.set_reg(Reg::R0, 0);
+        assert!(cpu.unchanged_since_mark());
+        cpu.set_flags(Flags {
+            c: true,
+            ..Flags::default()
+        });
+        assert!(!cpu.unchanged_since_mark(), "a flag moved");
+        cpu.restore_template();
+        assert!(!cpu.unchanged_since_mark(), "the restore drops the mark");
     }
 
     #[test]

@@ -49,7 +49,7 @@ mod pipeline;
 mod policy;
 mod stats;
 
-pub use block::{BlockObserver, CpuBlock, Divergence, LaneSim, MAX_LANES};
+pub use block::{BlockObserver, CpuBlock, Divergence, LaneSim, SharedWalk, MAX_LANES};
 pub use cache::{Cache, CacheAccess, CacheCounts, CacheHierarchy};
 pub use config::{CacheConfig, UarchConfig};
 pub use cpu::Cpu;

@@ -292,9 +292,27 @@ impl NodeEvent {
 /// dense index enumerates the node set in exactly the `Ord` order the
 /// previous tree-map storage iterated in, so [`NodeState::scramble`]
 /// assigns every node the same stale value it always has.
+///
+/// The state is write-only outside tests: node values reach observers
+/// only as the `before` of an event, never the pipeline's architecture
+/// or timing. That is what lets two executions that differ only in
+/// their scramble seeds share one walk, recomputing just the events
+/// whose `before` was stale ([`NodeState::holds_stale`]).
 #[derive(Clone, Debug)]
 pub struct NodeState {
     values: [u32; Node::COUNT],
+    /// Bit `i`: node `i` still holds the stale value the last
+    /// [`NodeState::scramble`] gave it.
+    stale: u64,
+}
+
+/// The stale value of the node at dense index `ordinal` under scramble
+/// `seed`: one SplitMix64 step of the seed and the ordinal.
+fn splitmix(seed: u64, ordinal: usize) -> u32 {
+    let mut z = seed ^ (ordinal as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    (z ^ (z >> 31)) as u32
 }
 
 impl Default for NodeState {
@@ -312,12 +330,28 @@ impl NodeState {
     pub fn new() -> NodeState {
         NodeState {
             values: [0; Node::COUNT],
+            stale: 0,
         }
     }
 
     /// Current value of a node (zero if never asserted).
-    pub fn value(&self, node: Node) -> u32 {
+    #[cfg(test)]
+    pub(crate) fn value(&self, node: Node) -> u32 {
         self.values[node.dense_index()]
+    }
+
+    /// Whether `node` still holds its stale value: no assertion since
+    /// the last [`NodeState::scramble`], so asserting it now reports
+    /// [`NodeState::stale_value`] as the event's `before` (unless the
+    /// node is precharged).
+    #[inline]
+    pub fn holds_stale(&self, node: Node) -> bool {
+        self.stale & (1 << node.dense_index()) != 0
+    }
+
+    /// The stale value [`NodeState::scramble`] with `seed` gives `node`.
+    pub fn stale_value(seed: u64, node: Node) -> u32 {
+        splitmix(seed, node.dense_index())
     }
 
     /// Asserts `value` on `node`, returning the transition event.
@@ -328,8 +362,9 @@ impl NodeState {
     /// statistics need to know the node was *driven* this cycle.
     #[inline]
     pub fn assert(&mut self, cycle: u64, node: Node, value: u32) -> NodeEvent {
-        let slot = &mut self.values[node.dense_index()];
-        let before = std::mem::replace(slot, value);
+        let index = node.dense_index();
+        self.stale &= !(1 << index);
+        let before = std::mem::replace(&mut self.values[index], value);
         NodeEvent {
             cycle,
             node,
@@ -343,7 +378,9 @@ impl NodeState {
     /// (so the next assertion is again measured from zero).
     #[inline]
     pub fn assert_precharged(&mut self, cycle: u64, node: Node, value: u32) -> NodeEvent {
-        self.values[node.dense_index()] = 0;
+        let index = node.dense_index();
+        self.stale &= !(1 << index);
+        self.values[index] = 0;
         NodeEvent {
             cycle,
             node,
@@ -356,6 +393,7 @@ impl NodeState {
     /// runs).
     pub fn reset(&mut self) {
         self.values = [0; Node::COUNT];
+        self.stale = 0;
     }
 
     /// Scrambles every tracked node to a pseudorandom value derived from
@@ -368,11 +406,9 @@ impl NodeState {
     /// value" state while keeping runs deterministic.
     pub fn scramble(&mut self, seed: u64) {
         for (i, value) in self.values.iter_mut().enumerate() {
-            let mut z = seed ^ (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            *value = (z ^ (z >> 31)) as u32;
+            *value = splitmix(seed, i);
         }
+        self.stale = (1 << Node::COUNT) - 1;
     }
 }
 
@@ -531,6 +567,28 @@ mod tests {
         };
         for (i, node) in all_nodes_in_ord_order().into_iter().enumerate() {
             assert_eq!(state.value(node), splitmix(0xfeed, i as u64), "{node}");
+            assert_eq!(NodeState::stale_value(0xfeed, node), state.value(node));
         }
+    }
+
+    #[test]
+    fn a_node_holds_its_stale_value_until_first_asserted() {
+        let mut state = NodeState::new();
+        assert!(!state.holds_stale(Node::Mdr), "a new state is zeroed");
+        state.scramble(0x51);
+        assert!(state.holds_stale(Node::Mdr) && state.holds_stale(Node::FetchWord(3)));
+        let ev = state.assert(0, Node::Mdr, 4);
+        assert_eq!(ev.before, NodeState::stale_value(0x51, Node::Mdr));
+        assert!(!state.holds_stale(Node::Mdr));
+        assert!(state.holds_stale(Node::ShiftBuf));
+        state.assert_precharged(1, Node::ShiftBuf, 9);
+        assert!(
+            !state.holds_stale(Node::ShiftBuf),
+            "precharging drops the stale value"
+        );
+        state.scramble(0x52);
+        assert!(state.holds_stale(Node::Mdr));
+        state.reset();
+        assert!(!state.holds_stale(Node::Mdr));
     }
 }

@@ -47,6 +47,14 @@ use crate::{
 /// One value per lane (entries past the active lane count are unused).
 type Vals<const N: usize> = [u32; N];
 
+/// A lane's registers and flags at a checkpoint or mark; its memory
+/// logs the words written since ([`Memory`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Registers {
+    regs: [u32; 16],
+    flags: Flags,
+}
+
 /// One lane's state: architectural registers, flags and memory, plus the
 /// lane's own caches and node values.
 #[derive(Clone, Debug)]
@@ -70,6 +78,80 @@ impl Lane {
             dcache: CacheHierarchy::new(config.dcache, config.l2, config.memory_latency),
             nodes: NodeState::new(),
         }
+    }
+
+    /// Makes the lane's architectural state a checkpoint that
+    /// [`Lane::restore`] returns to.
+    pub(crate) fn checkpoint(&mut self) -> Registers {
+        let Lane {
+            regs,
+            flags,
+            mem,
+            icache: _,
+            dcache: _,
+            nodes: _,
+        } = self;
+        mem.checkpoint();
+        Registers {
+            regs: *regs,
+            flags: *flags,
+        }
+    }
+
+    /// Returns registers, flags and memory to the checkpoint taken with
+    /// `registers`. Caches and node values are not architecture: the
+    /// caches keep their lines, and a restart scrambles the nodes.
+    pub(crate) fn restore(&mut self, registers: &Registers) {
+        let Lane {
+            regs,
+            flags,
+            mem,
+            icache: _,
+            dcache: _,
+            nodes: _,
+        } = self;
+        *regs = registers.regs;
+        *flags = registers.flags;
+        mem.restore();
+    }
+
+    /// Remembers the architectural state an execution starts from, for
+    /// [`Lane::unchanged_since`].
+    pub(crate) fn mark(&mut self) -> Registers {
+        let Lane {
+            regs,
+            flags,
+            mem,
+            icache: _,
+            dcache: _,
+            nodes: _,
+        } = self;
+        mem.mark();
+        Registers {
+            regs: *regs,
+            flags: *flags,
+        }
+    }
+
+    /// Whether the lane would walk exactly as it did from the mark taken
+    /// with `registers`: its registers, flags and memory are the same.
+    /// Every field is named, so a new one fails to compile here until
+    /// it is decided whether a walk depends on it.
+    pub(crate) fn unchanged_since(&self, registers: &Registers) -> bool {
+        let Lane {
+            regs,
+            flags,
+            mem,
+            // A walk with no cache miss left the same lines resident,
+            // and true LRU then replays it exactly; the caller checks
+            // the misses (`SharedWalk`).
+            icache: _,
+            dcache: _,
+            // Scrambled by every restart, and never read by the walk:
+            // only the events' stale `before` values depend on them.
+            nodes: _,
+        } = self;
+        *regs == registers.regs && *flags == registers.flags && mem.unchanged_since_mark()
     }
 
     /// Reads a register as an operand (PC reads yield `addr + 8`).
@@ -347,6 +429,9 @@ impl<const N: usize, L: Lanes> Core<N, L> {
     ) {
         let cycle = self.cycle;
         let active = self.lanes.active();
+        // The lanes assert the same nodes in the same order, so a node
+        // holds its stale value in every lane or in none.
+        let stale = !precharged && self.lanes.get(0).nodes.holds_stale(node);
         let mut batch = [NodeEvent {
             cycle,
             node,
@@ -361,7 +446,11 @@ impl<const N: usize, L: Lanes> Core<N, L> {
                 nodes.assert(cycle, node, values[l])
             };
         }
-        observer.node_events(&batch[..active]);
+        if stale {
+            observer.stale_node_events(&batch[..active]);
+        } else {
+            observer.node_events(&batch[..active]);
+        }
     }
 
     /// Gathers one value per active lane.

@@ -15,6 +15,13 @@
 //!
 //! To print the hashes of the current code instead of checking them,
 //! run with `SHARED_WALK_PRINT=1` and `--nocapture`.
+//!
+//! One case cannot be pinned that way: a program that counts its
+//! executions in memory, whose traces depended on what ran before them
+//! until every trace started from the template. It must walk every
+//! execution and agree with itself across lanes and threads.
+
+use std::sync::{PoisonError, RwLock, RwLockReadGuard};
 
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -25,6 +32,7 @@ use superscalar_sca::isa::{assemble, Reg};
 use superscalar_sca::power::{
     AcquisitionConfig, GaussianNoise, LeakageWeights, SamplingConfig, TraceSet, TraceSynthesizer,
 };
+use superscalar_sca::telemetry::{self, Snapshot};
 use superscalar_sca::uarch::{Cpu, NodeKind, NullObserver, UarchConfig};
 
 /// Traces per campaign: a partial lockstep group at 8 lanes, and at two
@@ -36,6 +44,15 @@ const EXECUTIONS: [usize; 3] = [1, 3, 8];
 
 /// `(lanes, threads)` settings every case runs at.
 const SETTINGS: [(usize, usize); 4] = [(1, 1), (8, 1), (1, 2), (8, 2)];
+
+/// Keeps campaigns off the process-global counters while the counter
+/// case reads their deltas.
+static COUNTERS: RwLock<()> = RwLock::new(());
+
+/// Held by every pinned case while it runs campaigns.
+fn campaigning() -> RwLockReadGuard<'static, ()> {
+    COUNTERS.read().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// FNV-1a over the bit patterns of `series`, in order.
 fn fnv(series: &[&[f32]]) -> u64 {
@@ -52,6 +69,26 @@ fn fnv(series: &[&[f32]]) -> u64 {
 
 fn hashes(set: &TraceSet) -> Vec<u64> {
     set.iter().map(|(_, trace)| fnv(&[trace])).collect()
+}
+
+/// Per-trace hashes over every channel, given one set per channel.
+fn channel_hashes(sets: &[TraceSet]) -> Vec<u64> {
+    let channels: Vec<Vec<&[f32]>> = sets
+        .iter()
+        .map(|set| set.iter().map(|(_, trace)| trace).collect())
+        .collect();
+    (0..sets.first().map_or(0, TraceSet::len))
+        .map(|t| fnv(&channels.iter().map(|c| c[t]).collect::<Vec<_>>()))
+        .collect()
+}
+
+/// A `ComponentCampaign` sink: one set per channel. (The engine hands
+/// its absorb hook the sink itself, `&mut K`.)
+#[allow(clippy::ptr_arg)]
+fn absorb_channels(sets: &mut Vec<TraceSet>, input: &[u8], channels: &[Vec<f32>]) {
+    for (set, channel) in sets.iter_mut().zip(channels) {
+        set.push(channel.clone(), input.to_vec());
+    }
 }
 
 /// Checks `got` against the pin of `case`, or prints it.
@@ -115,6 +152,7 @@ impl Subject<'_> {
     /// Runs every execution count and setting at `window` (`None`:
     /// unclipped, through `run_with`), checking each against its pin.
     fn check_window(&self, label: &str, window: Option<(usize, usize)>, seed: u64) {
+        let _campaigning = campaigning();
         for executions in EXECUTIONS {
             let case = format!("{}/{label}/e{executions}", self.name);
             for (lanes, threads) in SETTINGS {
@@ -231,6 +269,7 @@ fn component_campaigns_match_one_walk_per_execution() {
         ("from-trigger", (0, 6)),
         ("narrow", (start as usize + 3, 4)),
     ];
+    let _campaigning = campaigning();
     for (label, window) in windows {
         for executions in EXECUTIONS {
             let case = format!("component/{label}/e{executions}");
@@ -254,21 +293,14 @@ fn component_campaigns_match_one_walk_per_execution() {
                     |rng, index| target.generate(rng, index),
                     |cpu, input| target.stage(cpu, input),
                     || vec![TraceSet::new(window.1); NodeKind::COUNT],
-                    |sets: &mut Vec<TraceSet>, input, channels| {
-                        for (set, channel) in sets.iter_mut().zip(channels) {
-                            set.push(channel.clone(), input.to_vec());
-                        }
-                    },
+                    absorb_channels,
                 )
                 .expect("component campaign runs");
-                let channels: Vec<Vec<&[f32]>> = traces
-                    .iter()
-                    .map(|set| set.iter().map(|(_, trace)| trace).collect())
-                    .collect();
-                let got: Vec<u64> = (0..TRACES)
-                    .map(|t| fnv(&channels.iter().map(|c| c[t]).collect::<Vec<_>>()))
-                    .collect();
-                check(&case, &format!("lanes {lanes} threads {threads}"), &got);
+                check(
+                    &case,
+                    &format!("lanes {lanes} threads {threads}"),
+                    &channel_hashes(&traces),
+                );
             }
         }
     }
@@ -333,6 +365,105 @@ fn input_dependent_timing_matches_one_walk_per_execution() {
         let window = SamplingConfig::picoscope_500msps_120mhz().window_to_samples(0, cycles);
         subject.check_window("clipped", Some(window), 0x7e57);
         subject.check_window("unclipped", None, 0x7e57);
+    }
+}
+
+/// A program that counts its executions in a memory word and reads the
+/// count inside its window: each execution starts from other memory
+/// than the last walk did, so every one walks (`power/walks` equals
+/// `power/simulator_runs`, and `campaign/walk_fallbacks` moves), in both
+/// engines. The counter restarts at every trace, so the traces agree at
+/// every lane and thread count.
+#[test]
+fn an_execution_counter_in_memory_walks_every_execution() {
+    let _counters = COUNTERS.write().unwrap_or_else(PoisonError::into_inner);
+    let program = assemble(&format!(
+        "
+        adr r10, count
+        trig #1
+        ldr r0, [r10]
+        add r0, r0, #1
+        str r0, [r10]
+        eor r3, r0, r1, ror #3
+        mov r4, r3
+{}        trig #0
+        halt
+        .org 0x200
+count:  .word 0
+",
+        "        nop\n".repeat(12)
+    ))
+    .expect("assembles");
+    let mut template = Cpu::new(UarchConfig::cortex_a7());
+    template.load(&program).expect("loads");
+    template.run(&mut NullObserver).expect("warm-up runs");
+    let generate = |rng: &mut StdRng, _: usize| rng.gen::<u32>().to_le_bytes().to_vec();
+    let stage = |cpu: &mut Cpu, input: &[u8]| {
+        cpu.set_reg(
+            Reg::R1,
+            u32::from_le_bytes(input.try_into().expect("4 bytes")),
+        );
+    };
+    let (traces, executions) = (7, 4);
+    let window = SamplingConfig::picoscope_500msps_120mhz().window_to_samples(0, 16);
+    let mut reference: Option<(Vec<u64>, Vec<u64>)> = None;
+    for lanes in [1, 3, 8] {
+        for threads in [1, 2] {
+            let context = format!("lanes {lanes} threads {threads}");
+            let before = telemetry::global().snapshot();
+            let set = Campaign::new(
+                LeakageWeights::cortex_a7(),
+                CampaignConfig {
+                    traces,
+                    ..config(executions, threads, 0xc0_47e2)
+                },
+            )
+            .with_lanes(lanes)
+            .with_window(window.0, window.1)
+            .run(&template, program.entry(), generate, stage, TraceSet::new)
+            .expect("campaign runs");
+            let moved = |after: &Snapshot, name: &str| after.counter_delta(&before, name);
+            let after = telemetry::global().snapshot();
+            let runs = moved(&after, "power/simulator_runs");
+            assert_eq!(runs, 1 + (traces * executions) as u64, "{context}");
+            assert_eq!(moved(&after, "power/walks"), runs, "{context}");
+            let fallbacks = moved(&after, "campaign/walk_fallbacks");
+            assert_eq!(fallbacks, (traces * (executions - 2)) as u64, "{context}");
+
+            let channels = ComponentCampaign {
+                components: &[NodeKind::Mdr, NodeKind::ExWbBuffer],
+                window: (0, 12),
+                seed: 0xc0_47e2,
+                noise: GaussianNoise::bare_metal(),
+                executions,
+                lanes,
+                plan: ShardPlan {
+                    items: traces,
+                    threads,
+                    batch: 2,
+                },
+            }
+            .run(
+                &template,
+                program.entry(),
+                generate,
+                stage,
+                || vec![TraceSet::new(12); 2],
+                absorb_channels,
+            )
+            .expect("component campaign runs");
+            let later = telemetry::global().snapshot();
+            assert_eq!(
+                later.counter_delta(&after, "campaign/walk_fallbacks"),
+                fallbacks,
+                "{context}: the component engine"
+            );
+            let got = (hashes(&set), channel_hashes(&channels));
+            match &reference {
+                None => reference = Some(got),
+                Some(reference) => assert_eq!(&got, reference, "{context}"),
+            }
+        }
     }
 }
 

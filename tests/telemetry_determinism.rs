@@ -37,6 +37,7 @@ const WORK_COUNTERS: &[&str] = &[
     "campaign/traces_planned",
     "campaign/traces_simulated",
     "power/simulator_runs",
+    "power/walks",
     "power/samples",
     "power/samples_skipped",
     "uarch/cycles",
