@@ -13,7 +13,7 @@
 //!
 //! Reuse never changes results: every trace returns the simulator to
 //! the template's registers, flags and memory
-//! ([`Cpu::restore_template`]), each execution re-points it at the
+//! (`Cpu::restore_template`), each execution re-points it at the
 //! program with [`Cpu::restart_seeded`] (the cheap reset — pipeline,
 //! node and trigger state are overwritten in place, while registers,
 //! memory and caches persist across the executions of a trace exactly

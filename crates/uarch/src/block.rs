@@ -398,7 +398,7 @@ pub struct SharedWalk {
 
 impl SharedWalk {
     /// Starts a trace on the first `lanes` lanes of `sim`: returns each
-    /// to its template ([`Cpu::restore_template`]), so nothing of an
+    /// to its template (`Cpu::restore_template`), so nothing of an
     /// earlier trace carries over, and there is no walk to share yet.
     /// Cache counts the lanes carry in (a template's warm-up, a diverged
     /// group's partial walk) are drained and discarded: only walks
@@ -462,7 +462,7 @@ impl SharedWalk {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Node, NullObserver, UarchConfig};
+    use crate::{Node, NodeState, NullObserver, UarchConfig};
     use sca_isa::assemble;
 
     /// Collects one scalar-shaped event stream per lane, walking to
@@ -696,6 +696,66 @@ data:   .word 0
                 );
             }
         }
+    }
+
+    /// Every event of each lane, with whether it came as stale.
+    struct StaleRecorder(Vec<Vec<(NodeEvent, bool)>>);
+
+    impl BlockObserver for StaleRecorder {
+        fn node_events(&mut self, events: &[NodeEvent]) {
+            for (lane, &event) in events.iter().enumerate() {
+                self.0[lane].push((event, false));
+            }
+        }
+
+        fn stale_node_events(&mut self, events: &[NodeEvent]) {
+            for (lane, &event) in events.iter().enumerate() {
+                self.0[lane].push((event, true));
+            }
+        }
+    }
+
+    /// A batch comes as stale exactly when it is its node's first
+    /// assertion since the restart and the node is not precharged; its
+    /// `before` is then the node's stale value under the lane's seed.
+    #[test]
+    fn first_assertions_of_scrambled_nodes_come_as_stale() {
+        let template = template();
+        let seeds = [0x71u64, 0x72, 0x73];
+        let check = |events: &[(NodeEvent, bool)], seed: u64| {
+            let mut seen = std::collections::HashSet::new();
+            let mut stale = 0;
+            for &(event, flagged) in events {
+                let first = seen.insert(event.node);
+                let precharged = matches!(event.node, Node::ShiftBuf | Node::AluOut(_));
+                assert_eq!(flagged, first && !precharged, "{event:?}");
+                if flagged {
+                    assert_eq!(event.before, NodeState::stale_value(seed, event.node));
+                    stale += 1;
+                }
+            }
+            assert!(stale > 5, "{stale} stale events");
+        };
+        let mut cpu = template.clone();
+        cpu.restart_seeded(0, seeds[0]);
+        let mut rec = StaleRecorder(vec![Vec::new()]);
+        cpu.run(&mut rec).expect("runs");
+        check(&rec.0[0], seeds[0]);
+        let mut block = CpuBlock::from_template(&template, 3);
+        block.restart_seeded(0, &seeds);
+        let mut rec = StaleRecorder(vec![Vec::new(); 3]);
+        block.run(&mut rec).expect("no divergence");
+        for (lane, &seed) in seeds.iter().enumerate() {
+            check(&rec.0[lane], seed);
+        }
+        // Without a restart there is no scramble, and nothing is stale.
+        let mut fresh = Cpu::new(UarchConfig::cortex_a7());
+        fresh
+            .load(&assemble(MIX_SRC).expect("assembles"))
+            .expect("loads");
+        let mut rec = StaleRecorder(vec![Vec::new()]);
+        fresh.run(&mut rec).expect("runs");
+        assert!(rec.0[0].iter().all(|&(_, flagged)| !flagged));
     }
 
     #[test]

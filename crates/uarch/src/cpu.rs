@@ -124,7 +124,7 @@ impl Cpu {
     /// Acquisition calls this at the start of every trace, so a trace is
     /// a pure function of its index whatever traces this CPU ran
     /// before. The memory's dirty-word log makes it O(words written).
-    pub fn restore_template(&mut self) {
+    pub(crate) fn restore_template(&mut self) {
         let lane = &mut self.core.lanes;
         match &self.template {
             Some(template) => lane.restore(template),
@@ -136,7 +136,7 @@ impl Cpu {
     /// Remembers the registers, flags and memory an execution starts
     /// from (after its restart and staging), for
     /// [`Cpu::unchanged_since_mark`].
-    pub fn mark(&mut self) {
+    pub(crate) fn mark(&mut self) {
         self.mark = Some(self.core.lanes.mark());
     }
 
@@ -144,7 +144,7 @@ impl Cpu {
     /// last [`Cpu::mark`] since the template was restored: a restarted
     /// execution would then walk exactly as the marked one did, provided
     /// that walk hit in every cache access. False without a mark.
-    pub fn unchanged_since_mark(&self) -> bool {
+    pub(crate) fn unchanged_since_mark(&self) -> bool {
         self.mark
             .is_some_and(|mark| self.core.lanes.unchanged_since(&mark))
     }

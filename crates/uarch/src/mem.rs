@@ -4,13 +4,14 @@
 //! address; the AES harness also uses direct `poke`/`peek` accessors to
 //! stage inputs and read results without running loader code.
 //!
-//! Every write also goes to a dirty-word log: the words written since
-//! the last [`Memory::checkpoint`], each with its value there. The log
-//! restores the checkpoint in O(words written) — a campaign returns
-//! each lane to its template at every trace start — and tells, in the
-//! same time, whether memory still holds what it held at a
-//! [`Memory::mark`] (whether the next execution starts where the last
-//! walk did).
+//! Once a checkpoint has been taken, every write also goes to a
+//! dirty-word log: the words written since the last checkpoint, each
+//! with its value there. The log restores the checkpoint in O(words
+//! written) — a campaign returns each lane to its template at every
+//! trace start — and tells, in the same time, whether memory still holds
+//! what it held at a mark (whether the next execution starts where the
+//! last walk did). Memory never checkpointed (a template being loaded
+//! and warmed) logs nothing.
 
 use crate::UarchError;
 
@@ -21,7 +22,8 @@ pub struct Memory {
     /// The words written since the checkpoint, each with its value
     /// there, in first-write order.
     dirty: Vec<(u32, u32)>,
-    /// One bit per word: whether it is in `dirty`.
+    /// One bit per word: whether it is in `dirty`; empty until the
+    /// first checkpoint, and no write is logged while it is.
     logged: Vec<u64>,
     /// The values of `dirty[..marked.len()]` at the mark.
     marked: Vec<u32>,
@@ -30,11 +32,10 @@ pub struct Memory {
 impl Memory {
     /// Allocates `size` bytes of zeroed RAM.
     pub fn new(size: u32) -> Memory {
-        let words = (size as usize).div_ceil(4);
         Memory {
             bytes: vec![0; size as usize],
             dirty: Vec::new(),
-            logged: vec![0; words.div_ceil(64)],
+            logged: Vec::new(),
             marked: Vec::new(),
         }
     }
@@ -68,6 +69,9 @@ impl Memory {
     /// records its value there.
     #[inline]
     fn log(&mut self, start: usize, end: usize) {
+        if self.logged.is_empty() {
+            return;
+        }
         for word in start / 4..end.div_ceil(4) {
             let (slot, bit) = (word / 64, 1u64 << (word % 64));
             if self.logged[slot] & bit == 0 {
@@ -78,8 +82,11 @@ impl Memory {
     }
 
     /// Makes the current contents the checkpoint: the dirty-word log
-    /// starts empty.
+    /// starts empty (and logging starts, at the first checkpoint).
     pub(crate) fn checkpoint(&mut self) {
+        if self.logged.is_empty() {
+            self.logged = vec![0; self.bytes.len().div_ceil(4).div_ceil(64)];
+        }
         for &(word, _) in &self.dirty {
             self.logged[word as usize / 64] &= !(1u64 << (word % 64));
         }
@@ -260,6 +267,10 @@ mod tests {
         let mut mem = Memory::new(30);
         mem.write_u32(4, 0x1111_1111).unwrap();
         mem.write_u8(29, 0x5a).unwrap();
+        assert!(
+            mem.dirty.is_empty(),
+            "nothing is logged before a checkpoint"
+        );
         mem.checkpoint();
         let template = mem.bytes.clone();
         mem.write_u32(4, 0x2222_2222).unwrap();

@@ -297,13 +297,10 @@ impl NodeEvent {
 /// only as the `before` of an event, never the pipeline's architecture
 /// or timing. That is what lets two executions that differ only in
 /// their scramble seeds share one walk, recomputing just the events
-/// whose `before` was stale ([`NodeState::holds_stale`]).
+/// whose `before` was stale ([`NodeState::stale_value`]).
 #[derive(Clone, Debug)]
 pub struct NodeState {
     values: [u32; Node::COUNT],
-    /// Bit `i`: node `i` still holds the stale value the last
-    /// [`NodeState::scramble`] gave it.
-    stale: u64,
 }
 
 /// The stale value of the node at dense index `ordinal` under scramble
@@ -330,7 +327,6 @@ impl NodeState {
     pub fn new() -> NodeState {
         NodeState {
             values: [0; Node::COUNT],
-            stale: 0,
         }
     }
 
@@ -338,15 +334,6 @@ impl NodeState {
     #[cfg(test)]
     pub(crate) fn value(&self, node: Node) -> u32 {
         self.values[node.dense_index()]
-    }
-
-    /// Whether `node` still holds its stale value: no assertion since
-    /// the last [`NodeState::scramble`], so asserting it now reports
-    /// [`NodeState::stale_value`] as the event's `before` (unless the
-    /// node is precharged).
-    #[inline]
-    pub fn holds_stale(&self, node: Node) -> bool {
-        self.stale & (1 << node.dense_index()) != 0
     }
 
     /// The stale value [`NodeState::scramble`] with `seed` gives `node`.
@@ -362,9 +349,8 @@ impl NodeState {
     /// statistics need to know the node was *driven* this cycle.
     #[inline]
     pub fn assert(&mut self, cycle: u64, node: Node, value: u32) -> NodeEvent {
-        let index = node.dense_index();
-        self.stale &= !(1 << index);
-        let before = std::mem::replace(&mut self.values[index], value);
+        let slot = &mut self.values[node.dense_index()];
+        let before = std::mem::replace(slot, value);
         NodeEvent {
             cycle,
             node,
@@ -378,9 +364,7 @@ impl NodeState {
     /// (so the next assertion is again measured from zero).
     #[inline]
     pub fn assert_precharged(&mut self, cycle: u64, node: Node, value: u32) -> NodeEvent {
-        let index = node.dense_index();
-        self.stale &= !(1 << index);
-        self.values[index] = 0;
+        self.values[node.dense_index()] = 0;
         NodeEvent {
             cycle,
             node,
@@ -393,7 +377,6 @@ impl NodeState {
     /// runs).
     pub fn reset(&mut self) {
         self.values = [0; Node::COUNT];
-        self.stale = 0;
     }
 
     /// Scrambles every tracked node to a pseudorandom value derived from
@@ -408,7 +391,6 @@ impl NodeState {
         for (i, value) in self.values.iter_mut().enumerate() {
             *value = splitmix(seed, i);
         }
-        self.stale = (1 << Node::COUNT) - 1;
     }
 }
 
@@ -569,26 +551,5 @@ mod tests {
             assert_eq!(state.value(node), splitmix(0xfeed, i as u64), "{node}");
             assert_eq!(NodeState::stale_value(0xfeed, node), state.value(node));
         }
-    }
-
-    #[test]
-    fn a_node_holds_its_stale_value_until_first_asserted() {
-        let mut state = NodeState::new();
-        assert!(!state.holds_stale(Node::Mdr), "a new state is zeroed");
-        state.scramble(0x51);
-        assert!(state.holds_stale(Node::Mdr) && state.holds_stale(Node::FetchWord(3)));
-        let ev = state.assert(0, Node::Mdr, 4);
-        assert_eq!(ev.before, NodeState::stale_value(0x51, Node::Mdr));
-        assert!(!state.holds_stale(Node::Mdr));
-        assert!(state.holds_stale(Node::ShiftBuf));
-        state.assert_precharged(1, Node::ShiftBuf, 9);
-        assert!(
-            !state.holds_stale(Node::ShiftBuf),
-            "precharging drops the stale value"
-        );
-        state.scramble(0x52);
-        assert!(state.holds_stale(Node::Mdr));
-        state.reset();
-        assert!(!state.holds_stale(Node::Mdr));
     }
 }

@@ -326,6 +326,11 @@ pub(crate) struct Core<const N: usize, L> {
     flags_ready: u64,
     retire_queue: VecDeque<RetireEntry<N>>,
     pending: EventQueue<N>,
+    /// One bit per node ([`Node::dense_index`]) not asserted since the
+    /// restart: every restart scrambles the lanes' node values, so these
+    /// still hold their stale values (in every lane, since the lanes
+    /// assert the same nodes in the same order).
+    unasserted: u64,
 }
 
 impl<const N: usize, L: Lanes> Core<N, L> {
@@ -345,15 +350,17 @@ impl<const N: usize, L: Lanes> Core<N, L> {
             flags_ready: 0,
             retire_queue: VecDeque::new(),
             pending: EventQueue::default(),
+            unasserted: 0,
         }
     }
 
     /// Resets the timing state (front end, in-flight instructions,
     /// statistics, cycle counter) and re-points fetch at `entry`. Lane
-    /// state is left to the caller. Fixed-size state is overwritten in
-    /// place and the queues keep their capacity, so nothing here
-    /// allocates once warm.
+    /// state is left to the caller, who scrambles the node values with
+    /// it. Fixed-size state is overwritten in place and the queues keep
+    /// their capacity, so nothing here allocates once warm.
     pub(crate) fn restart(&mut self, entry: u32) {
+        self.unasserted = (1 << Node::COUNT) - 1;
         self.pc = entry;
         self.halted = false;
         self.cycle = 0;
@@ -429,9 +436,14 @@ impl<const N: usize, L: Lanes> Core<N, L> {
     ) {
         let cycle = self.cycle;
         let active = self.lanes.active();
-        // The lanes assert the same nodes in the same order, so a node
-        // holds its stale value in every lane or in none.
-        let stale = !precharged && self.lanes.get(0).nodes.holds_stale(node);
+        // A node's first assertion since the restart reports the stale
+        // value the scramble left in it, unless it is precharged.
+        let bit = 1 << node.dense_index();
+        let first = self.unasserted & bit != 0;
+        if first {
+            self.unasserted &= !bit;
+        }
+        let stale = first && !precharged;
         let mut batch = [NodeEvent {
             cycle,
             node,
