@@ -133,8 +133,9 @@ impl Campaign {
     /// * `generate` — draws one input (opaque bytes) per trace from the
     ///   trace's own RNG stream;
     /// * `stage` — writes an input into CPU registers/memory; called
-    ///   before *every* execution, so it must fully re-initialize any
-    ///   memory the program mutates;
+    ///   before *every* execution. Each trace starts from the
+    ///   template's registers, flags and memory, and each execution
+    ///   from what the earlier executions of its trace left;
     /// * `sink` — builds one worker's empty sink, given the (windowed)
     ///   samples per trace.
     ///

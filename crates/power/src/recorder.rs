@@ -556,6 +556,8 @@ impl<const L: usize> LanePowerRecorder<L> {
 }
 
 impl<const L: usize> BlockObserver for LanePowerRecorder<L> {
+    const STALE_EVENTS: bool = true;
+
     #[inline]
     fn begin_cycle(&mut self, cycle: u64) {
         self.stale.begin_cycle();
@@ -755,6 +757,8 @@ impl<const L: usize> LaneComponentRecorder<L> {
 }
 
 impl<const L: usize> BlockObserver for LaneComponentRecorder<L> {
+    const STALE_EVENTS: bool = true;
+
     #[inline]
     fn begin_cycle(&mut self, cycle: u64) {
         self.stale.begin_cycle();

@@ -68,6 +68,13 @@ impl From<Stop> for Divergence {
 /// [`BlockObserver::node_event`]; cycle boundaries, trigger edges and
 /// retirements are shared across lanes by construction.
 pub trait BlockObserver {
+    /// Whether the pipeline hands this observer its stale batches apart,
+    /// through [`BlockObserver::stale_node_events`]. Telling them apart
+    /// costs the walk a few instructions per batch, so the default,
+    /// false, leaves it out: every batch then goes to `node_events`.
+    /// Fixed per type, so constant over a walk.
+    const STALE_EVENTS: bool = false;
+
     /// Called once at the start of every simulated cycle.
     fn begin_cycle(&mut self, cycle: u64) {
         let _ = cycle;
@@ -94,14 +101,16 @@ pub trait BlockObserver {
         }
     }
 
-    /// Like [`BlockObserver::node_events`], for a batch whose `before`
-    /// values are stale: the node's first non-precharged assertion since
-    /// the restart, reporting what [`crate::NodeState::scramble`] left in
-    /// it ([`crate::NodeState::stale_value`] of each lane's seed). No
-    /// other part of a walk depends on the scramble seeds. The default
-    /// forwards to `node_events`; the power recorders also note where
-    /// these events land, so an execution that shares the walk can redo
-    /// those sums for its own seeds.
+    /// In place of [`BlockObserver::node_events`] when
+    /// [`BlockObserver::STALE_EVENTS`] is set, for a batch whose
+    /// `before` values are stale: the node's first non-precharged
+    /// assertion since the restart, reporting what
+    /// [`crate::NodeState::scramble`] left in it
+    /// ([`crate::NodeState::stale_value`] of each lane's seed). No other
+    /// part of a walk depends on the scramble seeds. The default forwards
+    /// to `node_events`; the power recorders also note where these
+    /// events land, so an execution that shares the walk can redo those
+    /// sums for its own seeds.
     fn stale_node_events(&mut self, events: &[NodeEvent]) {
         self.node_events(events);
     }
@@ -702,6 +711,8 @@ data:   .word 0
     struct StaleRecorder(Vec<Vec<(NodeEvent, bool)>>);
 
     impl BlockObserver for StaleRecorder {
+        const STALE_EVENTS: bool = true;
+
         fn node_events(&mut self, events: &[NodeEvent]) {
             for (lane, &event) in events.iter().enumerate() {
                 self.0[lane].push((event, false));

@@ -329,7 +329,9 @@ pub(crate) struct Core<const N: usize, L> {
     /// One bit per node ([`Node::dense_index`]) not asserted since the
     /// restart: every restart scrambles the lanes' node values, so these
     /// still hold their stale values (in every lane, since the lanes
-    /// assert the same nodes in the same order).
+    /// assert the same nodes in the same order). Kept only while the
+    /// observer takes stale batches apart
+    /// ([`BlockObserver::STALE_EVENTS`]).
     unasserted: u64,
 }
 
@@ -437,13 +439,14 @@ impl<const N: usize, L: Lanes> Core<N, L> {
         let cycle = self.cycle;
         let active = self.lanes.active();
         // A node's first assertion since the restart reports the stale
-        // value the scramble left in it, unless it is precharged.
-        let bit = 1 << node.dense_index();
-        let first = self.unasserted & bit != 0;
-        if first {
+        // value the scramble left in it, unless it is precharged. Only
+        // an observer that takes stale batches apart pays for telling.
+        let stale = O::STALE_EVENTS && {
+            let bit = 1 << node.dense_index();
+            let first = self.unasserted & bit != 0;
             self.unasserted &= !bit;
-        }
-        let stale = first && !precharged;
+            first && !precharged
+        };
         let mut batch = [NodeEvent {
             cycle,
             node,
