@@ -520,7 +520,7 @@ impl<const L: usize> LanePowerRecorder<L> {
     /// stale node values entered ([`BlockObserver::stale_node_events`]),
     /// bit for bit as a walk under those seeds would have left them.
     /// Every other kept sum, the trigger edges and the horizon stay.
-    pub fn rescramble(&mut self, seeds: &[u64]) {
+    pub(crate) fn rescramble(&mut self, seeds: &[u64]) {
         let stride = self.stride();
         let rows = self.power.len() / stride;
         let (frame, power) = (&self.frame, &mut self.power);
@@ -718,8 +718,10 @@ impl<const L: usize> LaneComponentRecorder<L> {
     }
 
     /// Turns the recorded walk into the record of an execution that
-    /// shares it with lanes scrambled by `seeds`, as
-    /// [`LanePowerRecorder::rescramble`] does.
+    /// shares it with lanes scrambled by `seeds`: redoes the sums its
+    /// stale node values entered ([`BlockObserver::stale_node_events`]),
+    /// bit for bit as a walk under those seeds would have left them.
+    /// Every other kept sum, the trigger edges and the horizon stay.
     pub fn rescramble(&mut self, seeds: &[u64]) {
         let rows = self.rows();
         let (frame, power) = (&self.frame, &mut self.power);

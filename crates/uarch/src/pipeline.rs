@@ -80,22 +80,19 @@ impl Lane {
         }
     }
 
+    /// The lane's registers and flags.
+    fn registers(&self) -> Registers {
+        Registers {
+            regs: self.regs,
+            flags: self.flags,
+        }
+    }
+
     /// Makes the lane's architectural state a checkpoint that
     /// [`Lane::restore`] returns to.
     pub(crate) fn checkpoint(&mut self) -> Registers {
-        let Lane {
-            regs,
-            flags,
-            mem,
-            icache: _,
-            dcache: _,
-            nodes: _,
-        } = self;
-        mem.checkpoint();
-        Registers {
-            regs: *regs,
-            flags: *flags,
-        }
+        self.mem.checkpoint();
+        self.registers()
     }
 
     /// Returns registers, flags and memory to the checkpoint taken with
@@ -118,19 +115,8 @@ impl Lane {
     /// Remembers the architectural state an execution starts from, for
     /// [`Lane::unchanged_since`].
     pub(crate) fn mark(&mut self) -> Registers {
-        let Lane {
-            regs,
-            flags,
-            mem,
-            icache: _,
-            dcache: _,
-            nodes: _,
-        } = self;
-        mem.mark();
-        Registers {
-            regs: *regs,
-            flags: *flags,
-        }
+        self.mem.mark();
+        self.registers()
     }
 
     /// Whether the lane would walk exactly as it did from the mark taken
