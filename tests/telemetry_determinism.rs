@@ -1,10 +1,10 @@
 //! The telemetry determinism contract: *work counters* — traces
-//! planned/simulated, simulator runs, per-level cache accesses and
-//! misses, store slots and checkpoint bytes — are a pure function of
-//! the campaign, independent of how the work was scheduled. Running
-//! the same campaign with 1 or 4 threads and with scalar or 8-wide
-//! lockstep simulation must move every one of them by exactly the
-//! same amount.
+//! planned/simulated, simulator runs and walks, per-level cache
+//! accesses and misses, store slots and checkpoint bytes — are a pure
+//! function of the campaign, independent of how the work was scheduled.
+//! Running the same campaign with 1 or 4 threads and with scalar or
+//! 8-wide lockstep simulation must move every one of them by exactly
+//! the same amount.
 //!
 //! Observability counters (batch counts, lockstep/scalar split, page
 //! pool statistics) deliberately *do* depend on scheduling and are
