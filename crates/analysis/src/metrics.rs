@@ -205,6 +205,41 @@ mod tests {
         assert!((curve[0].correct_peak - peak.abs()).abs() < 1e-12);
     }
 
+    /// Every `RankPoint` field, floats as bit patterns, from checkpoints
+    /// at one trace (all-zero correlations), two (every |r| is 1 or 0,
+    /// so peaks tie), around a 64-trace boundary and at the end.
+    /// Generated by the implementation that kept one
+    /// `PearsonAccumulator` per guess.
+    #[test]
+    fn rank_points_are_pinned() {
+        let set = noisy_traces(0x42, 300, 6.0);
+        let curve = rank_evolution(&set, &model(), 0x42, &[1, 2, 3, 20, 64, 65, 100, 300]);
+        let bits: Vec<(usize, usize, u64, u64)> = curve
+            .iter()
+            .map(|p| {
+                (
+                    p.traces,
+                    p.rank,
+                    p.correct_peak.to_bits(),
+                    p.best_wrong_peak.to_bits(),
+                )
+            })
+            .collect();
+        assert_eq!(
+            bits,
+            [
+                (1, 0, 0x0000_0000_0000_0000, 0x0000_0000_0000_0000),
+                (2, 44, 0x3ff0_0000_0000_0000, 0x3ff0_0000_0000_0001),
+                (3, 88, 0x3fee_913a_5603_551e, 0x3fef_fff8_aa5b_f490),
+                (20, 47, 0x3fde_6b4e_4dab_81aa, 0x3fe8_6a9e_4079_22af),
+                (64, 0, 0x3fda_6d2a_4e96_e19b, 0x3fd8_5480_46bc_ed17),
+                (65, 0, 0x3fda_5e51_18e8_689c, 0x3fd8_8625_0e01_5a48),
+                (100, 0, 0x3fd6_c99f_5d48_ae61, 0x3fd5_1450_fb87_cea6),
+                (300, 0, 0x3fd1_6f13_7a82_0e64, 0x3fc8_6848_2803_0cf5),
+            ]
+        );
+    }
+
     #[test]
     fn traces_to_rank0_requires_stability() {
         let curve = vec![

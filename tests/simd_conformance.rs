@@ -2,11 +2,15 @@
 //! **bit-identical** to its scalar reference at every shape — including
 //! non-multiple-of-lane tails, empty batches and degenerate geometries.
 //!
-//! The hot-loop kernels are chunked to explicit widths so LLVM
-//! vectorizes them; because every kernel is strictly element-wise (no
-//! horizontal reduction, no re-association), IEEE-754 guarantees the
-//! same bits as the scalar loop. These proptests pin that contract over
-//! arbitrary `(guesses, samples, batch, tail)` shapes, so a future
+//! The hot-loop kernels are blocked to explicit widths so LLVM
+//! vectorizes them; because every output element still receives the
+//! same operations on the same inputs in the same order (no horizontal
+//! reduction, no re-association), IEEE-754 guarantees the same bits as
+//! the scalar loop. These proptests pin that contract over arbitrary
+//! `(guesses, samples, batch, tail)` shapes — rows past two 256-sample
+//! tiles with ragged tails, batches from empty to past the campaign
+//! engine's default of 64, up to a key byte's 256 guesses — and the
+//! deterministic cases below pin the portfolio's own shapes, so a future
 //! "optimization" that silently re-associates gets caught here, not in
 //! a wrong verdict three layers up.
 
@@ -34,6 +38,51 @@ fn sample_values(n: usize) -> impl Strategy<Value = Vec<f64>> {
     )
 }
 
+/// `(guesses, samples, batches)` for the absorb proptest, in three
+/// families that keep each case's work small: long rows (past two
+/// 256-sample tiles, ragged tails) for a few guesses; many guesses over
+/// short rows; many guesses over long rows a trace or two at a time.
+/// Every family draws batches from empty to past 64, including 1.
+fn absorb_shapes() -> impl Strategy<Value = (usize, usize, Vec<usize>)> {
+    prop_oneof![
+        (1usize..6, 0usize..600, vec(0usize..71, 1..4)),
+        (1usize..257, 0usize..40, vec(0usize..71, 1..4)),
+        (1usize..257, 0usize..600, vec(0usize..3, 1..4)),
+    ]
+}
+
+/// Streams `batches` random batches through `absorb_batch` and
+/// `absorb_batch_scalar` and returns both accumulators.
+fn absorb_both(
+    guesses: usize,
+    samples: usize,
+    batches: &[usize],
+    seed: u64,
+) -> (CpaAccumulator, CpaAccumulator) {
+    use rand::{Rng, SeedableRng};
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let mut simd = CpaAccumulator::new(guesses, samples);
+    let mut scalar = CpaAccumulator::new(guesses, samples);
+    for &batch in batches {
+        let preds: Vec<f64> = (0..batch * guesses)
+            .map(|_| rng.gen_range(-8.0..8.0))
+            .collect();
+        let traces: Vec<f32> = (0..batch * samples)
+            .map(|_| rng.gen_range(-100.0f32..100.0))
+            .collect();
+        simd.absorb_batch(&preds, &traces);
+        scalar.absorb_batch_scalar(&preds, &traces);
+    }
+    (simd, scalar)
+}
+
+/// Every raw moment (`n`, `Σx`, `Σx²`, `Σy`, `Σy²`, `Σx·y`) of an
+/// accumulator as bit patterns, in one comparable value.
+fn moment_bits(acc: &CpaAccumulator) -> (u64, [Vec<u64>; 5]) {
+    let (n, sx, sxx, sy, syy, sxy) = acc.raw_moments();
+    (n, [sx, sxx, sy, syy, sxy].map(bits64))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -43,32 +92,17 @@ proptest! {
     /// bit-for-bit — not merely to some epsilon.
     #[test]
     fn absorb_batch_matches_scalar_reference(
-        guesses in 1usize..12,
-        samples in 0usize..70,
-        batches in vec(0usize..5, 1..4),
+        (guesses, samples, batches) in absorb_shapes(),
         seed in any::<u64>(),
     ) {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let mut simd = CpaAccumulator::new(guesses, samples);
-        let mut scalar = CpaAccumulator::new(guesses, samples);
-        for batch in batches {
-            let preds: Vec<f64> =
-                (0..batch * guesses).map(|_| rng.gen_range(-8.0..8.0)).collect();
-            let traces: Vec<f32> =
-                (0..batch * samples).map(|_| rng.gen_range(-100.0f32..100.0)).collect();
-            simd.absorb_batch(&preds, &traces);
-            scalar.absorb_batch_scalar(&preds, &traces);
-        }
-        let a = simd.raw_moments();
-        let b = scalar.raw_moments();
-        prop_assert_eq!(a.0, b.0);
-        for (x, y) in [(a.1, b.1), (a.2, b.2), (a.3, b.3), (a.4, b.4), (a.5, b.5)] {
-            prop_assert_eq!(x.len(), y.len());
-            for (u, v) in x.iter().zip(y) {
-                prop_assert_eq!(u.to_bits(), v.to_bits());
-            }
-        }
+        let (simd, scalar) = absorb_both(guesses, samples, &batches, seed);
+        prop_assert!(
+            moment_bits(&simd) == moment_bits(&scalar),
+            "raw moments differ at {} guesses x {} samples, batches {:?}",
+            guesses,
+            samples,
+            batches
+        );
     }
 
     /// The analysis-side kernels at raw-slice level, across lane tails:
@@ -155,4 +189,19 @@ fn empty_and_exact_lane_shapes() {
     vecops::add_assign(&mut a, &[]);
     vecops::scaled_narrow_extend(&mut out, &a, 1.0);
     assert!(out.is_empty());
+}
+
+/// The portfolio's CPA shapes — a key byte's 256 guesses over the
+/// `aes128` (2,509 samples) and `aes128-masked` (4,642 samples) windows
+/// — at a 16-trace batch and at the engine's default 64, absorbed one
+/// after the other into the same accumulators.
+#[test]
+fn portfolio_shapes_match_scalar_reference() {
+    for samples in [2509, 4642] {
+        let (simd, scalar) = absorb_both(256, samples, &[16, 64], samples as u64);
+        assert!(
+            moment_bits(&simd) == moment_bits(&scalar),
+            "raw moments differ at 256 x {samples}"
+        );
+    }
 }
