@@ -34,10 +34,26 @@
 //! Every moment is a sum over traces, so updating with one more trace is
 //! `O(guesses × samples)` work and merging two shard accumulators is an
 //! element-wise add. The division by `n` is deferred to
-//! [`CpaAccumulator::finish`], exactly as in [`PearsonAccumulator`] —
-//! a single-shard streaming run is therefore bit-identical to the batch
-//! attack, and a sharded run agrees to floating-point association
-//! (≲ 1e-12 over realistic campaigns).
+//! [`CpaAccumulator::finish`], exactly as in [`PearsonAccumulator`], and
+//! [`cpa_attack`] itself streams through [`CpaAccumulator`]s, so a
+//! single-shard streaming run is bit-identical to the batch attack and a
+//! sharded run agrees to floating-point association (≲ 1e-12 over
+//! realistic campaigns).
+//!
+//! A batch's `Σx·y` update is register-blocked
+//! ([`crate::kernels::cross_moments`]): per sample tile and guess, a few
+//! sums stay in registers while every trace of the batch is added in.
+//! Each element still receives the same products in the same trace
+//! order as one trace at a time, so batching, tiling and blocking never
+//! change a bit of any moment.
+//!
+//! [`CpaAccumulator::finish`] records each guess's peak |r| as it writes
+//! that guess's row, so the verdicts ([`CpaResult::best_guess`],
+//! [`CpaResult::ranking`], [`CpaResult::rank_of`],
+//! [`CpaResult::best_wrong_peak`], [`CpaResult::success_confidence`])
+//! compare 256 stored peaks instead of scanning the matrix.
+
+use std::ops::Range;
 
 use crate::{distinguishing_confidence, PearsonAccumulator, SelectionFunction, TraceSet};
 
@@ -66,13 +82,17 @@ impl Default for CpaConfig {
     }
 }
 
-/// Result of a CPA attack: the full guess × sample correlation matrix.
+/// Result of a CPA attack: the full guess × sample correlation matrix,
+/// with each guess's peak |correlation|.
 #[derive(Clone, Debug)]
 pub struct CpaResult {
     guesses: usize,
     samples: usize,
     /// Row-major `guess × sample` correlations.
     corr: Vec<f64>,
+    /// Per guess: the largest |r| of its row (0 for an all-zero row),
+    /// bit for bit `peak(g).1.abs()`.
+    peaks: Vec<f64>,
     /// Traces used.
     n: u64,
 }
@@ -114,15 +134,16 @@ impl CpaResult {
         best
     }
 
-    /// Every guess's peak |correlation|, each series scanned once.
-    fn peaks(&self) -> Vec<f64> {
-        (0..self.guesses).map(|g| self.peak(g).1.abs()).collect()
+    /// Every guess's peak |correlation|, recorded by
+    /// [`CpaAccumulator::finish`] (equal to `peak(g).1.abs()`).
+    pub(crate) fn peaks(&self) -> &[f64] {
+        &self.peaks
     }
 
     /// The guess with the highest peak |correlation| (the last of tied
     /// guesses).
     pub fn best_guess(&self) -> usize {
-        let peaks = self.peaks();
+        let peaks = &self.peaks;
         (0..self.guesses)
             .max_by(|&a, &b| {
                 peaks[a]
@@ -135,7 +156,7 @@ impl CpaResult {
     /// Guesses ordered best-first by peak |correlation| (tied guesses in
     /// guess order).
     pub fn ranking(&self) -> Vec<usize> {
-        let peaks = self.peaks();
+        let peaks = &self.peaks;
         let mut order: Vec<usize> = (0..self.guesses).collect();
         order.sort_by(|&a, &b| {
             peaks[b]
@@ -156,16 +177,18 @@ impl CpaResult {
     /// Peak |correlation| of the best *wrong* guess, given the correct
     /// key.
     pub fn best_wrong_peak(&self, correct: usize) -> f64 {
-        (0..self.guesses)
-            .filter(|&g| g != correct)
-            .map(|g| self.peak(g).1.abs())
+        self.peaks
+            .iter()
+            .enumerate()
+            .filter(|&(g, _)| g != correct)
+            .map(|(_, &p)| p)
             .fold(0.0, f64::max)
     }
 
     /// Confidence that the correct guess's peak exceeds the best wrong
     /// guess's — the paper's Figure 4 success criterion (>99%).
     pub fn success_confidence(&self, correct: usize) -> f64 {
-        let r_correct = self.peak(correct).1.abs();
+        let r_correct = self.peaks[correct];
         let r_wrong = self.best_wrong_peak(correct);
         distinguishing_confidence(r_correct, r_wrong, self.n)
     }
@@ -177,7 +200,7 @@ impl CpaResult {
 /// Holds the raw moments described in the module docs: per guess
 /// `Σx, Σx²`, per sample `Σy, Σy²`, and the `guess × sample` matrix
 /// `Σx·y`. Feed traces with [`absorb`](CpaAccumulator::absorb) (or the
-/// cache-blocked [`absorb_batch`](CpaAccumulator::absorb_batch)), combine
+/// register-blocked [`absorb_batch`](CpaAccumulator::absorb_batch)), combine
 /// worker shards with [`merge`](CpaAccumulator::merge), and extract the
 /// correlation matrix with [`finish`](CpaAccumulator::finish).
 ///
@@ -280,55 +303,33 @@ impl CpaAccumulator {
         self.absorb_batch(predictions, trace);
     }
 
-    /// Folds a batch of traces into the sums in one cache-blocked pass.
+    /// Folds a batch of traces into the sums in one register-blocked
+    /// pass.
     ///
     /// `predictions` is trace-major `batch × guesses`, `traces` is
     /// trace-major `batch × samples`. Per element the update order equals
     /// repeated [`absorb`](CpaAccumulator::absorb) calls, so batching
-    /// never changes the result — it only sweeps the large `Σx·y` matrix
-    /// once per batch instead of once per trace, which is where a
-    /// streaming campaign spends most of its memory bandwidth.
+    /// never changes the result — it only reads and writes the large
+    /// `Σx·y` matrix once per batch instead of once per trace, which is
+    /// where a streaming campaign spends most of its memory bandwidth.
     ///
     /// # Panics
     ///
     /// Panics if the slice lengths are inconsistent with the accumulator
     /// geometry.
     pub fn absorb_batch(&mut self, predictions: &[f64], traces: &[f32]) {
-        assert_eq!(
-            predictions.len() % self.guesses,
-            0,
-            "predictions not a whole number of traces"
+        self.absorb_with(
+            predictions,
+            traces,
+            crate::kernels::moments,
+            crate::kernels::cross_moments,
         );
-        let batch = predictions.len() / self.guesses;
-        assert_eq!(
-            traces.len(),
-            batch * self.samples,
-            "traces length disagrees with predictions"
-        );
-        self.n += batch as u64;
-        // `chunks_exact(0)` panics; a zero-sample geometry (fully
-        // clipped window) still counts traces and prediction moments.
-        if self.samples > 0 {
-            for trace in traces.chunks_exact(self.samples) {
-                crate::kernels::moments(&mut self.sum_y, &mut self.sum_yy, trace);
-            }
-        }
-        for g in 0..self.guesses {
-            let row = &mut self.sum_xy[g * self.samples..(g + 1) * self.samples];
-            for t in 0..batch {
-                let x = predictions[t * self.guesses + g];
-                self.sum_x[g] += x;
-                self.sum_xx[g] += x * x;
-                let trace = &traces[t * self.samples..(t + 1) * self.samples];
-                crate::kernels::axpy(row, x, trace);
-            }
-        }
     }
 
     /// The scalar reference of [`absorb_batch`](Self::absorb_batch):
-    /// plain per-element loops, compiled identically under every feature
-    /// setting. The SIMD conformance harness streams the same data
-    /// through both entry points and asserts bit-identical state; it is
+    /// plain per-element loops, one trace at a time along each whole
+    /// row. The SIMD conformance harness streams the same data through
+    /// both entry points and asserts bit-identical state; it is
     /// `#[doc(hidden)]` because campaigns should always use
     /// `absorb_batch`.
     ///
@@ -337,6 +338,23 @@ impl CpaAccumulator {
     /// As [`absorb_batch`](Self::absorb_batch).
     #[doc(hidden)]
     pub fn absorb_batch_scalar(&mut self, predictions: &[f64], traces: &[f32]) {
+        self.absorb_with(
+            predictions,
+            traces,
+            crate::kernels::moments_scalar,
+            crate::kernels::cross_moments_scalar,
+        );
+    }
+
+    /// Checks a batch's geometry, then folds it in: `Σx`/`Σx²` per guess
+    /// in trace order, `moments` per trace, `cross_moments` for `Σx·y`.
+    fn absorb_with(
+        &mut self,
+        predictions: &[f64],
+        traces: &[f32],
+        moments: fn(&mut [f64], &mut [f64], &[f32]),
+        cross_moments: fn(&mut [f64], &[f64], &[f32], usize),
+    ) {
         assert_eq!(
             predictions.len() % self.guesses,
             0,
@@ -349,20 +367,49 @@ impl CpaAccumulator {
             "traces length disagrees with predictions"
         );
         self.n += batch as u64;
-        if self.samples > 0 {
-            for trace in traces.chunks_exact(self.samples) {
-                crate::kernels::moments_scalar(&mut self.sum_y, &mut self.sum_yy, trace);
+        for p in predictions.chunks_exact(self.guesses) {
+            for ((sx, sxx), &x) in self.sum_x.iter_mut().zip(&mut self.sum_xx).zip(p) {
+                *sx += x;
+                *sxx += x * x;
             }
         }
-        for g in 0..self.guesses {
-            let row = &mut self.sum_xy[g * self.samples..(g + 1) * self.samples];
-            for t in 0..batch {
-                let x = predictions[t * self.guesses + g];
-                self.sum_x[g] += x;
-                self.sum_xx[g] += x * x;
-                let trace = &traces[t * self.samples..(t + 1) * self.samples];
-                crate::kernels::axpy_scalar(row, x, trace);
+        // `chunks_exact(0)` panics; a zero-sample geometry (fully
+        // clipped window) still counts traces and prediction moments.
+        if self.samples > 0 {
+            for trace in traces.chunks_exact(self.samples) {
+                moments(&mut self.sum_y, &mut self.sum_yy, trace);
             }
+        }
+        cross_moments(&mut self.sum_xy, predictions, traces, self.samples);
+    }
+
+    /// Absorbs `traces[range]` with every guess's prediction from
+    /// `selection`, guess `g` of this accumulator being key guess
+    /// `first_guess + g`, in batches of [`SET_BATCH`] traces.
+    pub(crate) fn absorb_set(
+        &mut self,
+        traces: &TraceSet,
+        range: Range<usize>,
+        selection: &dyn SelectionFunction,
+        first_guess: usize,
+    ) {
+        let mut predictions = Vec::with_capacity(SET_BATCH * self.guesses);
+        let mut flat = Vec::with_capacity(SET_BATCH * self.samples);
+        let mut lo = range.start;
+        while lo < range.end {
+            let hi = (lo + SET_BATCH).min(range.end);
+            predictions.clear();
+            flat.clear();
+            for index in lo..hi {
+                let input = traces.input(index);
+                predictions.extend(
+                    (first_guess..first_guess + self.guesses)
+                        .map(|guess| selection.predict(input, guess as u8)),
+                );
+                flat.extend_from_slice(traces.trace(index));
+            }
+            self.absorb_batch(&predictions, &flat);
+            lo = hi;
         }
     }
 
@@ -444,9 +491,11 @@ impl CpaAccumulator {
     }
 
     /// Extracts the correlation matrix (same formula, in the same
-    /// evaluation order, as [`PearsonAccumulator::correlations`]).
+    /// evaluation order, as [`PearsonAccumulator::correlations`]) and
+    /// each guess's peak |r|, taken as its row is written.
     pub fn finish(&self) -> CpaResult {
         let mut corr = vec![0.0f64; self.guesses * self.samples];
+        let mut peaks = vec![0.0f64; self.guesses];
         if self.n >= 2 {
             let n = self.n as f64;
             let var_y: Vec<f64> = self
@@ -455,27 +504,40 @@ impl CpaAccumulator {
                 .zip(&self.sum_yy)
                 .map(|(&sy, &syy)| syy - sy * sy / n)
                 .collect();
+            let sd_y: Vec<f64> = var_y.iter().map(|v| v.sqrt()).collect();
             for g in 0..self.guesses {
                 let var_x = self.sum_xx[g] - self.sum_x[g] * self.sum_x[g] / n;
+                let sd_x = var_x.sqrt();
                 let row = &mut corr[g * self.samples..(g + 1) * self.samples];
+                let mut peak = 0.0f64;
                 for (s, r) in row.iter_mut().enumerate() {
                     let cov = self.sum_xy[g * self.samples + s] - self.sum_x[g] * self.sum_y[s] / n;
                     *r = if var_x <= 0.0 || var_y[s] <= 0.0 {
                         0.0
                     } else {
-                        cov / (var_x.sqrt() * var_y[s].sqrt())
+                        cov / (sd_x * sd_y[s])
                     };
+                    if r.abs() > peak {
+                        peak = r.abs();
+                    }
                 }
+                peaks[g] = peak;
             }
         }
         CpaResult {
             guesses: self.guesses,
             samples: self.samples,
             corr,
+            peaks,
             n: self.n,
         }
     }
 }
+
+/// Traces per [`CpaAccumulator::absorb_batch`] call when a trace set is
+/// streamed through an accumulator ([`cpa_attack`],
+/// [`crate::rank_evolution`]); like the campaign engine's default batch.
+const SET_BATCH: usize = 64;
 
 /// Runs a CPA attack over a trace set.
 ///
@@ -496,37 +558,39 @@ pub fn cpa_attack(
 ) -> CpaResult {
     let samples = traces.samples_per_trace();
     let guesses = config.guesses.max(1);
-    let n = traces.len() as u64;
-    let mut corr = vec![0.0f64; guesses * samples];
-
     let threads = config.threads.max(1).min(guesses);
     let chunk = guesses.div_ceil(threads);
-    // Split the output matrix into disjoint per-thread slices.
-    let mut slices: Vec<&mut [f64]> = corr.chunks_mut(chunk * samples).collect();
-    std::thread::scope(|scope| {
-        for (w, slice) in slices.iter_mut().enumerate() {
-            let lo = w * chunk;
-            let hi = ((w + 1) * chunk).min(guesses);
-            scope.spawn(move || {
-                for guess in lo..hi {
-                    let mut acc = PearsonAccumulator::new(samples);
-                    for (input, trace) in traces.iter() {
-                        acc.add(selection.predict(input, guess as u8), trace);
-                    }
-                    let series = acc.correlations();
-                    let base = (guess - lo) * samples;
-                    slice[base..base + samples].copy_from_slice(&series);
-                }
-            });
-        }
+    // Each worker streams every trace through one accumulator over its
+    // own guess range; the ranges' rows and peaks join in guess order.
+    let parts: Vec<CpaResult> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..guesses)
+            .step_by(chunk)
+            .map(|lo| {
+                let hi = (lo + chunk).min(guesses);
+                scope.spawn(move || {
+                    let mut acc = CpaAccumulator::new(hi - lo, samples);
+                    acc.absorb_set(traces, 0..traces.len(), selection, lo);
+                    acc.finish()
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .map(|worker| worker.join().expect("CPA worker panicked"))
+            .collect()
     });
-
-    CpaResult {
+    let mut result = CpaResult {
         guesses,
         samples,
-        corr,
-        n,
+        corr: Vec::with_capacity(guesses * samples),
+        peaks: Vec::with_capacity(guesses),
+        n: traces.len() as u64,
+    };
+    for part in parts {
+        result.corr.extend(part.corr);
+        result.peaks.extend(part.peaks);
     }
+    result
 }
 
 /// Evaluates a single key-less model against the traces, returning its
@@ -637,27 +701,123 @@ mod tests {
         }
     }
 
+    /// A result over a given row-major matrix, its peaks scanned.
+    fn result_of(guesses: usize, samples: usize, corr: Vec<f64>, n: u64) -> CpaResult {
+        let mut result = CpaResult {
+            guesses,
+            samples,
+            corr,
+            peaks: Vec::new(),
+            n,
+        };
+        result.peaks = (0..guesses).map(|g| result.peak(g).1.abs()).collect();
+        result
+    }
+
     /// Ties keep their order: `best_guess` takes the last of the tied
     /// best guesses (`max_by`), `ranking` lists tied guesses in guess
     /// order (a stable sort), whatever the peaks' signs and positions.
     #[test]
     fn verdicts_order_tied_peaks_by_guess() {
-        let result = CpaResult {
-            guesses: 5,
-            samples: 3,
-            corr: vec![
+        let result = result_of(
+            5,
+            3,
+            vec![
                 0.2, -0.1, 0.0, // guess 0: 0.2
                 0.0, 0.7, 0.1, // guess 1: 0.7
                 -0.7, 0.3, 0.0, // guess 2: 0.7 (negative)
                 0.1, 0.2, 0.2, // guess 3: 0.2, peak first reached at sample 1
                 0.0, 0.0, 0.7, // guess 4: 0.7
             ],
-            n: 10,
-        };
+            10,
+        );
         assert_eq!(result.best_guess(), 4);
         assert_eq!(result.ranking(), [1, 2, 4, 0, 3]);
         assert_eq!(result.rank_of(2), 1);
         assert_eq!(result.rank_of(3), 4);
+    }
+
+    /// The verdict helpers as scans of every guess's series through
+    /// [`CpaResult::peak`]: `(best_guess, ranking, rank_of,
+    /// best_wrong_peak, success_confidence)`.
+    fn scanned_verdicts(
+        result: &CpaResult,
+        correct: usize,
+    ) -> (usize, Vec<usize>, usize, f64, f64) {
+        let peak = |g: usize| result.peak(g).1.abs();
+        let guesses = 0..result.guesses();
+        let best = guesses
+            .clone()
+            .max_by(|&a, &b| peak(a).partial_cmp(&peak(b)).expect("finite"))
+            .expect("one guess");
+        let mut ranking: Vec<usize> = guesses.clone().collect();
+        ranking.sort_by(|&a, &b| peak(b).partial_cmp(&peak(a)).expect("finite"));
+        let rank = ranking
+            .iter()
+            .position(|&g| g == correct)
+            .expect("in range");
+        let wrong = guesses
+            .filter(|&g| g != correct)
+            .map(peak)
+            .fold(0.0, f64::max);
+        let confidence = distinguishing_confidence(peak(correct), wrong, result.traces_used());
+        (best, ranking, rank, wrong, confidence)
+    }
+
+    /// Asserts the stored peaks are `peak(g).1.abs()` bit for bit and
+    /// every verdict helper equals its scan-based definition.
+    fn assert_verdicts_match_scans(result: &CpaResult, label: &str) {
+        for g in 0..result.guesses() {
+            assert_eq!(
+                result.peaks()[g].to_bits(),
+                result.peak(g).1.abs().to_bits(),
+                "{label}: guess {g}"
+            );
+        }
+        for correct in [0, 2, result.guesses() - 1] {
+            let (best, ranking, rank, wrong, confidence) = scanned_verdicts(result, correct);
+            assert_eq!(result.best_guess(), best, "{label}");
+            assert_eq!(result.ranking(), ranking, "{label}");
+            assert_eq!(result.rank_of(correct), rank, "{label}: {correct}");
+            assert_eq!(
+                result.best_wrong_peak(correct).to_bits(),
+                wrong.to_bits(),
+                "{label}: {correct}"
+            );
+            assert_eq!(
+                result.success_confidence(correct).to_bits(),
+                confidence.to_bits(),
+                "{label}: {correct}"
+            );
+        }
+    }
+
+    /// Stored peaks against series scans: with fewer than two traces
+    /// (all-zero rows), at two (every |r| is 0 or about 1, so peaks
+    /// tie), on a converged attack, through `cpa_attack`'s joined guess
+    /// ranges, and on a hand-built matrix of tied peaks.
+    #[test]
+    fn stored_peaks_and_verdicts_match_series_scans() {
+        let set = synthetic_traces(0x3c, 60, 2.0);
+        let model = sbox_model();
+        for traces in [0, 1, 2, 3, 60] {
+            let mut acc = CpaAccumulator::new(256, set.samples_per_trace());
+            for (input, trace) in set.iter().take(traces) {
+                acc.absorb(&predictions_for(&model, input), trace);
+            }
+            let result = acc.finish();
+            if traces < 2 {
+                assert!(result.peaks().iter().all(|&p| p.to_bits() == 0));
+            }
+            assert_verdicts_match_scans(&result, &format!("{traces} traces"));
+        }
+        let config = CpaConfig {
+            guesses: 256,
+            threads: 3,
+        };
+        assert_verdicts_match_scans(&cpa_attack(&set, &model, &config), "cpa_attack");
+        let tied = result_of(4, 2, vec![0.5, -0.5, -0.5, 0.25, 0.0, 0.5, 0.25, -0.25], 10);
+        assert_verdicts_match_scans(&tied, "tied");
     }
 
     #[test]

@@ -5,9 +5,9 @@
 //! hundreds of averaged traces under Linux); a library user evaluating a
 //! countermeasure wants the whole curve — "how many traces until rank 0"
 //! is the standard measurement-to-disclosure metric. The evolution is
-//! computed in one streaming pass using mergeable Pearson accumulators.
+//! computed in one streaming pass through one [`CpaAccumulator`].
 
-use crate::{PearsonAccumulator, SelectionFunction, TraceSet};
+use crate::{CpaAccumulator, SelectionFunction, TraceSet};
 
 /// The attack state at one checkpoint of the trace budget.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -42,10 +42,6 @@ pub fn rank_evolution(
     correct: u8,
     checkpoints: &[usize],
 ) -> Vec<RankPoint> {
-    let samples = traces.samples_per_trace();
-    let mut accumulators: Vec<PearsonAccumulator> =
-        (0..256).map(|_| PearsonAccumulator::new(samples)).collect();
-
     let mut points: Vec<usize> = checkpoints
         .iter()
         .copied()
@@ -55,48 +51,25 @@ pub fn rank_evolution(
     points.sort_unstable();
     points.dedup();
 
-    let mut out = Vec::with_capacity(points.len());
-    let mut next = points.iter().copied().peekable();
-    for (index, (input, trace)) in traces.iter().enumerate() {
-        // Parallelize the 256 accumulator updates across threads.
-        std::thread::scope(|scope| {
-            let chunk = 64;
-            for (g0, accs) in accumulators.chunks_mut(chunk).enumerate() {
-                scope.spawn(move || {
-                    for (i, acc) in accs.iter_mut().enumerate() {
-                        let guess = (g0 * chunk + i) as u8;
-                        acc.add(selection.predict(input, guess), trace);
-                    }
-                });
-            }
-        });
-        while next.peek() == Some(&(index + 1)) {
-            let n = next.next().expect("peeked");
-            let peaks: Vec<f64> = accumulators
-                .iter()
-                .map(|acc| {
-                    acc.correlations()
-                        .iter()
-                        .fold(0.0f64, |best, &r| best.max(r.abs()))
-                })
-                .collect();
-            let correct_peak = peaks[usize::from(correct)];
-            let rank = peaks.iter().filter(|&&p| p > correct_peak).count();
-            let best_wrong_peak = peaks
-                .iter()
-                .enumerate()
-                .filter(|(g, _)| *g != usize::from(correct))
-                .map(|(_, &p)| p)
-                .fold(0.0, f64::max);
-            out.push(RankPoint {
+    // Absorb the traces up to each checkpoint, then read its peaks.
+    let correct = usize::from(correct);
+    let mut acc = CpaAccumulator::new(256, traces.samples_per_trace());
+    let mut absorbed = 0;
+    points
+        .into_iter()
+        .map(|n| {
+            acc.absorb_set(traces, absorbed..n, selection, 0);
+            absorbed = n;
+            let result = acc.finish();
+            let correct_peak = result.peaks()[correct];
+            RankPoint {
                 traces: n,
-                rank,
+                rank: result.peaks().iter().filter(|&&p| p > correct_peak).count(),
                 correct_peak,
-                best_wrong_peak,
-            });
-        }
-    }
-    out
+                best_wrong_peak: result.best_wrong_peak(correct),
+            }
+        })
+        .collect()
 }
 
 /// The smallest checkpoint at which the attack reaches rank 0 and stays

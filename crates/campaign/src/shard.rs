@@ -197,6 +197,7 @@ where
     let Some(first) = partials.next() else {
         return Ok(sink());
     };
+    let _span = sca_telemetry::span("merge");
     let mut merged = first?;
     for partial in partials {
         merged.merge(partial?);

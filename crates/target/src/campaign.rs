@@ -8,7 +8,7 @@
 
 use std::path::{Path, PathBuf};
 
-use sca_analysis::{CpaResult, StateReader};
+use sca_analysis::StateReader;
 use sca_campaign::{
     reanalyze_store, Campaign, CampaignConfig, CpaSink, CropSink, KillPoint, StoreOptions,
     StoredRunReport, TtestSink, DEFAULT_BATCH,
@@ -162,7 +162,16 @@ fn sample_window((start, len): (u64, u64)) -> (usize, usize) {
     SamplingConfig::picoscope_500msps_120mhz().window_to_samples(start, len)
 }
 
-fn cpa_verdict(model: &TargetModel, result: &CpaResult, window_cycles: u64) -> CpaVerdict {
+/// `model`'s verdict from its sink, timed as the phase's `verdict`
+/// span: the correlation matrix and its peaks (`finish`), then the
+/// verdict helpers, which read only the peaks.
+fn cpa_verdict(
+    model: &TargetModel,
+    sink: &CpaSink<&TargetModel>,
+    window_cycles: u64,
+) -> CpaVerdict {
+    let _span = sca_telemetry::span("verdict");
+    let result = sink.finish();
     let correct = usize::from(model.correct);
     CpaVerdict {
         model: model.name.clone(),
@@ -249,11 +258,17 @@ impl<'a> TargetCampaign<'a> {
     /// Propagates simulator faults from any worker, and window
     /// misconfiguration as [`TargetError::Window`].
     pub fn cpa(&self, models: &[TargetModel]) -> Result<Vec<CpaVerdict>, TargetError> {
-        let mut windows = Vec::with_capacity(models.len());
-        for model in models {
-            let cycles = resolve_window(self.target, &self.cpu, &model.window)?.trigger_relative;
-            windows.push((cycles.1, sample_window(cycles)));
-        }
+        let windows = {
+            let _span = sca_telemetry::span("windows");
+            models
+                .iter()
+                .map(|model| {
+                    let cycles =
+                        resolve_window(self.target, &self.cpu, &model.window)?.trigger_relative;
+                    Ok((cycles.1, sample_window(cycles)))
+                })
+                .collect::<Result<Vec<_>, TargetError>>()?
+        };
         let Some(start) = windows.iter().map(|(_, (start, _))| *start).min() else {
             return Ok(Vec::new());
         };
@@ -287,7 +302,7 @@ impl<'a> TargetCampaign<'a> {
             .iter()
             .zip(&windows)
             .zip(&sinks)
-            .map(|((model, &(cycles, _)), sink)| cpa_verdict(model, &sink.inner().finish(), cycles))
+            .map(|((model, &(cycles, _)), sink)| cpa_verdict(model, sink.inner(), cycles))
             .collect())
     }
 
@@ -327,7 +342,10 @@ impl<'a> TargetCampaign<'a> {
         store: &TargetStoreConfig,
         max_new_traces: u64,
     ) -> Result<(CpaVerdict, StoredRunReport), TargetError> {
-        let window = resolve_window(self.target, &self.cpu, &model.window)?;
+        let window = {
+            let _span = sca_telemetry::span("windows");
+            resolve_window(self.target, &self.cpu, &model.window)?
+        };
         let target = self.target;
         let opts = StoreOptions {
             dir: store.root.join(store_dir_name(target.name(), &model.name)),
@@ -350,10 +368,7 @@ impl<'a> TargetCampaign<'a> {
                 max_new_traces,
             )
             .map_err(TargetError::from)?;
-        Ok((
-            cpa_verdict(model, &sink.finish(), window.trigger_relative.1),
-            report,
-        ))
+        Ok((cpa_verdict(model, &sink, window.trigger_relative.1), report))
     }
 
     /// Runs a fixed-vs-random TVLA campaign in the target's primary
@@ -505,7 +520,7 @@ pub fn reanalyze_cpa(dir: &Path, model: &TargetModel) -> Result<CpaVerdict, Targ
     };
     let sink = reanalyze_store(&store, DEFAULT_BATCH, CpaSink::new(model, 256, samples))
         .map_err(TargetError::from)?;
-    Ok(cpa_verdict(model, &sink.finish(), window_cycles))
+    Ok(cpa_verdict(model, &sink, window_cycles))
 }
 
 /// Restores a CPA verdict from a *finished* stored campaign's last
@@ -530,7 +545,7 @@ pub fn restore_cpa(dir: &Path, model: &TargetModel) -> Result<Option<CpaVerdict>
     };
     let mut sink = CpaSink::new(model, 256, samples);
     load_sink_state(&mut sink, &state)?;
-    Ok(Some(cpa_verdict(model, &sink.finish(), window_cycles)))
+    Ok(Some(cpa_verdict(model, &sink, window_cycles)))
 }
 
 /// Restores a TVLA verdict from a finished stored campaign's last
