@@ -504,24 +504,18 @@ impl CpaAccumulator {
                 .zip(&self.sum_yy)
                 .map(|(&sy, &syy)| syy - sy * sy / n)
                 .collect();
-            let sd_y: Vec<f64> = var_y.iter().map(|v| v.sqrt()).collect();
             for g in 0..self.guesses {
                 let var_x = self.sum_xx[g] - self.sum_x[g] * self.sum_x[g] / n;
-                let sd_x = var_x.sqrt();
                 let row = &mut corr[g * self.samples..(g + 1) * self.samples];
-                let mut peak = 0.0f64;
                 for (s, r) in row.iter_mut().enumerate() {
                     let cov = self.sum_xy[g * self.samples + s] - self.sum_x[g] * self.sum_y[s] / n;
                     *r = if var_x <= 0.0 || var_y[s] <= 0.0 {
                         0.0
                     } else {
-                        cov / (sd_x * sd_y[s])
+                        cov / (var_x.sqrt() * var_y[s].sqrt())
                     };
-                    if r.abs() > peak {
-                        peak = r.abs();
-                    }
                 }
-                peaks[g] = peak;
+                peaks[g] = peak_abs(row);
             }
         }
         CpaResult {
@@ -533,6 +527,30 @@ impl CpaAccumulator {
         }
     }
 }
+
+/// The largest |r| of a correlation series, 0 if none is above 0 —
+/// bit for bit `CpaResult::peak(g).1.abs()`. The |r| that are not NaN
+/// are all at least +0, so their maximum is the same value whatever
+/// order they are compared in; keeping [`PEAK_LANES`] running maxima
+/// (each skipping NaN, as `peak` does) lets the comparisons vectorize.
+fn peak_abs(series: &[f64]) -> f64 {
+    let above = |best: f64, r: f64| if r.abs() > best { r.abs() } else { best };
+    let mut lanes = [0.0f64; PEAK_LANES];
+    let mut chunks = series.chunks_exact(PEAK_LANES);
+    for chunk in &mut chunks {
+        for (best, &r) in lanes.iter_mut().zip(chunk) {
+            *best = above(*best, r);
+        }
+    }
+    chunks
+        .remainder()
+        .iter()
+        .chain(&lanes)
+        .fold(0.0, |best, &r| above(best, r))
+}
+
+/// Running maxima [`peak_abs`] keeps.
+const PEAK_LANES: usize = 4;
 
 /// Traces per [`CpaAccumulator::absorb_batch`] call when a trace set is
 /// streamed through an accumulator ([`cpa_attack`],
@@ -818,6 +836,33 @@ mod tests {
         assert_verdicts_match_scans(&cpa_attack(&set, &model, &config), "cpa_attack");
         let tied = result_of(4, 2, vec![0.5, -0.5, -0.5, 0.25, 0.0, 0.5, 0.25, -0.25], 10);
         assert_verdicts_match_scans(&tied, "tied");
+    }
+
+    /// `peak_abs` against `peak`'s scan on rows shorter and longer than
+    /// its lanes, with NaN, signed zeros and tied maxima of both signs.
+    #[test]
+    fn peak_abs_matches_the_series_scan() {
+        let values = [
+            0.25,
+            -0.0,
+            f64::NAN,
+            -0.75,
+            0.5,
+            0.75,
+            -0.25,
+            0.0,
+            f64::NAN,
+            0.125,
+        ];
+        for len in 0..=values.len() {
+            for rotate in 0..values.len() {
+                let mut series = values.to_vec();
+                series.rotate_left(rotate);
+                series.truncate(len);
+                let scanned = result_of(1, len, series.clone(), 10).peak(0).1.abs();
+                assert_eq!(peak_abs(&series).to_bits(), scanned.to_bits(), "{series:?}");
+            }
+        }
     }
 
     #[test]

@@ -179,8 +179,9 @@ mod tests {
     }
 
     /// Every `RankPoint` field, floats as bit patterns, from checkpoints
-    /// at one trace (all-zero correlations), two (every |r| is 1 or 0,
-    /// so peaks tie), around a 64-trace boundary and at the end.
+    /// at one trace (all-zero correlations), two (every |r| is 0 or
+    /// about 1, so peaks tie), around a 64-trace boundary and at the
+    /// end.
     /// Generated by the implementation that kept one
     /// `PearsonAccumulator` per guess.
     #[test]
