@@ -47,8 +47,8 @@
 //! order as one trace at a time, so batching, tiling and blocking never
 //! change a bit of any moment.
 //!
-//! [`CpaAccumulator::finish`] records each guess's peak |r| as it writes
-//! that guess's row, so the verdicts ([`CpaResult::best_guess`],
+//! [`CpaAccumulator::finish`] takes each guess's peak |r| right after
+//! writing that guess's row, so the verdicts ([`CpaResult::best_guess`],
 //! [`CpaResult::ranking`], [`CpaResult::rank_of`],
 //! [`CpaResult::best_wrong_peak`], [`CpaResult::success_confidence`])
 //! compare 256 stored peaks instead of scanning the matrix.
@@ -395,8 +395,7 @@ impl CpaAccumulator {
     ) {
         let mut predictions = Vec::with_capacity(SET_BATCH * self.guesses);
         let mut flat = Vec::with_capacity(SET_BATCH * self.samples);
-        let mut lo = range.start;
-        while lo < range.end {
+        for lo in range.clone().step_by(SET_BATCH) {
             let hi = (lo + SET_BATCH).min(range.end);
             predictions.clear();
             flat.clear();
@@ -409,7 +408,6 @@ impl CpaAccumulator {
                 flat.extend_from_slice(traces.trace(index));
             }
             self.absorb_batch(&predictions, &flat);
-            lo = hi;
         }
     }
 
@@ -492,7 +490,7 @@ impl CpaAccumulator {
 
     /// Extracts the correlation matrix (same formula, in the same
     /// evaluation order, as [`PearsonAccumulator::correlations`]) and
-    /// each guess's peak |r|, taken as its row is written.
+    /// each guess's peak |r|, taken from its row right after writing it.
     pub fn finish(&self) -> CpaResult {
         let mut corr = vec![0.0f64; self.guesses * self.samples];
         let mut peaks = vec![0.0f64; self.guesses];

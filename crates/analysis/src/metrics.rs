@@ -51,7 +51,6 @@ pub fn rank_evolution(
     points.sort_unstable();
     points.dedup();
 
-    // Absorb the traces up to each checkpoint, then read its peaks.
     let correct = usize::from(correct);
     let mut acc = CpaAccumulator::new(256, traces.samples_per_trace());
     let mut absorbed = 0;
