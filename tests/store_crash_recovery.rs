@@ -19,7 +19,7 @@ use proptest::prelude::*;
 use superscalar_sca::analysis::{hw8, FnSelection};
 use superscalar_sca::campaign::{
     Campaign, CampaignConfig, CampaignError, Checkpointable, CpaSink, KillPoint, StoreOptions,
-    StoredRunReport,
+    StoredRunReport, TtestSink,
 };
 use superscalar_sca::isa::{assemble, Reg};
 use superscalar_sca::power::{GaussianNoise, LeakageWeights, SamplingConfig};
@@ -80,6 +80,11 @@ fn model() -> FnSelection<impl Fn(&[u8], u8) -> f64 + Send + Sync> {
 }
 
 fn campaign() -> Campaign {
+    campaign_with(2)
+}
+
+/// The fixture campaign at `threads` worker threads.
+fn campaign_with(threads: usize) -> Campaign {
     Campaign::new(
         LeakageWeights::cortex_a7(),
         CampaignConfig {
@@ -91,7 +96,7 @@ fn campaign() -> Campaign {
                 baseline: 1.0,
             },
             seed: 0xdac_2018,
-            threads: 2,
+            threads,
             batch: 8,
         },
     )
@@ -264,5 +269,43 @@ fn checkpoint_interval_never_changes_the_verdict() {
         let other = run(every);
         assert_eq!(reference.best_guess(), other.best_guess(), "every {every}");
         assert_eq!(reference.ranking(), other.ranking(), "every {every}");
+    }
+}
+
+/// An unstored run is a stored run's single segment: with
+/// `checkpoint_every` covering the whole campaign, `run_stored` leaves
+/// the accumulator bytes `run` leaves, for a CPA and a t-test sink
+/// alike, at every lane and thread count.
+#[test]
+fn one_segment_stored_run_matches_the_unstored_run() {
+    let (cpu, entry) = fixture();
+    let sink = |samples| {
+        (
+            CpaSink::new(model(), 256, samples),
+            TtestSink::new(|input: &[u8]| input[0] & 1 == 0, samples),
+        )
+    };
+    for lanes in [1, 8] {
+        for threads in [1, 2] {
+            let campaign = campaign_with(threads).with_lanes(lanes);
+            let unstored = campaign
+                .run(&cpu, entry, generate, stage, sink)
+                .expect("unstored run completes");
+            let dir = scratch("one_segment");
+            let opts = StoreOptions {
+                checkpoint_every: TRACES,
+                ..StoreOptions::new(&dir, "crash-fixture", "hw-cpa+tvla")
+            };
+            let (stored, report) = campaign
+                .run_stored(&cpu, entry, generate, stage, sink, &opts)
+                .expect("stored run completes");
+            assert_eq!((report.simulated, report.checkpoints), (TRACES, 1));
+            let (mut want, mut got) = (Vec::new(), Vec::new());
+            unstored.save_state(&mut want);
+            stored.save_state(&mut got);
+            assert!(!want.is_empty());
+            assert!(want == got, "lanes {lanes} threads {threads}: sinks differ");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 }

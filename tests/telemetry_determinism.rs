@@ -10,7 +10,7 @@
 //! pool statistics) deliberately *do* depend on scheduling and are
 //! excluded here.
 //!
-//! Both tests read deltas of the process-global registry, so they
+//! The tests read deltas of the process-global registry, so they
 //! serialize on [`COUNTER_LOCK`]: two campaigns running concurrently
 //! would blend their counter movements.
 
@@ -221,4 +221,44 @@ fn stored_campaigns_write_identical_work_counters() {
         }
     }
     let _ = std::fs::remove_dir_all(&base);
+}
+
+/// A bounded stored run — the campaign server's job slice — plans what
+/// it simulates: a 16-trace slice over 64-trace segments runs one whole
+/// segment, and `campaign/traces_planned` moves with
+/// `campaign/traces_simulated`.
+#[test]
+fn a_bounded_slice_plans_what_it_simulates() {
+    let _guard = COUNTER_LOCK
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    let (cpu, entry) = fixture();
+    let dir = std::env::temp_dir().join(format!("sca_telemetry_slice_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let opts = StoreOptions {
+        checkpoint_every: 64,
+        ..StoreOptions::new(&dir, "telemetry-fixture", "hw-cpa")
+    };
+    let mut report = None;
+    let moved = deltas(|| {
+        let (_, slice) = Campaign::new(LeakageWeights::cortex_a7(), config(7, 150, 2))
+            .run_stored_bounded(&cpu, entry, generate, stage, sink, &opts, 16)
+            .expect("slice runs");
+        report = Some(slice);
+    });
+    let _ = std::fs::remove_dir_all(&dir);
+    let get = |name: &str| {
+        moved
+            .iter()
+            .find(|(n, _)| *n == name)
+            .expect("allowlisted")
+            .1
+    };
+    assert_eq!(report.map(|r| r.simulated), Some(64));
+    assert_eq!(get("campaign/traces_simulated"), 64);
+    assert_eq!(
+        get("campaign/traces_planned"),
+        get("campaign/traces_simulated"),
+        "the slice planned other than it simulated"
+    );
 }
