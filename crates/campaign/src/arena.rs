@@ -24,8 +24,10 @@
 
 use rand::rngs::StdRng;
 
-use sca_power::{BlockPowerRecorder, Clip, PowerRecorder, SynthScratch, TraceSynthesizer};
+use sca_power::{BlockPowerRecorder, PowerRecorder, SynthScratch, TraceSynthesizer};
 use sca_uarch::{Cpu, CpuBlock, UarchError};
+
+use crate::engine::Window;
 
 /// The lockstep half of an arena: a [`CpuBlock`] stepping several traces
 /// through one pipeline walk, with per-lane recorder/scratch buffers.
@@ -166,12 +168,12 @@ impl SimArena {
     }
 
     /// Synthesizes the `count` consecutive traces starting at
-    /// `base_index` and appends each trace's `[start, start + samples)`
-    /// window, zero-padded past the trace's end, (and its input) to the
-    /// current batch, in index order. A `clip` (of that window) clips
-    /// the synthesis itself to the window (legal only when the post hook
-    /// is a no-op — out-of-window samples are then discarded unseen), so
-    /// each trace arrives holding only the window's samples.
+    /// `base_index` and appends each trace's `window` (zero-padded past
+    /// the trace's end) and its input to the current batch, in index
+    /// order. A window's clip clips the synthesis itself to the window
+    /// (legal only when the post hook is a no-op — out-of-window samples
+    /// are then discarded unseen), so each trace arrives holding only
+    /// the window's samples.
     ///
     /// When the arena has a lockstep block (and `count > 1`), the whole
     /// group runs through it in one pipeline walk. The results are
@@ -185,8 +187,7 @@ impl SimArena {
         entry: u32,
         base_index: usize,
         count: usize,
-        (start, samples): (usize, usize),
-        clip: Option<Clip>,
+        window: Window,
         generate: &G,
         stage: &S,
         post: &P,
@@ -196,9 +197,9 @@ impl SimArena {
         S: Fn(&mut Cpu, &[u8]) + Sync,
         P: Fn(&mut StdRng, &mut Vec<f64>) + Sync,
     {
-        debug_assert!(clip.is_none_or(|clip| clip.window == (start, start + samples)));
+        let Window { samples, clip, .. } = window;
         // Where the window starts in each synthesized trace.
-        let offset = if clip.is_some() { 0 } else { start };
+        let offset = if clip.is_some() { 0 } else { window.start };
         let mut push = |trace: &mut Vec<f32>, input: Vec<u8>| {
             trace.resize(trace.len().max(offset + samples), 0.0);
             self.flat

@@ -1,10 +1,12 @@
 //! The campaign engine: deterministic acquisition fanned across workers,
 //! streamed into mergeable sinks.
 
+use std::ops::Range;
+
 use rand::rngs::StdRng;
 
 use sca_power::{
-    AcquisitionConfig, GaussianNoise, LeakageWeights, SamplingConfig, TraceSynthesizer,
+    AcquisitionConfig, Clip, GaussianNoise, LeakageWeights, SamplingConfig, TraceSynthesizer,
 };
 use sca_uarch::{Cpu, UarchError};
 
@@ -116,16 +118,6 @@ impl Campaign {
         self.synth.config()
     }
 
-    /// The sharding plan this campaign will run with.
-    pub fn plan(&self) -> ShardPlan {
-        let config = self.synth.config();
-        ShardPlan {
-            items: config.traces,
-            threads: config.threads,
-            batch: self.batch,
-        }
-    }
-
     /// Runs the campaign, returning the merged sink.
     ///
     /// * `cpu` — loaded (and ideally warmed) template CPU;
@@ -159,7 +151,16 @@ impl Campaign {
         // discarded unseen, so synthesis may clip to the window and stop
         // each walk at its horizon (in-window samples stay bit-identical;
         // see `synth_into`).
-        self.run_inner(cpu, entry, generate, stage, |_, _| {}, sink, true)
+        let window = self.probe_window(cpu, entry, &generate, &stage, true)?;
+        self.run_range(
+            cpu,
+            entry,
+            (&generate, &stage, &no_post),
+            &sink,
+            window,
+            0..self.config().traces,
+            None,
+        )
     }
 
     /// Like [`Campaign::run`], with a post-processing hook applied to
@@ -188,41 +189,79 @@ impl Campaign {
         // A post hook sees (and may shift) the whole trace — e.g. the
         // OS-noise jitter moves samples into the window — so synthesis
         // must stay unclipped here.
-        self.run_inner(cpu, entry, generate, stage, post, sink, false)
+        let window = self.probe_window(cpu, entry, &generate, &stage, false)?;
+        self.run_range(
+            cpu,
+            entry,
+            (&generate, &stage, &post),
+            &sink,
+            window,
+            0..self.config().traces,
+            None,
+        )
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn run_inner<G, S, P, K>(
+    /// Probes the trace length and fixes the run's [`Window`]: the
+    /// campaign's window clamped to the probe's trace, clipped when
+    /// `clip` (legal only with no post hook).
+    pub(crate) fn probe_window<G, S>(
         &self,
         cpu: &Cpu,
         entry: u32,
-        generate: G,
-        stage: S,
-        post: P,
-        sink: impl Fn(usize) -> K + Sync,
+        generate: &G,
+        stage: &S,
         clip: bool,
-    ) -> Result<K, UarchError>
+    ) -> Result<Window, UarchError>
+    where
+        G: Fn(&mut StdRng, usize) -> Vec<u8> + Sync,
+        S: Fn(&mut Cpu, &[u8]) + Sync,
+    {
+        let probe = {
+            let _span = sca_telemetry::span!("probe");
+            self.synth.probe(cpu, entry, generate, stage)?
+        };
+        let full = probe.samples();
+        let (start, len) = self.window.unwrap_or((0, full));
+        let start = start.min(full);
+        let samples = len.min(full - start);
+        Ok(Window {
+            start,
+            samples,
+            clip: clip.then(|| self.synth.clip(&probe, (start, start + samples))),
+        })
+    }
+
+    /// The sharded batch loop of every run: traces `range` split across
+    /// the workers, each worker's batches synthesized one lockstep group
+    /// at a time and absorbed into its own `sink(samples)`, the worker
+    /// sinks merged in worker order. An unstored run is one call over
+    /// every trace; a stored run calls it once per checkpoint segment,
+    /// with a `persist` hook that takes each group as soon as it is
+    /// synthesized: its first index, inputs and windowed traces.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn run_range<G, S, P, K, E>(
+        &self,
+        cpu: &Cpu,
+        entry: u32,
+        (generate, stage, post): (&G, &S, &P),
+        sink: &(impl Fn(usize) -> K + Sync),
+        window: Window,
+        range: Range<usize>,
+        persist: Option<Persist<'_, E>>,
+    ) -> Result<K, E>
     where
         G: Fn(&mut StdRng, usize) -> Vec<u8> + Sync,
         S: Fn(&mut Cpu, &[u8]) + Sync,
         P: Fn(&mut StdRng, &mut Vec<f64>) + Sync,
         K: CampaignSink,
+        E: From<UarchError> + Send,
     {
-        let probe = {
-            let _span = sca_telemetry::span!("probe");
-            self.synth.probe(cpu, entry, &generate, &stage)?
+        let samples = window.samples;
+        let plan = ShardPlan {
+            items: range.len(),
+            threads: self.synth.config().threads,
+            batch: self.batch,
         };
-        let full = probe.samples();
-        let (start, samples) = match self.window {
-            Some((start, len)) => {
-                let start = start.min(full);
-                (start, len.min(full - start))
-            }
-            None => (0, full),
-        };
-        let clip = clip.then(|| self.synth.clip(&probe, (start, start + samples)));
-
-        let plan = self.plan();
         sca_telemetry::counter!("campaign/traces_planned").add(plan.items as u64);
         // Worker threads have empty span stacks; graft their phase spans
         // under the caller's current span so the tree stays hierarchical.
@@ -231,35 +270,48 @@ impl Campaign {
             &plan,
             || SimArena::with_lanes(&self.synth, cpu, self.lanes),
             || sink(samples),
-            |arena, acc, range| {
-                {
-                    let _span =
-                        sca_telemetry::span_at(sca_telemetry::child_path(&parent, "simulate"));
-                    arena.begin_batch();
-                    let mut index = range.start;
-                    while index < range.end {
-                        let group = self.lanes.min(range.end - index);
-                        arena.push_windowed_group(
-                            &self.synth,
-                            entry,
+            |arena, acc, batch| {
+                arena.begin_batch();
+                // One `simulate` span per batch, closed while `persist`
+                // writes each group, so store I/O is timed apart.
+                let mut simulate = None;
+                let (mut index, end) = (range.start + batch.start, range.start + batch.end);
+                while index < end {
+                    let group = self.lanes.min(end - index);
+                    simulate.get_or_insert_with(|| {
+                        sca_telemetry::span_at(sca_telemetry::child_path(&parent, "simulate"))
+                    });
+                    arena.push_windowed_group(
+                        &self.synth,
+                        entry,
+                        index,
+                        group,
+                        window,
+                        generate,
+                        stage,
+                        post,
+                    )?;
+                    if let Some(persist) = persist {
+                        simulate = None;
+                        let _span =
+                            sca_telemetry::span_at(sca_telemetry::child_path(&parent, "store-io"));
+                        let first = arena.inputs.len() - group;
+                        persist(
                             index,
-                            group,
-                            (start, samples),
-                            clip,
-                            &generate,
-                            &stage,
-                            &post,
+                            &arena.inputs[first..],
+                            &arena.flat[first * samples..],
                         )?;
-                        index += group;
                     }
+                    index += group;
                 }
+                drop(simulate);
                 {
                     let _span =
                         sca_telemetry::span_at(sca_telemetry::child_path(&parent, "absorb"));
                     let (inputs, flat) = arena.batch();
                     acc.absorb_batch(inputs, flat, samples);
                 }
-                sca_telemetry::counter!("campaign/traces_simulated").add(range.len() as u64);
+                sca_telemetry::counter!("campaign/traces_simulated").add(batch.len() as u64);
                 sca_telemetry::counter!("campaign/batches").inc();
                 arena.publish_metrics();
                 Ok(())
@@ -267,3 +319,20 @@ impl Campaign {
         )
     }
 }
+
+/// The post hook of a run that post-processes nothing.
+pub(crate) fn no_post(_: &mut StdRng, _: &mut Vec<f64>) {}
+
+/// What a run's probe fixes for all its traces: the kept
+/// `(start, samples)` window, clamped to the probe's trace, and the
+/// clip synthesis takes of it when nothing post-processes the traces.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Window {
+    pub(crate) start: usize,
+    pub(crate) samples: usize,
+    pub(crate) clip: Option<Clip>,
+}
+
+/// A stored run's persist hook: a synthesized group's first trace
+/// index, its inputs and its windowed traces.
+pub(crate) type Persist<'a, E> = &'a (dyn Fn(usize, &[Vec<u8>], &[f32]) -> Result<(), E> + Sync);

@@ -160,4 +160,6 @@ pub use component::ComponentCampaign;
 pub use engine::{Campaign, CampaignConfig, DEFAULT_LANES};
 pub use shard::{run_sharded, Mergeable, ShardPlan, DEFAULT_BATCH};
 pub use sink::{CampaignSink, Checkpointable, CorrSink, CpaSink, CropSink, TtestSink};
-pub use store_run::{reanalyze_store, CampaignError, KillPoint, StoreOptions, StoredRunReport};
+pub use store_run::{
+    reanalyze_store, restore_complete, CampaignError, KillPoint, StoreOptions, StoredRunReport,
+};

@@ -4,8 +4,9 @@
 //! ## Segmented execution
 //!
 //! A stored campaign runs in *segments* of `checkpoint_every` traces.
-//! Each segment is sharded across workers exactly like a plain
-//! [`Campaign::run`], its workers append every trace to the
+//! Each segment runs through the one sharded loop a plain
+//! [`Campaign::run`] takes (a plain run is a single segment over every
+//! trace, with nothing stored); its workers append every trace to the
 //! [`TraceStore`] as they simulate, and the segment's merged sink folds
 //! into a master sink in segment order. After each segment the master's
 //! exact accumulator state (f64 bit patterns) and the high-water trace
@@ -36,11 +37,11 @@ use std::path::PathBuf;
 use rand::rngs::StdRng;
 
 use sca_analysis::{StateError, StateReader};
-use sca_power::Clip;
 use sca_store::{analysis_tag, CorpusKey, StoreError, StoreMeta, TraceStore, META_FILE};
 use sca_uarch::{Cpu, UarchError};
 
-use crate::{run_sharded, Campaign, CampaignSink, Checkpointable, ShardPlan, SimArena};
+use crate::engine::no_post;
+use crate::{Campaign, CampaignSink, Checkpointable};
 
 /// Where (if anywhere) a stored campaign injects a crash.
 ///
@@ -286,66 +287,38 @@ impl Campaign {
             if let Some(what) = key.diff(&found.key) {
                 return Err(StoreError::FingerprintMismatch { what }.into());
             }
-            if found.total_traces != total {
-                return Err(StoreError::FingerprintMismatch {
-                    what: format!(
-                        "total traces {} on disk vs {total} expected",
-                        found.total_traces
-                    ),
-                }
-                .into());
-            }
             let want_start = self.window.map_or(0, |(s, _)| s as u64);
-            if found.window_start != want_start {
-                return Err(StoreError::FingerprintMismatch {
-                    what: format!(
-                        "window start {} on disk vs {want_start} expected",
-                        found.window_start
-                    ),
+            for (name, want, got) in [
+                ("total traces", total, found.total_traces),
+                ("window start", want_start, found.window_start),
+            ] {
+                if want != got {
+                    let what = format!("{name} {got} on disk vs {want} expected");
+                    return Err(StoreError::FingerprintMismatch { what }.into());
                 }
-                .into());
             }
-            if let Some(ck) = store.last_checkpoint(tag)? {
-                if ck.high_water >= total {
-                    let samples = found.samples as usize;
-                    let mut master = sink(samples);
-                    let mut r = StateReader::new(&ck.state);
-                    master.load_state(&mut r)?;
-                    r.finish()?;
-                    return Ok((
-                        master,
-                        StoredRunReport {
-                            resumed_from: total,
-                            simulated: 0,
-                            checkpoints: 0,
-                            samples,
-                            high_water: total,
-                            total,
-                        },
-                    ));
-                }
+            if let Some(master) = restore_complete(&store, &opts.analysis, &sink)? {
+                return Ok((
+                    master,
+                    StoredRunReport {
+                        resumed_from: total,
+                        samples: found.samples as usize,
+                        high_water: total,
+                        total,
+                        ..StoredRunReport::default()
+                    },
+                ));
             }
         }
 
         // Slow path: probe the window, open (validating) or create the
         // store, and run segment by segment.
-        let probe = {
-            let _span = sca_telemetry::span!("probe");
-            self.synth.probe(cpu, entry, &generate, &stage)?
-        };
-        let full = probe.samples();
-        let (start, samples) = match self.window {
-            Some((start, len)) => {
-                let start = start.min(full);
-                (start, len.min(full - start))
-            }
-            None => (0, full),
-        };
-        let clip = self.synth.clip(&probe, (start, start + samples));
+        let window = self.probe_window(cpu, entry, &generate, &stage, true)?;
+        let samples = window.samples;
         let input_len = self.synth.input_for(0, &generate).len() as u64;
         let expected = StoreMeta {
             key,
-            window_start: start as u64,
+            window_start: window.start as u64,
             samples: samples as u64,
             window_cycles: opts.window_cycles,
             total_traces: total,
@@ -358,35 +331,46 @@ impl Campaign {
         let mut resumed_from = 0u64;
         if opts.resume {
             if let Some(ck) = store.last_checkpoint(tag)? {
-                let mut r = StateReader::new(&ck.state);
-                master.load_state(&mut r)?;
-                r.finish()?;
+                load_state(&mut master, &ck.state)?;
                 resumed_from = ck.high_water.min(total);
             }
         }
 
+        // Appends each synthesized group in index order, with the disk
+        // and kill-point semantics of a one-trace-at-a-time run.
+        let persist = |first: usize, inputs: &[Vec<u8>], traces: &[f32]| {
+            for (offset, input) in inputs.iter().enumerate() {
+                let index = (first + offset) as u64;
+                let trace = &traces[offset * samples..(offset + 1) * samples];
+                match opts.kill {
+                    KillPoint::MidPage { at, keep } if index == at => {
+                        store.append_torn(index, input, trace, keep)?;
+                        return Err(CampaignError::Killed { at: index });
+                    }
+                    _ => store.append(index, input, trace)?,
+                }
+                if opts.kill == KillPoint::AfterTrace(index) {
+                    return Err(CampaignError::Killed { at: index });
+                }
+            }
+            Ok(())
+        };
         let every = opts.checkpoint_every.max(1);
         let mut high_water = resumed_from;
-        let mut simulated = 0u64;
         let mut checkpoints = 0u64;
-        sca_telemetry::counter!("campaign/traces_planned")
-            .add((total - resumed_from).min(max_new_traces));
-        while high_water < total && simulated < max_new_traces {
+        while high_water < total && high_water - resumed_from < max_new_traces {
             sca_telemetry::counter!("campaign/segments").inc();
             let seg_end = (high_water + every).min(total);
-            let segment = self.run_segment(
+            let segment = self.run_range(
                 cpu,
                 entry,
-                &generate,
-                &stage,
+                (&generate, &stage, &no_post),
                 &sink,
-                &store,
-                high_water..seg_end,
-                clip,
-                opts.kill,
+                window,
+                high_water as usize..seg_end as usize,
+                Some(&persist),
             )?;
             master.merge(segment);
-            simulated += seg_end - high_water;
             high_water = seg_end;
 
             let _span = sca_telemetry::span!("checkpoint");
@@ -406,7 +390,7 @@ impl Campaign {
             master,
             StoredRunReport {
                 resumed_from,
-                simulated,
+                simulated: high_water - resumed_from,
                 checkpoints,
                 samples,
                 high_water,
@@ -414,100 +398,39 @@ impl Campaign {
             },
         ))
     }
+}
 
-    /// Runs one segment sharded across workers, appending every trace
-    /// to `store` as it is simulated. Returns the segment's merged sink.
-    #[allow(clippy::too_many_arguments)]
-    fn run_segment<G, S, K>(
-        &self,
-        cpu: &Cpu,
-        entry: u32,
-        generate: &G,
-        stage: &S,
-        sink: &(impl Fn(usize) -> K + Sync),
-        store: &TraceStore,
-        segment: std::ops::Range<u64>,
-        clip: Clip,
-        kill: KillPoint,
-    ) -> Result<K, CampaignError>
-    where
-        G: Fn(&mut StdRng, usize) -> Vec<u8> + Sync,
-        S: Fn(&mut Cpu, &[u8]) + Sync,
-        K: CampaignSink + Checkpointable,
-    {
-        let plan = ShardPlan {
-            items: (segment.end - segment.start) as usize,
-            threads: self.synth.config().threads,
-            batch: self.batch,
-        };
-        let seg_start = segment.start;
-        let (start, end) = clip.window;
-        let samples = end - start;
-        let no_post = |_: &mut StdRng, _: &mut Vec<f64>| {};
-        let parent = sca_telemetry::current_span_path();
-        run_sharded(
-            &plan,
-            || SimArena::with_lanes(&self.synth, cpu, self.lanes),
-            || sink(samples),
-            |arena, acc, range| {
-                arena.begin_batch();
-                let mut local = range.start;
-                while local < range.end {
-                    let group = self.lanes.min(range.end - local);
-                    {
-                        let _span =
-                            sca_telemetry::span_at(sca_telemetry::child_path(&parent, "simulate"));
-                        arena.push_windowed_group(
-                            &self.synth,
-                            entry,
-                            (seg_start as usize) + local,
-                            group,
-                            (start, samples),
-                            Some(clip),
-                            generate,
-                            stage,
-                            &no_post,
-                        )?;
-                    }
-                    // Append the group's traces to the store strictly in
-                    // index order (the group was synthesized at once, but
-                    // its disk and kill-point semantics must match the
-                    // one-trace-at-a-time scalar path).
-                    let _span =
-                        sca_telemetry::span_at(sca_telemetry::child_path(&parent, "store-io"));
-                    let first_input = arena.inputs.len() - group;
-                    let first_flat = arena.flat.len() - group * samples;
-                    for g in 0..group {
-                        let global = seg_start + (local + g) as u64;
-                        let input = &arena.inputs[first_input + g];
-                        let off = first_flat + g * samples;
-                        let trace = &arena.flat[off..off + samples];
-                        match kill {
-                            KillPoint::MidPage { at, keep } if global == at => {
-                                store.append_torn(global, input, trace, keep)?;
-                                return Err(CampaignError::Killed { at: global });
-                            }
-                            _ => store.append(global, input, trace)?,
-                        }
-                        if kill == KillPoint::AfterTrace(global) {
-                            return Err(CampaignError::Killed { at: global });
-                        }
-                    }
-                    local += group;
-                }
-                {
-                    let _span =
-                        sca_telemetry::span_at(sca_telemetry::child_path(&parent, "absorb"));
-                    let (inputs, flat) = arena.batch();
-                    acc.absorb_batch(inputs, flat, samples);
-                }
-                sca_telemetry::counter!("campaign/traces_simulated").add(range.len() as u64);
-                sca_telemetry::counter!("campaign/batches").inc();
-                arena.publish_metrics();
-                Ok(())
-            },
-        )
+/// Restores `sink(samples per trace)` from the last `analysis`
+/// checkpoint of `store` when that checkpoint covers the store's whole
+/// trace budget — zero simulator work, zero page reads; `None` while
+/// traces remain. A resumed [`Campaign::run_stored`] of a finished
+/// campaign returns through it, and so do `sca-target`'s `restore_*`.
+///
+/// # Errors
+///
+/// Propagates checkpoint-log I/O, and a snapshot that does not fit the
+/// sink as [`CampaignError::State`].
+pub fn restore_complete<K: Checkpointable>(
+    store: &TraceStore,
+    analysis: &str,
+    sink: impl FnOnce(usize) -> K,
+) -> Result<Option<K>, CampaignError> {
+    let meta = store.meta();
+    match store.last_checkpoint(analysis_tag(analysis))? {
+        Some(ck) if ck.high_water >= meta.total_traces => {
+            let mut restored = sink(meta.samples as usize);
+            load_state(&mut restored, &ck.state)?;
+            Ok(Some(restored))
+        }
+        _ => Ok(None),
     }
+}
+
+/// Loads a checkpoint snapshot into `sink`, which must consume it whole.
+fn load_state<K: Checkpointable>(sink: &mut K, state: &[u8]) -> Result<(), StateError> {
+    let mut r = StateReader::new(state);
+    sink.load_state(&mut r)?;
+    r.finish()
 }
 
 /// Streams a stored corpus through a fresh sink — re-analysis with

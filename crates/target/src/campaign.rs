@@ -8,13 +8,14 @@
 
 use std::path::{Path, PathBuf};
 
-use sca_analysis::StateReader;
+use rand::rngs::StdRng;
+
 use sca_campaign::{
-    reanalyze_store, Campaign, CampaignConfig, CpaSink, CropSink, KillPoint, StoreOptions,
-    StoredRunReport, TtestSink, DEFAULT_BATCH,
+    reanalyze_store, restore_complete, Campaign, CampaignConfig, CpaSink, CropSink, KillPoint,
+    StoreOptions, StoredRunReport, TtestSink, DEFAULT_BATCH,
 };
 use sca_power::{GaussianNoise, LeakageWeights, SamplingConfig};
-use sca_store::{analysis_tag, TraceStore};
+use sca_store::{analysis_tag, TraceStore, META_FILE};
 use sca_uarch::{Cpu, UarchConfig};
 
 use crate::{resolve_window, CipherTarget, ModelKind, TargetError, TargetModel};
@@ -82,6 +83,21 @@ impl TargetStoreConfig {
             checkpoint_every: 1024,
             resume: false,
             kill: KillPoint::None,
+        }
+    }
+
+    /// The store options of `label`'s `analysis` campaign: its directory
+    /// under `root` ([`store_dir_name`]), with this configuration's
+    /// checkpointing, resume and fault injection.
+    fn options(&self, label: &str, analysis: &str, window_cycles: u64) -> StoreOptions {
+        StoreOptions {
+            dir: self.root.join(store_dir_name(label, analysis)),
+            label: label.to_owned(),
+            analysis: analysis.to_owned(),
+            checkpoint_every: self.checkpoint_every,
+            resume: self.resume,
+            kill: self.kill,
+            window_cycles,
         }
     }
 }
@@ -152,6 +168,15 @@ pub struct TvlaVerdict {
     pub leaks: bool,
     /// Traces in the (fixed, random) populations.
     pub counts: (u64, u64),
+}
+
+impl TvlaVerdict {
+    /// The verdict line the portfolio binary prints and the regression
+    /// tests pin.
+    pub fn verdict(&self) -> String {
+        let call = if self.leaks { "LEAKS" } else { "clean" };
+        format!("TVLA fixed-vs-random: {call}")
+    }
 }
 
 /// The `(start, len)` sample window covering a `(start, len)` cycle
@@ -347,15 +372,7 @@ impl<'a> TargetCampaign<'a> {
             resolve_window(self.target, &self.cpu, &model.window)?
         };
         let target = self.target;
-        let opts = StoreOptions {
-            dir: store.root.join(store_dir_name(target.name(), &model.name)),
-            label: target.name().to_owned(),
-            analysis: model.name.clone(),
-            checkpoint_every: store.checkpoint_every,
-            resume: store.resume,
-            kill: store.kill,
-            window_cycles: window.trigger_relative.1,
-        };
+        let opts = store.options(target.name(), &model.name, window.trigger_relative.1);
         let (sink, report) = self
             .engine(0x0, sample_window(window.trigger_relative))
             .run_stored_bounded(
@@ -382,23 +399,7 @@ impl<'a> TargetCampaign<'a> {
     /// misconfiguration as [`TargetError::Window`], and a campaign too
     /// small for the Welch statistic as [`TargetError::TooFewTraces`].
     pub fn tvla(&self) -> Result<TvlaVerdict, TargetError> {
-        let window = resolve_window(self.target, &self.cpu, &self.target.primary_window())?;
-        let target = self.target;
-        let sink = self
-            .engine(0x77e5, sample_window(window.trigger_relative))
-            .run(
-                &self.cpu,
-                target.program().entry(),
-                |rng, index| {
-                    if index != usize::MAX && index % 2 == 0 {
-                        target.finish_input(target.fixed_plaintext(), rng)
-                    } else {
-                        target.generate(rng, index)
-                    }
-                },
-                |cpu, input| target.stage(cpu, input),
-                |samples| TtestSink::new(|input: &[u8]| target.is_fixed_class(input), samples),
-            )?;
+        let (sink, _) = self.tvla_run(None)?;
         tvla_verdict(&sink)
     }
 
@@ -416,7 +417,7 @@ impl<'a> TargetCampaign<'a> {
         &self,
         store: &TargetStoreConfig,
     ) -> Result<(TvlaVerdict, StoredRunReport), TargetError> {
-        let (sink, report) = self.tvla_stored_sink(store, u64::MAX)?;
+        let (sink, report) = self.tvla_run(Some((store, u64::MAX)))?;
         Ok((tvla_verdict(&sink)?, report))
     }
 
@@ -434,18 +435,19 @@ impl<'a> TargetCampaign<'a> {
         store: &TargetStoreConfig,
         max_new_traces: u64,
     ) -> Result<(Option<TvlaVerdict>, StoredRunReport), TargetError> {
-        let (sink, report) = self.tvla_stored_sink(store, max_new_traces)?;
+        let (sink, report) = self.tvla_run(Some((store, max_new_traces)))?;
         Ok((tvla_verdict(&sink).ok(), report))
     }
 
-    /// The stored TVLA campaign behind [`TargetCampaign::tvla_stored`]
-    /// and [`TargetCampaign::tvla_stored_bounded`]: its t-test sink and
-    /// run report.
+    /// The TVLA campaign behind [`TargetCampaign::tvla`] and its stored
+    /// variants — the one place its generator, stage and sink are
+    /// built: unstored, or against `store` for at most the given new
+    /// traces. Returns its t-test sink and the stored run's report (the
+    /// default report when unstored).
     #[allow(clippy::type_complexity)]
-    fn tvla_stored_sink(
+    fn tvla_run(
         &self,
-        store: &TargetStoreConfig,
-        max_new_traces: u64,
+        store: Option<(&TargetStoreConfig, u64)>,
     ) -> Result<
         (
             TtestSink<impl Fn(&[u8]) -> bool + Send + '_>,
@@ -455,33 +457,40 @@ impl<'a> TargetCampaign<'a> {
     > {
         let window = resolve_window(self.target, &self.cpu, &self.target.primary_window())?;
         let target = self.target;
-        let opts = StoreOptions {
-            dir: store.root.join(store_dir_name(target.name(), "tvla")),
-            label: target.name().to_owned(),
-            analysis: "tvla".to_owned(),
-            checkpoint_every: store.checkpoint_every,
-            resume: store.resume,
-            kill: store.kill,
-            window_cycles: window.trigger_relative.1,
+        let engine = self.engine(0x77e5, sample_window(window.trigger_relative));
+        let entry = target.program().entry();
+        let generate = |rng: &mut StdRng, index| {
+            if index != usize::MAX && index % 2 == 0 {
+                target.finish_input(target.fixed_plaintext(), rng)
+            } else {
+                target.generate(rng, index)
+            }
         };
-        self.engine(0x77e5, sample_window(window.trigger_relative))
-            .run_stored_bounded(
+        let stage = |cpu: &mut Cpu, input: &[u8]| target.stage(cpu, input);
+        let sink = |samples| tvla_sink(target, samples);
+        Ok(match store {
+            None => (
+                engine.run(&self.cpu, entry, generate, stage, sink)?,
+                StoredRunReport::default(),
+            ),
+            Some((store, max_new_traces)) => engine.run_stored_bounded(
                 &self.cpu,
-                target.program().entry(),
-                |rng, index| {
-                    if index != usize::MAX && index % 2 == 0 {
-                        target.finish_input(target.fixed_plaintext(), rng)
-                    } else {
-                        target.generate(rng, index)
-                    }
-                },
-                |cpu, input| target.stage(cpu, input),
-                |samples| TtestSink::new(|input: &[u8]| target.is_fixed_class(input), samples),
-                &opts,
+                entry,
+                generate,
+                stage,
+                sink,
+                &store.options(target.name(), "tvla", window.trigger_relative.1),
                 max_new_traces,
-            )
-            .map_err(TargetError::from)
+            )?,
+        })
     }
+}
+
+/// The fixed-vs-random t-test sink of `target`'s TVLA campaigns: the
+/// target's classifier re-derives each trace's population from its
+/// input.
+fn tvla_sink(target: &dyn CipherTarget, samples: usize) -> TtestSink<impl Fn(&[u8]) -> bool + '_> {
+    TtestSink::new(|input: &[u8]| target.is_fixed_class(input), samples)
 }
 
 /// The TVLA verdict of a (possibly partial) t-test sink, or
@@ -540,12 +549,14 @@ pub fn reanalyze_cpa(dir: &Path, model: &TargetModel) -> Result<CpaVerdict, Targ
 /// Store I/O/corruption and snapshot mismatches as
 /// [`TargetError::Campaign`].
 pub fn restore_cpa(dir: &Path, model: &TargetModel) -> Result<Option<CpaVerdict>, TargetError> {
-    let Some((state, samples, window_cycles)) = load_complete_checkpoint(dir, &model.name)? else {
+    let Some(store) = existing_store(dir)? else {
         return Ok(None);
     };
-    let mut sink = CpaSink::new(model, 256, samples);
-    load_sink_state(&mut sink, &state)?;
-    Ok(Some(cpa_verdict(model, &sink, window_cycles)))
+    let window_cycles = store.meta().window_cycles;
+    let sink = restore_complete(&store, &model.name, |samples| {
+        CpaSink::new(model, 256, samples)
+    })?;
+    Ok(sink.map(|sink| cpa_verdict(model, &sink, window_cycles)))
 }
 
 /// Restores a TVLA verdict from a finished stored campaign's last
@@ -560,47 +571,19 @@ pub fn restore_tvla(
     dir: &Path,
     target: &dyn CipherTarget,
 ) -> Result<Option<TvlaVerdict>, TargetError> {
-    let Some((state, samples, _)) = load_complete_checkpoint(dir, "tvla")? else {
+    let Some(store) = existing_store(dir)? else {
         return Ok(None);
     };
-    let mut sink = TtestSink::new(|input: &[u8]| target.is_fixed_class(input), samples);
-    load_sink_state(&mut sink, &state)?;
-    Ok(tvla_verdict(&sink).ok())
+    let sink = restore_complete(&store, "tvla", |samples| tvla_sink(target, samples))?;
+    Ok(sink.and_then(|sink| tvla_verdict(&sink).ok()))
 }
 
-/// The last checkpoint of `dir` for `analysis`, if the store exists and
-/// the checkpoint covers the full trace budget: `(state bytes, samples,
-/// window cycles)`.
-fn load_complete_checkpoint(
-    dir: &Path,
-    analysis: &str,
-) -> Result<Option<(Vec<u8>, usize, u64)>, TargetError> {
-    if !dir.join(sca_store::META_FILE).exists() {
+/// The store in `dir`, or `None` when there is none.
+fn existing_store(dir: &Path) -> Result<Option<TraceStore>, TargetError> {
+    if !dir.join(META_FILE).exists() {
         return Ok(None);
     }
-    let store = TraceStore::open_any(dir)?;
-    let (samples, window_cycles, total) = {
-        let meta = store.meta();
-        (meta.samples as usize, meta.window_cycles, meta.total_traces)
-    };
-    let checkpoint = store
-        .last_checkpoint(analysis_tag(analysis))
-        .map_err(sca_campaign::CampaignError::from)?;
-    Ok(checkpoint
-        .filter(|ck| ck.high_water >= total)
-        .map(|ck| (ck.state, samples, window_cycles)))
-}
-
-/// Loads a checkpoint snapshot into a freshly built sink.
-fn load_sink_state<K: sca_campaign::Checkpointable>(
-    sink: &mut K,
-    state: &[u8],
-) -> Result<(), TargetError> {
-    let mut reader = StateReader::new(state);
-    sink.load_state(&mut reader)
-        .and_then(|()| reader.finish())
-        .map_err(sca_campaign::CampaignError::from)
-        .map_err(TargetError::from)
+    Ok(Some(TraceStore::open_any(dir)?))
 }
 
 /// Re-runs the fixed-vs-random TVLA assessment over a stored corpus —
@@ -614,11 +597,7 @@ fn load_sink_state<K: sca_campaign::Checkpointable>(
 pub fn reanalyze_tvla(dir: &Path, target: &dyn CipherTarget) -> Result<TvlaVerdict, TargetError> {
     let store = TraceStore::open_any(dir)?;
     let samples = store.meta().samples as usize;
-    let sink = reanalyze_store(
-        &store,
-        DEFAULT_BATCH,
-        TtestSink::new(|input: &[u8]| target.is_fixed_class(input), samples),
-    )
-    .map_err(TargetError::from)?;
+    let sink = reanalyze_store(&store, DEFAULT_BATCH, tvla_sink(target, samples))
+        .map_err(TargetError::from)?;
     tvla_verdict(&sink)
 }
