@@ -160,7 +160,8 @@ impl ComponentCampaign<'_> {
     /// own per-index streams and the recorder keeps each lane's events
     /// in one-lane order, so the sums do not depend on the lane count.
     /// An execution that starts where the last walk did rescrambles that
-    /// walk instead of walking.
+    /// walk instead of walking. A group that does not diverge publishes
+    /// its walk work, as `Campaign`'s do ([`sca_power::publish_walks`]).
     #[inline]
     fn record_group<C: LaneSim, const L: usize, G, S>(
         &self,
@@ -191,6 +192,7 @@ impl ComponentCampaign<'_> {
         }
         let mut seeds = [0u64; MAX_LANES];
         let mut shared = SharedWalk::start(sim, count);
+        let mut cycles = 0;
         for e in 0..self.executions.max(1) {
             for (seed, t) in seeds[..count].iter_mut().zip(base..) {
                 *seed = self.seed ^ ((t as u64) << 8 | e as u64);
@@ -201,7 +203,7 @@ impl ComponentCampaign<'_> {
             }
             if shared.must_walk(sim) {
                 recorder.reset();
-                sim.run_lanes(recorder)?;
+                cycles += sim.run_lanes(recorder)?.cycles * shared.walking();
                 shared.walked(sim);
             } else {
                 recorder.rescramble(&seeds[..count]);
@@ -220,7 +222,7 @@ impl ComponentCampaign<'_> {
                 }
             }
         }
-        sca_telemetry::counter!("campaign/walk_fallbacks").add(shared.fallbacks);
+        sca_power::publish_walks((count * self.executions.max(1)) as u64, cycles, &shared);
         Ok(inputs)
     }
 

@@ -41,5 +41,7 @@ pub use recorder::{
     LanePowerRecorder, PowerRecorder,
 };
 pub use sampling::{cycle_window_to_samples, SamplingConfig};
-pub use synth::{simulator_runs, AcquisitionConfig, Clip, Probe, SynthScratch, TraceSynthesizer};
+pub use synth::{
+    publish_walks, simulator_runs, AcquisitionConfig, Clip, Probe, SynthScratch, TraceSynthesizer,
+};
 pub use trace::TraceSet;

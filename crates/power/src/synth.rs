@@ -19,9 +19,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use sca_uarch::{
-    CacheCounts, Cpu, CpuBlock, LaneSim, RecordingObserver, SharedWalk, UarchError, MAX_LANES,
-};
+use sca_uarch::{Cpu, CpuBlock, LaneSim, RecordingObserver, SharedWalk, UarchError, MAX_LANES};
 
 use crate::noise::NoiseSkips;
 use crate::recorder::{horizon, trigger_window};
@@ -136,34 +134,41 @@ fn skipped_counter() -> &'static std::sync::Arc<sca_telemetry::Counter> {
 #[derive(Clone, Copy, Debug, Default)]
 struct Work {
     runs: u64,
-    walks: u64,
     cycles: u64,
-    cache: CacheCounts,
     samples: u64,
     skipped: u64,
     fallbacks: u64,
-    walk_fallbacks: u64,
 }
 
 impl Work {
-    fn publish(&self) {
-        simulator_runs_counter().add(self.runs);
-        walks_counter().add(self.walks);
-        cycles_counter().add(self.cycles);
-        let cache = &self.cache;
-        if !cache.is_zero() {
-            sca_telemetry::counter!("uarch/l1i/accesses").add(cache.l1i_hits + cache.l1i_misses);
-            sca_telemetry::counter!("uarch/l1i/misses").add(cache.l1i_misses);
-            sca_telemetry::counter!("uarch/l1d/accesses").add(cache.l1d_hits + cache.l1d_misses);
-            sca_telemetry::counter!("uarch/l1d/misses").add(cache.l1d_misses);
-            sca_telemetry::counter!("uarch/l2/accesses").add(cache.l2_hits + cache.l2_misses);
-            sca_telemetry::counter!("uarch/l2/misses").add(cache.l2_misses);
-        }
+    fn publish(&self, shared: &SharedWalk) {
+        publish_walks(self.runs, self.cycles, shared);
         samples_counter().add(self.samples);
         skipped_counter().add(self.skipped);
         fallbacks_counter().add(self.fallbacks);
-        walk_fallbacks_counter().add(self.walk_fallbacks);
     }
+}
+
+/// Publishes the walk work of one lockstep group or scalar trace:
+/// `runs` executions (per lane), of which `shared` counted the walks and
+/// their cache work, walking `cycles` lane-cycles in all. Moves
+/// `power/simulator_runs`, `power/walks`, `uarch/cycles`, the cache
+/// counters and `campaign/walk_fallbacks`. Both campaign engines publish
+/// through it, once per group that did not diverge.
+pub fn publish_walks(runs: u64, cycles: u64, shared: &SharedWalk) {
+    simulator_runs_counter().add(runs);
+    walks_counter().add(shared.walks);
+    cycles_counter().add(cycles);
+    let cache = &shared.cache;
+    if !cache.is_zero() {
+        sca_telemetry::counter!("uarch/l1i/accesses").add(cache.l1i_hits + cache.l1i_misses);
+        sca_telemetry::counter!("uarch/l1i/misses").add(cache.l1i_misses);
+        sca_telemetry::counter!("uarch/l1d/accesses").add(cache.l1d_hits + cache.l1d_misses);
+        sca_telemetry::counter!("uarch/l1d/misses").add(cache.l1d_misses);
+        sca_telemetry::counter!("uarch/l2/accesses").add(cache.l2_hits + cache.l2_misses);
+        sca_telemetry::counter!("uarch/l2/misses").add(cache.l2_misses);
+    }
+    walk_fallbacks_counter().add(shared.fallbacks);
 }
 
 /// A campaign's probe run ([`TraceSynthesizer::probe`]): one execution
@@ -330,13 +335,9 @@ impl TraceSynthesizer {
         stage(&mut probe_cpu, &input);
         let mut timing = RecordingObserver::new();
         let stats = probe_cpu.run(&mut timing)?;
-        Work {
-            runs: 1,
-            walks: 1,
-            cycles: stats.cycles,
-            ..Work::default()
-        }
-        .publish();
+        simulator_runs_counter().add(1);
+        walks_counter().add(1);
+        cycles_counter().add(stats.cycles);
         let (start, end) = trigger_window(&timing.triggers, stats.cycles as usize);
         Ok(Probe {
             samples: self.config.sampling.sample_count(end - start),
@@ -634,10 +635,7 @@ impl TraceSynthesizer {
             trace.clear();
             crate::vecops::scaled_narrow_extend(trace, &scratch.accum, inv);
         }
-        work.walks = shared.walks;
-        work.walk_fallbacks = shared.fallbacks;
-        work.cache = shared.cache;
-        work.publish();
+        work.publish(&shared);
         Ok(inputs)
     }
 }

@@ -458,6 +458,17 @@ count:  .word 0
                 fallbacks,
                 "{context}: the component engine"
             );
+            let component_runs = later.counter_delta(&after, "power/simulator_runs");
+            assert_eq!(
+                component_runs,
+                (traces * executions) as u64,
+                "{context}: the component engine"
+            );
+            assert_eq!(
+                later.counter_delta(&after, "power/walks"),
+                component_runs,
+                "{context}: the component engine"
+            );
             let got = (hashes(&set), channel_hashes(&channels));
             match &reference {
                 None => reference = Some(got),

@@ -4,7 +4,8 @@
 //! function of the campaign, independent of how the work was scheduled.
 //! Running the same campaign with 1 or 4 threads and with scalar or
 //! 8-wide lockstep simulation must move every one of them by exactly
-//! the same amount.
+//! the same amount, through either engine (`Campaign` and
+//! `ComponentCampaign`).
 //!
 //! Observability counters (batch counts, lockstep/scalar split, page
 //! pool statistics) deliberately *do* depend on scheduling and are
@@ -19,11 +20,13 @@ use std::sync::Mutex;
 use proptest::prelude::*;
 
 use superscalar_sca::analysis::{hw8, FnSelection};
-use superscalar_sca::campaign::{Campaign, CampaignConfig, CpaSink, StoreOptions};
+use superscalar_sca::campaign::{
+    Campaign, CampaignConfig, ComponentCampaign, CpaSink, Mergeable, ShardPlan, StoreOptions,
+};
 use superscalar_sca::isa::{assemble, Reg};
 use superscalar_sca::power::{GaussianNoise, LeakageWeights, SamplingConfig};
 use superscalar_sca::telemetry::{self, Snapshot};
-use superscalar_sca::uarch::{Cpu, UarchConfig};
+use superscalar_sca::uarch::{Cpu, NodeKind, UarchConfig};
 
 /// Serializes global-counter delta measurements across tests.
 static COUNTER_LOCK: Mutex<()> = Mutex::new(());
@@ -116,6 +119,47 @@ fn sink(samples: usize) -> CpaSink<FnSelection<impl Fn(&[u8], u8) -> f64 + Send 
     )
 }
 
+/// A `ComponentCampaign` sink that only counts its traces.
+struct Traces(usize);
+
+impl Mergeable for Traces {
+    fn merge(&mut self, other: Traces) {
+        self.0 += other.0;
+    }
+}
+
+/// The fixture's per-component campaign: two channels over the
+/// trigger window's first four cycles, two executions per trace.
+fn component_campaign(seed: u64, traces: usize, threads: usize, lanes: usize) {
+    let (cpu, entry) = fixture();
+    let counted = ComponentCampaign {
+        components: &[NodeKind::Mdr, NodeKind::ExWbBuffer],
+        window: (0, 4),
+        seed,
+        noise: GaussianNoise {
+            sd: 0.5,
+            baseline: 1.0,
+        },
+        executions: 2,
+        lanes,
+        plan: ShardPlan {
+            items: traces,
+            threads,
+            batch: 8,
+        },
+    }
+    .run(
+        &cpu,
+        entry,
+        generate,
+        stage,
+        || Traces(0),
+        |sink, _, _| sink.0 += 1,
+    )
+    .expect("component campaign runs");
+    assert_eq!(counted.0, traces);
+}
+
 /// The allowlisted counter movements caused by `run`.
 fn deltas(run: impl FnOnce()) -> Vec<(&'static str, u64)> {
     let before = telemetry::global().snapshot();
@@ -132,7 +176,8 @@ proptest! {
 
     /// Property: for any seed and campaign size, the work-counter
     /// deltas of `--threads {1,4} x --lanes {1,8}` are element-wise
-    /// identical, and the campaign actually did the work it planned.
+    /// identical, and the campaign actually did the work it planned —
+    /// for both engines.
     #[test]
     fn work_counters_are_thread_and_lane_invariant(
         seed in 0u64..1_000_000,
@@ -150,10 +195,12 @@ proptest! {
                         .run(&cpu, entry, generate, stage, sink)
                         .expect("campaign runs");
                 });
-                runs.push((threads, lanes, moved));
+                let component = deltas(|| component_campaign(seed, traces, threads, lanes));
+                runs.push((threads, lanes, [moved, component]));
             }
         }
-        let (_, _, reference) = &runs[0];
+        let (_, _, first) = &runs[0];
+        let [reference, component] = first;
         // The campaign did what it planned: all traces simulated, the
         // probe plus two executions per trace through the simulator,
         // and the load kernel touched the data cache.
@@ -169,9 +216,21 @@ proptest! {
         prop_assert!(get("power/samples_skipped") > 0, "clipping skipped nothing");
         prop_assert!(get("uarch/l1d/accesses") > 0, "load kernel must hit L1D");
         prop_assert!(get("uarch/l1i/accesses") > 0, "fetch must hit L1I");
+        // The component engine publishes its walks, with no probe, and
+        // neither plans traces nor synthesizes samples.
+        let component = |name: &str| {
+            component.iter().find(|(n, _)| *n == name).expect("allowlisted").1
+        };
+        prop_assert_eq!(component("power/simulator_runs"), 2 * traces as u64);
+        prop_assert!(component("power/walks") > 0, "the component engine must walk");
+        prop_assert!(component("uarch/cycles") > 0, "walks must count their cycles");
+        prop_assert!(component("uarch/l1d/accesses") > 0, "load kernel must hit L1D");
+        for name in ["campaign/traces_planned", "campaign/traces_simulated", "power/samples"] {
+            prop_assert_eq!(component(name), 0, "{} moved", name);
+        }
         for (threads, lanes, moved) in &runs[1..] {
             prop_assert_eq!(
-                reference, moved,
+                first, moved,
                 "threads {} lanes {} moved different work counters", threads, lanes
             );
         }
