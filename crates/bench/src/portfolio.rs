@@ -179,11 +179,7 @@ impl PortfolioResult {
             for verdict in &target.cpa {
                 lines.push(format!("[{}] {}", target.name, verdict.verdict()));
             }
-            lines.push(format!(
-                "[{}] TVLA fixed-vs-random: {}",
-                target.name,
-                if target.tvla.leaks { "LEAKS" } else { "clean" },
-            ));
+            lines.push(format!("[{}] {}", target.name, target.tvla.verdict()));
             for row in &target.charz {
                 lines.push(format!("[{}] charz {}", target.name, row.verdict_line()));
             }
@@ -381,11 +377,7 @@ impl ReanalyzeReport {
         for verdict in &self.cpa {
             lines.push(format!("[{}] {}", self.name, verdict.verdict()));
         }
-        lines.push(format!(
-            "[{}] TVLA fixed-vs-random: {}",
-            self.name,
-            if self.tvla.leaks { "LEAKS" } else { "clean" },
-        ));
+        lines.push(format!("[{}] {}", self.name, self.tvla.verdict()));
         lines
     }
 }

@@ -64,10 +64,7 @@ impl SliceOutcome {
             SliceVerdict::Cpa(v) => format!("[{target}] {}", v.verdict()),
             SliceVerdict::Tvla(v) => {
                 let v = v.as_ref().expect("complete TVLA run has both populations");
-                format!(
-                    "[{target}] TVLA fixed-vs-random: {}",
-                    if v.leaks { "LEAKS" } else { "clean" },
-                )
+                format!("[{target}] {}", v.verdict())
             }
         }
     }
