@@ -11,6 +11,7 @@
 use std::fs::{File, OpenOptions};
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 use crate::error::{fnv1a64_continue, StoreError};
 
@@ -158,6 +159,9 @@ pub struct PageFile {
     file: File,
     page_index: u64,
     geom: PageGeometry,
+    /// Written since the last [`PageFile::sync`]: set by every write,
+    /// cleared by the sync that covers it.
+    dirty: AtomicBool,
 }
 
 impl PageFile {
@@ -196,10 +200,12 @@ impl PageFile {
         if !valid_header {
             file.write_all_at(&PageFile::header_bytes(page_index), 0)?;
         }
+        // Sizing or repairing the file counts as a write.
         Ok(PageFile {
             file,
             page_index,
             geom,
+            dirty: AtomicBool::new(true),
         })
     }
 
@@ -223,6 +229,7 @@ impl PageFile {
             file,
             page_index,
             geom,
+            dirty: AtomicBool::new(false),
         })
     }
 
@@ -262,6 +269,7 @@ impl PageFile {
         let record = self.geom.encode_slot(self.page_index, slot, input, trace);
         self.file
             .write_all_at(&record, self.geom.slot_offset(slot) as u64)?;
+        self.dirty.store(true, Ordering::Release);
         Ok(())
     }
 
@@ -282,6 +290,7 @@ impl PageFile {
         let keep = keep_bytes.min(record.len());
         self.file
             .write_all_at(&record[..keep], self.geom.slot_offset(slot) as u64)?;
+        self.dirty.store(true, Ordering::Release);
         Ok(())
     }
 
@@ -296,14 +305,23 @@ impl PageFile {
         Ok(buf)
     }
 
-    /// Flushes the page to stable storage (called before a checkpoint
-    /// record may claim its traces are durable).
+    /// Flushes the page's writes since its last sync to stable storage
+    /// (called before a checkpoint record may claim its traces are
+    /// durable). A page not written since is not synced again.
     ///
     /// # Errors
     ///
-    /// Propagates I/O errors.
+    /// Propagates I/O errors; the page then stays due for a sync.
     pub fn sync(&self) -> Result<(), StoreError> {
-        self.file.sync_all()?;
+        // Cleared before the flush: a write racing it sets the flag
+        // again, and the next sync covers it.
+        if !self.dirty.swap(false, Ordering::AcqRel) {
+            return Ok(());
+        }
+        if let Err(e) = self.file.sync_all() {
+            self.dirty.store(true, Ordering::Release);
+            return Err(e.into());
+        }
         sca_telemetry::counter!("store/fsyncs").inc();
         Ok(())
     }

@@ -20,9 +20,9 @@ pub const DEFAULT_POOL_FRAMES: usize = 64;
 ///
 /// Appends are per-slot `pwrite`s (idempotent — rewriting a trace
 /// produces identical bytes), reads go through a pinning [`BufferPool`],
-/// and [`checkpoint`](TraceStore::checkpoint) syncs the pages before
-/// logging the claim, so a checkpoint's `high_water` never overstates
-/// what is durable.
+/// and [`checkpoint`](TraceStore::checkpoint) syncs the pages written
+/// since the last sync before logging the claim, so a checkpoint's
+/// `high_water` never overstates what is durable.
 #[derive(Debug)]
 pub struct TraceStore {
     dir: PathBuf,
@@ -218,7 +218,8 @@ impl TraceStore {
         Ok(())
     }
 
-    /// Flushes every page written through this handle to stable storage.
+    /// Flushes every page written through this handle since its last
+    /// sync to stable storage.
     ///
     /// # Errors
     ///
