@@ -19,7 +19,9 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use sca_uarch::{Cpu, CpuBlock, LaneSim, RecordingObserver, SharedWalk, UarchError, MAX_LANES};
+use sca_uarch::{
+    CacheCounts, Cpu, CpuBlock, LaneSim, RecordingObserver, SharedWalk, UarchError, MAX_LANES,
+};
 
 use crate::noise::NoiseSkips;
 use crate::recorder::{horizon, trigger_window};
@@ -153,13 +155,20 @@ impl Work {
 /// `runs` executions (per lane), of which `shared` counted the walks and
 /// their cache work, walking `cycles` lane-cycles in all. Moves
 /// `power/simulator_runs`, `power/walks`, `uarch/cycles`, the cache
-/// counters and `campaign/walk_fallbacks`. Both campaign engines publish
-/// through it, once per group that did not diverge.
+/// counters and `campaign/walk_fallbacks`. Both campaign engines and
+/// the node audit publish through it, once per group that did not
+/// diverge.
 pub fn publish_walks(runs: u64, cycles: u64, shared: &SharedWalk) {
     simulator_runs_counter().add(runs);
     walks_counter().add(shared.walks);
     cycles_counter().add(cycles);
-    let cache = &shared.cache;
+    publish_cache(&shared.cache);
+    walk_fallbacks_counter().add(shared.fallbacks);
+}
+
+/// Publishes the cache work of walks in the `uarch/{l1i,l1d,l2}`
+/// counters.
+fn publish_cache(cache: &CacheCounts) {
     if !cache.is_zero() {
         sca_telemetry::counter!("uarch/l1i/accesses").add(cache.l1i_hits + cache.l1i_misses);
         sca_telemetry::counter!("uarch/l1i/misses").add(cache.l1i_misses);
@@ -168,7 +177,6 @@ pub fn publish_walks(runs: u64, cycles: u64, shared: &SharedWalk) {
         sca_telemetry::counter!("uarch/l2/accesses").add(cache.l2_hits + cache.l2_misses);
         sca_telemetry::counter!("uarch/l2/misses").add(cache.l2_misses);
     }
-    walk_fallbacks_counter().add(shared.fallbacks);
 }
 
 /// A campaign's probe run ([`TraceSynthesizer::probe`]): one execution
@@ -329,6 +337,8 @@ impl TraceSynthesizer {
         S: Fn(&mut Cpu, &[u8]) + Sync,
     {
         let mut probe_cpu = cpu.clone();
+        // Only the probe's own walk counts, not what the template did.
+        let _ = probe_cpu.drain_cache_counts();
         let mut rng = StdRng::seed_from_u64(child_seed(self.config.seed, u64::MAX));
         let input = generate(&mut rng, usize::MAX);
         probe_cpu.restart_seeded(entry, 0);
@@ -338,6 +348,7 @@ impl TraceSynthesizer {
         simulator_runs_counter().add(1);
         walks_counter().add(1);
         cycles_counter().add(stats.cycles);
+        publish_cache(&probe_cpu.drain_cache_counts());
         let (start, end) = trigger_window(&timing.triggers, stats.cycles as usize);
         Ok(Probe {
             samples: self.config.sampling.sample_count(end - start),
