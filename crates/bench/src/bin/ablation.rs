@@ -138,6 +138,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         };
         let audit_cfg = AuditConfig {
             executions: 400,
+            threads: args.threads,
             ..AuditConfig::default()
         };
         let uarch = UarchConfig::cortex_a7().with_ideal_memory();

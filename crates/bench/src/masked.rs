@@ -537,6 +537,7 @@ fn audit_target(
             executions: config.audit_executions,
             window: Some(window),
             seed: config.seed ^ 0xa0d17,
+            threads: config.threads,
             ..AuditConfig::default()
         },
     )?;

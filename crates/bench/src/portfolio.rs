@@ -296,10 +296,13 @@ fn assess_target(
         let _span = sca_telemetry::span!("audit");
         audit_cipher_target(
             target,
-            uarch,
+            campaign.cpu(),
+            &window,
             &AuditConfig {
                 executions: config.audit_executions,
                 seed: config.seed ^ 0xa0d17 ^ salt,
+                threads: config.threads,
+                lanes: config.lanes,
                 ..AuditConfig::default()
             },
         )?

@@ -4,13 +4,18 @@
 //!
 //! Given a program, a way to stage random inputs, and a set of *secret
 //! expressions* (e.g. "the Hamming distance between share 0 and share 1
-//! of a masked value"), the auditor runs the program many times under a
-//! [`sca_uarch::RecordingObserver`], collects the per-node transition
-//! activity, and reports every `(node, cycle)` whose switching correlates
-//! with a secret expression. No power model or noise is involved: this is
-//! the noise-free, microarchitecture-aware upper bound on what an
-//! attacker could see — exactly what a developer wants from a
-//! pre-silicon/pre-deployment check.
+//! of a masked value"), the auditor runs the program many times, keeps
+//! the Hamming distance of every node transition, and reports every
+//! `(node, cycle)` whose switching correlates with a secret expression.
+//! No power model or noise is involved: this is the noise-free,
+//! microarchitecture-aware upper bound on what an attacker could see —
+//! exactly what a developer wants from a pre-silicon/pre-deployment
+//! check.
+//!
+//! The executions run on the lane-generic walk, as the campaign
+//! engines' traces do: sharded over worker threads and stepped in
+//! lockstep lanes, each from the warmed template. A report does not
+//! depend on the thread or lane count.
 //!
 //! The flagship use case is the paper's Section 4.2 warning: swapping the
 //! operands of a commutative instruction, or letting two shares of a
@@ -18,16 +23,17 @@
 //! creates leakage invisible to ISA-level reasoning. The audit finds it
 //! in seconds.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 use sca_analysis::{pearson, significance_threshold};
+use sca_campaign::{run_sharded, Mergeable, ShardPlan, DEFAULT_BATCH, DEFAULT_LANES};
 use sca_isa::{Insn, Program};
 use sca_uarch::{
-    Cpu, Node, NodeEvent, PipelineObserver, RecordingObserver, UarchConfig, UarchError,
+    BlockObserver, Cpu, CpuBlock, LaneSim, Node, NodeEvent, NullObserver, SharedWalk, UarchConfig,
+    UarchError, MAX_LANES,
 };
 
 /// Boxed secret-expression function.
@@ -61,9 +67,15 @@ impl fmt::Debug for SecretModel {
 }
 
 /// Audit campaign parameters.
+///
+/// Execution `e` takes the `e`-th input drawn from
+/// `StdRng::seed_from_u64(seed)` and scrambles the stale node state
+/// with `0xaad017 ^ e`; it starts from the warmed template, so it is a
+/// pure function of `(seed, e)` whichever worker or lane runs it.
 #[derive(Clone, Debug)]
 pub struct AuditConfig {
-    /// Number of random-input executions.
+    /// Number of random-input executions (at least 4, which the
+    /// significance threshold needs).
     pub executions: usize,
     /// Detection confidence for the correlation test.
     pub confidence: f64,
@@ -72,12 +84,19 @@ pub struct AuditConfig {
     /// Restricts the audit to events in `[start, end)` cycles. Programs
     /// under audit are constant-time, so a cycle window selects the same
     /// program region in every execution; without one, auditing a full
-    /// cipher would record per-execution activity for every (node,
-    /// cycle) pair of the whole run. The countermeasure experiments use
-    /// this to focus on the round-1 SubBytes of the masked AES. Every
-    /// execution but the first (whose retirements locate findings in
-    /// the source) stops its walk at `end`.
+    /// cipher would keep per-execution activity for every (node, cycle)
+    /// pair of the whole run. The countermeasure experiments use this to
+    /// focus on the round-1 SubBytes of the masked AES. Every execution
+    /// but the first stops its walk at `end`; the first, whose
+    /// retirements locate findings in the source, walks on until the
+    /// first source-mapped retirement at or after the window's last
+    /// cycle.
     pub window: Option<(u64, u64)>,
+    /// Worker threads the executions are sharded over.
+    pub threads: usize,
+    /// Lockstep lanes: consecutive executions simulated together through
+    /// one `CpuBlock` walk (1 disables lockstep).
+    pub lanes: usize,
 }
 
 impl Default for AuditConfig {
@@ -87,7 +106,54 @@ impl Default for AuditConfig {
             confidence: 0.9999,
             seed: 0xaadd17,
             window: None,
+            threads: 1,
+            lanes: DEFAULT_LANES,
         }
+    }
+}
+
+/// Executions the significance threshold needs at least.
+const NEEDED_EXECUTIONS: usize = 4;
+
+/// Why an audit did not produce a report.
+#[derive(Debug)]
+pub enum AuditError {
+    /// Fewer executions than the significance threshold needs; nothing
+    /// was simulated.
+    TooFewExecutions {
+        /// Executions requested.
+        executions: usize,
+        /// Executions needed at least.
+        needed: usize,
+    },
+    /// A simulator fault.
+    Uarch(UarchError),
+}
+
+impl fmt::Display for AuditError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            AuditError::TooFewExecutions { executions, needed } => write!(
+                f,
+                "an audit needs at least {needed} executions, got {executions}"
+            ),
+            AuditError::Uarch(e) => write!(f, "simulator fault: {e}"),
+        }
+    }
+}
+
+impl std::error::Error for AuditError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            AuditError::Uarch(e) => Some(e),
+            AuditError::TooFewExecutions { .. } => None,
+        }
+    }
+}
+
+impl From<UarchError> for AuditError {
+    fn from(e: UarchError) -> AuditError {
+        AuditError::Uarch(e)
     }
 }
 
@@ -157,19 +223,69 @@ impl AuditReport {
     }
 }
 
-/// A recording observer whose walk stops at `horizon`.
-struct Walk {
-    recording: RecordingObserver,
+/// Execution 0's source-mapped retirements: `(cycle, line)` in cycle
+/// order, one per cycle (the cycle's last).
+type Lines = Vec<(u64, usize)>;
+
+/// The line of the first retirement at or after `cycle`, else of the
+/// last before it (approximate source location).
+fn source_line(lines: &Lines, cycle: u64) -> Option<usize> {
+    let after = lines.partition_point(|&(c, _)| c < cycle);
+    lines.get(after).or(lines.last()).map(|&(_, line)| line)
+}
+
+/// Records one lockstep group's in-window activity: lane `l`'s
+/// transitions land in `rows[l]`, one byte per `(cycle, node)` cell at
+/// `(cycle - start) · Node::COUNT + node.dense_index()`, holding the
+/// Hamming distance plus one (0: no transition). A cell hit twice keeps
+/// the later transition. Rows grow with the cycles seen, so executions
+/// may run for different numbers of cycles.
+struct Recorder<'a> {
+    rows: &'a mut [Vec<u8>],
+    window: (u64, u64),
+    /// On execution 0's walk: its program, for the source map, and the
+    /// lines its retirements reach.
+    lines: Option<(&'a Program, &'a mut Lines)>,
     horizon: u64,
 }
 
-impl PipelineObserver for Walk {
-    fn node_event(&mut self, event: NodeEvent) {
-        self.recording.node_event(event);
+impl BlockObserver for Recorder<'_> {
+    #[inline]
+    fn node_events(&mut self, events: &[NodeEvent]) {
+        let Some(first) = events.first() else {
+            return;
+        };
+        let (start, end) = self.window;
+        if first.cycle < start || first.cycle >= end {
+            return;
+        }
+        let offset = (first.cycle - start) as usize * Node::COUNT;
+        let cell = offset + first.node.dense_index();
+        for (row, event) in self.rows.iter_mut().zip(events) {
+            if row.len() <= cell {
+                row.resize(offset + Node::COUNT, 0);
+            }
+            row[cell] = event.hamming_distance() as u8 + 1;
+        }
     }
 
-    fn retire(&mut self, cycle: u64, addr: u32, insn: Insn) {
-        self.recording.retire(cycle, addr, insn);
+    fn retire(&mut self, cycle: u64, addr: u32, _insn: Insn) {
+        let Some((program, lines)) = &mut self.lines else {
+            return;
+        };
+        let Some(line) = program.source_line(addr) else {
+            return;
+        };
+        match lines.last_mut() {
+            Some(last) if last.0 == cycle => last.1 = line,
+            _ => lines.push((cycle, line)),
+        }
+        // Findings lie before the window's end, so a lookup never reads
+        // past the first line at or after the window's last cycle: the
+        // walk ends once that cycle completes.
+        if cycle >= self.window.1.saturating_sub(1) {
+            self.horizon = cycle + 1;
+        }
     }
 
     fn horizon(&self) -> u64 {
@@ -177,99 +293,239 @@ impl PipelineObserver for Walk {
     }
 }
 
+/// One worker's share of the audit: a row per execution, in execution
+/// order, and execution 0's source lines.
+#[derive(Default)]
+struct Activity {
+    rows: Vec<Vec<u8>>,
+    lines: Lines,
+}
+
+impl Mergeable for Activity {
+    fn merge(&mut self, other: Activity) {
+        self.rows.extend(other.rows);
+        self.lines.extend(other.lines);
+    }
+}
+
+/// One worker's simulators: a scalar CPU, and the lockstep block until
+/// its first divergence.
+struct Worker {
+    cpu: Cpu,
+    block: Option<CpuBlock>,
+}
+
+/// The executions' shared inputs.
+struct Executions<'a, S> {
+    program: &'a Program,
+    stage: &'a S,
+    inputs: &'a [Vec<u8>],
+    window: (u64, u64),
+}
+
+impl<S: Fn(&mut Cpu, &[u8]) + Sync> Executions<'_, S> {
+    /// Walks executions `base..base + count`, one per lane of `sim`, and
+    /// returns their rows. Every execution starts from the template and
+    /// walks: each is a trace of its own, with nothing to share. A walk
+    /// that does not diverge publishes its work, as the campaign
+    /// engines' do ([`sca_power::publish_walks`]).
+    fn walk<C: LaneSim>(
+        &self,
+        sim: &mut C,
+        base: usize,
+        count: usize,
+        lines: Option<&mut Lines>,
+    ) -> Result<Vec<Vec<u8>>, C::Error> {
+        let mut seeds = [0u64; MAX_LANES];
+        for (seed, e) in seeds[..count].iter_mut().zip(base..) {
+            *seed = 0xaad017 ^ e as u64;
+        }
+        let mut shared = SharedWalk::start(sim, count);
+        sim.restart_lanes(self.program.entry(), &seeds[..count]);
+        for (lane, input) in self.inputs[base..base + count].iter().enumerate() {
+            (self.stage)(sim.lane_cpu(lane), input);
+        }
+        let walks = shared.must_walk(sim);
+        debug_assert!(walks, "a trace's first execution walks");
+        let mut rows = vec![Vec::new(); count];
+        let mut recorder = Recorder {
+            rows: &mut rows,
+            window: self.window,
+            horizon: if lines.is_some() {
+                u64::MAX
+            } else {
+                self.window.1
+            },
+            lines: lines.map(|lines| (self.program, lines)),
+        };
+        let cycles = sim.run_lanes(&mut recorder)?.cycles * shared.walking();
+        shared.walked(sim);
+        sca_power::publish_walks(count as u64, cycles, &shared);
+        Ok(rows)
+    }
+}
+
 /// Runs the audit.
 ///
-/// `stage` receives the CPU and the input bytes before every execution;
-/// inputs are uniform random bytes of length `input_len`.
+/// The template is a fresh CPU with `program` loaded, warmed by one
+/// execution of an all-zero input; `stage` receives a CPU and the input
+/// bytes before every execution, and inputs are uniform random bytes of
+/// length `input_len`.
 ///
 /// # Errors
 ///
-/// Propagates simulator faults.
+/// [`AuditError::TooFewExecutions`] below four executions, before any
+/// simulation; propagates simulator faults.
 pub fn audit_program(
     uarch: &UarchConfig,
     program: &Program,
     input_len: usize,
-    stage: impl Fn(&mut Cpu, &[u8]),
+    stage: impl Fn(&mut Cpu, &[u8]) + Sync,
     models: &[SecretModel],
     config: &AuditConfig,
-) -> Result<AuditReport, UarchError> {
-    use rand::Rng;
-
-    let mut cpu = Cpu::new(uarch.clone());
-    cpu.load(program)?;
+) -> Result<AuditReport, AuditError> {
+    check_executions(config.executions)?;
+    let mut template = Cpu::new(uarch.clone());
+    template.load(program)?;
     // Warm-up.
-    stage(&mut cpu, &vec![0u8; input_len]);
-    cpu.run(&mut sca_uarch::NullObserver)?;
+    stage(&mut template, &vec![0u8; input_len]);
+    template.run(&mut NullObserver)?;
+    audit_template(&template, program, input_len, &stage, models, config)
+}
 
+fn check_executions(executions: usize) -> Result<(), AuditError> {
+    if executions < NEEDED_EXECUTIONS {
+        return Err(AuditError::TooFewExecutions {
+            executions,
+            needed: NEEDED_EXECUTIONS,
+        });
+    }
+    Ok(())
+}
+
+/// The audit of `program` on clones of the loaded, warmed `template`
+/// (see [`audit_program`]).
+pub(crate) fn audit_template<S>(
+    template: &Cpu,
+    program: &Program,
+    input_len: usize,
+    stage: &S,
+    models: &[SecretModel],
+    config: &AuditConfig,
+) -> Result<AuditReport, AuditError>
+where
+    S: Fn(&mut Cpu, &[u8]) + Sync,
+{
+    check_executions(config.executions)?;
+    let executions = config.executions;
     let mut rng = StdRng::seed_from_u64(config.seed);
-    // (node, cycle) -> per-execution Hamming distance of the transition.
-    let mut activity: BTreeMap<(Node, u64), Vec<f64>> = BTreeMap::new();
-    let mut inputs: Vec<Vec<u8>> = Vec::with_capacity(config.executions);
-    let mut retire_lines: BTreeMap<u64, usize> = BTreeMap::new();
-
-    for execution in 0..config.executions {
-        let mut input = vec![0u8; input_len];
-        rng.fill(&mut input[..]);
-        cpu.restart_seeded(program.entry(), 0xaad017 ^ execution as u64);
-        stage(&mut cpu, &input);
-        let mut walk = Walk {
-            recording: RecordingObserver::new(),
-            horizon: match config.window {
-                Some((_, end)) if execution > 0 => end,
-                _ => u64::MAX,
-            },
-        };
-        cpu.run(&mut walk)?;
-        let obs = walk.recording;
-        for event in &obs.events {
-            if let Some((start, end)) = config.window {
-                if event.cycle < start || event.cycle >= end {
+    let inputs: Vec<Vec<u8>> = (0..executions)
+        .map(|_| {
+            let mut input = vec![0u8; input_len];
+            rng.fill(&mut input[..]);
+            input
+        })
+        .collect();
+    let window = config.window.unwrap_or((0, u64::MAX));
+    let run = Executions {
+        program,
+        stage,
+        inputs: &inputs,
+        window,
+    };
+    let lanes = config.lanes.clamp(1, MAX_LANES);
+    let plan = ShardPlan {
+        items: executions,
+        threads: config.threads.max(1),
+        batch: DEFAULT_BATCH,
+    };
+    let worker = || Worker {
+        cpu: template.clone(),
+        block: (lanes > 1).then(|| CpuBlock::from_template(template, lanes)),
+    };
+    let Activity { rows, lines } = run_sharded(
+        &plan,
+        worker,
+        Activity::default,
+        |worker, activity, range| {
+            let mut e = range.start;
+            while e < range.end {
+                // Execution 0 walks past the window, alone: its retirements
+                // place findings in the source.
+                if e == 0 {
+                    let rows = run.walk(&mut worker.cpu, 0, 1, Some(&mut activity.lines))?;
+                    activity.rows.extend(rows);
+                    e += 1;
                     continue;
                 }
+                let group = lanes.min(range.end - e);
+                if let Some(block) = worker.block.as_mut().filter(|_| group > 1) {
+                    if let Ok(rows) = run.walk(block, e, group, None) {
+                        activity.rows.extend(rows);
+                        e += group;
+                        continue;
+                    }
+                    // Divergence: retire the block for this worker and
+                    // re-run the group on the scalar path (nothing of it
+                    // was kept).
+                    worker.block = None;
+                }
+                for index in e..e + group {
+                    activity
+                        .rows
+                        .extend(run.walk(&mut worker.cpu, index, 1, None)?);
+                }
+                e += group;
             }
-            activity
-                .entry((event.node, event.cycle))
-                .or_insert_with(|| vec![0.0; config.executions])[execution] =
-                f64::from(event.hamming_distance());
+            Ok::<(), UarchError>(())
+        },
+    )?;
+
+    // Every (node, cycle) cell some execution touched, in (node, cycle)
+    // order; an execution without a transition there contributes 0.
+    let threshold = significance_threshold(executions as u64, config.confidence);
+    let predictions: Vec<Vec<f64>> = models
+        .iter()
+        .map(|model| inputs.iter().map(|input| (model.f)(input)).collect())
+        .collect();
+    let width = rows.iter().map(Vec::len).max().unwrap_or(0);
+    let mut touched = vec![false; width];
+    for row in &rows {
+        for (touched, &cell) in touched.iter_mut().zip(row) {
+            *touched |= cell != 0;
         }
-        if execution == 0 {
-            for &(cycle, addr) in &obs.retirements {
-                if let Some(line) = program.source_line(addr) {
-                    retire_lines.insert(cycle, line);
+    }
+    let mut found: Vec<Vec<Finding>> = vec![Vec::new(); models.len()];
+    let mut series = vec![0.0; executions];
+    for dense in 0..Node::COUNT {
+        let node = Node::from_dense_index(dense);
+        for cell in (dense..width).step_by(Node::COUNT) {
+            if !touched[cell] {
+                continue;
+            }
+            for (value, row) in series.iter_mut().zip(&rows) {
+                *value = f64::from(row.get(cell).map_or(0, |&hd| hd.saturating_sub(1)));
+            }
+            let cycle = window.0 + (cell / Node::COUNT) as u64;
+            for ((model, predictions), found) in models.iter().zip(&predictions).zip(&mut found) {
+                let corr = pearson(predictions, &series);
+                if corr.abs() >= threshold {
+                    found.push(Finding {
+                        node,
+                        cycle,
+                        model: model.name.clone(),
+                        corr,
+                        source_line: source_line(&lines, cycle),
+                    });
                 }
             }
         }
-        inputs.push(input);
     }
-
-    let threshold = significance_threshold(config.executions as u64, config.confidence);
-    let mut findings = Vec::new();
-    for model in models {
-        let predictions: Vec<f64> = inputs.iter().map(|i| (model.f)(i)).collect();
-        for ((node, cycle), series) in &activity {
-            let corr = pearson(&predictions, series);
-            if corr.abs() >= threshold {
-                // Attribute to the closest retirement at or after the
-                // event cycle (approximate source location).
-                let source_line = retire_lines
-                    .range(cycle..)
-                    .next()
-                    .or_else(|| retire_lines.range(..cycle).next_back())
-                    .map(|(_, &line)| line);
-                findings.push(Finding {
-                    node: *node,
-                    cycle: *cycle,
-                    model: model.name.clone(),
-                    corr,
-                    source_line,
-                });
-            }
-        }
-    }
+    let mut findings: Vec<Finding> = found.into_iter().flatten().collect();
     findings.sort_by(|a, b| b.corr.abs().partial_cmp(&a.corr.abs()).expect("finite"));
     Ok(AuditReport {
         findings,
-        executions: config.executions,
+        executions,
     })
 }
 

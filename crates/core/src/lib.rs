@@ -37,7 +37,7 @@ mod leakchar;
 mod scenarios;
 mod targets;
 
-pub use audit::{audit_program, AuditConfig, AuditReport, Finding, SecretModel};
+pub use audit::{audit_program, AuditConfig, AuditError, AuditReport, Finding, SecretModel};
 pub use cpi::{
     insn_of_class, measure_cpi, stage_cpi_registers, CpiBenchmark, CpiMeasurement, LDST_BASE_A,
     LDST_BASE_B, LDST_SCRATCH,

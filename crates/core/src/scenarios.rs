@@ -14,9 +14,9 @@
 
 use sca_isa::{assemble, Program, Reg};
 use sca_sched::{harden_program, pin_lanes, HardenConfig, SharePolicy};
-use sca_uarch::{Cpu, Node, UarchConfig, UarchError};
+use sca_uarch::{Cpu, Node, UarchConfig};
 
-use crate::{audit_program, AuditConfig, AuditReport, SecretModel};
+use crate::{audit_program, AuditConfig, AuditError, AuditReport, SecretModel};
 
 /// One masked-code schedule under audit, with its expected verdict.
 #[derive(Debug)]
@@ -174,12 +174,12 @@ pub fn masking_scenarios() -> Vec<MaskingScenario> {
 ///
 /// # Errors
 ///
-/// Propagates simulator faults.
+/// As [`audit_program`].
 pub fn audit_scenario(
     scenario: &MaskingScenario,
     uarch: &UarchConfig,
     config: &AuditConfig,
-) -> Result<AuditReport, UarchError> {
+) -> Result<AuditReport, AuditError> {
     audit_program(
         uarch,
         &scenario.program,

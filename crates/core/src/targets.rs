@@ -6,33 +6,34 @@
 //! models with the true key, and a symbol-level analysis window — so
 //! auditing a cipher reduces to adapting the trait: the target's
 //! models (evaluated at the true key) become the audit's secret
-//! expressions, and its primary window is resolved into absolute
-//! cycles by one probe run. No cipher is named anywhere.
+//! expressions, and its primary window, resolved into absolute cycles,
+//! bounds the audit. No cipher is named anywhere.
+//!
+//! [`audit_program`]: crate::audit_program
 
-use sca_target::{resolve_window, CipherTarget, TargetError};
-use sca_uarch::{Node, UarchConfig};
+use sca_target::{CipherTarget, ResolvedWindow, TargetError};
+use sca_uarch::{Cpu, Node};
 
-use crate::{audit_program, AuditConfig, AuditReport, SecretModel};
+use crate::audit::audit_template;
+use crate::{AuditConfig, AuditError, AuditReport, SecretModel};
 
 /// Audits a cipher target's models against every microarchitectural
-/// node inside the target's primary window.
+/// node inside `window` (the target's primary window, resolved).
 ///
-/// The audit constructs its own bare CPU, so each execution stages the
-/// full memory contract ([`CipherTarget::stage_constants`]) before the
-/// per-execution input — unlike campaigns, which reuse a warmed
-/// template.
+/// Every execution starts from `template` — the target's loaded,
+/// constant-staged and warmed CPU ([`CipherTarget::build`]), as the
+/// campaigns use it — and stages only its input.
 ///
 /// # Errors
 ///
-/// Propagates simulator faults; a misconfigured target window surfaces
-/// as [`TargetError::Window`] naming the target instead of a panic.
+/// Propagates simulator faults; fewer than four executions fail with
+/// [`TargetError::TooFewObservations`] before any simulation.
 pub fn audit_cipher_target(
     target: &dyn CipherTarget,
-    uarch: &UarchConfig,
+    template: &Cpu,
+    window: &ResolvedWindow,
     config: &AuditConfig,
 ) -> Result<AuditReport, TargetError> {
-    let cpu = target.build(uarch)?;
-    let window = resolve_window(target, &cpu, &target.primary_window())?;
     // The audit draws raw random input bytes itself, bypassing the
     // target's `generate`/`finish_input` path — canonicalize before
     // both prediction and staging so derived suffixes (e.g. SPECK's
@@ -49,22 +50,24 @@ pub fn audit_cipher_target(
             })
         })
         .collect();
-    Ok(audit_program(
-        uarch,
+    audit_template(
+        template,
         target.program(),
         target.input_len(),
-        |cpu, input| {
-            target
-                .stage_constants(cpu)
-                .expect("target memory contract is mapped");
-            target.stage(cpu, &canon(input));
-        },
+        &|cpu: &mut Cpu, input: &[u8]| target.stage(cpu, &canon(input)),
         &models,
         &AuditConfig {
             window: Some(window.absolute),
             ..config.clone()
         },
-    )?)
+    )
+    .map_err(|e| match e {
+        AuditError::TooFewExecutions { executions, needed } => TargetError::TooFewObservations {
+            traces: executions,
+            needed,
+        },
+        AuditError::Uarch(e) => e.into(),
+    })
 }
 
 /// Counts a report's findings on the operand path (operand buses,
@@ -87,7 +90,8 @@ pub fn leak_paths(report: &AuditReport) -> (usize, usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sca_target::AesTarget;
+    use sca_target::{resolve_window, AesTarget};
+    use sca_uarch::UarchConfig;
 
     /// The unprotected AES target must audit dirty (its S-box outputs
     /// cross the pipeline in the clear) — through the fully generic
@@ -95,9 +99,15 @@ mod tests {
     #[test]
     fn unprotected_aes_audits_dirty_through_the_trait() {
         let target = AesTarget::default();
+        let template = target
+            .build(&UarchConfig::cortex_a7().with_ideal_memory())
+            .expect("target builds");
+        let window =
+            resolve_window(&target, &template, &target.primary_window()).expect("window resolves");
         let report = audit_cipher_target(
             &target,
-            &UarchConfig::cortex_a7().with_ideal_memory(),
+            &template,
+            &window,
             &AuditConfig {
                 executions: 150,
                 ..AuditConfig::default()
@@ -111,5 +121,34 @@ mod tests {
             "expected operand/memory-path findings, got {:?}",
             report.findings
         );
+    }
+
+    /// Too few executions fail typed, before any simulation.
+    #[test]
+    fn too_few_executions_are_a_typed_error() {
+        let target = AesTarget::default();
+        let template = target
+            .build(&UarchConfig::cortex_a7().with_ideal_memory())
+            .expect("target builds");
+        let window =
+            resolve_window(&target, &template, &target.primary_window()).expect("window resolves");
+        for executions in [0, 3] {
+            let result = audit_cipher_target(
+                &target,
+                &template,
+                &window,
+                &AuditConfig {
+                    executions,
+                    ..AuditConfig::default()
+                },
+            );
+            assert!(
+                matches!(
+                    result,
+                    Err(TargetError::TooFewObservations { traces, needed: 4 }) if traces == executions
+                ),
+                "{executions} executions: {result:?}"
+            );
+        }
     }
 }

@@ -157,6 +157,32 @@ impl Node {
         }
     }
 
+    /// The node at dense index `index`: the inverse of
+    /// [`Node::dense_index`].
+    ///
+    /// # Panics
+    ///
+    /// Panics for `index >= Node::COUNT`.
+    pub fn from_dense_index(index: usize) -> Node {
+        let sub = |base: usize| (index - base) as u8;
+        match index {
+            0..=3 => Node::RfRead(sub(0)),
+            4..=7 => Node::OperandBus(sub(4)),
+            8..=15 => Node::IsExOp {
+                pipe: Pipe::ALL[(index - 8) / 2],
+                slot: sub(8) % 2,
+            },
+            16 => Node::ShiftBuf,
+            17..=20 => Node::AluOut(Pipe::ALL[index - 17]),
+            21..=24 => Node::ExWbBuf(Pipe::ALL[index - 21]),
+            25..=28 => Node::WbBus(sub(25)),
+            29 => Node::Mdr,
+            30 => Node::AlignBuf,
+            31..=34 => Node::FetchWord(sub(31)),
+            _ => panic!("dense index {index} outside the tracked set"),
+        }
+    }
+
     /// The coarse component this node belongs to, used for weight lookup
     /// and for grouping in characterization reports (the columns of
     /// Table 2).
@@ -534,6 +560,7 @@ mod tests {
         assert_eq!(nodes.len(), Node::COUNT);
         for (i, node) in nodes.iter().enumerate() {
             assert_eq!(node.dense_index(), i, "{node}");
+            assert_eq!(Node::from_dense_index(i), *node);
         }
     }
 

@@ -12,6 +12,10 @@
 //!   loop), windowed and windowless: its executions run different
 //!   numbers of cycles.
 //!
+//! Every digest must hold at each thread × lane setting in
+//! [`SETTINGS`]: an execution starts from the template, so a report
+//! does not depend on which worker or lane ran it.
+//!
 //! Regenerate the table only for an explained change:
 //! `AUDIT_ENGINE_PRINT=1 cargo test --release --test audit_engine --
 //! --nocapture`.
@@ -21,11 +25,11 @@ use rand::{Rng, SeedableRng};
 
 use superscalar_sca::analysis::input_word;
 use superscalar_sca::core::{
-    audit_cipher_target, audit_program, audit_scenario, masking_scenarios, AuditConfig,
+    audit_cipher_target, audit_program, audit_scenario, masking_scenarios, AuditConfig, AuditError,
     AuditReport, SecretModel,
 };
 use superscalar_sca::isa::{assemble, Program, Reg};
-use superscalar_sca::target::portfolio;
+use superscalar_sca::target::{portfolio, resolve_window};
 use superscalar_sca::uarch::{Cpu, NullObserver, UarchConfig};
 
 /// The portfolio's default master seed (`PortfolioConfig::default`).
@@ -39,6 +43,10 @@ const SCENARIO_EXECUTIONS: usize = 300;
 
 /// Executions of each input-dependent audit.
 const TIMING_EXECUTIONS: usize = 200;
+
+/// `(threads, lanes)`: every setting each digest must hold at; 3 lanes
+/// leave partial lockstep groups.
+const SETTINGS: [(usize, usize); 6] = [(1, 1), (1, 3), (1, 8), (2, 1), (2, 3), (2, 8)];
 
 /// The pinned digests, by case name.
 const PINS: &[(&str, u64)] = &[
@@ -84,21 +92,33 @@ fn digest(report: &AuditReport) -> u64 {
     hash
 }
 
-/// Checks every computed digest against [`PINS`], reporting them all.
-fn check(computed: &[(String, u64)]) {
+/// `config` at one thread × lane setting.
+fn at(config: &AuditConfig, (threads, lanes): (usize, usize)) -> AuditConfig {
+    AuditConfig {
+        threads,
+        lanes,
+        ..config.clone()
+    }
+}
+
+/// Checks every computed `(case, setting, digest)` against [`PINS`],
+/// reporting them all.
+fn check(computed: &[(String, (usize, usize), u64)]) {
     if std::env::var_os("AUDIT_ENGINE_PRINT").is_some() {
-        for (name, digest) in computed {
+        for (name, _, digest) in computed.iter().filter(|(_, s, _)| *s == SETTINGS[0]) {
             println!("    (\"{name}\", {digest:#018x}),");
         }
     }
     let mismatches: Vec<String> = computed
         .iter()
-        .filter(|(name, digest)| {
+        .filter(|(name, _, digest)| {
             PINS.iter()
                 .find(|(pinned, _)| pinned == name)
                 .is_none_or(|(_, pinned)| pinned != digest)
         })
-        .map(|(name, digest)| format!("{name}: {digest:#018x}"))
+        .map(|(name, (threads, lanes), digest)| {
+            format!("{name} at {threads} threads, {lanes} lanes: {digest:#018x}")
+        })
         .collect();
     assert!(
         mismatches.is_empty(),
@@ -113,17 +133,21 @@ fn portfolio_target_audits_are_pinned() {
     let mut computed = Vec::new();
     for (i, target) in portfolio().iter().enumerate() {
         let salt = i as u64 + 1;
-        let report = audit_cipher_target(
-            target.as_ref(),
-            &uarch,
-            &AuditConfig {
-                executions: TARGET_EXECUTIONS,
-                seed: PORTFOLIO_SEED ^ 0xa0d17 ^ salt,
-                ..AuditConfig::default()
-            },
-        )
-        .expect("target audit runs");
-        computed.push((target.name().to_owned(), digest(&report)));
+        // The portfolio's template and primary window.
+        let template = target.build(&uarch).expect("target builds");
+        let window = resolve_window(target.as_ref(), &template, &target.primary_window())
+            .expect("window resolves");
+        let config = AuditConfig {
+            executions: TARGET_EXECUTIONS,
+            seed: PORTFOLIO_SEED ^ 0xa0d17 ^ salt,
+            ..AuditConfig::default()
+        };
+        for setting in SETTINGS {
+            let report =
+                audit_cipher_target(target.as_ref(), &template, &window, &at(&config, setting))
+                    .expect("target audit runs");
+            computed.push((target.name().to_owned(), setting, digest(&report)));
+        }
     }
     check(&computed);
 }
@@ -136,16 +160,16 @@ fn masking_scenario_audits_are_pinned() {
         ("ideal", UarchConfig::cortex_a7().with_ideal_memory()),
     ] {
         for scenario in masking_scenarios() {
-            let report = audit_scenario(
-                &scenario,
-                &uarch,
-                &AuditConfig {
-                    executions: SCENARIO_EXECUTIONS,
-                    ..AuditConfig::default()
-                },
-            )
-            .expect("scenario audit runs");
-            computed.push((format!("{} ({memory})", scenario.name), digest(&report)));
+            let config = AuditConfig {
+                executions: SCENARIO_EXECUTIONS,
+                ..AuditConfig::default()
+            };
+            for setting in SETTINGS {
+                let report = audit_scenario(&scenario, &uarch, &at(&config, setting))
+                    .expect("scenario audit runs");
+                let name = format!("{} ({memory})", scenario.name);
+                computed.push((name, setting, digest(&report)));
+            }
         }
     }
     check(&computed);
@@ -227,22 +251,49 @@ fn input_dependent_audits_are_pinned() {
     let uarch = UarchConfig::cortex_a7();
     let mut computed = Vec::new();
     for (name, window) in [("windowed", Some((4, 20))), ("windowless", None)] {
-        let report = audit_program(
-            &uarch,
-            &program,
-            4,
-            stage_word,
-            &timing_models(),
-            &AuditConfig {
-                executions: TIMING_EXECUTIONS,
-                seed: TIMING_SEED,
-                window,
-                ..AuditConfig::default()
-            },
-        )
-        .expect("audit runs");
-        assert!(!report.is_clean(), "{name}: the input must leak");
-        computed.push((format!("timing {name}"), digest(&report)));
+        let config = AuditConfig {
+            executions: TIMING_EXECUTIONS,
+            seed: TIMING_SEED,
+            window,
+            ..AuditConfig::default()
+        };
+        for setting in SETTINGS {
+            let report = audit_program(
+                &uarch,
+                &program,
+                4,
+                stage_word,
+                &timing_models(),
+                &at(&config, setting),
+            )
+            .expect("audit runs");
+            assert!(!report.is_clean(), "{name}: the input must leak");
+            computed.push((format!("timing {name}"), setting, digest(&report)));
+        }
     }
     check(&computed);
+}
+
+/// Below the four executions the significance threshold needs, an
+/// audit fails typed instead of panicking after simulating them all.
+#[test]
+fn too_few_executions_are_a_typed_error() {
+    let vulnerable = &masking_scenarios()[0];
+    for executions in [0, 3] {
+        let result = audit_scenario(
+            vulnerable,
+            &UarchConfig::cortex_a7(),
+            &AuditConfig {
+                executions,
+                ..AuditConfig::default()
+            },
+        );
+        assert!(
+            matches!(
+                result,
+                Err(AuditError::TooFewExecutions { executions: e, needed: 4 }) if e == executions
+            ),
+            "{executions} executions: {result:?}"
+        );
+    }
 }

@@ -5,7 +5,7 @@
 //! Running the same campaign with 1 or 4 threads and with scalar or
 //! 8-wide lockstep simulation must move every one of them by exactly
 //! the same amount, through either engine (`Campaign` and
-//! `ComponentCampaign`).
+//! `ComponentCampaign`) and through the node audit.
 //!
 //! Observability counters (batch counts, lockstep/scalar split, page
 //! pool statistics) deliberately *do* depend on scheduling and are
@@ -19,11 +19,12 @@ use std::sync::Mutex;
 
 use proptest::prelude::*;
 
-use superscalar_sca::analysis::{hw8, FnSelection};
+use superscalar_sca::analysis::{hw8, input_word, FnSelection};
 use superscalar_sca::campaign::{
     Campaign, CampaignConfig, ComponentCampaign, CpaSink, Mergeable, ShardPlan, StoreOptions,
 };
-use superscalar_sca::isa::{assemble, Reg};
+use superscalar_sca::core::{audit_program, AuditConfig, SecretModel};
+use superscalar_sca::isa::{assemble, Program, Reg};
 use superscalar_sca::power::{GaussianNoise, LeakageWeights, SamplingConfig};
 use superscalar_sca::telemetry::{self, Snapshot};
 use superscalar_sca::uarch::{Cpu, NodeKind, UarchConfig};
@@ -63,7 +64,18 @@ const WORK_COUNTERS: &[&str] = &[
 /// compulsory misses once per scalar arena but once per lane per
 /// block, which is scheduling, not work.)
 fn fixture() -> (Cpu, u32) {
-    let program = assemble(
+    let program = kernel();
+    let mut cpu = Cpu::new(UarchConfig::cortex_a7());
+    cpu.load(&program).expect("fixture loads");
+    cpu.set_reg(Reg::R10, 0x800);
+    cpu.run(&mut superscalar_sca::uarch::NullObserver)
+        .expect("warm-up run");
+    (cpu, program.entry())
+}
+
+/// The fixture's kernel: one staged load in a trigger window.
+fn kernel() -> Program {
+    assemble(
         "
         trig #1
         ldr r1, [r10]
@@ -73,13 +85,7 @@ fn fixture() -> (Cpu, u32) {
         halt
     ",
     )
-    .expect("fixture assembles");
-    let mut cpu = Cpu::new(UarchConfig::cortex_a7());
-    cpu.load(&program).expect("fixture loads");
-    cpu.set_reg(Reg::R10, 0x800);
-    cpu.run(&mut superscalar_sca::uarch::NullObserver)
-        .expect("warm-up run");
-    (cpu, program.entry())
+    .expect("fixture assembles")
 }
 
 fn generate(rng: &mut rand::rngs::StdRng, _index: usize) -> Vec<u8> {
@@ -160,6 +166,33 @@ fn component_campaign(seed: u64, traces: usize, threads: usize, lanes: usize) {
     assert_eq!(counted.0, traces);
 }
 
+/// The fixture's kernel audited over a window that ends before the
+/// second `nop`, so execution 0 walks on past it alone.
+fn audit(seed: u64, executions: usize, threads: usize, lanes: usize) {
+    let report = audit_program(
+        &UarchConfig::cortex_a7(),
+        &kernel(),
+        4,
+        |cpu: &mut Cpu, input: &[u8]| {
+            cpu.set_reg(Reg::R10, 0x800);
+            stage(cpu, input);
+        },
+        &[SecretModel::new("HW(word)", |input: &[u8]| {
+            f64::from(input_word(input, 0).count_ones())
+        })],
+        &AuditConfig {
+            executions,
+            seed,
+            window: Some((1, 4)),
+            threads,
+            lanes,
+            ..AuditConfig::default()
+        },
+    )
+    .expect("audit runs");
+    assert_eq!(report.executions, executions);
+}
+
 /// The allowlisted counter movements caused by `run`.
 fn deltas(run: impl FnOnce()) -> Vec<(&'static str, u64)> {
     let before = telemetry::global().snapshot();
@@ -177,7 +210,7 @@ proptest! {
     /// Property: for any seed and campaign size, the work-counter
     /// deltas of `--threads {1,4} x --lanes {1,8}` are element-wise
     /// identical, and the campaign actually did the work it planned —
-    /// for both engines.
+    /// for both engines and the audit.
     #[test]
     fn work_counters_are_thread_and_lane_invariant(
         seed in 0u64..1_000_000,
@@ -196,11 +229,12 @@ proptest! {
                         .expect("campaign runs");
                 });
                 let component = deltas(|| component_campaign(seed, traces, threads, lanes));
-                runs.push((threads, lanes, [moved, component]));
+                let audited = deltas(|| audit(seed, traces, threads, lanes));
+                runs.push((threads, lanes, [moved, component, audited]));
             }
         }
         let (_, _, first) = &runs[0];
-        let [reference, component] = first;
+        let [reference, component, audited] = first;
         // The campaign did what it planned: all traces simulated, the
         // probe plus two executions per trace through the simulator,
         // and the load kernel touched the data cache.
@@ -228,6 +262,17 @@ proptest! {
         for name in ["campaign/traces_planned", "campaign/traces_simulated", "power/samples"] {
             prop_assert_eq!(component(name), 0, "{} moved", name);
         }
+        // The audit publishes the same: one walk per execution.
+        let audited = |name: &str| {
+            audited.iter().find(|(n, _)| *n == name).expect("allowlisted").1
+        };
+        prop_assert_eq!(audited("power/simulator_runs"), traces as u64);
+        prop_assert_eq!(audited("power/walks"), traces as u64);
+        prop_assert!(audited("uarch/cycles") > 0, "walks must count their cycles");
+        prop_assert!(audited("uarch/l1d/accesses") > 0, "load kernel must hit L1D");
+        for name in ["campaign/traces_planned", "campaign/traces_simulated", "power/samples"] {
+            prop_assert_eq!(audited(name), 0, "{} moved", name);
+        }
         for (threads, lanes, moved) in &runs[1..] {
             prop_assert_eq!(
                 first, moved,
@@ -235,6 +280,33 @@ proptest! {
             );
         }
     }
+}
+
+/// A campaign's probe walks once, and its walk's cache accesses count
+/// with it: a campaign of no traces moves `power/walks` by one and the
+/// cache counters with it.
+#[test]
+fn the_probe_publishes_its_cache_accesses() {
+    let _guard = COUNTER_LOCK
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    let (cpu, entry) = fixture();
+    let moved = deltas(|| {
+        Campaign::new(LeakageWeights::cortex_a7(), config(7, 0, 1))
+            .run(&cpu, entry, generate, stage, sink)
+            .expect("campaign runs");
+    });
+    let get = |name: &str| {
+        moved
+            .iter()
+            .find(|(n, _)| *n == name)
+            .expect("allowlisted")
+            .1
+    };
+    assert_eq!(get("power/walks"), 1);
+    assert!(get("uarch/cycles") > 0);
+    assert!(get("uarch/l1i/accesses") > 0, "the probe fetches");
+    assert!(get("uarch/l1d/accesses") > 0, "the probe loads");
 }
 
 /// The same invariance through the persistent-store path: a stored
