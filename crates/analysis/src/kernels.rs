@@ -5,8 +5,8 @@
 //! that adds each trace, weighted by each guess's prediction, into the
 //! `guess × sample` matrix ([`cross_moments`]). Both run in fixed-width
 //! blocks, the shape LLVM reliably turns into packed vector code on
-//! stable Rust, with no nightly intrinsics, no `unsafe`, no target
-//! features and no external crates.
+//! stable Rust, with no nightly intrinsics, no target features, no
+//! external crates and nothing outside safe Rust.
 //!
 //! [`cross_moments`] is register-blocked. For each tile of [`XY_TILE`]
 //! samples, and for each guess, it loads [`XY_LANES`] `Σx·y` elements
