@@ -166,8 +166,9 @@ fn component_campaign(seed: u64, traces: usize, threads: usize, lanes: usize) {
     assert_eq!(counted.0, traces);
 }
 
-/// The fixture's kernel audited over a window that ends before the
-/// second `nop`, so execution 0 walks on past it alone.
+/// The fixture's kernel audited over a window that ends cycles before
+/// the kernel does, so every execution but the first stops early and
+/// execution 0 walks on past it alone.
 fn audit(seed: u64, executions: usize, threads: usize, lanes: usize) {
     let report = audit_program(
         &UarchConfig::cortex_a7(),
