@@ -12,15 +12,19 @@
 //! and the traces are compared bit-for-bit, not to an epsilon.
 
 use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 use sca_target::{characterize_target, portfolio, TargetCampaignConfig};
-use superscalar_sca::campaign::{Campaign, CampaignConfig};
+use superscalar_sca::campaign::{
+    Campaign, CampaignConfig, ComponentCampaign, Mergeable, ShardPlan,
+};
+use superscalar_sca::core::{audit_program, AuditConfig, AuditError, SecretModel};
 use superscalar_sca::isa::{assemble, Reg};
 use superscalar_sca::power::{
     AcquisitionConfig, BlockPowerRecorder, GaussianNoise, PowerRecorder, SamplingConfig,
     SynthScratch, TraceSet, TraceSynthesizer,
 };
-use superscalar_sca::uarch::{Cpu, CpuBlock, UarchConfig, UarchError};
+use superscalar_sca::uarch::{Cpu, CpuBlock, NodeKind, NullObserver, UarchConfig, UarchError};
 
 const LANE_COUNTS: [usize; 4] = [1, 2, 5, 8];
 
@@ -198,7 +202,8 @@ fn campaign_results_are_lane_count_invariant() {
 /// load outside RAM fails the whole campaign with that load's
 /// `BadAddress`, at one lane (straight from the scalar path) and at
 /// eight (the block diverges, and the scalar fallback re-runs the group
-/// and surfaces the fault).
+/// and surfaces the fault). The same holds for a characterization and
+/// for a node audit with one such execution.
 #[test]
 fn a_faulting_trace_fails_the_campaign_with_its_bad_address() {
     const GOOD: u32 = 0x800;
@@ -251,11 +256,84 @@ fn a_faulting_trace_fails_the_campaign_with_its_bad_address() {
         .map(|set| set.len())
     };
 
+    let stage = |cpu: &mut Cpu, input: &[u8]| {
+        let addr = u32::from_le_bytes(input.try_into().expect("4-byte input"));
+        cpu.set_reg(Reg::R10, addr);
+    };
+    let characterize = |lanes: usize| {
+        ComponentCampaign {
+            components: &[NodeKind::Mdr],
+            window: (0, 4),
+            seed: 0xbad,
+            noise: GaussianNoise::bare_metal(),
+            executions: 2,
+            lanes,
+            plan: ShardPlan {
+                items: 16,
+                threads: 2,
+                batch: 8,
+            },
+        }
+        .run(
+            &template,
+            program.entry(),
+            |_: &mut StdRng, index| {
+                (if index == 11 { BAD } else { GOOD })
+                    .to_le_bytes()
+                    .to_vec()
+            },
+            stage,
+            Channels::default,
+            |_, _, _| {},
+        )
+    };
+
+    // The audit's input stream: execution `e` takes the `e`-th draw, and
+    // execution 11's input is staged as the unmapped address.
+    const AUDIT_SEED: u64 = 0xbad;
+    let faulting: [u8; 4] = {
+        let mut rng = StdRng::seed_from_u64(AUDIT_SEED);
+        let mut input = [0u8; 4];
+        for _ in 0..12 {
+            rng.fill(&mut input[..]);
+        }
+        input
+    };
+    let audit = |lanes: usize| {
+        audit_program(
+            &UarchConfig::cortex_a7(),
+            &program,
+            4,
+            |cpu: &mut Cpu, input: &[u8]| {
+                let addr = if input == faulting { BAD } else { GOOD };
+                cpu.set_reg(Reg::R10, addr);
+            },
+            &[SecretModel::new("b0", |input: &[u8]| f64::from(input[0]))],
+            &AuditConfig {
+                executions: 16,
+                seed: AUDIT_SEED,
+                threads: 2,
+                lanes,
+                ..AuditConfig::default()
+            },
+        )
+    };
+
     for lanes in [1, 8] {
         assert_eq!(
             run(lanes),
             Err(UarchError::BadAddress(BAD)),
             "lanes {lanes}"
+        );
+        assert_eq!(
+            characterize(lanes).err(),
+            Some(UarchError::BadAddress(BAD)),
+            "characterization, lanes {lanes}"
+        );
+        let audited = audit(lanes);
+        assert!(
+            matches!(audited, Err(AuditError::Uarch(UarchError::BadAddress(BAD)))),
+            "audit, lanes {lanes}: {audited:?}"
         );
     }
 }
@@ -305,6 +383,107 @@ fn characterization_is_lane_count_invariant() {
                     assert_eq!(gc.significant, rc.significant);
                 }
             }
+        }
+    }
+}
+
+/// Every trace's averaged channels, in index order.
+#[derive(Default)]
+struct Channels(Vec<(Vec<u8>, Vec<Vec<f32>>)>);
+
+impl Mergeable for Channels {
+    fn merge(&mut self, other: Channels) {
+        self.0.extend(other.0);
+    }
+}
+
+/// A characterization whose window holds an input-dependent loop
+/// (`r1 & 7` + 1 turns of a `subs`/`bne` spin): its lockstep groups
+/// diverge, and the scalar fallback must still produce channels
+/// bit-identical to one lane's at every lane and thread count —
+/// including the partial groups of 3 lanes and the 2-thread split.
+#[test]
+fn a_divergent_characterization_is_lane_and_thread_invariant() {
+    let program = assemble(&format!(
+        "
+        trig #1
+        eor r3, r1, r1, ror #7
+        mov r4, r3
+        add r5, r3, r1
+        and r2, r1, #7
+        add r2, r2, #1
+spin:   subs r2, r2, #1
+        bne spin
+{}        trig #0
+        halt
+    ",
+        "        nop\n".repeat(16)
+    ))
+    .expect("assembles");
+    let mut template = Cpu::new(UarchConfig::cortex_a7());
+    template.load(&program).expect("loads");
+    template.run(&mut NullObserver).expect("warm-up runs");
+    let stage = |cpu: &mut Cpu, input: &[u8]| {
+        cpu.set_reg(
+            Reg::R1,
+            u32::from_le_bytes(input.try_into().expect("4-byte input")),
+        );
+    };
+    let cycles = |r1: u32| {
+        let mut cpu = template.clone();
+        cpu.restart_seeded(program.entry(), 0);
+        cpu.set_reg(Reg::R1, r1);
+        cpu.run(&mut NullObserver).expect("runs").cycles
+    };
+    assert!(cycles(0) < cycles(7), "the loop must steer the timing");
+
+    let run = |lanes: usize, threads: usize| {
+        ComponentCampaign {
+            components: &[NodeKind::IsExBuffer, NodeKind::ExWbBuffer, NodeKind::Alu],
+            window: (0, 40),
+            seed: 0xd1e5,
+            noise: GaussianNoise::bare_metal(),
+            executions: 2,
+            lanes,
+            plan: ShardPlan {
+                items: 11,
+                threads,
+                batch: 4,
+            },
+        }
+        .run(
+            &template,
+            program.entry(),
+            |rng: &mut StdRng, _| rng.gen::<u32>().to_le_bytes().to_vec(),
+            stage,
+            Channels::default,
+            |sink, input, channels| sink.0.push((input.to_vec(), channels.to_vec())),
+        )
+        .expect("characterization runs")
+        .0
+    };
+
+    let bits = |traces: &[(Vec<u8>, Vec<Vec<f32>>)]| -> Vec<(Vec<u8>, Vec<Vec<u32>>)> {
+        traces
+            .iter()
+            .map(|(input, channels)| {
+                let channels = channels
+                    .iter()
+                    .map(|c| c.iter().map(|s| s.to_bits()).collect())
+                    .collect();
+                (input.clone(), channels)
+            })
+            .collect()
+    };
+    let reference = bits(&run(1, 1));
+    assert_eq!(reference.len(), 11);
+    for lanes in [1, 3, 8] {
+        for threads in [1, 2] {
+            assert_eq!(
+                bits(&run(lanes, threads)),
+                reference,
+                "lanes {lanes} threads {threads}"
+            );
         }
     }
 }
