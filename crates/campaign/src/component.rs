@@ -20,7 +20,7 @@ use sca_power::{
 };
 use sca_uarch::{Cpu, CpuBlock, LaneSim, NodeKind, SharedWalk, UarchError, MAX_LANES};
 
-use crate::{run_sharded, Mergeable, ShardPlan};
+use crate::{run_sharded, Lockstep, Mergeable, ShardPlan};
 
 /// A per-component acquisition campaign, recorded with the Cortex-A7
 /// leakage weights.
@@ -52,12 +52,11 @@ pub struct ComponentCampaign<'a> {
     pub plan: ShardPlan,
 }
 
-/// One worker's reusable state: a scalar CPU and recorder, the lockstep
-/// block until its first divergence, and the per-trace buffers.
-struct Worker {
-    cpu: Cpu,
-    recorder: ComponentPowerRecorder,
-    block: Option<(CpuBlock, BlockComponentPowerRecorder)>,
+/// One simulator of a worker, with its recorder and its lanes'
+/// per-trace buffers.
+struct Sim<C, const L: usize> {
+    sim: C,
+    recorder: LaneComponentRecorder<L>,
     /// `lanes × components` execution-summed power.
     sums: Vec<Vec<Vec<f64>>>,
     /// One component's per-cycle power of one execution, in window
@@ -92,91 +91,86 @@ impl ComponentCampaign<'_> {
         K: Mergeable + Send,
         A: Fn(&mut K, &[u8], &[Vec<f32>]) + Sync,
     {
-        let lanes = self.lanes.clamp(1, MAX_LANES);
-        let components = self.components.len();
-        // The recorders integrate only the window's cycles.
-        let (start, len) = self.window;
-        let kept = Some((start, start.saturating_add(len)));
-        let worker = || Worker {
-            cpu: template.clone(),
-            recorder: {
-                let mut recorder = ComponentPowerRecorder::new(LeakageWeights::cortex_a7());
-                recorder.keep_cycles(kept);
-                recorder
-            },
-            block: (lanes > 1).then(|| {
-                let mut recorder =
-                    BlockComponentPowerRecorder::new(LeakageWeights::cortex_a7(), lanes);
-                recorder.keep_cycles(kept);
-                (CpuBlock::from_template(template, lanes), recorder)
-            }),
-            sums: vec![vec![Vec::new(); components]; lanes],
-            samples: Vec::new(),
-            channels: vec![Vec::new(); components],
+        let worker = || {
+            let recorder = ComponentPowerRecorder::new(LeakageWeights::cortex_a7());
+            Lockstep::new(
+                self.lanes,
+                self.sim(template.clone(), recorder, 1),
+                |lanes| {
+                    let recorder =
+                        BlockComponentPowerRecorder::new(LeakageWeights::cortex_a7(), lanes);
+                    self.sim(CpuBlock::from_template(template, lanes), recorder, lanes)
+                },
+            )
         };
-        run_sharded(&self.plan, worker, sink, |worker, sink, range| {
-            let mut t = range.start;
-            while t < range.end {
-                let width = if worker.block.is_some() { lanes } else { 1 };
-                let group = width.min(range.end - t);
-                if let Some((block, recorder)) = worker.block.as_mut().filter(|_| group > 1) {
-                    let recorded = self.record_group(
-                        block,
-                        recorder,
-                        (&mut worker.sums, &mut worker.samples),
-                        (entry, t, group),
-                        &generate,
-                        &stage,
-                    );
-                    if let Ok(inputs) = recorded {
-                        self.absorb_all(worker, sink, &inputs, &absorb);
-                        t += group;
-                        continue;
-                    }
-                    // Divergence: retire the block for this worker and
-                    // re-run the group on the scalar path (nothing of it
-                    // was absorbed yet).
-                    worker.block = None;
-                }
-                for index in t..t + group {
-                    let inputs = self.record_group(
-                        &mut worker.cpu,
-                        &mut worker.recorder,
-                        (&mut worker.sums, &mut worker.samples),
-                        (entry, index, 1),
-                        &generate,
-                        &stage,
-                    )?;
-                    self.absorb_all(worker, sink, &inputs, &absorb);
-                }
-                t += group;
+        let closures = (&generate, &stage, &absorb);
+        run_sharded(&self.plan, worker, sink, |sims, sink, range| {
+            for base in range.clone().step_by(sims.lanes()) {
+                let count = sims.lanes().min(range.end - base);
+                sims.group(
+                    sink,
+                    (base, count),
+                    |block, sink| {
+                        self.trace_group(block, sink, (entry, base, count), closures)
+                            .ok()
+                    },
+                    |cpu, sink, index| self.trace_group(cpu, sink, (entry, index, 1), closures),
+                )?;
             }
             Ok(())
         })
     }
 
-    /// Records traces `base..base + count`, one per lane of `sim`, into
-    /// `sums[..count]`; returns their inputs. Each lane draws from its
-    /// own per-index streams and the recorder keeps each lane's events
-    /// in one-lane order, so the sums do not depend on the lane count.
-    /// An execution that starts where the last walk did rescrambles that
-    /// walk instead of walking. A group that does not diverge publishes
-    /// its walk work, as `Campaign`'s do ([`sca_power::publish_walks`]).
-    #[inline]
-    fn record_group<C: LaneSim, const L: usize, G, S>(
+    /// A simulator with `lanes` lanes' buffers and a recorder that
+    /// integrates only the window's cycles.
+    fn sim<C, const L: usize>(
         &self,
-        sim: &mut C,
-        recorder: &mut LaneComponentRecorder<L>,
-        (sums, samples): (&mut [Vec<Vec<f64>>], &mut Vec<f64>),
+        sim: C,
+        mut recorder: LaneComponentRecorder<L>,
+        lanes: usize,
+    ) -> Sim<C, L> {
+        let (start, len) = self.window;
+        recorder.keep_cycles(Some((start, start.saturating_add(len))));
+        let components = self.components.len();
+        Sim {
+            sim,
+            recorder,
+            sums: vec![vec![Vec::new(); components]; lanes],
+            samples: Vec::new(),
+            channels: vec![Vec::new(); components],
+        }
+    }
+
+    /// Records traces `base..base + count`, one per lane of `sim`, and
+    /// hands each, averaged over its executions, to the sink in index
+    /// order. Each lane draws from its own per-index streams and the
+    /// recorder keeps each lane's events in one-lane order, so the
+    /// channels do not depend on the lane count. An execution that
+    /// starts where the last walk did rescrambles that walk instead of
+    /// walking. A group that does not diverge publishes its walk work,
+    /// as `Campaign`'s do ([`sca_power::publish_walks`]); one that does
+    /// neither publishes nor absorbs anything.
+    #[inline]
+    fn trace_group<C: LaneSim, const L: usize, G, S, K, A>(
+        &self,
+        Sim {
+            sim,
+            recorder,
+            sums,
+            samples,
+            channels,
+        }: &mut Sim<C, L>,
+        sink: &mut K,
         (entry, base, count): (u32, usize, usize),
-        generate: &G,
-        stage: &S,
-    ) -> Result<Vec<Vec<u8>>, C::Error>
+        (generate, stage, absorb): (&G, &S, &A),
+    ) -> Result<(), C::Error>
     where
         G: Fn(&mut StdRng, usize) -> Vec<u8> + Sync,
         S: Fn(&mut Cpu, &[u8]) + Sync,
+        A: Fn(&mut K, &[u8], &[Vec<f32>]) + Sync,
     {
         let len = self.window.1;
+        let executions = self.executions.max(1);
         let mut rngs: Vec<StdRng> = (base..base + count)
             .map(|t| StdRng::seed_from_u64(self.seed.wrapping_add(t as u64 * 0x9e37)))
             .collect();
@@ -193,7 +187,7 @@ impl ComponentCampaign<'_> {
         let mut seeds = [0u64; MAX_LANES];
         let mut shared = SharedWalk::start(sim, count);
         let mut cycles = 0;
-        for e in 0..self.executions.max(1) {
+        for e in 0..executions {
             for (seed, t) in seeds[..count].iter_mut().zip(base..) {
                 *seed = self.seed ^ ((t as u64) << 8 | e as u64);
             }
@@ -222,26 +216,15 @@ impl ComponentCampaign<'_> {
                 }
             }
         }
-        sca_power::publish_walks((count * self.executions.max(1)) as u64, cycles, &shared);
-        Ok(inputs)
-    }
-
-    /// Averages the recorded lanes' sums into channels and hands each
-    /// trace to the sink, in index order.
-    fn absorb_all<K>(
-        &self,
-        worker: &mut Worker,
-        sink: &mut K,
-        inputs: &[Vec<u8>],
-        absorb: &impl Fn(&mut K, &[u8], &[Vec<f32>]),
-    ) {
-        let inv = 1.0 / self.executions.max(1) as f64;
-        for (input, sums) in inputs.iter().zip(&worker.sums) {
-            for (channel, sum) in worker.channels.iter_mut().zip(sums) {
+        sca_power::publish_walks((count * executions) as u64, cycles, &shared);
+        let inv = 1.0 / executions as f64;
+        for (input, sums) in inputs.iter().zip(&*sums) {
+            for (channel, sum) in channels.iter_mut().zip(sums) {
                 channel.clear();
                 channel.extend(sum.iter().map(|&s| (s * inv) as f32));
             }
-            absorb(sink, input, &worker.channels);
+            absorb(sink, input, channels);
         }
+        Ok(())
     }
 }

@@ -10,7 +10,8 @@ use sca_power::{
 };
 use sca_uarch::{Cpu, UarchError};
 
-use crate::{run_sharded, CampaignSink, ShardPlan, SimArena, DEFAULT_BATCH};
+use crate::arena::SimArena;
+use crate::{run_sharded, CampaignSink, ShardPlan, DEFAULT_BATCH};
 
 /// Default lockstep lane width: the widest block the simulator
 /// supports ([`sca_uarch::MAX_LANES`]). Campaigns synthesize traces in
@@ -93,13 +94,14 @@ impl Campaign {
 
     /// Sets the lockstep lane width (builder style): consecutive traces
     /// are synthesized `lanes` at a time through one
-    /// [`sca_uarch::CpuBlock`]. Clamped to
-    /// `1..=`[`sca_uarch::MAX_LANES`]; 1 disables lockstep entirely.
+    /// [`sca_uarch::CpuBlock`]. Each worker's [`crate::Lockstep`]
+    /// clamps it to `1..=`[`sca_uarch::MAX_LANES`]; 1 disables lockstep
+    /// entirely.
     /// Results are bit-identical at every setting — the differential
     /// tests in `tests/lockstep_conformance.rs` pin this.
     #[must_use]
     pub fn with_lanes(mut self, lanes: usize) -> Campaign {
-        self.lanes = lanes.clamp(1, sca_uarch::MAX_LANES);
+        self.lanes = lanes;
         self
     }
 
@@ -237,7 +239,8 @@ impl Campaign {
     /// sinks merged in worker order. An unstored run is one call over
     /// every trace; a stored run calls it once per checkpoint segment,
     /// with a `persist` hook that takes each group as soon as it is
-    /// synthesized: its first index, inputs and windowed traces.
+    /// synthesized: its first index, inputs and windowed traces. Each
+    /// batch publishes its traces and their lockstep/scalar split.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn run_range<G, S, P, K, E>(
         &self,
@@ -268,52 +271,54 @@ impl Campaign {
         let parent = sca_telemetry::current_span_path();
         run_sharded(
             &plan,
-            || SimArena::with_lanes(&self.synth, cpu, self.lanes),
+            || SimArena::new(&self.synth, cpu, self.lanes),
             || sink(samples),
             |arena, acc, batch| {
-                arena.begin_batch();
+                let (start, end) = (range.start + batch.start, range.start + batch.end);
+                let (inputs, flat) = &mut arena.batch;
+                inputs.clear();
+                flat.clear();
                 // One `simulate` span per batch, closed while `persist`
                 // writes each group, so store I/O is timed apart.
                 let mut simulate = None;
-                let (mut index, end) = (range.start + batch.start, range.start + batch.end);
-                while index < end {
-                    let group = self.lanes.min(end - index);
+                let mut lockstep = 0;
+                for index in (start..end).step_by(arena.sims.lanes()) {
+                    let group = arena.sims.lanes().min(end - index);
                     simulate.get_or_insert_with(|| {
                         sca_telemetry::span_at(sca_telemetry::child_path(&parent, "simulate"))
                     });
-                    arena.push_windowed_group(
+                    if arena.push_windowed_group(
                         &self.synth,
                         entry,
-                        index,
-                        group,
+                        (index, group),
                         window,
-                        generate,
-                        stage,
-                        post,
-                    )?;
+                        (generate, stage, post),
+                    )? {
+                        lockstep += group as u64;
+                    }
                     if let Some(persist) = persist {
                         simulate = None;
                         let _span =
                             sca_telemetry::span_at(sca_telemetry::child_path(&parent, "store-io"));
-                        let first = arena.inputs.len() - group;
-                        persist(
-                            index,
-                            &arena.inputs[first..],
-                            &arena.flat[first * samples..],
-                        )?;
+                        let (inputs, flat) = &arena.batch;
+                        let first = inputs.len() - group;
+                        persist(index, &inputs[first..], &flat[first * samples..])?;
                     }
-                    index += group;
                 }
                 drop(simulate);
                 {
                     let _span =
                         sca_telemetry::span_at(sca_telemetry::child_path(&parent, "absorb"));
-                    let (inputs, flat) = arena.batch();
+                    let (inputs, flat) = &arena.batch;
                     acc.absorb_batch(inputs, flat, samples);
                 }
+                // Every trace takes exactly one path; both counts are
+                // published even at zero.
                 sca_telemetry::counter!("campaign/traces_simulated").add(batch.len() as u64);
+                sca_telemetry::counter!("campaign/lockstep_traces").add(lockstep);
+                sca_telemetry::counter!("campaign/scalar_traces")
+                    .add(batch.len() as u64 - lockstep);
                 sca_telemetry::counter!("campaign/batches").inc();
-                arena.publish_metrics();
                 Ok(())
             },
         )

@@ -115,13 +115,19 @@
 //! ## Layering
 //!
 //! * [`ShardPlan`] / [`run_sharded`] / [`Mergeable`] — the generic
-//!   deterministic map-reduce both engines run on;
-//! * [`SimArena`] — one worker's reusable simulation state (staged CPU,
-//!   power recorder, synthesis scratch, batch buffers): created once per
-//!   shard and reused across the worker's whole index range, so the
-//!   steady-state trace loop is allocation-free;
+//!   deterministic map-reduce both engines (and `sca-core`'s node audit)
+//!   run on;
+//! * [`Lockstep`] — one worker's simulators, a scalar one and a lockstep
+//!   block, and the one step all three loops take per group: on the
+//!   block until it diverges, then retired (counted in
+//!   `campaign/blocks_poisoned`) and rerun item by item on the scalar
+//!   simulator;
 //! * [`Campaign`] / [`CampaignConfig`] — the standard power-trace
-//!   campaign (probe for the window length, synthesize, crop, stream);
+//!   campaign (probe for the window length, synthesize, crop, stream).
+//!   Each worker keeps one reusable arena (its [`Lockstep`] simulators
+//!   with their recorders and synthesis buffers, and the batch buffers),
+//!   created once per shard, so the steady-state trace loop is
+//!   allocation-free; the loop counts the lockstep/scalar trace split;
 //! * [`ComponentCampaign`] — the per-component campaign of the Table 2
 //!   characterization and `sca-target`'s `characterize_target`: one
 //!   execution-averaged channel per requested component, handed trace
@@ -151,13 +157,14 @@
 mod arena;
 mod component;
 mod engine;
+mod lockstep;
 mod shard;
 mod sink;
 mod store_run;
 
-pub use arena::SimArena;
 pub use component::ComponentCampaign;
 pub use engine::{Campaign, CampaignConfig, DEFAULT_LANES};
+pub use lockstep::Lockstep;
 pub use shard::{run_sharded, Mergeable, ShardPlan, DEFAULT_BATCH};
 pub use sink::{CampaignSink, Checkpointable, CorrSink, CpaSink, CropSink, TtestSink};
 pub use store_run::{

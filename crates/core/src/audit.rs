@@ -29,7 +29,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use sca_analysis::{pearson, significance_threshold};
-use sca_campaign::{run_sharded, Mergeable, ShardPlan, DEFAULT_BATCH, DEFAULT_LANES};
+use sca_campaign::{run_sharded, Lockstep, Mergeable, ShardPlan, DEFAULT_BATCH, DEFAULT_LANES};
 use sca_isa::{Insn, Program};
 use sca_uarch::{
     BlockObserver, Cpu, CpuBlock, LaneSim, Node, NodeEvent, NullObserver, SharedWalk, UarchConfig,
@@ -308,13 +308,6 @@ impl Mergeable for Activity {
     }
 }
 
-/// One worker's simulators: a scalar CPU, and the lockstep block until
-/// its first divergence.
-struct Worker {
-    cpu: Cpu,
-    block: Option<CpuBlock>,
-}
-
 /// The executions' shared inputs.
 struct Executions<'a, S> {
     program: &'a Program,
@@ -433,53 +426,44 @@ where
         inputs: &inputs,
         window,
     };
-    let lanes = config.lanes.clamp(1, MAX_LANES);
     let plan = ShardPlan {
         items: executions,
         threads: config.threads.max(1),
         batch: DEFAULT_BATCH,
     };
-    let worker = || Worker {
-        cpu: template.clone(),
-        block: (lanes > 1).then(|| CpuBlock::from_template(template, lanes)),
+    let worker = || {
+        Lockstep::new(config.lanes, template.clone(), |lanes| {
+            CpuBlock::from_template(template, lanes)
+        })
     };
-    let Activity { rows, lines } = run_sharded(
-        &plan,
-        worker,
-        Activity::default,
-        |worker, activity, range| {
+    let Activity { rows, lines } =
+        run_sharded(&plan, worker, Activity::default, |sims, activity, range| {
             let mut e = range.start;
             while e < range.end {
-                // Execution 0 walks past the window, alone: its retirements
-                // place findings in the source.
-                if e == 0 {
-                    let rows = run.walk(&mut worker.cpu, 0, 1, Some(&mut activity.lines))?;
-                    activity.rows.extend(rows);
-                    e += 1;
-                    continue;
-                }
-                let group = lanes.min(range.end - e);
-                if let Some(block) = worker.block.as_mut().filter(|_| group > 1) {
-                    if let Ok(rows) = run.walk(block, e, group, None) {
-                        activity.rows.extend(rows);
-                        e += group;
-                        continue;
-                    }
-                    // Divergence: retire the block for this worker and
-                    // re-run the group on the scalar path (nothing of it
-                    // was kept).
-                    worker.block = None;
-                }
-                for index in e..e + group {
-                    activity
-                        .rows
-                        .extend(run.walk(&mut worker.cpu, index, 1, None)?);
-                }
-                e += group;
+                // Execution 0 walks past the window, alone: its
+                // retirements place findings in the source.
+                let count = if e == 0 {
+                    1
+                } else {
+                    sims.lanes().min(range.end - e)
+                };
+                sims.group(
+                    activity,
+                    (e, count),
+                    |block, activity| {
+                        activity.rows.extend(run.walk(block, e, count, None).ok()?);
+                        Some(())
+                    },
+                    |cpu, activity, e| {
+                        let lines = (e == 0).then_some(&mut activity.lines);
+                        run.walk(cpu, e, 1, lines)
+                            .map(|rows| activity.rows.extend(rows))
+                    },
+                )?;
+                e += count;
             }
             Ok::<(), UarchError>(())
-        },
-    )?;
+        })?;
 
     // Every (node, cycle) cell some execution touched, in (node, cycle)
     // order; an execution without a transition there contributes 0.

@@ -254,7 +254,8 @@ fn child_seed(master: u64, index: u64) -> u64 {
 /// clipped synthesis keeps — and the noise-skip jumps, one per distance
 /// skipped (a campaign skips the same few distances every execution, so
 /// each jump polynomial is computed once per worker). A campaign worker
-/// owns one of these (inside its `SimArena`) for its entire index range.
+/// owns one of these per lane of its scalar CPU and of its lockstep
+/// block, for its entire index range.
 #[derive(Clone, Debug, Default)]
 pub struct SynthScratch {
     /// Execution-averaged power, in f64 (converted to f32 only at the

@@ -100,9 +100,10 @@ impl Cpu {
     /// worker threading cannot change results).
     ///
     /// This is the per-execution *reset* of the trace-generation fast
-    /// path: a campaign worker's `SimArena` keeps one staged `Cpu` for
-    /// its whole index range and calls this between executions instead
-    /// of re-constructing and re-loading a simulator. The reset is
+    /// path: every acquisition worker (`Campaign`'s, `ComponentCampaign`'s
+    /// and the node audit's) keeps one staged `Cpu` for its whole index
+    /// range and calls this between executions instead of
+    /// re-constructing and re-loading a simulator. The reset is
     /// deliberately cheap — fixed-size node/pipeline state is
     /// overwritten in place and the event queue recycles its slot
     /// storage, so nothing here allocates once the arena is warm —

@@ -197,34 +197,45 @@ fn non_divisor_batches_are_bit_identical() {
     }
 }
 
-/// The arena fast path (one reused CPU, recorder and scratch buffer per
-/// worker) must produce byte-identical traces to a fresh simulator
-/// state per trace: a trace is a pure function of `(seed, index)`, no
-/// matter how many traces the arena's buffers have already been
-/// through — and no matter in which order the indices are visited.
+/// The arena fast path (one reused CPU, recorder, scratch buffer and
+/// trace per worker) must produce byte-identical traces to a fresh
+/// simulator state per trace: a trace is a pure function of
+/// `(seed, index)`, no matter how many traces the reused buffers have
+/// already been through — and no matter in which order the indices are
+/// visited.
 #[test]
 fn arena_reuse_is_byte_identical_to_fresh_simulators() {
-    use superscalar_sca::campaign::SimArena;
-
     let (cpu, entry) = fixture();
     let synth = synthesizer(&campaign_config(1, 64));
     let post = |_: &mut rand::rngs::StdRng, _: &mut Vec<f64>| {};
 
-    // One arena, reused across every trace — including a revisit of
-    // index 0 after the buffers are thoroughly warm.
-    let mut arena = SimArena::new(&synth, &cpu);
+    // One CPU, recorder, scratch and trace, reused across every trace —
+    // including a revisit of index 0 after the buffers are thoroughly
+    // warm.
+    let mut reused = cpu.clone();
+    let mut recorder = PowerRecorder::new(synth.weights().clone());
+    let mut scratch = SynthScratch::new();
+    let mut trace = Vec::new();
     let indices: Vec<usize> = (0..24).chain([0, 7, 23]).collect();
     for &index in &indices {
-        let (arena_trace, arena_input) = {
-            let (trace, input) = arena
-                .synthesize(&synth, entry, index, &generate, &stage, &post)
-                .expect("arena synthesizes");
-            (trace.to_vec(), input)
-        };
+        let input = synth
+            .synth_into(
+                &mut reused,
+                &mut recorder,
+                &mut scratch,
+                &mut trace,
+                entry,
+                index,
+                None,
+                &generate,
+                &stage,
+                &post,
+            )
+            .expect("reused state synthesizes");
         // Fresh per-trace state, exactly like the pre-arena engine.
         let (want_trace, want_input) = fresh_trace(&synth, &cpu, entry, index);
-        assert_eq!(arena_input, want_input, "index {index}");
-        assert_eq!(arena_trace, want_trace, "index {index}");
+        assert_eq!(input, want_input, "index {index}");
+        assert_eq!(trace, want_trace, "index {index}");
     }
 }
 

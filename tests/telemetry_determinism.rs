@@ -9,7 +9,8 @@
 //!
 //! Observability counters (batch counts, lockstep/scalar split, page
 //! pool statistics) deliberately *do* depend on scheduling and are
-//! excluded here.
+//! excluded from that property; one test pins instead how every engine
+//! counts a lockstep block it retires.
 //!
 //! The tests read deltas of the process-global registry, so they
 //! serialize on [`COUNTER_LOCK`]: two campaigns running concurrently
@@ -393,4 +394,117 @@ fn a_bounded_slice_plans_what_it_simulates() {
         get("campaign/traces_simulated"),
         "the slice planned other than it simulated"
     );
+}
+
+/// A kernel whose timing follows its input: `r1 & 7` + 1 turns of a
+/// `subs`/`bne` spin inside the trigger window, so lanes with
+/// different inputs leave lockstep. Loaded and warmed with `r1 = 0`.
+fn divergent_fixture() -> (Program, Cpu) {
+    let program = assemble(
+        "
+        trig #1
+        eor r3, r1, r1, ror #7
+        and r2, r1, #7
+        add r2, r2, #1
+spin:   subs r2, r2, #1
+        bne spin
+        mov r4, r3
+        nop
+        nop
+        trig #0
+        halt
+    ",
+    )
+    .expect("divergent kernel assembles");
+    let mut cpu = Cpu::new(UarchConfig::cortex_a7());
+    cpu.load(&program).expect("divergent kernel loads");
+    cpu.run(&mut superscalar_sca::uarch::NullObserver)
+        .expect("warm-up run");
+    (program, cpu)
+}
+
+fn stage_r1(cpu: &mut Cpu, input: &[u8]) {
+    cpu.set_reg(Reg::R1, input_word(input, 0));
+}
+
+/// Every engine retires a diverged lockstep block through the same
+/// step: at 8 lanes and one worker, a divergent kernel moves
+/// `campaign/blocks_poisoned` by exactly one through `Campaign`,
+/// `ComponentCampaign` and the node audit alike. Only `Campaign`'s
+/// traces are split into lockstep and scalar ones; the other two leave
+/// that split alone.
+#[test]
+fn every_engine_counts_its_poisoned_block() {
+    let _guard = COUNTER_LOCK
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    let (program, cpu) = divergent_fixture();
+    let entry = program.entry();
+    let moved = |run: &dyn Fn()| {
+        let before = telemetry::global().snapshot();
+        run();
+        let after = telemetry::global().snapshot();
+        [
+            "campaign/blocks_poisoned",
+            "campaign/lockstep_traces",
+            "campaign/scalar_traces",
+        ]
+        .map(|name| after.counter_delta(&before, name))
+    };
+
+    let [poisoned, lockstep, scalar] = moved(&|| {
+        Campaign::new(LeakageWeights::cortex_a7(), config(11, 16, 1))
+            .with_lanes(8)
+            .run(&cpu, entry, generate, stage_r1, sink)
+            .expect("campaign runs");
+    });
+    assert_eq!(poisoned, 1, "Campaign");
+    assert_eq!(lockstep + scalar, 16, "Campaign splits every trace");
+
+    let characterized = moved(&|| {
+        ComponentCampaign {
+            components: &[NodeKind::IsExBuffer, NodeKind::Alu],
+            window: (0, 32),
+            seed: 11,
+            noise: GaussianNoise::bare_metal(),
+            executions: 2,
+            lanes: 8,
+            plan: ShardPlan {
+                items: 16,
+                threads: 1,
+                batch: 8,
+            },
+        }
+        .run(
+            &cpu,
+            entry,
+            generate,
+            stage_r1,
+            || Traces(0),
+            |sink, _, _| sink.0 += 1,
+        )
+        .expect("component campaign runs");
+    });
+    assert_eq!(characterized, [1, 0, 0], "ComponentCampaign");
+
+    let audited = moved(&|| {
+        audit_program(
+            &UarchConfig::cortex_a7(),
+            &program,
+            4,
+            stage_r1,
+            &[SecretModel::new("HW(r1)", |input: &[u8]| {
+                f64::from(input_word(input, 0).count_ones())
+            })],
+            &AuditConfig {
+                executions: 16,
+                seed: 11,
+                threads: 1,
+                lanes: 8,
+                ..AuditConfig::default()
+            },
+        )
+        .expect("audit runs");
+    });
+    assert_eq!(audited, [1, 0, 0], "audit");
 }
