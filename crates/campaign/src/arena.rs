@@ -30,8 +30,8 @@ use sca_uarch::{Cpu, CpuBlock, UarchError};
 use crate::engine::Window;
 use crate::Lockstep;
 
-/// A simulator with its power recorder and a synthesis scratch and
-/// trace buffer per lane.
+// The scalar CPU and the lockstep block, each with its power recorder
+// and a synthesis scratch and trace buffer per lane.
 type Scalar = (Cpu, PowerRecorder, SynthScratch, Vec<f32>);
 type Block = (
     CpuBlock,
