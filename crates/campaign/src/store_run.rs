@@ -358,6 +358,9 @@ impl Campaign {
         let every = opts.checkpoint_every.max(1);
         let mut high_water = resumed_from;
         let mut checkpoints = 0u64;
+        // A sink's snapshot keeps its size from segment to segment, so
+        // each buffer is sized from the last one rather than grown.
+        let mut state_len = 0;
         while high_water < total && high_water - resumed_from < max_new_traces {
             sca_telemetry::counter!("campaign/segments").inc();
             let seg_end = (high_water + every).min(total);
@@ -374,8 +377,9 @@ impl Campaign {
             high_water = seg_end;
 
             let _span = sca_telemetry::span!("checkpoint");
-            let mut state = Vec::new();
+            let mut state = Vec::with_capacity(state_len);
             master.save_state(&mut state);
+            state_len = state.len();
             if let KillPoint::MidCheckpoint { at, keep } = opts.kill {
                 if at < high_water {
                     store.checkpoint_torn(high_water, tag, state, keep)?;

@@ -11,7 +11,7 @@
 //!   `(target, seed, noise profile, executions)` plus the analysis
 //!   window and page geometry, checksummed and written atomically.
 //! * [`page`] — fixed-size page files of quantized samples. Each slot
-//!   carries an FNV-1a checksum salted with its `(page, slot)` home, so
+//!   carries a checksum salted with its `(page, slot)` home, so
 //!   validity is per-record: torn writes damage exactly one slot, and
 //!   appends are idempotent single-`pwrite`s with no read-modify-write.
 //! * [`pool`] — a bounded buffer pool with pin counts and clock
@@ -20,6 +20,12 @@
 //!   records of `(high-water trace index, serialized sink state)`;
 //!   pages are fsynced *before* the claim is logged, torn tails are
 //!   skipped on scan and truncated on reopen.
+//!
+//! Page and log headers carry a format version that selects their
+//! checksum: FNV-1a in version 1, the files written before version 2
+//! existed, and a word-wise XXH64 in version 2, which new files get.
+//! Existing files keep their version, so old stores stay readable and
+//! appendable.
 //! * [`locks`] — [`KeyLocks`], an in-process table of per-key
 //!   exclusive locks so shard workers sharing one corpus root serialize
 //!   writers per store while distinct stores stay fully concurrent.
@@ -39,6 +45,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod checksum;
 mod error;
 pub mod locks;
 pub mod meta;

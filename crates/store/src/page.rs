@@ -1,19 +1,21 @@
 //! Fixed-size trace pages with per-slot checksums.
 //!
 //! A page file holds `capacity` trace records at fixed offsets after a
-//! small header. Each record carries its own FNV-1a checksum salted with
-//! `(page_index, slot)`, so validity is decided **per slot**: a torn
-//! write corrupts exactly the slot it tore, appends are idempotent
-//! single-`pwrite` operations (no read-modify-write), and a resumed
-//! campaign can rewrite slots at or above the checkpoint high-water mark
-//! without first repairing the rest of the page.
+//! small header. Each record carries its own checksum salted with
+//! `(page_index, slot)` — FNV-1a in a version-1 page, XXH64 in a
+//! version-2 one, as the header says — so validity is decided **per
+//! slot**: a torn write corrupts exactly the slot it tore, appends are
+//! idempotent single-`pwrite` operations (no read-modify-write), and a
+//! resumed campaign can rewrite slots at or above the checkpoint
+//! high-water mark without first repairing the rest of the page.
 
 use std::fs::{File, OpenOptions};
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 
-use crate::error::{fnv1a64_continue, StoreError};
+use crate::checksum::Version;
+use crate::error::StoreError;
 
 /// Target page size the capacity is derived from. Pages hold at least
 /// one record even when a record exceeds this.
@@ -27,26 +29,16 @@ pub const PAGE_HEADER_BYTES: usize = 16;
 pub type TraceRecord = (Vec<u8>, Vec<f32>);
 
 const PAGE_MAGIC: &[u8; 4] = b"SCPG";
-const PAGE_VERSION: u32 = 1;
-
-/// Salt every slot checksum starts from, binding a record to its exact
-/// `(page, slot)` location so a misplaced-but-intact record never
-/// validates.
-fn slot_salt(page_index: u64, slot: usize) -> u64 {
-    let mut hash = fnv1a64_continue(0xcbf2_9ce4_8422_2325, &page_index.to_le_bytes());
-    hash = fnv1a64_continue(hash, &(slot as u64).to_le_bytes());
-    hash
-}
 
 /// The store's record layout: how traces map onto pages and slots.
+///
+/// Built only by [`PageGeometry::new`], which checks that a whole page
+/// fits in memory, so every size and offset below is in range.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PageGeometry {
-    /// Campaign input bytes per trace.
-    pub input_len: usize,
-    /// Samples per trace (each stored as an `f32` bit pattern).
-    pub samples: usize,
-    /// Records per page.
-    pub capacity: usize,
+    input_len: usize,
+    samples: usize,
+    capacity: usize,
 }
 
 impl PageGeometry {
@@ -55,19 +47,51 @@ impl PageGeometry {
     ///
     /// # Errors
     ///
-    /// Returns [`StoreError::Geometry`] when `samples` is zero.
+    /// Returns [`StoreError::Geometry`] when `samples` is zero, or when
+    /// one record is too large to hold in memory.
     pub fn new(input_len: usize, samples: usize) -> Result<PageGeometry, StoreError> {
         if samples == 0 {
             return Err(StoreError::Geometry {
                 what: "a trace must have at least one sample".to_owned(),
             });
         }
-        let record = input_len + 4 * samples + 8;
+        let record = samples
+            .checked_mul(4)
+            .and_then(|bytes| bytes.checked_add(input_len))
+            .and_then(|bytes| bytes.checked_add(8))
+            // A page of one record must fit one allocation; larger
+            // capacities stay within the target size.
+            .filter(|&record| record <= isize::MAX as usize - PAGE_HEADER_BYTES);
+        let Some(record) = record else {
+            return Err(StoreError::Geometry {
+                what: format!(
+                    "a record of {input_len} input bytes and {samples} samples does not fit a page"
+                ),
+            });
+        };
         Ok(PageGeometry {
             input_len,
             samples,
             capacity: (TARGET_PAGE_BYTES / record).max(1),
         })
+    }
+
+    /// Campaign input bytes per trace.
+    #[must_use]
+    pub fn input_len(&self) -> usize {
+        self.input_len
+    }
+
+    /// Samples per trace (each stored as an `f32` bit pattern).
+    #[must_use]
+    pub fn samples(&self) -> usize {
+        self.samples
+    }
+
+    /// Records per page.
+    #[must_use]
+    pub fn capacity(&self) -> usize {
+        self.capacity
     }
 
     /// Bytes per record: input, samples as `f32` LE, slot checksum.
@@ -94,17 +118,28 @@ impl PageGeometry {
         (index % self.capacity as u64) as usize
     }
 
-    /// Byte offset of `slot` within the page.
+    /// Byte offset of `slot` within the page, or `None` when the page
+    /// has no such slot.
     #[must_use]
-    pub fn slot_offset(&self, slot: usize) -> usize {
-        PAGE_HEADER_BYTES + slot * self.record_bytes()
+    pub fn slot_offset(&self, slot: usize) -> Option<usize> {
+        (slot < self.capacity).then(|| PAGE_HEADER_BYTES + slot * self.record_bytes())
     }
 
-    /// Encodes one record: input bytes, sample bit patterns, then the
-    /// salted slot checksum over everything before it.
-    #[must_use]
-    pub fn encode_slot(
+    /// The checksum of the record in `slot` of page `page_index`.
+    fn slot_checksum(version: Version, page_index: u64, slot: usize, payload: &[u8]) -> u64 {
+        version.checksum(&[
+            &page_index.to_le_bytes(),
+            &(slot as u64).to_le_bytes(),
+            payload,
+        ])
+    }
+
+    /// Encodes one record for a page of `version`: input bytes, sample
+    /// bit patterns, then the salted slot checksum over everything
+    /// before it.
+    fn encode_slot(
         &self,
+        version: Version,
         page_index: u64,
         slot: usize,
         input: &[u8],
@@ -117,24 +152,23 @@ impl PageGeometry {
         for &sample in trace {
             out.extend_from_slice(&sample.to_bits().to_le_bytes());
         }
-        let checksum = fnv1a64_continue(slot_salt(page_index, slot), &out);
+        let checksum = PageGeometry::slot_checksum(version, page_index, slot, &out);
         out.extend_from_slice(&checksum.to_le_bytes());
         out
     }
 
-    /// Decodes the record in `slot` from a whole-page buffer, or `None`
-    /// when the slot checksum does not validate (never written, or torn).
+    /// Decodes the record in `slot` from a whole-page buffer, whose
+    /// header's version selects the checksum, or `None` when the slot
+    /// checksum does not validate (never written, or torn) or the
+    /// buffer holds no such slot.
     #[must_use]
     pub fn decode_slot(&self, page_index: u64, slot: usize, page: &[u8]) -> Option<TraceRecord> {
-        let start = self.slot_offset(slot);
-        let end = start + self.record_bytes();
-        if end > page.len() {
-            return None;
-        }
-        let record = &page[start..end];
-        let payload = &record[..record.len() - 8];
-        let stored = u64::from_le_bytes(record[record.len() - 8..].try_into().expect("8 bytes"));
-        if fnv1a64_continue(slot_salt(page_index, slot), payload) != stored {
+        let version = Version::from_u32(u32::from_le_bytes(page.get(4..8)?.try_into().ok()?))?;
+        let start = self.slot_offset(slot)?;
+        let record = page.get(start..start + self.record_bytes())?;
+        let (payload, stored) = record.split_at(record.len() - 8);
+        let stored = u64::from_le_bytes(stored.try_into().expect("8 bytes"));
+        if PageGeometry::slot_checksum(version, page_index, slot, payload) != stored {
             return None;
         }
         let input = payload[..self.input_len].to_vec();
@@ -159,6 +193,8 @@ pub struct PageFile {
     file: File,
     page_index: u64,
     geom: PageGeometry,
+    /// The header's version: the checksum written slots carry.
+    version: Version,
     /// Written since the last [`PageFile::sync`]: set by every write,
     /// cleared by the sync that covers it.
     dirty: AtomicBool,
@@ -172,9 +208,11 @@ impl PageFile {
     }
 
     /// Opens page `page_index` for writing, creating (and sizing) the
-    /// file when absent. A damaged header — e.g. a crash tore the very
-    /// creation of this page — is rewritten; slot checksums, not the
-    /// header, decide record validity.
+    /// file when absent; a new page is written in the current version,
+    /// an existing one keeps its own. A damaged header — e.g. a crash
+    /// tore the very creation of this page — is rewritten, at the
+    /// version it still names if that is a known one; slot checksums,
+    /// not the header, decide record validity.
     ///
     /// # Errors
     ///
@@ -195,16 +233,22 @@ impl PageFile {
             file.set_len(expected)?;
         }
         let mut header = [0u8; PAGE_HEADER_BYTES];
-        let valid_header = file.read_exact_at(&mut header, 0).is_ok()
-            && PageFile::check_header(&header, page_index).is_ok();
-        if !valid_header {
-            file.write_all_at(&PageFile::header_bytes(page_index), 0)?;
-        }
+        file.read_exact_at(&mut header, 0)?;
+        let version = match PageFile::check_header(&header, page_index) {
+            Ok(version) => version,
+            Err(_) => {
+                let named = u32::from_le_bytes(header[4..8].try_into().expect("4 bytes"));
+                let version = Version::from_u32(named).unwrap_or(Version::CURRENT);
+                file.write_all_at(&PageFile::header_bytes(version, page_index), 0)?;
+                version
+            }
+        };
         // Sizing or repairing the file counts as a write.
         Ok(PageFile {
             file,
             page_index,
             geom,
+            version,
             dirty: AtomicBool::new(true),
         })
     }
@@ -224,39 +268,61 @@ impl PageFile {
         let mut header = [0u8; PAGE_HEADER_BYTES];
         file.read_exact_at(&mut header, 0)
             .map_err(StoreError::from)?;
-        PageFile::check_header(&header, page_index)?;
+        let version = PageFile::check_header(&header, page_index)?;
         Ok(PageFile {
             file,
             page_index,
             geom,
+            version,
             dirty: AtomicBool::new(false),
         })
     }
 
-    fn header_bytes(page_index: u64) -> [u8; PAGE_HEADER_BYTES] {
+    fn header_bytes(version: Version, page_index: u64) -> [u8; PAGE_HEADER_BYTES] {
         let mut header = [0u8; PAGE_HEADER_BYTES];
         header[..4].copy_from_slice(PAGE_MAGIC);
-        header[4..8].copy_from_slice(&PAGE_VERSION.to_le_bytes());
+        header[4..8].copy_from_slice(&(version as u32).to_le_bytes());
         header[8..16].copy_from_slice(&page_index.to_le_bytes());
         header
     }
 
-    fn check_header(header: &[u8; PAGE_HEADER_BYTES], page_index: u64) -> Result<(), StoreError> {
+    fn check_header(
+        header: &[u8; PAGE_HEADER_BYTES],
+        page_index: u64,
+    ) -> Result<Version, StoreError> {
         let corrupt = |what: String| StoreError::Corrupt { file: "page", what };
         if &header[..4] != PAGE_MAGIC {
             return Err(corrupt("bad magic".to_owned()));
         }
         let version = u32::from_le_bytes(header[4..8].try_into().expect("4 bytes"));
-        if version != PAGE_VERSION {
-            return Err(corrupt(format!("unsupported version {version}")));
-        }
+        let version = Version::from_u32(version)
+            .ok_or_else(|| corrupt(format!("unsupported version {version}")))?;
         let stored = u64::from_le_bytes(header[8..16].try_into().expect("8 bytes"));
         if stored != page_index {
             return Err(corrupt(format!(
                 "page index {stored} does not match file name ({page_index})"
             )));
         }
-        Ok(())
+        Ok(version)
+    }
+
+    /// The encoded record for `slot` and its offset in the file.
+    fn encode_at(
+        &self,
+        slot: usize,
+        input: &[u8],
+        trace: &[f32],
+    ) -> Result<(Vec<u8>, u64), StoreError> {
+        let offset = self
+            .geom
+            .slot_offset(slot)
+            .ok_or_else(|| StoreError::Geometry {
+                what: format!("slot {slot} of a {}-slot page", self.geom.capacity),
+            })?;
+        let record = self
+            .geom
+            .encode_slot(self.version, self.page_index, slot, input, trace);
+        Ok((record, offset as u64))
     }
 
     /// Writes one record into `slot`. Idempotent: rewriting a slot with
@@ -264,11 +330,11 @@ impl PageFile {
     ///
     /// # Errors
     ///
-    /// Propagates I/O errors.
+    /// Returns [`StoreError::Geometry`] for a slot past the page's
+    /// capacity and propagates I/O errors.
     pub fn write_slot(&self, slot: usize, input: &[u8], trace: &[f32]) -> Result<(), StoreError> {
-        let record = self.geom.encode_slot(self.page_index, slot, input, trace);
-        self.file
-            .write_all_at(&record, self.geom.slot_offset(slot) as u64)?;
+        let (record, offset) = self.encode_at(slot, input, trace)?;
+        self.file.write_all_at(&record, offset)?;
         self.dirty.store(true, Ordering::Release);
         Ok(())
     }
@@ -278,7 +344,7 @@ impl PageFile {
     ///
     /// # Errors
     ///
-    /// Propagates I/O errors.
+    /// As [`write_slot`](Self::write_slot).
     pub fn write_slot_torn(
         &self,
         slot: usize,
@@ -286,10 +352,9 @@ impl PageFile {
         trace: &[f32],
         keep_bytes: usize,
     ) -> Result<(), StoreError> {
-        let record = self.geom.encode_slot(self.page_index, slot, input, trace);
+        let (record, offset) = self.encode_at(slot, input, trace)?;
         let keep = keep_bytes.min(record.len());
-        self.file
-            .write_all_at(&record[..keep], self.geom.slot_offset(slot) as u64)?;
+        self.file.write_all_at(&record[..keep], offset)?;
         self.dirty.store(true, Ordering::Release);
         Ok(())
     }
@@ -391,20 +456,61 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// An empty in-memory page of `version`.
+    fn blank_page(geom: PageGeometry, version: Version, page_index: u64) -> Vec<u8> {
+        let mut page = vec![0u8; geom.page_bytes()];
+        page[..PAGE_HEADER_BYTES].copy_from_slice(&PageFile::header_bytes(version, page_index));
+        page
+    }
+
     #[test]
     fn checksum_binds_record_to_its_location() {
         let geom = PageGeometry::new(4, 7).unwrap();
         let (input, trace) = record(3);
-        let rec = geom.encode_slot(5, 2, &input, &trace);
-        let mut page = vec![0u8; geom.page_bytes()];
-        // Plant the slot-2 record into slot 0: intact bytes, wrong home.
-        let at = geom.slot_offset(0);
-        page[at..at + rec.len()].copy_from_slice(&rec);
-        assert_eq!(geom.decode_slot(5, 0, &page), None);
-        let at2 = geom.slot_offset(2);
-        page[at2..at2 + rec.len()].copy_from_slice(&rec);
-        assert!(geom.decode_slot(5, 2, &page).is_some());
-        assert_eq!(geom.decode_slot(6, 2, &page), None, "wrong page index");
+        for version in [Version::V1, Version::V2] {
+            let rec = geom.encode_slot(version, 5, 2, &input, &trace);
+            let mut page = blank_page(geom, version, 5);
+            // Plant the slot-2 record into slot 0: intact bytes, wrong home.
+            let at = geom.slot_offset(0).unwrap();
+            page[at..at + rec.len()].copy_from_slice(&rec);
+            assert_eq!(geom.decode_slot(5, 0, &page), None);
+            let at2 = geom.slot_offset(2).unwrap();
+            page[at2..at2 + rec.len()].copy_from_slice(&rec);
+            assert!(geom.decode_slot(5, 2, &page).is_some());
+            assert_eq!(geom.decode_slot(6, 2, &page), None, "wrong page index");
+            assert_eq!(
+                geom.decode_slot(5, geom.capacity, &page),
+                None,
+                "no such slot"
+            );
+        }
+    }
+
+    #[test]
+    fn every_bit_flip_and_truncation_of_a_v2_slot_is_rejected() {
+        for (input_len, samples) in [(4, 7), (16, 1021)] {
+            let geom = PageGeometry::new(input_len, samples).unwrap();
+            let input: Vec<u8> = (0..input_len).map(|i| i as u8 ^ 0x5a).collect();
+            let trace: Vec<f32> = (0..samples).map(|s| s as f32 * -0.75).collect();
+            let slot = geom.capacity - 1;
+            let at = geom.slot_offset(slot).unwrap();
+            let rec = geom.encode_slot(Version::V2, 9, slot, &input, &trace);
+            let mut page = blank_page(geom, Version::V2, 9);
+            page[at..at + rec.len()].copy_from_slice(&rec);
+            assert_eq!(geom.decode_slot(9, slot, &page), Some((input, trace)));
+            for bit in at * 8..(at + rec.len()) * 8 {
+                page[bit / 8] ^= 1 << (bit % 8);
+                assert_eq!(geom.decode_slot(9, slot, &page), None, "bit {bit}");
+                page[bit / 8] ^= 1 << (bit % 8);
+            }
+            for cut in at..at + rec.len() {
+                assert_eq!(geom.decode_slot(9, slot, &page[..cut]), None, "cut {cut}");
+                // A torn write lands a prefix of the record over zeros.
+                let mut torn = blank_page(geom, Version::V2, 9);
+                torn[at..cut].copy_from_slice(&rec[..cut - at]);
+                assert_eq!(geom.decode_slot(9, slot, &torn), None, "torn at {cut}");
+            }
+        }
     }
 
     #[test]
@@ -415,6 +521,21 @@ mod tests {
         let huge = PageGeometry::new(16, 1_000_000).unwrap();
         assert_eq!(huge.capacity, 1);
         assert!(PageGeometry::new(16, 0).is_err());
+        // Records too large to size a page are refused, not overflowed.
+        for (input_len, samples) in [
+            (16, usize::MAX / 2),
+            (16, usize::MAX / 4),
+            (usize::MAX - 8, 1),
+            (0, isize::MAX as usize / 4),
+        ] {
+            assert!(
+                matches!(
+                    PageGeometry::new(input_len, samples),
+                    Err(StoreError::Geometry { .. })
+                ),
+                "{input_len} x {samples}"
+            );
+        }
         // page/slot arithmetic
         assert_eq!(geom.page_of(0), 0);
         let cap = geom.capacity as u64;

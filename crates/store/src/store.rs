@@ -16,6 +16,16 @@ use crate::wal::{CheckpointLog, CheckpointRecord};
 /// Default number of page buffers the read path keeps resident.
 pub const DEFAULT_POOL_FRAMES: usize = 64;
 
+/// The page geometry a header describes.
+fn geometry(meta: &StoreMeta) -> Result<PageGeometry, StoreError> {
+    let size = |field: u64| {
+        usize::try_from(field).map_err(|_| StoreError::Geometry {
+            what: format!("{field} does not fit this platform's sizes"),
+        })
+    };
+    PageGeometry::new(size(meta.input_len)?, size(meta.samples)?)
+}
+
 /// A persistent, crash-safe corpus of power traces.
 ///
 /// Appends are per-slot `pwrite`s (idempotent — rewriting a trace
@@ -42,10 +52,10 @@ impl TraceStore {
     /// Returns [`StoreError::Geometry`] for impossible record shapes and
     /// propagates I/O errors.
     pub fn create(dir: &Path, meta: StoreMeta) -> Result<TraceStore, StoreError> {
-        let geom = PageGeometry::new(meta.input_len as usize, meta.samples as usize)?;
+        let geom = geometry(&meta)?;
         fs::create_dir_all(dir)?;
         let mut meta = meta;
-        meta.page_capacity = geom.capacity as u64;
+        meta.page_capacity = geom.capacity() as u64;
         meta.save(dir)?;
         Ok(TraceStore::assemble(dir, meta, geom))
     }
@@ -59,12 +69,13 @@ impl TraceStore {
     /// absent, `Geometry` if the header describes an impossible layout.
     pub fn open_any(dir: &Path) -> Result<TraceStore, StoreError> {
         let meta = StoreMeta::load(dir)?;
-        let geom = PageGeometry::new(meta.input_len as usize, meta.samples as usize)?;
-        if meta.page_capacity != geom.capacity as u64 {
+        let geom = geometry(&meta)?;
+        if meta.page_capacity != geom.capacity() as u64 {
             return Err(StoreError::Geometry {
                 what: format!(
                     "header page capacity {} does not match derived {}",
-                    meta.page_capacity, geom.capacity
+                    meta.page_capacity,
+                    geom.capacity()
                 ),
             });
         }
@@ -154,14 +165,14 @@ impl TraceStore {
     }
 
     fn check_shape(&self, index: u64, input: &[u8], trace: &[f32]) -> Result<(), StoreError> {
-        if input.len() != self.geom.input_len || trace.len() != self.geom.samples {
+        if input.len() != self.geom.input_len() || trace.len() != self.geom.samples() {
             return Err(StoreError::Geometry {
                 what: format!(
                     "append of {} input bytes x {} samples into a {} x {} store",
                     input.len(),
                     trace.len(),
-                    self.geom.input_len,
-                    self.geom.samples
+                    self.geom.input_len(),
+                    self.geom.samples()
                 ),
             });
         }
@@ -322,12 +333,13 @@ impl TraceStore {
             });
         }
         let page_index = self.geom.page_of(index);
-        // A page file that was never created holds no traces; the pool
-        // can only have it resident if it once existed on disk.
-        if !PageFile::path(&self.dir, page_index).exists() {
-            return Ok(None);
-        }
-        let page = self.fetch_page(page_index)?;
+        let page = match self.fetch_page(page_index) {
+            Ok(page) => page,
+            // Only a pool miss reaches the disk: a page file that was
+            // never created holds no traces.
+            Err(_) if !PageFile::path(&self.dir, page_index).exists() => return Ok(None),
+            Err(e) => return Err(e),
+        };
         Ok(self
             .geom
             .decode_slot(page_index, self.geom.slot_of(index), &page))
@@ -348,14 +360,14 @@ impl TraceStore {
         let total = self.meta.total_traces;
         let mut covered = vec![false; total as usize];
         let mut page_index = 0u64;
-        while page_index * self.geom.capacity as u64 <= total {
-            let first = page_index * self.geom.capacity as u64;
+        while page_index * self.geom.capacity() as u64 <= total {
+            let first = page_index * self.geom.capacity() as u64;
             if first >= total {
                 break;
             }
             if PageFile::path(&self.dir, page_index).exists() {
                 let page = self.fetch_page(page_index)?;
-                for slot in 0..self.geom.capacity {
+                for slot in 0..self.geom.capacity() {
                     let index = first + slot as u64;
                     if index >= total {
                         break;
@@ -619,6 +631,21 @@ mod tests {
         assert_eq!(store.read_trace(2).unwrap(), None);
         store.append(2, &input, &trace).unwrap();
         assert_eq!(store.read_trace(2).unwrap(), Some((input, trace)));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn impossible_geometry_on_disk_is_a_typed_error() {
+        let dir = scratch("sca_store_store_geometry");
+        fs::create_dir_all(&dir).unwrap();
+        let mut header = meta(10);
+        header.samples = u64::MAX / 2;
+        header.page_capacity = 1;
+        header.save(&dir).unwrap();
+        assert!(matches!(
+            TraceStore::open_any(&dir),
+            Err(StoreError::Geometry { .. })
+        ));
         let _ = fs::remove_dir_all(&dir);
     }
 

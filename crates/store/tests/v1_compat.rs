@@ -184,3 +184,69 @@ fn v1_store_streams_and_restores_its_pinned_contents() {
     assert!(dir.join(META_FILE).exists());
     let _ = fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn resumed_appends_to_v1_files_stay_fnv_framed() {
+    let dir = scratch("append");
+    write_v1_store(&dir);
+    let log_before = fs::read(dir.join(WAL_FILE)).unwrap();
+    let store = TraceStore::open_any(&dir).unwrap();
+    // A rewritten trace lands in its v1 page with a v1 slot, byte for
+    // byte what the v1 writer put there.
+    let page_path = dir.join("page-00000001.scp");
+    let page_before = fs::read(&page_path).unwrap();
+    let (input, trace) = trace_for(5);
+    store.append(5, &input, &trace).unwrap();
+    assert_eq!(fs::read(&page_path).unwrap(), page_before);
+
+    let tag = analysis_tag("tvla");
+    let state = state_for(TOTAL, tag, 77);
+    store.checkpoint(TOTAL, tag, state.clone()).unwrap();
+    // Reopening truncated the torn tail; the new record follows the
+    // last whole one as a v1 frame.
+    let whole: usize = checkpoints()
+        .iter()
+        .map(|(high_water, tag, state)| v1_frame(*high_water, *tag, state).len())
+        .sum();
+    let log = fs::read(dir.join(WAL_FILE)).unwrap();
+    assert_eq!(&log[..8 + whole], &log_before[..8 + whole]);
+    assert_eq!(&log[8 + whole..], &v1_frame(TOTAL, tag, &state)[..]);
+    let last = store.last_checkpoint(tag).unwrap().unwrap();
+    assert_eq!((last.high_water, last.state), (TOTAL, state));
+    assert_eq!(stream_digest(&store), STREAM_DIGEST);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn version_3_headers_are_corrupt() {
+    let dir = scratch("v3");
+    write_v1_store(&dir);
+    let set_version = |file: &str, version: u32| {
+        let path = dir.join(file);
+        let mut bytes = fs::read(&path).unwrap();
+        bytes[4..8].copy_from_slice(&version.to_le_bytes());
+        fs::write(&path, bytes).unwrap();
+    };
+    set_version(WAL_FILE, 3);
+    let store = TraceStore::open_any(&dir).unwrap();
+    assert!(matches!(
+        store.last_checkpoint(analysis_tag("cpa-hw")),
+        Err(StoreError::Corrupt { .. })
+    ));
+    assert!(matches!(
+        store.checkpoint(TOTAL, analysis_tag("cpa-hw"), vec![1]),
+        Err(StoreError::Corrupt { .. })
+    ));
+    set_version("page-00000002.scp", 3);
+    let store = TraceStore::open_any(&dir).unwrap();
+    assert!(store.read_trace(3).unwrap().is_some());
+    assert!(matches!(
+        store.read_trace(2 * CAPACITY as u64),
+        Err(StoreError::Corrupt { .. })
+    ));
+    assert!(matches!(
+        store.stream::<StoreError>(0..TOTAL, |_, _, _| Ok(())),
+        Err(StoreError::Corrupt { .. })
+    ));
+    let _ = fs::remove_dir_all(&dir);
+}
