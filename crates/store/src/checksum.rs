@@ -50,7 +50,7 @@ fn stripes(lanes: &mut [u64; 4], bytes: &[u8]) -> usize {
 /// Feeding the bytes in any number of [`update`](WordHash::update)
 /// calls gives the hash of their concatenation, so a record is
 /// checksummed across its fields without joining them into one buffer.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub(crate) struct WordHash {
     seed: u64,
     lanes: [u64; 4],

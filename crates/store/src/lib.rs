@@ -20,12 +20,6 @@
 //!   records of `(high-water trace index, serialized sink state)`;
 //!   pages are fsynced *before* the claim is logged, torn tails are
 //!   skipped on scan and truncated on reopen.
-//!
-//! Page and log headers carry a format version that selects their
-//! checksum: FNV-1a in version 1, the files written before version 2
-//! existed, and a word-wise XXH64 in version 2, which new files get.
-//! Existing files keep their version, so old stores stay readable and
-//! appendable.
 //! * [`locks`] — [`KeyLocks`], an in-process table of per-key
 //!   exclusive locks so shard workers sharing one corpus root serialize
 //!   writers per store while distinct stores stay fully concurrent.
@@ -33,6 +27,12 @@
 //!   `append`/`stream`/`checkpoint`/`merge_from`, plus the fault
 //!   injection entry points (`append_torn`, `checkpoint_torn`) the
 //!   crash-recovery test suite drives.
+//!
+//! Page and log headers carry a format version that selects their
+//! checksum: FNV-1a in version 1, the files written before version 2
+//! existed, and a word-wise XXH64 in version 2, which new files get.
+//! Existing files keep their version, so old stores stay readable and
+//! appendable.
 //!
 //! # Determinism contract
 //!
