@@ -37,7 +37,7 @@ use std::path::PathBuf;
 use rand::rngs::StdRng;
 
 use sca_analysis::{StateError, StateReader};
-use sca_store::{analysis_tag, CorpusKey, StoreError, StoreMeta, TraceStore, META_FILE};
+use sca_store::{analysis_tag, CorpusKey, StoreError, StoreMeta, TraceStore};
 use sca_uarch::{Cpu, UarchError};
 
 use crate::engine::no_post;
@@ -206,8 +206,11 @@ impl Campaign {
     /// run resumes from the last checkpoint instead of starting over.
     ///
     /// With `opts.resume` and a store whose last checkpoint already
-    /// covers the whole campaign, the sink is restored from disk and
-    /// **nothing is simulated at all** (not even the window probe).
+    /// covers the whole campaign, the sink is restored from disk. When
+    /// the store also matches everything the campaign stamps without
+    /// probing (its configured window length included), **nothing is
+    /// simulated at all** (not even the window probe); otherwise the
+    /// probe runs and its window is checked first.
     ///
     /// Determinism: a resumed run's sink is byte-identical to an
     /// uninterrupted stored run with the same `checkpoint_every` and
@@ -277,63 +280,62 @@ impl Campaign {
     {
         let total = self.synth.config().traces as u64;
         let tag = analysis_tag(&opts.analysis);
-        let key = self.corpus_key(&opts.label);
-
-        // Fast path: a complete store restores the sink with zero
-        // simulator work — no probe, no synthesis.
-        if opts.resume && opts.dir.join(META_FILE).exists() {
-            let store = TraceStore::open_any(&opts.dir)?;
-            let found = store.meta();
-            if let Some(what) = key.diff(&found.key) {
-                return Err(StoreError::FingerprintMismatch { what }.into());
-            }
-            let want_start = self.window.map_or(0, |(s, _)| s as u64);
-            for (name, want, got) in [
-                ("total traces", total, found.total_traces),
-                ("window start", want_start, found.window_start),
-            ] {
-                if want != got {
-                    let what = format!("{name} {got} on disk vs {want} expected");
-                    return Err(StoreError::FingerprintMismatch { what }.into());
-                }
-            }
-            if let Some(master) = restore_complete(&store, &opts.analysis, &sink)? {
-                return Ok((
-                    master,
-                    StoredRunReport {
-                        resumed_from: total,
-                        samples: found.samples as usize,
-                        high_water: total,
-                        total,
-                        ..StoredRunReport::default()
-                    },
-                ));
-            }
-        }
-
-        // Slow path: probe the window, open (validating) or create the
-        // store, and run segment by segment.
-        let window = self.probe_window(cpu, entry, &generate, &stage, true)?;
-        let samples = window.samples;
         let input_len = self.synth.input_for(0, &generate).len() as u64;
-        let expected = StoreMeta {
-            key,
-            window_start: window.start as u64,
+        let stamp = |window_start: usize, samples: usize| StoreMeta {
+            key: self.corpus_key(&opts.label),
+            window_start: window_start as u64,
             samples: samples as u64,
             window_cycles: opts.window_cycles,
             total_traces: total,
             input_len,
-            page_capacity: 0, // filled in by `create`, validated by `open`
+            page_capacity: 0, // filled in by `create`
         };
-        let store = TraceStore::open_or_create(&opts.dir, &expected)?;
+        // One handle serves the whole run, and its log is read once.
+        let existing = TraceStore::open_if_exists(&opts.dir)?;
+        let last = match &existing {
+            Some(store) if opts.resume => store.last_checkpoint(tag)?,
+            _ => None,
+        };
+
+        // Fast path: a last checkpoint that covers the whole campaign,
+        // in a store matching all the campaign stamps without probing
+        // (its configured window too), restores the sink with zero
+        // simulator work. Without a configured window only the probe
+        // knows the trace's length, so the stored one is taken.
+        if let (Some(store), Some(ck)) = (&existing, &last) {
+            let (start, samples) = self.window.unwrap_or((0, store.meta().samples as usize));
+            if ck.high_water >= total && stamp(start, samples).check_corpus(store.meta()).is_ok() {
+                let mut master = sink(samples);
+                load_state(&mut master, &ck.state)?;
+                let report = StoredRunReport {
+                    resumed_from: total,
+                    samples,
+                    high_water: total,
+                    total,
+                    ..StoredRunReport::default()
+                };
+                return Ok((master, report));
+            }
+        }
+
+        // Slow path: probe the window, check (or create) the store, and
+        // run segment by segment from the last checkpoint.
+        let window = self.probe_window(cpu, entry, &generate, &stage, true)?;
+        let samples = window.samples;
+        let expected = stamp(window.start, samples);
+        let store = match existing {
+            Some(store) => {
+                expected.check_corpus(store.meta())?;
+                store
+            }
+            None => TraceStore::create(&opts.dir, expected)?,
+        };
 
         let mut master = sink(samples);
         let mut resumed_from = 0u64;
-        if opts.resume {
-            if let Some(ck) = store.last_checkpoint(tag)? {
-                load_state(&mut master, &ck.state)?;
-                resumed_from = ck.high_water.min(total);
-            }
+        if let Some(ck) = last {
+            load_state(&mut master, &ck.state)?;
+            resumed_from = ck.high_water.min(total);
         }
 
         // Appends each synthesized group in index order, with the disk
@@ -407,8 +409,8 @@ impl Campaign {
 /// Restores `sink(samples per trace)` from the last `analysis`
 /// checkpoint of `store` when that checkpoint covers the store's whole
 /// trace budget — zero simulator work, zero page reads; `None` while
-/// traces remain. A resumed [`Campaign::run_stored`] of a finished
-/// campaign returns through it, and so do `sca-target`'s `restore_*`.
+/// traces remain. `sca-target`'s `restore_*` serve finished campaigns
+/// through it.
 ///
 /// # Errors
 ///

@@ -19,14 +19,13 @@
 //! * [`wal`] — the write-ahead checkpoint log: framed, checksummed
 //!   records of `(high-water trace index, serialized sink state)`;
 //!   pages are fsynced *before* the claim is logged, torn tails are
-//!   skipped on scan and truncated on reopen.
-//! * [`locks`] — [`KeyLocks`], an in-process table of per-key
-//!   exclusive locks so shard workers sharing one corpus root serialize
-//!   writers per store while distinct stores stay fully concurrent.
-//! * [`store`] — [`TraceStore`], tying the layers together with
-//!   `append`/`stream`/`checkpoint`/`merge_from`, plus the fault
-//!   injection entry points (`append_torn`, `checkpoint_torn`) the
-//!   crash-recovery test suite drives.
+//!   skipped on scan and truncated before the next append. A handle
+//!   scans its log at most once.
+//! * [`store`] — [`TraceStore`], one handle per stored run, tying the
+//!   layers together with `append`/`stream`/`checkpoint`/`merge_from`,
+//!   plus the fault injection entry points (`append_torn`,
+//!   `checkpoint_torn`) the crash-recovery test suite drives. A store
+//!   assumes one writer per directory.
 //!
 //! Page and log headers carry a format version that selects their
 //! checksum: FNV-1a in version 1, the files written before version 2
@@ -47,7 +46,6 @@
 
 mod checksum;
 mod error;
-pub mod locks;
 pub mod meta;
 pub mod page;
 pub mod pool;
@@ -55,7 +53,6 @@ pub mod store;
 pub mod wal;
 
 pub use error::{fnv1a64, fnv1a64_continue, StoreError};
-pub use locks::{KeyLockGuard, KeyLocks};
 pub use meta::{CorpusKey, StoreMeta, META_FILE};
 pub use page::{PageFile, PageGeometry, TraceRecord, PAGE_HEADER_BYTES, TARGET_PAGE_BYTES};
 pub use pool::{BufferPool, PinnedPage, PoolStats};

@@ -37,30 +37,6 @@ pub struct CorpusKey {
     pub executions_per_trace: u64,
 }
 
-impl CorpusKey {
-    /// Describes the first field differing from `other`, if any.
-    pub fn diff(&self, other: &CorpusKey) -> Option<String> {
-        if self.label != other.label {
-            return Some(format!("label '{}' vs '{}'", self.label, other.label));
-        }
-        if self.seed != other.seed {
-            return Some(format!("seed {:#x} vs {:#x}", self.seed, other.seed));
-        }
-        if self.noise_sd_bits != other.noise_sd_bits
-            || self.noise_baseline_bits != other.noise_baseline_bits
-        {
-            return Some("noise profile differs".to_owned());
-        }
-        if self.executions_per_trace != other.executions_per_trace {
-            return Some(format!(
-                "executions per trace {} vs {}",
-                self.executions_per_trace, other.executions_per_trace
-            ));
-        }
-        None
-    }
-}
-
 /// The store's on-disk index header: corpus identity plus page-file
 /// geometry. Written once at store creation and never mutated.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -83,6 +59,45 @@ pub struct StoreMeta {
 }
 
 impl StoreMeta {
+    /// Checks that `found` describes the corpus this header does: the
+    /// same corpus key, window and layout (`window_cycles` is display
+    /// metadata and `page_capacity` follows from the layout).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`StoreError::FingerprintMismatch`] naming the first field
+    /// that differs.
+    pub fn check_corpus(&self, found: &StoreMeta) -> Result<(), StoreError> {
+        let (want, got) = (&self.key, &found.key);
+        let what = if want.label != got.label {
+            format!("label '{}' vs '{}'", want.label, got.label)
+        } else if want.seed != got.seed {
+            format!("seed {:#x} vs {:#x}", want.seed, got.seed)
+        } else if want.noise_sd_bits != got.noise_sd_bits
+            || want.noise_baseline_bits != got.noise_baseline_bits
+        {
+            "noise profile differs".to_owned()
+        } else if want.executions_per_trace != got.executions_per_trace {
+            format!(
+                "executions per trace {} vs {}",
+                want.executions_per_trace, got.executions_per_trace
+            )
+        } else if let Some((name, want, got)) = [
+            ("window start", self.window_start, found.window_start),
+            ("samples", self.samples, found.samples),
+            ("total traces", self.total_traces, found.total_traces),
+            ("input length", self.input_len, found.input_len),
+        ]
+        .into_iter()
+        .find(|(_, want, got)| want != got)
+        {
+            format!("{name} {got} on disk vs {want} expected")
+        } else {
+            return Ok(());
+        };
+        Err(StoreError::FingerprintMismatch { what })
+    }
+
     /// The fingerprint hash over every identity field (key + window) —
     /// handy for naming store directories.
     pub fn fingerprint(&self) -> u64 {
@@ -282,14 +297,26 @@ mod tests {
 
     #[test]
     fn key_diff_names_the_field() {
-        let a = sample_meta().key;
+        let a = sample_meta();
         let mut b = a.clone();
-        assert_eq!(a.diff(&b), None);
-        b.seed ^= 1;
-        assert!(a.diff(&b).unwrap().contains("seed"));
+        assert_eq!(a.check_corpus(&b), Ok(()));
+        let names = |b: &StoreMeta| match a.check_corpus(b) {
+            Err(StoreError::FingerprintMismatch { what }) => what,
+            other => panic!("{other:?}"),
+        };
+        b.key.seed ^= 1;
+        assert!(names(&b).contains("seed"));
         b = a.clone();
-        b.label = "speck".into();
-        assert!(a.diff(&b).unwrap().contains("label"));
+        b.key.label = "speck".into();
+        assert!(names(&b).contains("label"));
+        b = a.clone();
+        b.samples += 1;
+        assert_eq!(names(&b), "samples 334 on disk vs 333 expected");
+        // Display metadata and derived layout are not identity.
+        b = a.clone();
+        b.window_cycles += 1;
+        b.page_capacity += 1;
+        assert_eq!(a.check_corpus(&b), Ok(()));
     }
 
     #[test]

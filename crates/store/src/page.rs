@@ -184,6 +184,14 @@ impl PageGeometry {
     pub fn file_name(page_index: u64) -> String {
         format!("page-{page_index:08}.scp")
     }
+
+    /// The page index a store file is named for, if `name` names a page.
+    #[must_use]
+    pub(crate) fn page_of_file(name: &str) -> Option<u64> {
+        let digits = name.strip_prefix("page-")?.strip_suffix(".scp")?;
+        let index = digits.parse().ok()?;
+        (PageGeometry::file_name(index) == name).then_some(index)
+    }
 }
 
 /// One open page file; slot writes are positioned (`pwrite`) and need

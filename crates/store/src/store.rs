@@ -8,7 +8,7 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
 use crate::error::StoreError;
-use crate::meta::StoreMeta;
+use crate::meta::{StoreMeta, META_FILE};
 use crate::page::{PageFile, PageGeometry, TraceRecord};
 use crate::pool::BufferPool;
 use crate::wal::{CheckpointLog, CheckpointRecord};
@@ -32,7 +32,10 @@ fn geometry(meta: &StoreMeta) -> Result<PageGeometry, StoreError> {
 /// produces identical bytes), reads go through a pinning [`BufferPool`],
 /// and [`checkpoint`](TraceStore::checkpoint) syncs the pages written
 /// since the last sync before logging the claim, so a checkpoint's
-/// `high_water` never overstates what is durable.
+/// `high_water` never overstates what is durable. One handle carries a
+/// stored run: it reads its checkpoint log at most once
+/// ([`CheckpointLog`]), and only appends and checkpoints write to the
+/// directory.
 #[derive(Debug)]
 pub struct TraceStore {
     dir: PathBuf,
@@ -40,7 +43,7 @@ pub struct TraceStore {
     geom: PageGeometry,
     pool: BufferPool,
     writers: Mutex<HashMap<u64, Arc<PageFile>>>,
-    wal: Mutex<Option<CheckpointLog>>,
+    wal: Mutex<CheckpointLog>,
 }
 
 impl TraceStore {
@@ -82,47 +85,17 @@ impl TraceStore {
         Ok(TraceStore::assemble(dir, meta, geom))
     }
 
-    /// Opens an existing store and insists it holds exactly the corpus
-    /// described by `expected` (identity fields and layout).
+    /// Opens the store in `dir` as [`open_any`](Self::open_any) does,
+    /// or returns `None` when `dir` holds no store header.
     ///
     /// # Errors
     ///
-    /// Returns [`StoreError::FingerprintMismatch`] naming the first
-    /// differing field, plus everything [`open_any`](Self::open_any)
-    /// can return.
-    pub fn open(dir: &Path, expected: &StoreMeta) -> Result<TraceStore, StoreError> {
-        let store = TraceStore::open_any(dir)?;
-        let found = &store.meta;
-        if let Some(what) = expected.key.diff(&found.key) {
-            return Err(StoreError::FingerprintMismatch { what });
+    /// As [`open_any`](Self::open_any).
+    pub fn open_if_exists(dir: &Path) -> Result<Option<TraceStore>, StoreError> {
+        if !dir.join(META_FILE).exists() {
+            return Ok(None);
         }
-        for (name, want, got) in [
-            ("window start", expected.window_start, found.window_start),
-            ("samples", expected.samples, found.samples),
-            ("total traces", expected.total_traces, found.total_traces),
-            ("input length", expected.input_len, found.input_len),
-        ] {
-            if want != got {
-                return Err(StoreError::FingerprintMismatch {
-                    what: format!("{name} {got} on disk vs {want} expected"),
-                });
-            }
-        }
-        Ok(store)
-    }
-
-    /// Opens `dir` as the corpus in `expected` — resuming it when a
-    /// store is already there, creating it otherwise.
-    ///
-    /// # Errors
-    ///
-    /// As [`open`](Self::open) / [`create`](Self::create).
-    pub fn open_or_create(dir: &Path, expected: &StoreMeta) -> Result<TraceStore, StoreError> {
-        if dir.join(crate::meta::META_FILE).exists() {
-            TraceStore::open(dir, expected)
-        } else {
-            TraceStore::create(dir, expected.clone())
-        }
+        TraceStore::open_any(dir).map(Some)
     }
 
     fn assemble(dir: &Path, meta: StoreMeta, geom: PageGeometry) -> TraceStore {
@@ -132,7 +105,7 @@ impl TraceStore {
             geom,
             pool: BufferPool::new(DEFAULT_POOL_FRAMES),
             writers: Mutex::new(HashMap::new()),
-            wal: Mutex::new(None),
+            wal: Mutex::new(CheckpointLog::new(dir)),
         }
     }
 
@@ -176,12 +149,15 @@ impl TraceStore {
                 ),
             });
         }
-        if index >= self.meta.total_traces {
+        self.check_index(index)
+    }
+
+    /// Refuses an index past the declared corpus.
+    fn check_index(&self, index: u64) -> Result<(), StoreError> {
+        let total = self.meta.total_traces;
+        if index >= total {
             return Err(StoreError::Geometry {
-                what: format!(
-                    "trace index {index} out of range (store holds {})",
-                    self.meta.total_traces
-                ),
+                what: format!("trace index {index} out of range (store holds {total})"),
             });
         }
         Ok(())
@@ -243,24 +219,13 @@ impl TraceStore {
         Ok(())
     }
 
-    fn with_wal<T>(
-        &self,
-        f: impl FnOnce(&mut CheckpointLog) -> Result<T, StoreError>,
-    ) -> Result<T, StoreError> {
-        let mut wal = self.wal.lock().expect("wal lock");
-        if wal.is_none() {
-            *wal = Some(CheckpointLog::open(&self.dir)?);
-        }
-        f(wal.as_mut().expect("wal opened"))
-    }
-
     /// Durably records that traces `0..high_water` are on disk and
     /// folded into the serialized sink `state`: pages are synced first,
     /// then the claim is appended to the log.
     ///
     /// # Errors
     ///
-    /// Propagates I/O errors.
+    /// Propagates I/O errors and a damaged log header.
     pub fn checkpoint(
         &self,
         high_water: u64,
@@ -269,13 +234,14 @@ impl TraceStore {
     ) -> Result<(), StoreError> {
         self.sync_pages()?;
         sca_telemetry::counter!("store/checkpoint_bytes").add(state.len() as u64);
-        self.with_wal(|wal| {
-            wal.append(&CheckpointRecord {
+        self.wal
+            .lock()
+            .expect("wal lock")
+            .append(&CheckpointRecord {
                 high_water,
                 analysis_tag,
                 state,
             })
-        })
     }
 
     /// Fault injection: like [`checkpoint`](Self::checkpoint) but tears
@@ -292,28 +258,29 @@ impl TraceStore {
         keep_bytes: usize,
     ) -> Result<(), StoreError> {
         self.sync_pages()?;
-        self.with_wal(|wal| {
-            wal.append_torn(
-                &CheckpointRecord {
-                    high_water,
-                    analysis_tag,
-                    state,
-                },
-                keep_bytes,
-            )
-        })
+        let record = CheckpointRecord {
+            high_water,
+            analysis_tag,
+            state,
+        };
+        self.wal
+            .lock()
+            .expect("wal lock")
+            .append_torn(&record, keep_bytes)
     }
 
-    /// The most recent valid checkpoint for `analysis_tag`, if any.
+    /// The most recent valid checkpoint for `analysis_tag`, if any: the
+    /// handle's first log read scans the whole log, later ones read
+    /// and verify only the record returned ([`CheckpointLog::last`]).
     ///
     /// # Errors
     ///
-    /// Propagates I/O and corruption errors from the log scan.
+    /// Propagates I/O and corruption errors from the log.
     pub fn last_checkpoint(
         &self,
         analysis_tag: u64,
     ) -> Result<Option<CheckpointRecord>, StoreError> {
-        CheckpointLog::last(&self.dir, analysis_tag)
+        self.wal.lock().expect("wal lock").last(analysis_tag)
     }
 
     /// Reads trace `index`, or `None` when its slot has never been
@@ -324,14 +291,7 @@ impl TraceStore {
     /// Returns [`StoreError::Geometry`] for out-of-range indices and
     /// propagates I/O errors; a missing page file reads as `None`.
     pub fn read_trace(&self, index: u64) -> Result<Option<TraceRecord>, StoreError> {
-        if index >= self.meta.total_traces {
-            return Err(StoreError::Geometry {
-                what: format!(
-                    "trace index {index} out of range (store holds {})",
-                    self.meta.total_traces
-                ),
-            });
-        }
+        self.check_index(index)?;
         let page_index = self.geom.page_of(index);
         let page = match self.fetch_page(page_index) {
             Ok(page) => page,
@@ -351,52 +311,58 @@ impl TraceStore {
         })
     }
 
-    /// Per-trace validity bitmap over the whole declared corpus.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors (missing pages read as all-invalid).
-    pub fn coverage(&self) -> Result<Vec<bool>, StoreError> {
-        let total = self.meta.total_traces;
-        let mut covered = vec![false; total as usize];
-        let mut page_index = 0u64;
-        while page_index * self.geom.capacity() as u64 <= total {
-            let first = page_index * self.geom.capacity() as u64;
-            if first >= total {
+    /// Visits every valid declared trace in index order. The work is
+    /// bounded by the page files on disk, not by the header's count.
+    fn for_each_valid(
+        &self,
+        mut visit: impl FnMut(u64, TraceRecord) -> Result<(), StoreError>,
+    ) -> Result<(), StoreError> {
+        let mut pages = Vec::new();
+        for entry in fs::read_dir(&self.dir)? {
+            let name = entry?.file_name();
+            pages.extend(name.to_str().and_then(PageGeometry::page_of_file));
+        }
+        pages.sort_unstable();
+        let (capacity, total) = (self.geom.capacity() as u64, self.meta.total_traces);
+        for page_index in pages {
+            let Some(first) = page_index.checked_mul(capacity).filter(|&f| f < total) else {
                 break;
-            }
-            if PageFile::path(&self.dir, page_index).exists() {
-                let page = self.fetch_page(page_index)?;
-                for slot in 0..self.geom.capacity() {
-                    let index = first + slot as u64;
-                    if index >= total {
-                        break;
-                    }
-                    covered[index as usize] =
-                        self.geom.decode_slot(page_index, slot, &page).is_some();
+            };
+            let page = self.fetch_page(page_index)?;
+            for slot in 0..self.geom.capacity() {
+                let index = first.saturating_add(slot as u64);
+                if index >= total {
+                    break;
+                }
+                if let Some(record) = self.geom.decode_slot(page_index, slot, &page) {
+                    visit(index, record)?;
                 }
             }
-            page_index += 1;
         }
-        Ok(covered)
+        Ok(())
     }
 
     /// How many of the declared traces are durably present.
     ///
     /// # Errors
     ///
-    /// As [`coverage`](Self::coverage).
+    /// Propagates I/O errors and damaged page headers.
     pub fn valid_count(&self) -> Result<u64, StoreError> {
-        Ok(self.coverage()?.iter().filter(|&&c| c).count() as u64)
+        let mut count = 0;
+        self.for_each_valid(|_, _| {
+            count += 1;
+            Ok(())
+        })?;
+        Ok(count)
     }
 
     /// Whether every declared trace is present.
     ///
     /// # Errors
     ///
-    /// As [`coverage`](Self::coverage).
+    /// As [`valid_count`](Self::valid_count).
     pub fn is_complete(&self) -> Result<bool, StoreError> {
-        Ok(self.coverage()?.iter().all(|&c| c))
+        Ok(self.valid_count()? == self.meta.total_traces)
     }
 
     /// Streams traces `range` in strictly increasing index order through
@@ -406,7 +372,8 @@ impl TraceStore {
     ///
     /// # Errors
     ///
-    /// Returns [`StoreError::Incomplete`] at the first missing trace and
+    /// Returns [`StoreError::Incomplete`] at the first missing trace,
+    /// [`StoreError::Geometry`] at an index past the declared corpus, and
     /// propagates I/O errors and `visit` failures.
     pub fn stream<E: From<StoreError>>(
         &self,
@@ -415,12 +382,6 @@ impl TraceStore {
     ) -> Result<(), E> {
         let total = self.meta.total_traces;
         for index in range {
-            if index >= total {
-                return Err(StoreError::Geometry {
-                    what: format!("stream index {index} out of range (store holds {total})"),
-                }
-                .into());
-            }
             let (input, trace) = self.read_trace(index)?.ok_or(StoreError::Incomplete {
                 missing: index,
                 total,
@@ -439,33 +400,16 @@ impl TraceStore {
     ///
     /// # Errors
     ///
-    /// Returns [`StoreError::FingerprintMismatch`] when the stores
-    /// disagree, and propagates I/O errors.
+    /// Returns [`StoreError::FingerprintMismatch`] naming the first
+    /// field where `other` differs ([`StoreMeta::check_corpus`]), and
+    /// propagates I/O errors.
     pub fn merge_from(&self, other: &TraceStore) -> Result<u64, StoreError> {
-        if let Some(what) = self.meta.key.diff(&other.meta.key) {
-            return Err(StoreError::FingerprintMismatch { what });
-        }
-        if self.meta.window_start != other.meta.window_start
-            || self.meta.samples != other.meta.samples
-            || self.meta.total_traces != other.meta.total_traces
-            || self.meta.input_len != other.meta.input_len
-        {
-            return Err(StoreError::FingerprintMismatch {
-                what: "window or layout differs".to_owned(),
-            });
-        }
+        self.meta.check_corpus(&other.meta)?;
         let mut copied = 0u64;
-        let covered = other.coverage()?;
-        for (index, &present) in covered.iter().enumerate() {
-            if !present {
-                continue;
-            }
-            let (input, trace) = other
-                .read_trace(index as u64)?
-                .expect("coverage said present");
-            self.append(index as u64, &input, &trace)?;
+        other.for_each_valid(|index, (input, trace)| {
             copied += 1;
-        }
+            self.append(index, &input, &trace)
+        })?;
         self.sync_pages()?;
         Ok(copied)
     }
@@ -549,19 +493,26 @@ mod tests {
     fn reopen_checks_the_fingerprint() {
         let dir = scratch("sca_store_store_fp");
         drop(TraceStore::create(&dir, meta(10)).unwrap());
-        assert!(TraceStore::open(&dir, &meta(10)).is_ok());
+        let reopen = |expected: &StoreMeta| {
+            let store = TraceStore::open_if_exists(&dir).unwrap().unwrap();
+            expected.check_corpus(store.meta())
+        };
+        assert!(reopen(&meta(10)).is_ok());
         let mut other = meta(10);
         other.key.seed ^= 1;
         assert!(matches!(
-            TraceStore::open(&dir, &other),
+            reopen(&other),
             Err(StoreError::FingerprintMismatch { .. })
         ));
         let mut resized = meta(11);
         resized.page_capacity = 0;
         assert!(matches!(
-            TraceStore::open(&dir, &resized),
+            reopen(&resized),
             Err(StoreError::FingerprintMismatch { .. })
         ));
+        assert!(TraceStore::open_if_exists(&dir.join("absent"))
+            .unwrap()
+            .is_none());
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -632,6 +583,23 @@ mod tests {
         store.append(2, &input, &trace).unwrap();
         assert_eq!(store.read_trace(2).unwrap(), Some((input, trace)));
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_hostile_trace_count_costs_only_the_pages_on_disk() {
+        let dir = scratch("sca_store_store_hostile");
+        let merged_dir = scratch("sca_store_store_hostile_merged");
+        let store = TraceStore::create(&dir, meta(u64::MAX)).unwrap();
+        assert_eq!(store.valid_count().unwrap(), 0);
+        assert!(!store.is_complete().unwrap());
+        fill(&store, 0..3);
+        let reopened = TraceStore::open_any(&dir).unwrap();
+        assert_eq!(reopened.valid_count().unwrap(), 3);
+        assert!(!reopened.is_complete().unwrap());
+        let merged = TraceStore::create(&merged_dir, meta(u64::MAX)).unwrap();
+        assert_eq!(merged.merge_from(&reopened).unwrap(), 3);
+        let _ = fs::remove_dir_all(&dir);
+        let _ = fs::remove_dir_all(&merged_dir);
     }
 
     #[test]

@@ -8,13 +8,19 @@
 //! XXH64 in a version-2 one). A crash mid-append leaves a torn tail
 //! that fails its checksum, so a scan stops at the first invalid frame
 //! and resume recovers from the last checkpoint that was fully written.
-//! Opening the log for append first truncates the torn tail so the
-//! resumed run's own records never land after garbage.
+//!
+//! A [`CheckpointLog`] handle reads its file at most once: its first
+//! [`last`](CheckpointLog::last) or append scans the whole log and
+//! keeps each valid frame's tag, high-water mark and position, and the
+//! valid length. Later reads fetch and re-verify only the record they
+//! return, and the first append truncates a torn tail to the scanned
+//! length, so the resumed run's own records never land after garbage.
+//! Reading creates, truncates and writes nothing.
 
-use std::fs::OpenOptions;
-use std::io::Write;
+use std::fs::{File, OpenOptions};
 use std::ops::Range;
-use std::path::Path;
+use std::os::unix::fs::FileExt;
+use std::path::{Path, PathBuf};
 
 use crate::checksum::Version;
 use crate::error::{fnv1a64, StoreError};
@@ -61,7 +67,7 @@ impl CheckpointRecord {
     }
 }
 
-/// A frame that verified, located in the scanned bytes.
+/// A frame that verified, located in the log.
 #[derive(Debug)]
 struct Frame {
     high_water: u64,
@@ -69,8 +75,25 @@ struct Frame {
     state: Range<usize>,
 }
 
-/// A verified log: its version, its valid frames in file order, and the
-/// byte length of the valid prefix. Nothing is copied out of the bytes.
+/// The valid frame starting at `at` in a log of `version`, or `None`
+/// when `bytes` hold no whole frame there whose checksum verifies.
+fn frame_at(version: Version, bytes: &[u8], at: usize) -> Option<Frame> {
+    let header = bytes.get(at..at.checked_add(FRAME_HEADER_BYTES)?)?;
+    let field =
+        |i: usize| u64::from_le_bytes(header[8 * i..8 * i + 8].try_into().expect("8 bytes"));
+    let start = at + FRAME_HEADER_BYTES;
+    let end = start.checked_add(usize::try_from(field(0)).ok()?.checked_sub(16)?)?;
+    let state = bytes.get(start..end)?;
+    (version.checksum(&[&header[16..], state]) == field(1)).then(|| Frame {
+        high_water: field(2),
+        analysis_tag: field(3),
+        state: start..end,
+    })
+}
+
+/// What a scan found: the log's version, its valid frames in file
+/// order and the byte length of the valid prefix (0 while the log has
+/// no header).
 #[derive(Debug)]
 struct Scan {
     version: Version,
@@ -78,7 +101,16 @@ struct Scan {
     valid_len: u64,
 }
 
+/// Verifies a log's bytes; an empty file is an empty log.
 fn scan(bytes: &[u8]) -> Result<Scan, StoreError> {
+    let mut scan = Scan {
+        version: Version::CURRENT,
+        frames: Vec::new(),
+        valid_len: 0,
+    };
+    if bytes.is_empty() {
+        return Ok(scan);
+    }
     let corrupt = |what: &str| StoreError::Corrupt {
         file: WAL_FILE,
         what: what.to_owned(),
@@ -87,86 +119,147 @@ fn scan(bytes: &[u8]) -> Result<Scan, StoreError> {
         return Err(corrupt("bad magic"));
     }
     let version = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
-    let version = Version::from_u32(version)
+    scan.version = Version::from_u32(version)
         .ok_or_else(|| corrupt(&format!("unsupported version {version}")))?;
-    let mut frames = Vec::new();
-    let mut at = WAL_HEADER_BYTES;
     // Anything that fails to parse from here on is a torn tail: stop,
     // keeping what validated so far.
-    while let Some(header) = bytes.get(at..at + FRAME_HEADER_BYTES) {
-        let field =
-            |i: usize| u64::from_le_bytes(header[8 * i..8 * i + 8].try_into().expect("8 bytes"));
-        let (len, checksum, high_water, analysis_tag) = (field(0), field(1), field(2), field(3));
-        let start = at + FRAME_HEADER_BYTES;
-        let end = usize::try_from(len)
-            .ok()
-            .and_then(|len| len.checked_sub(16))
-            .and_then(|state_len| start.checked_add(state_len));
-        let Some(state) = end.and_then(|end| bytes.get(start..end)) else {
-            break;
-        };
-        if version.checksum(&[&header[16..], state]) != checksum {
-            break;
-        }
-        at = start + state.len();
-        frames.push(Frame {
-            high_water,
-            analysis_tag,
-            state: start..at,
-        });
+    let mut at = WAL_HEADER_BYTES;
+    while let Some(frame) = frame_at(scan.version, bytes, at) {
+        at = frame.state.end;
+        scan.frames.push(frame);
     }
-    Ok(Scan {
-        version,
-        frames,
-        valid_len: at as u64,
-    })
+    scan.valid_len = at as u64;
+    Ok(scan)
 }
 
-/// The open checkpoint log of one store directory.
+/// The checkpoint log of one store directory, read at most once (see
+/// the module docs).
 #[derive(Debug)]
 pub struct CheckpointLog {
-    file: std::fs::File,
-    /// The log header's version: the checksum appended frames carry.
-    version: Version,
+    path: PathBuf,
+    /// What the one scan found, once the first read or append made it.
+    scan: Option<Scan>,
+    /// The log opened for appending, by the first append.
+    file: Option<File>,
 }
 
 impl CheckpointLog {
-    /// Opens (creating if needed) the log for appending. A torn tail
-    /// left by a crash is truncated away first. A new log is written in
-    /// the current version; an existing one keeps its own.
+    /// The log of store directory `dir`. Nothing is read until the first
+    /// [`last`](Self::last) or append.
+    #[must_use]
+    pub fn new(dir: &Path) -> CheckpointLog {
+        CheckpointLog {
+            path: dir.join(WAL_FILE),
+            scan: None,
+            file: None,
+        }
+    }
+
+    /// Reads and verifies the whole log, the one scan this handle
+    /// makes, and returns the bytes read. A missing log reads as an
+    /// empty one.
+    fn scan_once(&mut self) -> Result<Vec<u8>, StoreError> {
+        let bytes = match std::fs::read(&self.path) {
+            Ok(bytes) => {
+                sca_telemetry::counter!("store/wal_scans").inc();
+                bytes
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
+            Err(e) => return Err(e.into()),
+        };
+        self.scan = Some(scan(&bytes)?);
+        Ok(bytes)
+    }
+
+    /// The most recent valid checkpoint for `analysis_tag`, or `None`
+    /// when the log is missing or holds none for that analysis. The
+    /// first call scans the whole log and copies the record out of the
+    /// bytes read; later calls read only the record they return and
+    /// verify it again.
     ///
     /// # Errors
     ///
-    /// Returns [`StoreError::Corrupt`] when the header itself is
-    /// damaged, and propagates I/O errors.
-    pub fn open(dir: &Path) -> Result<CheckpointLog, StoreError> {
-        let path = dir.join(WAL_FILE);
-        let mut file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(false)
-            .open(&path)?;
-        let len = file.metadata()?.len();
-        let version = if len == 0 {
-            let mut header = Vec::with_capacity(WAL_HEADER_BYTES);
-            header.extend_from_slice(WAL_MAGIC);
-            header.extend_from_slice(&(Version::CURRENT as u32).to_le_bytes());
-            file.write_all(&header)?;
-            file.sync_all()?;
-            Version::CURRENT
-        } else {
-            let bytes = std::fs::read(&path)?;
-            let valid = scan(&bytes)?;
-            if valid.valid_len < len {
-                file.set_len(valid.valid_len)?;
+    /// Returns [`StoreError::Corrupt`] on a damaged header or a record
+    /// that no longer verifies, and propagates I/O errors other than a
+    /// missing log.
+    pub fn last(&mut self, analysis_tag: u64) -> Result<Option<CheckpointRecord>, StoreError> {
+        let scanned = self.scan.is_none().then(|| self.scan_once()).transpose()?;
+        let scan = self.scan.as_ref().expect("scanned");
+        let newest = scan
+            .frames
+            .iter()
+            .rev()
+            .find(|f| f.analysis_tag == analysis_tag);
+        let Some(frame) = newest else {
+            return Ok(None);
+        };
+        let state = match scanned {
+            Some(bytes) => bytes[frame.state.clone()].to_vec(),
+            None => {
+                let at = frame.state.start - FRAME_HEADER_BYTES;
+                let mut bytes = vec![0u8; FRAME_HEADER_BYTES + frame.state.len()];
+                File::open(&self.path)?.read_exact_at(&mut bytes, at as u64)?;
+                match frame_at(scan.version, &bytes, 0) {
+                    Some(f)
+                        if (f.high_water, f.analysis_tag, f.state.end)
+                            == (frame.high_water, analysis_tag, bytes.len()) =>
+                    {
+                        bytes.split_off(FRAME_HEADER_BYTES)
+                    }
+                    _ => {
+                        return Err(StoreError::Corrupt {
+                            file: WAL_FILE,
+                            what: format!("record at byte {at} changed since the scan"),
+                        })
+                    }
+                }
+            }
+        };
+        Ok(Some(CheckpointRecord {
+            high_water: frame.high_water,
+            analysis_tag,
+            state,
+        }))
+    }
+
+    /// Writes the first `keep` bytes of `record`'s frame at the end of
+    /// the valid log and fsyncs; returns the frame's offset. The first
+    /// write scans the log if no read has, creates it when missing (a
+    /// new log in the current version, an existing one keeps its own)
+    /// and truncates a torn tail to the scanned length.
+    fn write_frame(&mut self, record: &CheckpointRecord, keep: usize) -> Result<u64, StoreError> {
+        if self.scan.is_none() {
+            self.scan_once()?;
+        }
+        let scan = self.scan.as_mut().expect("scanned");
+        if self.file.is_none() {
+            let file = OpenOptions::new()
+                .write(true)
+                .create(true)
+                .truncate(false)
+                .open(&self.path)?;
+            if file.metadata()?.len() > scan.valid_len {
+                file.set_len(scan.valid_len)?;
                 file.sync_all()?;
             }
-            valid.version
-        };
-        use std::io::Seek;
-        file.seek(std::io::SeekFrom::End(0))?;
-        Ok(CheckpointLog { file, version })
+            if scan.valid_len == 0 {
+                let header = [&WAL_MAGIC[..], &(scan.version as u32).to_le_bytes()].concat();
+                file.write_all_at(&header, 0)?;
+                file.sync_all()?;
+                scan.valid_len = WAL_HEADER_BYTES as u64;
+            }
+            self.file = Some(file);
+        }
+        let file = self.file.as_ref().expect("opened");
+        let at = scan.valid_len;
+        let header = record.frame_header(scan.version);
+        let state = keep
+            .saturating_sub(FRAME_HEADER_BYTES)
+            .min(record.state.len());
+        file.write_all_at(&header[..keep.min(FRAME_HEADER_BYTES)], at)?;
+        file.write_all_at(&record.state[..state], at + FRAME_HEADER_BYTES as u64)?;
+        file.sync_all()?;
+        Ok(at)
     }
 
     /// Appends one checkpoint record and fsyncs: the frame header, then
@@ -176,61 +269,35 @@ impl CheckpointLog {
     ///
     /// # Errors
     ///
-    /// Propagates I/O errors.
+    /// Returns [`StoreError::Corrupt`] when the log's header is damaged,
+    /// and propagates I/O errors.
     pub fn append(&mut self, record: &CheckpointRecord) -> Result<(), StoreError> {
-        self.file.write_all(&record.frame_header(self.version))?;
-        self.file.write_all(&record.state)?;
-        self.file.sync_all()?;
+        let start = self.write_frame(record, usize::MAX)? as usize + FRAME_HEADER_BYTES;
         sca_telemetry::counter!("store/wal_fsyncs").inc();
+        let scan = self.scan.as_mut().expect("scanned");
+        let state = start..start + record.state.len();
+        scan.valid_len = state.end as u64;
+        scan.frames.push(Frame {
+            high_water: record.high_water,
+            analysis_tag: record.analysis_tag,
+            state,
+        });
         Ok(())
     }
 
     /// Fault injection: appends only the first `keep_bytes` of the
-    /// framed record, simulating a crash mid-checkpoint.
+    /// framed record, simulating a crash mid-checkpoint. The next
+    /// append writes over them.
     ///
     /// # Errors
     ///
-    /// Propagates I/O errors.
+    /// As [`append`](Self::append).
     pub fn append_torn(
         &mut self,
         record: &CheckpointRecord,
         keep_bytes: usize,
     ) -> Result<(), StoreError> {
-        let header = record.frame_header(self.version);
-        self.file
-            .write_all(&header[..keep_bytes.min(FRAME_HEADER_BYTES)])?;
-        let keep_state = keep_bytes.saturating_sub(FRAME_HEADER_BYTES);
-        self.file
-            .write_all(&record.state[..keep_state.min(record.state.len())])?;
-        self.file.sync_all()?;
-        Ok(())
-    }
-
-    /// Reads the most recent valid checkpoint for `analysis_tag`, or
-    /// `None` when the log is missing or holds none for that analysis.
-    /// Every frame is verified; only the one returned is copied.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StoreError::Corrupt`] on a damaged header and
-    /// propagates I/O errors other than `NotFound`.
-    pub fn last(dir: &Path, analysis_tag: u64) -> Result<Option<CheckpointRecord>, StoreError> {
-        let bytes = match std::fs::read(dir.join(WAL_FILE)) {
-            Ok(bytes) => bytes,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-            Err(e) => return Err(e.into()),
-        };
-        let valid = scan(&bytes)?;
-        Ok(valid
-            .frames
-            .into_iter()
-            .rev()
-            .find(|f| f.analysis_tag == analysis_tag)
-            .map(|f| CheckpointRecord {
-                high_water: f.high_water,
-                analysis_tag,
-                state: bytes[f.state].to_vec(),
-            }))
+        self.write_frame(record, keep_bytes).map(drop)
     }
 }
 
@@ -255,16 +322,24 @@ mod tests {
         }
     }
 
+    fn log_len(dir: &Path) -> u64 {
+        fs::metadata(dir.join(WAL_FILE)).unwrap().len()
+    }
+
     #[test]
     fn last_returns_the_newest_record_per_tag() {
         let dir = scratch("sca_store_wal_last");
-        let mut log = CheckpointLog::open(&dir).unwrap();
+        let mut log = CheckpointLog::new(&dir);
         log.append(&record(10, 1)).unwrap();
         log.append(&record(10, 2)).unwrap();
         log.append(&record(20, 1)).unwrap();
-        assert_eq!(CheckpointLog::last(&dir, 1).unwrap(), Some(record(20, 1)));
-        assert_eq!(CheckpointLog::last(&dir, 2).unwrap(), Some(record(10, 2)));
-        assert_eq!(CheckpointLog::last(&dir, 3).unwrap(), None);
+        // The appending handle reads from what it wrote; a new one
+        // scans the file.
+        for mut log in [log, CheckpointLog::new(&dir)] {
+            assert_eq!(log.last(1).unwrap(), Some(record(20, 1)));
+            assert_eq!(log.last(2).unwrap(), Some(record(10, 2)));
+            assert_eq!(log.last(3).unwrap(), None);
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -273,23 +348,51 @@ mod tests {
         let dir = scratch("sca_store_wal_torn");
         let full_len;
         {
-            let mut log = CheckpointLog::open(&dir).unwrap();
+            let mut log = CheckpointLog::new(&dir);
             log.append(&record(10, 1)).unwrap();
-            full_len = fs::metadata(dir.join(WAL_FILE)).unwrap().len();
+            full_len = log_len(&dir);
             log.append_torn(&record(20, 1), 9).unwrap();
         }
-        // The torn record does not shadow the valid one...
-        assert_eq!(CheckpointLog::last(&dir, 1).unwrap(), Some(record(10, 1)));
-        // ...and reopening for append truncates it away.
-        let mut log = CheckpointLog::open(&dir).unwrap();
-        assert_eq!(fs::metadata(dir.join(WAL_FILE)).unwrap().len(), full_len);
+        let torn_len = log_len(&dir);
+        // The torn record does not shadow the valid one, and reading
+        // leaves it in place...
+        let mut log = CheckpointLog::new(&dir);
+        assert_eq!(log.last(1).unwrap(), Some(record(10, 1)));
+        assert_eq!(log_len(&dir), torn_len);
+        // ...until the reopened log's first append truncates it away.
         log.append(&record(30, 1)).unwrap();
-        assert_eq!(CheckpointLog::last(&dir, 1).unwrap(), Some(record(30, 1)));
+        let frame_len = (FRAME_HEADER_BYTES + record(30, 1).state.len()) as u64;
+        assert_eq!(log_len(&dir), full_len + frame_len);
+        assert_eq!(log.last(1).unwrap(), Some(record(30, 1)));
+        assert_eq!(
+            CheckpointLog::new(&dir).last(1).unwrap(),
+            Some(record(30, 1))
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 
-    /// Writes an empty log of `version`, which `CheckpointLog::open`
-    /// then keeps.
+    #[test]
+    fn a_record_changed_after_the_scan_is_corrupt() {
+        let dir = scratch("sca_store_wal_reverify");
+        let mut log = CheckpointLog::new(&dir);
+        log.append(&record(10, 1)).unwrap();
+        log.append(&record(20, 2)).unwrap();
+        // A new handle scans once; the second read fetches the record
+        // alone and verifies it against what the scan found.
+        let mut reader = CheckpointLog::new(&dir);
+        assert_eq!(reader.last(1).unwrap(), Some(record(10, 1)));
+        let path = dir.join(WAL_FILE);
+        let mut bytes = fs::read(&path).unwrap();
+        let last = bytes.len() - 1;
+        bytes[last] ^= 1;
+        fs::write(&path, &bytes).unwrap();
+        assert_eq!(reader.last(1).unwrap(), Some(record(10, 1)));
+        assert!(matches!(reader.last(2), Err(StoreError::Corrupt { .. })));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Writes an empty log of `version`, which a log's appends then
+    /// keep.
     fn empty_log(dir: &Path, version: Version) {
         let mut header = WAL_MAGIC.to_vec();
         header.extend_from_slice(&(version as u32).to_le_bytes());
@@ -305,10 +408,10 @@ mod tests {
             for keep in 0..=frame_len {
                 let dir = scratch(&format!("sca_store_wal_sweep_v{}_{keep}", version as u32));
                 empty_log(&dir, version);
-                let mut log = CheckpointLog::open(&dir).unwrap();
+                let mut log = CheckpointLog::new(&dir);
                 log.append(&record(10, 7)).unwrap();
                 log.append_torn(&record(20, 7), keep).unwrap();
-                let last = CheckpointLog::last(&dir, 7).unwrap().unwrap();
+                let last = CheckpointLog::new(&dir).last(7).unwrap().unwrap();
                 if keep == frame_len {
                     assert_eq!(last.high_water, 20);
                 } else {
@@ -362,19 +465,26 @@ mod tests {
     #[test]
     fn missing_log_reads_as_no_checkpoint() {
         let dir = scratch("sca_store_wal_missing");
-        assert_eq!(CheckpointLog::last(&dir, 1).unwrap(), None);
+        assert_eq!(CheckpointLog::new(&dir).last(1).unwrap(), None);
+        assert!(!dir.join(WAL_FILE).exists(), "reading created the log");
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn damaged_header_is_corrupt_not_empty() {
         let dir = scratch("sca_store_wal_header");
-        drop(CheckpointLog::open(&dir).unwrap());
+        CheckpointLog::new(&dir).append(&record(10, 1)).unwrap();
         fs::write(dir.join(WAL_FILE), b"XXXXYYYY").unwrap();
         assert!(matches!(
-            CheckpointLog::last(&dir, 1),
+            CheckpointLog::new(&dir).last(1),
             Err(StoreError::Corrupt { .. })
         ));
+        // Nor is it appended to.
+        assert!(matches!(
+            CheckpointLog::new(&dir).append(&record(20, 1)),
+            Err(StoreError::Corrupt { .. })
+        ));
+        assert_eq!(fs::read(dir.join(WAL_FILE)).unwrap(), b"XXXXYYYY");
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -15,7 +15,7 @@ use sca_campaign::{
     StoreOptions, StoredRunReport, TtestSink, DEFAULT_BATCH,
 };
 use sca_power::{GaussianNoise, LeakageWeights, SamplingConfig};
-use sca_store::{analysis_tag, TraceStore, META_FILE};
+use sca_store::{analysis_tag, TraceStore};
 use sca_uarch::{Cpu, UarchConfig};
 
 use crate::{resolve_window, CipherTarget, ModelKind, TargetError, TargetModel};
@@ -549,7 +549,7 @@ pub fn reanalyze_cpa(dir: &Path, model: &TargetModel) -> Result<CpaVerdict, Targ
 /// Store I/O/corruption and snapshot mismatches as
 /// [`TargetError::Campaign`].
 pub fn restore_cpa(dir: &Path, model: &TargetModel) -> Result<Option<CpaVerdict>, TargetError> {
-    let Some(store) = existing_store(dir)? else {
+    let Some(store) = TraceStore::open_if_exists(dir)? else {
         return Ok(None);
     };
     let window_cycles = store.meta().window_cycles;
@@ -571,19 +571,11 @@ pub fn restore_tvla(
     dir: &Path,
     target: &dyn CipherTarget,
 ) -> Result<Option<TvlaVerdict>, TargetError> {
-    let Some(store) = existing_store(dir)? else {
+    let Some(store) = TraceStore::open_if_exists(dir)? else {
         return Ok(None);
     };
     let sink = restore_complete(&store, "tvla", |samples| tvla_sink(target, samples))?;
     Ok(sink.and_then(|sink| tvla_verdict(&sink).ok()))
-}
-
-/// The store in `dir`, or `None` when there is none.
-fn existing_store(dir: &Path) -> Result<Option<TraceStore>, TargetError> {
-    if !dir.join(META_FILE).exists() {
-        return Ok(None);
-    }
-    Ok(Some(TraceStore::open_any(dir)?))
 }
 
 /// Re-runs the fixed-vs-random TVLA assessment over a stored corpus —

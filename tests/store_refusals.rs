@@ -247,3 +247,34 @@ fn read_paths_change_no_byte_and_create_no_log() {
     assert!(!dir.join(WAL_FILE).exists(), "a read path created the log");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A finished store is restored without a probe only into the window
+/// it was written for: resuming it with a shorter configured window
+/// takes the probe path, whose check refuses the stored sample count.
+#[test]
+fn a_finished_store_is_never_restored_into_another_window() {
+    let dir = base_store("window", u64::MAX);
+    let before = files(&dir);
+    let narrower = campaign(TRACES, SEED, (WINDOW.0, WINDOW.1 - 2));
+    for resume in [true, false] {
+        match run(&narrower, &dir, LABEL, resume, KillPoint::None, u64::MAX) {
+            Err(CampaignError::Store(StoreError::FingerprintMismatch { what })) => {
+                assert_eq!(what, "samples 4 on disk vs 2 expected", "resume {resume}");
+            }
+            other => panic!("resume {resume}: {other:?}"),
+        }
+        assert!(files(&dir) == before, "resume {resume}: the refusal wrote");
+    }
+    // The window it was written for still restores, simulating nothing.
+    let report = run(
+        &campaign(TRACES, SEED, WINDOW),
+        &dir,
+        LABEL,
+        true,
+        KillPoint::None,
+        u64::MAX,
+    )
+    .expect("the finished store restores");
+    assert_eq!((report.simulated, report.samples), (0, WINDOW.1));
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -27,6 +27,10 @@ use superscalar_sca::campaign::{
 use superscalar_sca::core::{audit_program, AuditConfig, SecretModel};
 use superscalar_sca::isa::{assemble, Program, Reg};
 use superscalar_sca::power::{GaussianNoise, LeakageWeights, SamplingConfig};
+use superscalar_sca::target::{
+    portfolio, reanalyze_cpa, restore_cpa, store_dir_name, TargetCampaign, TargetCampaignConfig,
+    TargetStoreConfig,
+};
 use superscalar_sca::telemetry::{self, Snapshot};
 use superscalar_sca::uarch::{Cpu, NodeKind, UarchConfig};
 
@@ -394,6 +398,76 @@ fn a_bounded_slice_plans_what_it_simulates() {
         get("campaign/traces_simulated"),
         "the slice planned other than it simulated"
     );
+}
+
+/// How far `run` moves `store/wal_scans`, the reads of an existing
+/// checkpoint log.
+fn log_scans(run: impl FnOnce()) -> u64 {
+    let before = telemetry::global().snapshot();
+    run();
+    telemetry::global()
+        .snapshot()
+        .counter_delta(&before, "store/wal_scans")
+}
+
+/// A stored run reads its checkpoint log at most once: a fresh run
+/// never reads it, a resumed slice over several checkpoints reads it
+/// once and appends to it without reading it again, a restore reads it
+/// once, and a re-analysis not at all.
+#[test]
+fn a_stored_run_scans_its_checkpoint_log_at_most_once() {
+    let _guard = COUNTER_LOCK
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    let base = std::env::temp_dir().join(format!("sca_telemetry_scans_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&base);
+
+    let (cpu, entry) = fixture();
+    let slice = |resume: bool| {
+        let opts = StoreOptions {
+            checkpoint_every: 16,
+            resume,
+            ..StoreOptions::new(base.join("fixture"), "telemetry-fixture", "hw-cpa")
+        };
+        let (_, report) = Campaign::new(LeakageWeights::cortex_a7(), config(7, 96, 2))
+            .run_stored_bounded(&cpu, entry, generate, stage, sink, &opts, 48)
+            .expect("slice runs");
+        report
+    };
+    assert_eq!(log_scans(|| assert_eq!(slice(false).checkpoints, 3)), 0);
+    let resumed = log_scans(|| {
+        let report = slice(true);
+        assert_eq!((report.resumed_from, report.checkpoints), (48, 3));
+    });
+    assert_eq!(resumed, 1, "a resumed slice read its log {resumed} times");
+
+    let target = portfolio().into_iter().nth(2).expect("a third target");
+    let model = target.models().remove(0);
+    let campaign = TargetCampaign::new(
+        target.as_ref(),
+        &UarchConfig::cortex_a7(),
+        TargetCampaignConfig {
+            traces: 8,
+            executions_per_trace: 1,
+            seed: 7,
+            threads: 1,
+            batch: 4,
+            ..TargetCampaignConfig::default()
+        },
+    )
+    .expect("campaign builds");
+    let store = TargetStoreConfig {
+        checkpoint_every: 4,
+        ..TargetStoreConfig::new(&base)
+    };
+    let dir = base.join(store_dir_name(target.name(), &model.name));
+    let fresh = log_scans(|| drop(campaign.cpa_stored(&model, &store).expect("stored run")));
+    assert_eq!(fresh, 0, "a fresh stored run read its log");
+    let restored = log_scans(|| assert!(restore_cpa(&dir, &model).expect("restores").is_some()));
+    assert_eq!(restored, 1, "a restore read the log {restored} times");
+    let reanalyzed = log_scans(|| drop(reanalyze_cpa(&dir, &model).expect("re-analyzes")));
+    assert_eq!(reanalyzed, 0, "a re-analysis read the log");
+    let _ = std::fs::remove_dir_all(&base);
 }
 
 /// A kernel whose timing follows its input: `r1 & 7` + 1 turns of a
