@@ -185,12 +185,7 @@ impl CheckpointLog {
     pub fn last(&mut self, analysis_tag: u64) -> Result<Option<CheckpointRecord>, StoreError> {
         let scanned = self.scan.is_none().then(|| self.scan_once()).transpose()?;
         let scan = self.scan.as_ref().expect("scanned");
-        let newest = scan
-            .frames
-            .iter()
-            .rev()
-            .find(|f| f.analysis_tag == analysis_tag);
-        let Some(frame) = newest else {
+        let Some(frame) = scan.frames.iter().rfind(|f| f.analysis_tag == analysis_tag) else {
             return Ok(None);
         };
         let state = match scanned {
@@ -351,9 +346,16 @@ mod tests {
             let mut log = CheckpointLog::new(&dir);
             log.append(&record(10, 1)).unwrap();
             full_len = log_len(&dir);
-            log.append_torn(&record(20, 1), 9).unwrap();
+            // A torn tail longer than the frame appended after it, so an
+            // append over an untruncated tail would leave bytes behind.
+            let long = CheckpointRecord {
+                state: vec![20; 64],
+                ..record(20, 1)
+            };
+            log.append_torn(&long, 60).unwrap();
         }
         let torn_len = log_len(&dir);
+        assert_eq!(torn_len, full_len + 60);
         // The torn record does not shadow the valid one, and reading
         // leaves it in place...
         let mut log = CheckpointLog::new(&dir);
@@ -362,12 +364,13 @@ mod tests {
         // ...until the reopened log's first append truncates it away.
         log.append(&record(30, 1)).unwrap();
         let frame_len = (FRAME_HEADER_BYTES + record(30, 1).state.len()) as u64;
+        assert!(frame_len < 60);
         assert_eq!(log_len(&dir), full_len + frame_len);
         assert_eq!(log.last(1).unwrap(), Some(record(30, 1)));
-        assert_eq!(
-            CheckpointLog::new(&dir).last(1).unwrap(),
-            Some(record(30, 1))
-        );
+        // A fresh handle's scan ends at the end of the file.
+        let mut fresh = CheckpointLog::new(&dir);
+        assert_eq!(fresh.last(1).unwrap(), Some(record(30, 1)));
+        assert_eq!(fresh.scan.as_ref().unwrap().valid_len, full_len + frame_len);
         let _ = fs::remove_dir_all(&dir);
     }
 
