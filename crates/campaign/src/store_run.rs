@@ -37,7 +37,7 @@ use std::path::PathBuf;
 use rand::rngs::StdRng;
 
 use sca_analysis::{StateError, StateReader};
-use sca_store::{analysis_tag, CorpusKey, StoreError, StoreMeta, TraceStore};
+use sca_store::{analysis_tag, CheckpointRecord, CorpusKey, StoreError, StoreMeta, TraceStore};
 use sca_uarch::{Cpu, UarchError};
 
 use crate::engine::no_post;
@@ -302,19 +302,19 @@ impl Campaign {
         // (its configured window too), restores the sink with zero
         // simulator work. Without a configured window only the probe
         // knows the trace's length, so the stored one is taken.
-        if let (Some(store), Some(ck)) = (&existing, &last) {
+        if let Some(store) = &existing {
             let (start, samples) = self.window.unwrap_or((0, store.meta().samples as usize));
-            if ck.high_water >= total && stamp(start, samples).check_corpus(store.meta()).is_ok() {
-                let mut master = sink(samples);
-                load_state(&mut master, &ck.state)?;
-                let report = StoredRunReport {
-                    resumed_from: total,
-                    samples,
-                    high_water: total,
-                    total,
-                    ..StoredRunReport::default()
-                };
-                return Ok((master, report));
+            if stamp(start, samples).check_corpus(store.meta()).is_ok() {
+                if let Some(master) = restore_record(last.as_ref(), store.meta(), &sink)? {
+                    let report = StoredRunReport {
+                        resumed_from: total,
+                        samples,
+                        high_water: total,
+                        total,
+                        ..StoredRunReport::default()
+                    };
+                    return Ok((master, report));
+                }
             }
         }
 
@@ -421,8 +421,18 @@ pub fn restore_complete<K: Checkpointable>(
     analysis: &str,
     sink: impl FnOnce(usize) -> K,
 ) -> Result<Option<K>, CampaignError> {
-    let meta = store.meta();
-    match store.last_checkpoint(analysis_tag(analysis))? {
+    let last = store.last_checkpoint(analysis_tag(analysis))?;
+    restore_record(last.as_ref(), store.meta(), sink)
+}
+
+/// Restores `sink(meta's samples per trace)` from `last` when it covers
+/// `meta`'s whole trace budget; `None` otherwise.
+fn restore_record<K: Checkpointable>(
+    last: Option<&CheckpointRecord>,
+    meta: &StoreMeta,
+    sink: impl FnOnce(usize) -> K,
+) -> Result<Option<K>, CampaignError> {
+    match last {
         Some(ck) if ck.high_water >= meta.total_traces => {
             let mut restored = sink(meta.samples as usize);
             load_state(&mut restored, &ck.state)?;

@@ -329,11 +329,7 @@ impl TraceStore {
                 break;
             };
             let page = self.fetch_page(page_index)?;
-            for slot in 0..self.geom.capacity() {
-                let index = first.saturating_add(slot as u64);
-                if index >= total {
-                    break;
-                }
+            for (slot, index) in (first..total).take(self.geom.capacity()).enumerate() {
                 if let Some(record) = self.geom.decode_slot(page_index, slot, &page) {
                     visit(index, record)?;
                 }
