@@ -83,7 +83,8 @@ fn figure4_quick_verdict_is_stable() {
 
 /// The countermeasure suite at 120 traces: every verdict line — all
 /// three targets × (HW CPA, HD CPA, TVLA) plus the two audit summaries
-/// — pinned byte for byte.
+/// — pinned byte for byte, with each target's HD window and both
+/// ablation verdicts.
 #[test]
 fn masked_quick_verdict_lines_are_stable() {
     let result = run_masked(&MaskedConfig {
@@ -91,7 +92,7 @@ fn masked_quick_verdict_lines_are_stable() {
         executions_per_trace: 2,
         threads: 4,
         audit_executions: 250,
-        ablations: false,
+        ablations: true,
         ..MaskedConfig::default()
     })
     .expect("masked suite runs");
@@ -118,6 +119,29 @@ fn masked_quick_verdict_lines_are_stable() {
         expected,
         "masked verdict lines changed:\n{}",
         lines.join("\n")
+    );
+
+    // The SubBytes (HD) window of each target: the scheduler's scrubs
+    // widen the masked span from 116 to 265 cycles.
+    let windows: Vec<u64> = result.targets.iter().map(|t| t.window_cycles).collect();
+    assert_eq!(windows, [116, 116, 265], "HD windows changed");
+
+    // The masked target under the two uarch ablations.
+    let ablations: Vec<String> = result
+        .ablations
+        .iter()
+        .map(|row| format!("{}: {}", row.name, row.hd.verdict()))
+        .collect();
+    assert_eq!(
+        ablations,
+        [
+            "dual-issue off (scalar): HD(SubBytes stores 0 -> 1): FAILURE \
+             (recovered 0xc0, true 0x7e, rank 71)",
+            "align buffer off: HD(SubBytes stores 0 -> 1): FAILURE \
+             (recovered 0x3c, true 0x7e, rank 44)",
+        ],
+        "ablation verdicts changed:\n{}",
+        ablations.join("\n")
     );
 
     // The acceptance-critical structure holds even at this scale (the
