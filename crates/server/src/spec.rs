@@ -24,6 +24,10 @@ pub const MAX_SPEC_TRACES: u64 = 1_000_000;
 /// Hard ceiling on executions averaged per trace.
 pub const MAX_SPEC_EXECUTIONS: u64 = 10_000;
 
+/// Smallest TVLA trace budget: the Welch statistic needs two traces in
+/// each of the fixed and random populations, which alternate by trace.
+pub const MIN_TVLA_TRACES: u64 = 4;
+
 /// Which analysis of the paper's methodology the spec requests.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum AnalysisSel {
@@ -122,6 +126,12 @@ impl CampaignSpec {
                 self.traces
             )));
         }
+        if self.analysis == AnalysisSel::Tvla && self.traces < MIN_TVLA_TRACES {
+            return Err(ServerError::Spec(format!(
+                "tvla needs at least {MIN_TVLA_TRACES} traces (two per population), got {}",
+                self.traces
+            )));
+        }
         if self.executions_per_trace == 0 || self.executions_per_trace > MAX_SPEC_EXECUTIONS {
             return Err(ServerError::Spec(format!(
                 "executions must be in 1..={MAX_SPEC_EXECUTIONS}, got {}",
@@ -205,6 +215,12 @@ mod tests {
         assert!(spec.validate().is_err());
         spec.traces = MAX_SPEC_TRACES + 1;
         assert!(spec.validate().is_err());
+        spec.traces = MIN_TVLA_TRACES - 1;
+        assert!(spec.validate().is_ok(), "a CPA spec may be this small");
+        spec.analysis = AnalysisSel::Tvla;
+        assert!(spec.validate().is_err());
+        spec.traces = MIN_TVLA_TRACES;
+        assert!(spec.validate().is_ok());
         spec.traces = 10;
         spec.executions_per_trace = 0;
         assert!(spec.validate().is_err());
