@@ -25,49 +25,21 @@
 //! silently ignored: a pinned output must not advertise knobs that
 //! cannot change it. Unknown arguments also exit 2.
 
-use sca_bench::masked_sched_program;
-use sca_isa::Program;
-use sca_lint::{lint_program, LintSpec};
-use sca_target::{AesTarget, CipherTarget, MaskedAesTarget, PresentTarget, SpeckTarget};
+use sca_bench::masked_sched_target;
+use sca_lint::lint_program;
+use sca_target::{
+    AesTarget, CipherTarget, MaskedAesTarget, PresentTarget, SpeckTarget, PORTFOLIO_AES_KEY,
+};
 
-/// One lintable portfolio entry: `(name, program, spec)`.
-type LintEntry = (String, Program, LintSpec);
-
-/// The portfolio in pinned print order.
-fn portfolio_specs() -> Result<Vec<LintEntry>, Box<dyn std::error::Error>> {
-    let aes = AesTarget::default();
-    let masked = MaskedAesTarget::default();
-    let (sched_program, _) = masked_sched_program()?;
-    let speck = SpeckTarget::default();
-    let present = PresentTarget::default();
+/// The portfolio plus the scheduled masked AES, in pinned print order.
+fn lint_targets() -> Result<Vec<Box<dyn CipherTarget>>, Box<dyn std::error::Error>> {
+    let (scheduled, _) = masked_sched_target(PORTFOLIO_AES_KEY, 1)?;
     Ok(vec![
-        (
-            aes.name().to_owned(),
-            aes.program().clone(),
-            aes.lint_spec(),
-        ),
-        (
-            masked.name().to_owned(),
-            masked.program().clone(),
-            masked.lint_spec(),
-        ),
-        // The scheduler preserves the memory contract and the release
-        // symbols, so the masked spec describes the hardened text too.
-        (
-            format!("{}+sched", masked.name()),
-            sched_program,
-            masked.lint_spec(),
-        ),
-        (
-            speck.name().to_owned(),
-            speck.program().clone(),
-            speck.lint_spec(),
-        ),
-        (
-            present.name().to_owned(),
-            present.program().clone(),
-            present.lint_spec(),
-        ),
+        Box::new(AesTarget::default()),
+        Box::new(MaskedAesTarget::default()),
+        Box::new(scheduled),
+        Box::new(SpeckTarget::default()),
+        Box::new(PresentTarget::default()),
     ])
 }
 
@@ -94,30 +66,30 @@ fn main() {
         }
     }
 
-    let specs = match portfolio_specs() {
-        Ok(specs) => specs,
+    let targets = match lint_targets() {
+        Ok(targets) => targets,
         Err(e) => {
             eprintln!("lint: {e}");
             std::process::exit(1);
         }
     };
-    let known: Vec<&str> = specs.iter().map(|(name, _, _)| name.as_str()).collect();
     for arg in &args {
-        if !known.contains(&arg.as_str()) {
+        if !targets.iter().any(|target| target.name() == arg) {
             eprintln!("lint: unknown target '{arg}'");
             usage();
         }
     }
 
     let mut any_error = false;
-    for (name, program, spec) in &specs {
+    for target in &targets {
+        let name = target.name();
         if !args.is_empty() && !args.iter().any(|a| a == name) {
             continue;
         }
         println!("== {name} ==");
-        match lint_program(program, spec) {
+        match lint_program(target.program(), &target.lint_spec()) {
             Ok(report) => {
-                print!("{}", report.render(program));
+                print!("{}", report.render(target.program()));
                 any_error |= !report.is_clean();
             }
             Err(e) => {

@@ -38,8 +38,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     for target in &result.targets {
         println!(
-            "== {} (round-1 window {} cycles) ==",
-            target.name, target.window_cycles
+            "== {} (round-1 window {} cycles, SubBytes window {} cycles) ==",
+            target.name, target.hw.window_cycles, target.hd.window_cycles
         );
         for outcome in [&target.hw, &target.hd] {
             println!(
@@ -49,12 +49,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 outcome.best_wrong,
             );
         }
+        let tvla = &target.tvla;
         println!(
             "  TVLA fixed-vs-random: max |t| {:.2} -> {} ({} fixed / {} random traces)",
-            target.tvla_max_t,
-            if target.tvla_leaks { "LEAKS" } else { "clean" },
-            target.tvla_counts.0,
-            target.tvla_counts.1,
+            tvla.max_t,
+            if tvla.leaks { "LEAKS" } else { "clean" },
+            tvla.counts.0,
+            tvla.counts.1,
         );
         println!();
     }

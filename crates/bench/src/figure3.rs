@@ -15,9 +15,7 @@ use sca_aes::{aes128_program, AesSim, SubBytesHw};
 use sca_campaign::{Campaign, CampaignConfig, CpaSink};
 use sca_power::{GaussianNoise, LeakageWeights, SamplingConfig};
 use sca_target::check_charz_traces;
-use sca_uarch::UarchConfig;
-
-use crate::probe::RetireLog;
+use sca_uarch::{PipelineObserver, UarchConfig};
 
 /// Figure 3 campaign parameters.
 #[derive(Clone, Debug)]
@@ -276,4 +274,27 @@ pub fn run_figure3(config: &Figure3Config) -> Result<Figure3Result, Box<dyn std:
         samples_per_cycle,
         traces: traces_used,
     })
+}
+
+/// Observer extracting the first rising-trigger cycle and every
+/// retirement `(cycle, addr)` — the region labeling probes one warm
+/// execution (AES is constant-time, so one probe stands for all).
+#[derive(Default)]
+struct RetireLog {
+    /// Cycle of the first rising trigger edge.
+    start: Option<u64>,
+    /// Retirements in order.
+    retirements: Vec<(u64, u32)>,
+}
+
+impl PipelineObserver for RetireLog {
+    fn trigger(&mut self, cycle: u64, high: bool) {
+        if high {
+            self.start.get_or_insert(cycle);
+        }
+    }
+
+    fn retire(&mut self, cycle: u64, addr: u32, _insn: sca_isa::Insn) {
+        self.retirements.push((cycle, addr));
+    }
 }

@@ -24,14 +24,13 @@ pub mod figure4;
 pub mod masked;
 pub mod plot;
 pub mod portfolio;
-mod probe;
 
 pub use args::{validate_lanes, write_total_timing, CommonArgs};
 pub use figure3::{run_figure3, Figure3Config, Figure3Result, PhaseRegion};
 pub use figure4::{run_figure4, Figure4Config, Figure4Result};
 pub use masked::{
-    masked_sched_program, run_masked, AblationRow, AttackOutcome, AuditSummary, MaskedConfig,
-    MaskedResult, TargetResult, TVLA_FIXED_PT,
+    masked_sched_target, run_masked, AblationRow, AuditSummary, MaskedConfig, MaskedResult,
+    TargetResult,
 };
 pub use portfolio::{
     run_portfolio, run_portfolio_reanalyze, PhaseTiming, PortfolioConfig, PortfolioResult,

@@ -181,6 +181,7 @@ impl CipherTarget for AesTarget {
 /// attacker who sees plaintexts but not the victim's mask RNG.
 #[derive(Clone, Debug)]
 pub struct MaskedAesTarget {
+    name: &'static str,
     key: [u8; 16],
     target_byte: usize,
     program: Program,
@@ -189,11 +190,31 @@ pub struct MaskedAesTarget {
 impl MaskedAesTarget {
     /// Creates the masked target for a key and attacked state byte.
     pub fn new(key: [u8; 16], target_byte: usize) -> MaskedAesTarget {
+        let program = aes128_masked_program().expect("embedded masked AES source assembles");
+        MaskedAesTarget::with_name("aes128-masked", key, target_byte, program)
+    }
+
+    /// The masked target running `program`, an `sca-sched` hardened
+    /// rewrite of the masked implementation, as `aes128-masked+sched`
+    /// (not registered in [`crate::portfolio`]). The rewrite keeps the
+    /// memory contract and the release symbols, so the staging, the
+    /// models and the lint spec of the masked target describe it too.
+    pub fn scheduled(key: [u8; 16], target_byte: usize, program: Program) -> MaskedAesTarget {
+        MaskedAesTarget::with_name("aes128-masked+sched", key, target_byte, program)
+    }
+
+    fn with_name(
+        name: &'static str,
+        key: [u8; 16],
+        target_byte: usize,
+        program: Program,
+    ) -> MaskedAesTarget {
         assert!((1..16).contains(&target_byte));
         MaskedAesTarget {
+            name,
             key,
             target_byte,
-            program: aes128_masked_program().expect("embedded masked AES source assembles"),
+            program,
         }
     }
 }
@@ -206,7 +227,7 @@ impl Default for MaskedAesTarget {
 
 impl CipherTarget for MaskedAesTarget {
     fn name(&self) -> &str {
-        "aes128-masked"
+        self.name
     }
 
     fn program(&self) -> &Program {
@@ -214,7 +235,8 @@ impl CipherTarget for MaskedAesTarget {
     }
 
     fn build(&self, uarch: &UarchConfig) -> Result<Cpu, UarchError> {
-        Ok(MaskedAesSim::new(uarch.clone(), &self.key)?.cpu().clone())
+        let sim = MaskedAesSim::from_program(uarch.clone(), &self.key, &self.program)?;
+        Ok(sim.cpu().clone())
     }
 
     fn plaintext_len(&self) -> usize {

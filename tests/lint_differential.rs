@@ -28,13 +28,13 @@
 //! characterization traces, quiet probe, per-target seed salts), so
 //! the ground truth here is the same one pinned there.
 
-use sca_bench::masked_sched_program;
+use sca_bench::masked_sched_target;
 use superscalar_sca::campaign::{DEFAULT_BATCH, DEFAULT_LANES};
 use superscalar_sca::lint::{lint_program, Rule};
 use superscalar_sca::power::GaussianNoise;
 use superscalar_sca::target::{
     characterize_target, portfolio, static_window, CipherTarget, MaskedAesTarget, TargetCampaign,
-    TargetCampaignConfig,
+    TargetCampaignConfig, PORTFOLIO_AES_KEY,
 };
 use superscalar_sca::uarch::UarchConfig;
 
@@ -132,20 +132,18 @@ fn every_dynamic_red_cell_has_a_matching_static_diagnostic() {
 #[test]
 fn scheduled_masked_aes_lints_clean_and_unscheduled_does_not() {
     let masked = MaskedAesTarget::default();
-    let spec = masked.lint_spec();
-
-    let unscheduled = lint_program(masked.program(), &spec).expect("lint runs");
+    let unscheduled = lint_program(masked.program(), &masked.lint_spec()).expect("lint runs");
     assert!(
         !unscheduled.is_clean(),
         "the unscheduled masked AES must still show the pair-distance leaks"
     );
 
-    let (hardened, report) = masked_sched_program().expect("scheduler runs");
+    let (scheduled, report) = masked_sched_target(PORTFOLIO_AES_KEY, 1).expect("scheduler runs");
     assert!(report.mem_scrubs > 0, "the scheduler must have intervened");
-    let linted = lint_program(&hardened, &spec).expect("lint runs");
+    let linted = lint_program(scheduled.program(), &scheduled.lint_spec()).expect("lint runs");
     assert!(
         linted.is_clean(),
         "masked+sched AES must lint clean:\n{}",
-        linted.render(&hardened)
+        linted.render(scheduled.program())
     );
 }
