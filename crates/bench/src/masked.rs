@@ -23,7 +23,7 @@
 //! those buffers, which restores the masking's security.
 
 use sca_aes::{aes128_masked_program, SBOX};
-use sca_core::{audit_program, AuditConfig, SecretModel};
+use sca_core::{audit_program, leak_paths, AuditConfig, SecretModel};
 use sca_isa::Reg;
 use sca_power::GaussianNoise;
 use sca_sched::{harden_program, HardenConfig, HardenReport, SharePolicy};
@@ -31,7 +31,7 @@ use sca_target::{
     resolve_window, AesTarget, CipherTarget, CpaVerdict, MaskedAesTarget, ModelKind,
     TargetCampaign, TargetCampaignConfig, TvlaVerdict,
 };
-use sca_uarch::{Cpu, Node, UarchConfig};
+use sca_uarch::{Cpu, UarchConfig};
 
 /// Countermeasure-suite campaign parameters.
 #[derive(Clone, Debug)]
@@ -255,7 +255,7 @@ fn audit_target(
             .expect("S-box and round keys are mapped");
         target.stage(cpu, input);
     };
-    let report = audit_program(
+    let mut report = audit_program(
         uarch,
         target.program(),
         target.input_len(),
@@ -269,13 +269,16 @@ fn audit_target(
             ..AuditConfig::default()
         },
     )?;
-    let share = report.findings_for(&models[0].name);
-    let on = |nodes: fn(&Node) -> bool| share.iter().filter(|f| nodes(&f.node)).count();
+    let hw_findings = report.findings_for(&models[1].name).len();
+    let total = report.findings.len();
+    // The leak paths count the share-recombination model's findings only.
+    report.findings.retain(|f| f.model == models[0].name);
+    let (operand_path, memory_path) = leak_paths(&report);
     Ok(AuditSummary {
-        operand_path: on(|node| matches!(node, Node::OperandBus(_) | Node::IsExOp { .. })),
-        memory_path: on(|node| matches!(node, Node::Mdr | Node::AlignBuf)),
-        hw_findings: report.findings_for(&models[1].name).len(),
-        total: report.findings.len(),
+        operand_path,
+        memory_path,
+        hw_findings,
+        total,
     })
 }
 
