@@ -55,8 +55,6 @@ pub struct MaskedConfig {
     pub noise: GaussianNoise,
     /// Executions for the node-level audits.
     pub audit_executions: usize,
-    /// Whether to re-attack the masked target under uarch ablations.
-    pub ablations: bool,
 }
 
 impl Default for MaskedConfig {
@@ -71,7 +69,6 @@ impl Default for MaskedConfig {
             target_byte: 1,
             noise: GaussianNoise::bare_metal(),
             audit_executions: 250,
-            ablations: true,
         }
     }
 }
@@ -197,14 +194,12 @@ pub fn masked_sched_target(
 }
 
 /// One target's CPA campaign (both models on one acquisition) and its
-/// TVLA campaign.
+/// TVLA campaign, on the target's built `campaign`.
 fn assess_target(
     name: &str,
     target: &dyn CipherTarget,
-    uarch: &UarchConfig,
-    config: &TargetCampaignConfig,
+    campaign: &TargetCampaign<'_>,
 ) -> Result<TargetResult, Box<dyn std::error::Error>> {
-    let campaign = TargetCampaign::new(target, uarch, config.clone())?;
     let [hw, hd]: [CpaVerdict; 2] = campaign
         .cpa(&target.models())?
         .try_into()
@@ -239,15 +234,17 @@ fn audit_models(config: &MaskedConfig) -> [SecretModel; 2] {
     ]
 }
 
-/// Audits a masked target in its primary (SubBytes) window. The audit
-/// builds its own bare CPU, so every execution stages the whole memory
-/// contract: the constants, then the input (state + masks).
+/// Audits a masked target in its primary (SubBytes) window, resolved
+/// on the campaign's warmed `template`. The audit builds its own bare
+/// CPU, so every execution stages the whole memory contract: the
+/// constants, then the input (state + masks).
 fn audit_target(
     config: &MaskedConfig,
     target: &dyn CipherTarget,
+    template: &Cpu,
     uarch: &UarchConfig,
 ) -> Result<AuditSummary, Box<dyn std::error::Error>> {
-    let window = resolve_window(target, &target.build(uarch)?, &target.primary_window())?;
+    let window = resolve_window(target, template, &target.primary_window())?;
     let models = audit_models(config);
     let stage = |cpu: &mut Cpu, input: &[u8]| {
         target
@@ -307,41 +304,46 @@ pub fn run_masked(config: &MaskedConfig) -> Result<MaskedResult, Box<dyn std::er
         ("masked", &masked),
         ("masked+sched", &scheduled),
     ];
+    let campaigns = targets
+        .iter()
+        .map(|&(_, target)| TargetCampaign::new(target, &uarch, campaign_config.clone()))
+        .collect::<Result<Vec<_>, _>>()?;
     let results = targets
         .iter()
-        .map(|&(name, target)| assess_target(name, target, &uarch, &campaign_config))
+        .zip(&campaigns)
+        .map(|(&(name, target), campaign)| assess_target(name, target, campaign))
         .collect::<Result<Vec<_>, _>>()?;
 
-    let audit_masked = audit_target(config, &masked, &uarch)?;
-    let audit_scheduled = audit_target(config, &scheduled, &uarch)?;
+    let audit_masked = audit_target(config, &masked, campaigns[1].cpu(), &uarch)?;
+    let audit_scheduled = audit_target(config, &scheduled, campaigns[2].cpu(), &uarch)?;
 
     // Re-attack the *masked* target under the uarch ablations the paper
     // singles out: scalar issue and the align buffer.
-    let mut ablations = Vec::new();
-    if config.ablations {
-        let hd_model: Vec<_> = masked
-            .models()
-            .into_iter()
-            .filter(|model| model.kind == ModelKind::TransitionHd)
-            .collect();
-        let ablated = [
-            ("dual-issue off (scalar)", UarchConfig::scalar()),
-            (
-                "align buffer off",
-                UarchConfig {
-                    align_buffer: false,
-                    ..uarch
-                },
-            ),
-        ];
-        for (name, ablated) in &ablated {
+    let hd_model: Vec<_> = masked
+        .models()
+        .into_iter()
+        .filter(|model| model.kind == ModelKind::TransitionHd)
+        .collect();
+    let ablated = [
+        ("dual-issue off (scalar)", UarchConfig::scalar()),
+        (
+            "align buffer off",
+            UarchConfig {
+                align_buffer: false,
+                ..uarch
+            },
+        ),
+    ];
+    let ablations = ablated
+        .iter()
+        .map(|(name, ablated)| {
             let campaign = TargetCampaign::new(&masked, ablated, campaign_config.clone())?;
-            ablations.push(AblationRow {
+            Ok(AblationRow {
                 name: (*name).to_owned(),
                 hd: campaign.cpa(&hd_model)?.remove(0),
-            });
-        }
-    }
+            })
+        })
+        .collect::<Result<Vec<_>, Box<dyn std::error::Error>>>()?;
 
     Ok(MaskedResult {
         targets: results,

@@ -92,7 +92,6 @@ fn masked_quick_verdict_lines_are_stable() {
         executions_per_trace: 2,
         threads: 4,
         audit_executions: 250,
-        ablations: true,
         ..MaskedConfig::default()
     })
     .expect("masked suite runs");
