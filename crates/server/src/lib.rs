@@ -49,5 +49,5 @@ pub use sched::{FairScheduler, JobId, SchedConfig};
 pub use server::{
     CampaignServer, Disclosure, Event, ProgressDetail, ProgressSnapshot, ServerConfig, ServerStats,
 };
-pub use spec::{AnalysisSel, CampaignSpec, MAX_SPEC_EXECUTIONS, MAX_SPEC_TRACES, MIN_TVLA_TRACES};
+pub use spec::{AnalysisSel, CampaignSpec, MAX_SPEC_EXECUTIONS, MAX_SPEC_TRACES};
 pub use wire::{final_verdict, format_event, format_stats, parse_request, Request};

@@ -14,6 +14,7 @@ use std::fmt;
 
 use sca_power::GaussianNoise;
 use sca_store::fnv1a64;
+use sca_target::check_tvla_traces;
 
 use crate::ServerError;
 
@@ -23,10 +24,6 @@ pub const MAX_SPEC_TRACES: u64 = 1_000_000;
 
 /// Hard ceiling on executions averaged per trace.
 pub const MAX_SPEC_EXECUTIONS: u64 = 10_000;
-
-/// Smallest TVLA trace budget: the Welch statistic needs two traces in
-/// each of the fixed and random populations, which alternate by trace.
-pub const MIN_TVLA_TRACES: u64 = 4;
 
 /// Which analysis of the paper's methodology the spec requests.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -126,11 +123,9 @@ impl CampaignSpec {
                 self.traces
             )));
         }
-        if self.analysis == AnalysisSel::Tvla && self.traces < MIN_TVLA_TRACES {
-            return Err(ServerError::Spec(format!(
-                "tvla needs at least {MIN_TVLA_TRACES} traces (two per population), got {}",
-                self.traces
-            )));
+        if self.analysis == AnalysisSel::Tvla {
+            check_tvla_traces(self.traces)
+                .map_err(|e| ServerError::Spec(format!("traces={}: {e}", self.traces)))?;
         }
         if self.executions_per_trace == 0 || self.executions_per_trace > MAX_SPEC_EXECUTIONS {
             return Err(ServerError::Spec(format!(
@@ -181,6 +176,8 @@ impl CampaignSpec {
 
 #[cfg(test)]
 mod tests {
+    use sca_target::MIN_TVLA_TRACES;
+
     use super::*;
 
     #[test]

@@ -9,9 +9,8 @@
 use std::sync::mpsc::Receiver;
 use std::time::Duration;
 
-use sca_server::{
-    parse_request, CampaignServer, Event, Request, ServerConfig, ServerError, MIN_TVLA_TRACES,
-};
+use sca_server::{parse_request, CampaignServer, Event, Request, ServerConfig, ServerError};
+use sca_target::MIN_TVLA_TRACES;
 
 fn submit_line(server: &CampaignServer, line: &str) -> Result<Receiver<Event>, ServerError> {
     let Request::Submit { spec, weight } = parse_request(line).expect("line parses") else {

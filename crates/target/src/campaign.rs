@@ -493,14 +493,40 @@ fn tvla_sink(target: &dyn CipherTarget, samples: usize) -> TtestSink<impl Fn(&[u
     TtestSink::new(|input: &[u8]| target.is_fixed_class(input), samples)
 }
 
+/// Fewest traces the Welch statistic takes in each TVLA population.
+const MIN_POPULATION: u64 = 2;
+
+/// Smallest TVLA campaign with a verdict: the populations alternate by
+/// trace index (even indices are fixed, see [`TargetCampaign::tvla`]),
+/// so both reach [`MIN_POPULATION`] at twice that.
+pub const MIN_TVLA_TRACES: u64 = 2 * MIN_POPULATION;
+
+/// Checks, before any simulation, that a TVLA campaign of `traces`
+/// traces reaches [`MIN_TVLA_TRACES`].
+///
+/// # Errors
+///
+/// [`TargetError::TooFewTraces`] below it, with the population sizes
+/// the campaign would end with.
+pub fn check_tvla_traces(traces: u64) -> Result<(), TargetError> {
+    if traces < MIN_TVLA_TRACES {
+        return Err(TargetError::TooFewTraces {
+            fixed: traces.div_ceil(2),
+            random: traces / 2,
+        });
+    }
+    Ok(())
+}
+
 /// The TVLA verdict of a (possibly partial) t-test sink, or
 /// [`TargetError::TooFewTraces`] while either population holds fewer
-/// than two traces (the Welch statistic is undefined before that).
+/// than [`MIN_POPULATION`] traces (the Welch statistic is undefined
+/// before that).
 fn tvla_verdict<F: Fn(&[u8]) -> bool + Send>(
     sink: &TtestSink<F>,
 ) -> Result<TvlaVerdict, TargetError> {
     let (fixed, random) = sink.counts();
-    if fixed < 2 || random < 2 {
+    if fixed < MIN_POPULATION || random < MIN_POPULATION {
         return Err(TargetError::TooFewTraces { fixed, random });
     }
     Ok(TvlaVerdict {

@@ -45,8 +45,9 @@ mod window;
 
 pub use aes::{AesTarget, MaskedAesTarget, PORTFOLIO_AES_KEY};
 pub use campaign::{
-    reanalyze_cpa, reanalyze_tvla, restore_cpa, restore_tvla, store_dir_name, CpaVerdict,
-    TargetCampaign, TargetCampaignConfig, TargetStoreConfig, TvlaVerdict,
+    check_tvla_traces, reanalyze_cpa, reanalyze_tvla, restore_cpa, restore_tvla, store_dir_name,
+    CpaVerdict, TargetCampaign, TargetCampaignConfig, TargetStoreConfig, TvlaVerdict,
+    MIN_TVLA_TRACES,
 };
 pub use charz::{
     characterize_target, check_charz_traces, NodeCharacterization, TargetCharacterization,
