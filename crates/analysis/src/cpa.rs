@@ -9,7 +9,7 @@
 //! Two evaluation styles share the same mathematics:
 //!
 //! * [`cpa_attack`] — the *batch* attack over a materialized
-//!   [`TraceSet`], parallelized across guesses;
+//!   [`TraceSet`], its guess rows split over threads;
 //! * [`CpaAccumulator`] — the *online* attack: each trace is folded into
 //!   running sums the moment it is acquired and then discarded, so a
 //!   campaign's memory footprint is `O(guesses × samples)` regardless of
@@ -41,17 +41,29 @@
 //! realistic campaigns).
 //!
 //! A batch's `Σx·y` update is register-blocked
-//! ([`crate::kernels::cross_moments`]): per sample tile and guess, a few
-//! sums stay in registers while every trace of the batch is added in.
-//! Each element still receives the same products in the same trace
-//! order as one trace at a time, so batching, tiling and blocking never
-//! change a bit of any moment.
+//! ([`crate::kernels::cross_moments`]): per sample tile, the batch's
+//! samples are widened to `f64` once, then per guess a few sums stay in
+//! registers while every trace of the batch is added in. Each element
+//! still receives the same products in the same trace order as one
+//! trace at a time, so batching, tiling and blocking never change a bit
+//! of any moment.
 //!
-//! [`CpaAccumulator::finish`] takes each guess's peak |r| right after
-//! writing that guess's row, so the verdicts ([`CpaResult::best_guess`],
-//! [`CpaResult::ranking`], [`CpaResult::rank_of`],
-//! [`CpaResult::best_wrong_peak`], [`CpaResult::success_confidence`])
-//! compare 256 stored peaks instead of scanning the matrix.
+//! ## Rows, peaks and the guess split
+//!
+//! One row routine computes a guess's correlations and its peak |r|.
+//! [`CpaAccumulator::finish`] runs it into the whole correlation matrix
+//! (for the figures, which plot series); [`CpaAccumulator::peaks`] runs
+//! it into one reused row buffer and keeps only the peaks, which is all
+//! a verdict reads ([`CpaPeaks::best_guess`], [`CpaPeaks::ranking`],
+//! [`CpaPeaks::rank_of`], [`CpaPeaks::best_wrong_peak`],
+//! [`CpaPeaks::success_confidence`]). Both give every guess the same
+//! peak, bit for bit.
+//!
+//! [`CpaAccumulator::with_threads`] splits the guess rows into
+//! contiguous ranges, one per scoped thread, for the `Σx·y` update and
+//! for both passes. Every element still gets its own arithmetic in its
+//! own order, on whichever thread owns its row, so the split changes no
+//! bit either.
 
 use std::ops::Range;
 
@@ -86,21 +98,17 @@ impl Default for CpaConfig {
 /// with each guess's peak |correlation|.
 #[derive(Clone, Debug)]
 pub struct CpaResult {
-    guesses: usize,
     samples: usize,
     /// Row-major `guess × sample` correlations.
     corr: Vec<f64>,
-    /// Per guess: the largest |r| of its row (0 for an all-zero row),
-    /// bit for bit `peak(g).1.abs()`.
-    peaks: Vec<f64>,
-    /// Traces used.
-    n: u64,
+    /// Every guess's peak |r|, which the verdicts read.
+    peaks: CpaPeaks,
 }
 
 impl CpaResult {
     /// Number of traces the attack consumed.
     pub fn traces_used(&self) -> u64 {
-        self.n
+        self.peaks.traces_used()
     }
 
     /// Number of samples per trace.
@@ -110,7 +118,7 @@ impl CpaResult {
 
     /// Number of guesses evaluated.
     pub fn guesses(&self) -> usize {
-        self.guesses
+        self.peaks.guesses()
     }
 
     /// Correlation series for one guess.
@@ -134,17 +142,75 @@ impl CpaResult {
         best
     }
 
-    /// Every guess's peak |correlation|, recorded by
-    /// [`CpaAccumulator::finish`] (equal to `peak(g).1.abs()`).
-    pub(crate) fn peaks(&self) -> &[f64] {
+    /// Every guess's peak |correlation|, taken by
+    /// [`CpaAccumulator::finish`] (`peaks().peak(g)` equals
+    /// `peak(g).1.abs()`).
+    pub fn peaks(&self) -> &CpaPeaks {
         &self.peaks
+    }
+
+    /// [`CpaPeaks::best_guess`].
+    pub fn best_guess(&self) -> usize {
+        self.peaks.best_guess()
+    }
+
+    /// [`CpaPeaks::ranking`].
+    pub fn ranking(&self) -> Vec<usize> {
+        self.peaks.ranking()
+    }
+
+    /// [`CpaPeaks::rank_of`].
+    pub fn rank_of(&self, guess: usize) -> usize {
+        self.peaks.rank_of(guess)
+    }
+
+    /// [`CpaPeaks::best_wrong_peak`].
+    pub fn best_wrong_peak(&self, correct: usize) -> f64 {
+        self.peaks.best_wrong_peak(correct)
+    }
+
+    /// [`CpaPeaks::success_confidence`].
+    pub fn success_confidence(&self, correct: usize) -> f64 {
+        self.peaks.success_confidence(correct)
+    }
+}
+
+/// Every guess's peak |correlation| over the traces absorbed so far:
+/// all a CPA verdict reads ([`CpaAccumulator::peaks`]).
+#[derive(Clone, Debug, PartialEq)]
+pub struct CpaPeaks {
+    /// Per guess: the largest |r| of its row (0 for an all-zero row),
+    /// bit for bit `CpaResult::peak(g).1.abs()`.
+    peaks: Vec<f64>,
+    /// Traces used.
+    n: u64,
+}
+
+impl CpaPeaks {
+    /// Number of traces the peaks were taken over.
+    pub fn traces_used(&self) -> u64 {
+        self.n
+    }
+
+    /// Number of guesses evaluated.
+    pub fn guesses(&self) -> usize {
+        self.peaks.len()
+    }
+
+    /// Peak |correlation| of a guess.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `guess` is out of range.
+    pub fn peak(&self, guess: usize) -> f64 {
+        self.peaks[guess]
     }
 
     /// The guess with the highest peak |correlation| (the last of tied
     /// guesses).
     pub fn best_guess(&self) -> usize {
         let peaks = &self.peaks;
-        (0..self.guesses)
+        (0..peaks.len())
             .max_by(|&a, &b| {
                 peaks[a]
                     .partial_cmp(&peaks[b])
@@ -157,7 +223,7 @@ impl CpaResult {
     /// guess order).
     pub fn ranking(&self) -> Vec<usize> {
         let peaks = &self.peaks;
-        let mut order: Vec<usize> = (0..self.guesses).collect();
+        let mut order: Vec<usize> = (0..peaks.len()).collect();
         order.sort_by(|&a, &b| {
             peaks[b]
                 .partial_cmp(&peaks[a])
@@ -202,7 +268,8 @@ impl CpaResult {
 /// `Σx·y`. Feed traces with [`absorb`](CpaAccumulator::absorb) (or the
 /// register-blocked [`absorb_batch`](CpaAccumulator::absorb_batch)), combine
 /// worker shards with [`merge`](CpaAccumulator::merge), and extract the
-/// correlation matrix with [`finish`](CpaAccumulator::finish).
+/// correlation matrix with [`finish`](CpaAccumulator::finish) or just
+/// the verdicts' peaks with [`peaks`](CpaAccumulator::peaks).
 ///
 /// Streaming a trace set through one accumulator reproduces
 /// [`cpa_attack`] bit-for-bit; sharding only perturbs the sums'
@@ -255,6 +322,11 @@ pub struct CpaAccumulator {
     sum_yy: Vec<f64>,
     /// Row-major `guess × sample`: Σx·y.
     sum_xy: Vec<f64>,
+    /// Threads the guess rows are split over.
+    threads: usize,
+    /// Per thread: the absorb kernel's scratch (a batch's predictions
+    /// by guess and its widened tile), not state.
+    wide: Vec<Vec<f64>>,
 }
 
 impl CpaAccumulator {
@@ -270,7 +342,25 @@ impl CpaAccumulator {
             sum_y: vec![0.0; samples],
             sum_yy: vec![0.0; samples],
             sum_xy: vec![0.0; guesses * samples],
+            threads: 1,
+            wide: Vec::new(),
         }
+    }
+
+    /// Splits the guess rows into `threads` contiguous ranges, one per
+    /// scoped thread, for every absorb and for [`finish`](Self::finish)
+    /// and [`peaks`](Self::peaks) (clamped to `1..=guesses`; the
+    /// default is 1). Every element keeps its arithmetic and its order,
+    /// so the state and results are bit-identical at any split.
+    #[must_use]
+    pub fn with_threads(mut self, threads: usize) -> CpaAccumulator {
+        self.threads = threads.clamp(1, self.guesses);
+        self
+    }
+
+    /// Guess rows per range of the split.
+    fn rows_per_range(&self) -> usize {
+        self.guesses.div_ceil(self.threads)
     }
 
     /// Number of traces absorbed.
@@ -318,19 +408,23 @@ impl CpaAccumulator {
     /// Panics if the slice lengths are inconsistent with the accumulator
     /// geometry.
     pub fn absorb_batch(&mut self, predictions: &[f64], traces: &[f32]) {
-        self.absorb_with(
-            predictions,
-            traces,
-            crate::kernels::moments,
-            crate::kernels::cross_moments,
-        );
+        self.absorb_moments(predictions, traces, crate::kernels::moments);
+        let (samples, rows) = (self.samples, self.rows_per_range());
+        if samples == 0 {
+            return;
+        }
+        self.wide.resize_with(self.threads, Vec::new);
+        let ranges = self.sum_xy.chunks_mut(rows * samples).zip(&mut self.wide);
+        on_threads(ranges.enumerate(), |(i, (range, wide))| {
+            crate::kernels::cross_moments(range, i * rows, predictions, traces, samples, wide);
+        });
     }
 
     /// The scalar reference of [`absorb_batch`](Self::absorb_batch):
     /// plain per-element loops, one trace at a time along each whole
-    /// row. The SIMD conformance harness streams the same data through
-    /// both entry points and asserts bit-identical state; it is
-    /// `#[doc(hidden)]` because campaigns should always use
+    /// row, on one thread. The SIMD conformance harness streams the same
+    /// data through both entry points and asserts bit-identical state;
+    /// it is `#[doc(hidden)]` because campaigns should always use
     /// `absorb_batch`.
     ///
     /// # Panics
@@ -338,22 +432,17 @@ impl CpaAccumulator {
     /// As [`absorb_batch`](Self::absorb_batch).
     #[doc(hidden)]
     pub fn absorb_batch_scalar(&mut self, predictions: &[f64], traces: &[f32]) {
-        self.absorb_with(
-            predictions,
-            traces,
-            crate::kernels::moments_scalar,
-            crate::kernels::cross_moments_scalar,
-        );
+        self.absorb_moments(predictions, traces, crate::kernels::moments_scalar);
+        crate::kernels::cross_moments_scalar(&mut self.sum_xy, predictions, traces, self.samples);
     }
 
-    /// Checks a batch's geometry, then folds it in: `Σx`/`Σx²` per guess
-    /// in trace order, `moments` per trace, `cross_moments` for `Σx·y`.
-    fn absorb_with(
+    /// Checks a batch's geometry, then folds in everything but `Σx·y`:
+    /// `Σx`/`Σx²` per guess in trace order, `moments` per trace.
+    fn absorb_moments(
         &mut self,
         predictions: &[f64],
         traces: &[f32],
         moments: fn(&mut [f64], &mut [f64], &[f32]),
-        cross_moments: fn(&mut [f64], &[f64], &[f32], usize),
     ) {
         assert_eq!(
             predictions.len() % self.guesses,
@@ -380,18 +469,15 @@ impl CpaAccumulator {
                 moments(&mut self.sum_y, &mut self.sum_yy, trace);
             }
         }
-        cross_moments(&mut self.sum_xy, predictions, traces, self.samples);
     }
 
     /// Absorbs `traces[range]` with every guess's prediction from
-    /// `selection`, guess `g` of this accumulator being key guess
-    /// `first_guess + g`, in batches of [`SET_BATCH`] traces.
+    /// `selection`, in batches of [`SET_BATCH`] traces.
     pub(crate) fn absorb_set(
         &mut self,
         traces: &TraceSet,
         range: Range<usize>,
         selection: &dyn SelectionFunction,
-        first_guess: usize,
     ) {
         let mut predictions = Vec::with_capacity(SET_BATCH * self.guesses);
         let mut flat = Vec::with_capacity(SET_BATCH * self.samples);
@@ -401,10 +487,8 @@ impl CpaAccumulator {
             flat.clear();
             for index in lo..hi {
                 let input = traces.input(index);
-                predictions.extend(
-                    (first_guess..first_guess + self.guesses)
-                        .map(|guess| selection.predict(input, guess as u8)),
-                );
+                predictions
+                    .extend((0..self.guesses).map(|guess| selection.predict(input, guess as u8)));
                 flat.extend_from_slice(traces.trace(index));
             }
             self.absorb_batch(&predictions, &flat);
@@ -488,11 +572,31 @@ impl CpaAccumulator {
         Ok(())
     }
 
-    /// Extracts the correlation matrix (same formula, in the same
-    /// evaluation order, as [`PearsonAccumulator::correlations`]) and
-    /// each guess's peak |r|, taken from its row right after writing it.
+    /// Extracts the correlation matrix and each guess's peak |r|, one
+    /// row at a time through the row routine (see the module docs).
     pub fn finish(&self) -> CpaResult {
         let mut corr = vec![0.0f64; self.guesses * self.samples];
+        let peaks = self.correlate(Some(&mut corr));
+        CpaResult {
+            samples: self.samples,
+            corr,
+            peaks,
+        }
+    }
+
+    /// Every guess's peak |r| alone: the row routine of
+    /// [`finish`](Self::finish) into one reused row buffer per thread,
+    /// so a verdict never allocates the matrix. Bit for bit
+    /// `finish().peaks()`.
+    pub fn peaks(&self) -> CpaPeaks {
+        self.correlate(None)
+    }
+
+    /// Runs the row routine for every guess on the guess split: each
+    /// row into its place in `matrix` (row-major `guess × samples`) when
+    /// given, else into a row buffer of its thread, keeping its peak.
+    /// All zeros below two traces.
+    fn correlate(&self, matrix: Option<&mut [f64]>) -> CpaPeaks {
         let mut peaks = vec![0.0f64; self.guesses];
         if self.n >= 2 {
             let n = self.n as f64;
@@ -502,28 +606,70 @@ impl CpaAccumulator {
                 .zip(&self.sum_yy)
                 .map(|(&sy, &syy)| syy - sy * sy / n)
                 .collect();
-            for g in 0..self.guesses {
-                let var_x = self.sum_xx[g] - self.sum_x[g] * self.sum_x[g] / n;
-                let row = &mut corr[g * self.samples..(g + 1) * self.samples];
-                for (s, r) in row.iter_mut().enumerate() {
-                    let cov = self.sum_xy[g * self.samples + s] - self.sum_x[g] * self.sum_y[s] / n;
-                    *r = if var_x <= 0.0 || var_y[s] <= 0.0 {
-                        0.0
-                    } else {
-                        cov / (var_x.sqrt() * var_y[s].sqrt())
+            let (samples, rows) = (self.samples, self.rows_per_range());
+            let mut matrix = matrix.map(|m| m.chunks_mut((rows * samples).max(1)));
+            let ranges = peaks
+                .chunks_mut(rows)
+                .map(|peaks| (peaks, matrix.as_mut().and_then(Iterator::next)));
+            on_threads(ranges.enumerate(), |(i, (peaks, mut range))| {
+                let mut buffer = Vec::new();
+                for (j, peak) in peaks.iter_mut().enumerate() {
+                    let row = match range.as_deref_mut() {
+                        Some(range) => &mut range[j * samples..(j + 1) * samples],
+                        None => {
+                            buffer.resize(samples, 0.0);
+                            &mut buffer[..]
+                        }
                     };
+                    *peak = self.correlation_row(i * rows + j, n, &var_y, row);
                 }
-                peaks[g] = peak_abs(row);
-            }
+            });
         }
-        CpaResult {
-            guesses: self.guesses,
-            samples: self.samples,
-            corr,
-            peaks,
-            n: self.n,
-        }
+        CpaPeaks { peaks, n: self.n }
     }
+
+    /// The row routine: guess `g`'s correlations into `row` (the same
+    /// formula, in the same evaluation order, as
+    /// [`PearsonAccumulator::correlations`]) and its peak |r|, taken
+    /// right after writing it. `var_y` holds each sample's
+    /// `Σy² − (Σy)²/n`.
+    fn correlation_row(&self, g: usize, n: f64, var_y: &[f64], row: &mut [f64]) -> f64 {
+        let sum_x = self.sum_x[g];
+        let var_x = self.sum_xx[g] - sum_x * sum_x / n;
+        let len = row.len();
+        let sum_xy = &self.sum_xy[g * self.samples..][..len];
+        let (sum_y, var_y) = (&self.sum_y[..len], &var_y[..len]);
+        for s in 0..len {
+            let cov = sum_xy[s] - sum_x * sum_y[s] / n;
+            row[s] = if var_x <= 0.0 || var_y[s] <= 0.0 {
+                0.0
+            } else {
+                cov / (var_x.sqrt() * var_y[s].sqrt())
+            };
+        }
+        peak_abs(row)
+    }
+}
+
+/// Runs `work` on each part, the first on the calling thread and every
+/// other on a scoped thread of its own; returns once all are done. The
+/// guess split of [`CpaAccumulator::with_threads`].
+fn on_threads<T: Send>(parts: impl Iterator<Item = T>, work: impl Fn(T) + Sync) {
+    let mut parts = parts.peekable();
+    let Some(first) = parts.next() else {
+        return;
+    };
+    if parts.peek().is_none() {
+        work(first);
+        return;
+    }
+    std::thread::scope(|scope| {
+        let work = &work;
+        for part in parts {
+            scope.spawn(move || work(part));
+        }
+        work(first);
+    });
 }
 
 /// The largest |r| of a correlation series, 0 if none is above 0 —
@@ -572,41 +718,10 @@ pub fn cpa_attack(
     selection: &dyn SelectionFunction,
     config: &CpaConfig,
 ) -> CpaResult {
-    let samples = traces.samples_per_trace();
-    let guesses = config.guesses.max(1);
-    let threads = config.threads.max(1).min(guesses);
-    let chunk = guesses.div_ceil(threads);
-    // Each worker streams every trace through one accumulator over its
-    // own guess range; the ranges' rows and peaks join in guess order.
-    let parts: Vec<CpaResult> = std::thread::scope(|scope| {
-        let workers: Vec<_> = (0..guesses)
-            .step_by(chunk)
-            .map(|lo| {
-                let hi = (lo + chunk).min(guesses);
-                scope.spawn(move || {
-                    let mut acc = CpaAccumulator::new(hi - lo, samples);
-                    acc.absorb_set(traces, 0..traces.len(), selection, lo);
-                    acc.finish()
-                })
-            })
-            .collect();
-        workers
-            .into_iter()
-            .map(|worker| worker.join().expect("CPA worker panicked"))
-            .collect()
-    });
-    let mut result = CpaResult {
-        guesses,
-        samples,
-        corr: Vec::with_capacity(guesses * samples),
-        peaks: Vec::with_capacity(guesses),
-        n: traces.len() as u64,
-    };
-    for part in parts {
-        result.corr.extend(part.corr);
-        result.peaks.extend(part.peaks);
-    }
-    result
+    let mut acc = CpaAccumulator::new(config.guesses, traces.samples_per_trace())
+        .with_threads(config.threads);
+    acc.absorb_set(traces, 0..traces.len(), selection);
+    acc.finish()
 }
 
 /// Evaluates a single key-less model against the traces, returning its
@@ -720,13 +835,14 @@ mod tests {
     /// A result over a given row-major matrix, its peaks scanned.
     fn result_of(guesses: usize, samples: usize, corr: Vec<f64>, n: u64) -> CpaResult {
         let mut result = CpaResult {
-            guesses,
             samples,
             corr,
-            peaks: Vec::new(),
-            n,
+            peaks: CpaPeaks {
+                peaks: vec![0.0; guesses],
+                n,
+            },
         };
-        result.peaks = (0..guesses).map(|g| result.peak(g).1.abs()).collect();
+        result.peaks.peaks = (0..guesses).map(|g| result.peak(g).1.abs()).collect();
         result
     }
 
@@ -785,7 +901,7 @@ mod tests {
     fn assert_verdicts_match_scans(result: &CpaResult, label: &str) {
         for g in 0..result.guesses() {
             assert_eq!(
-                result.peaks()[g].to_bits(),
+                result.peaks().peak(g).to_bits(),
                 result.peak(g).1.abs().to_bits(),
                 "{label}: guess {g}"
             );
@@ -823,7 +939,7 @@ mod tests {
             }
             let result = acc.finish();
             if traces < 2 {
-                assert!(result.peaks().iter().all(|&p| p.to_bits() == 0));
+                assert!(result.peaks().peaks.iter().all(|&p| p.to_bits() == 0));
             }
             assert_verdicts_match_scans(&result, &format!("{traces} traces"));
         }
@@ -834,6 +950,65 @@ mod tests {
         assert_verdicts_match_scans(&cpa_attack(&set, &model, &config), "cpa_attack");
         let tied = result_of(4, 2, vec![0.5, -0.5, -0.5, 0.25, 0.0, 0.5, 0.25, -0.25], 10);
         assert_verdicts_match_scans(&tied, "tied");
+    }
+
+    /// The peaks pass against `finish()`'s stored peaks and its series
+    /// scans, bit for bit, at every guess split: below two traces, at
+    /// two and three (peaks of about 1 that tie), and at 60; rows of
+    /// one sample, around a 256-sample tile and at the masked AES
+    /// window; with a zero-variance sample and a guess whose prediction
+    /// never changes (both correlate to 0).
+    #[test]
+    fn peaks_pass_matches_the_matrix_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(5);
+        for samples in [1usize, 255, 256, 257, 4642] {
+            let traces: Vec<(u8, Vec<f32>)> = (0..60)
+                .map(|_| {
+                    let trace = (0..samples)
+                        .map(|s| {
+                            if s == samples / 2 {
+                                3.5
+                            } else {
+                                rng.gen_range(-4.0..4.0)
+                            }
+                        })
+                        .collect();
+                    (rng.gen(), trace)
+                })
+                .collect();
+            let predict = |pt: u8, g: usize| {
+                if g == 7 {
+                    1.0
+                } else {
+                    f64::from(hw8(sbox(pt ^ g as u8)))
+                }
+            };
+            for n in [0usize, 1, 2, 3, 60] {
+                let mut acc = CpaAccumulator::new(256, samples);
+                for (pt, trace) in &traces[..n] {
+                    let predictions: Vec<f64> = (0..256).map(|g| predict(*pt, g)).collect();
+                    acc.absorb(&predictions, trace);
+                }
+                let result = acc.finish();
+                for threads in [1, 2, 3] {
+                    let acc = acc.clone().with_threads(threads);
+                    let peaks = acc.peaks();
+                    assert_eq!(&peaks, result.peaks(), "{samples} samples, {n} traces");
+                    assert_eq!(peaks.traces_used(), n as u64);
+                    let split = acc.finish();
+                    for g in 0..256 {
+                        let scanned = result.peak(g).1.abs().to_bits();
+                        assert_eq!(peaks.peak(g).to_bits(), scanned, "{samples}, {n}: {g}");
+                        assert_eq!(split.series(g), result.series(g), "{samples}, {n}: {g}");
+                    }
+                }
+                assert_eq!(result.peaks().peak(7).to_bits(), 0, "constant prediction");
+                if n >= 2 {
+                    let quiet = samples / 2;
+                    assert!((0..256).all(|g| result.series(g)[quiet].to_bits() == 0));
+                }
+            }
+        }
     }
 
     /// `peak_abs` against `peak`'s scan on rows shorter and longer than

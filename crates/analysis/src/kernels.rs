@@ -8,34 +8,45 @@
 //! stable Rust, with no nightly intrinsics, no target features, no
 //! external crates and nothing outside safe Rust.
 //!
-//! [`cross_moments`] is register-blocked. For each tile of [`XY_TILE`]
-//! samples, and for each guess, it loads [`XY_LANES`] `Σx·y` elements
-//! into registers once, adds every trace of the batch into them in
-//! trace order (widening each `f32` on the fly, with no scratch
-//! buffer), and stores them once. The matrix is therefore read and
-//! written once per batch instead of once per trace, and a tile's slice
-//! of the batch (1 KiB per trace) is reused by every guess while it is
-//! still in L1 or L2.
+//! [`cross_moments`] is register-blocked over a scratch buffer. It
+//! first copies each guess's predictions for the batch into one
+//! contiguous run. Then, for each tile of [`XY_TILE`] samples, it
+//! widens the batch's slice of the tile from `f32` to `f64`, once, and
+//! for each guess loads [`XY_LANES`] `Σx·y` elements into registers
+//! once, adds every trace of the batch into them in trace order from
+//! the widened tile, and stores them once. The matrix is therefore read
+//! and written once per batch instead of once per trace, each sample is
+//! widened once per batch instead of once per guess, and a widened tile
+//! (2 KiB per trace) is reused by every guess while it is still in L1
+//! or L2.
+//!
+//! The kernel updates any contiguous range of guess rows, so callers
+//! can split the rows over threads (`CpaAccumulator::with_threads`):
+//! each range gets its own scratch buffer and touches only its rows.
 //!
 //! ## The bit-identity argument
 //!
 //! Every output element receives exactly the same products, rounded
 //! the same way, in the same trace order, as in its scalar reference:
-//! `Σx·y[g][s]` is still `((acc + x₀·y₀[s]) + x₁·y₁[s]) + …`. Blocking
-//! only changes which elements are in flight together and where the
-//! running sum lives between traces (a register instead of memory),
-//! never the per-element arithmetic — there is no horizontal reduction
-//! and no re-association anywhere — so IEEE-754 guarantees the results
-//! are bit-identical at every tile, block width and batch size,
-//! including the ragged tails. `tests/simd_conformance.rs` enforces this
+//! `Σx·y[g][s]` is still `((acc + x₀·y₀[s]) + x₁·y₁[s]) + …`. Widening
+//! `f32` to `f64` is exact, so a product of a widened sample is the
+//! product of the sample widened on the fly. Blocking, tiling and
+//! splitting the rows only change which elements are in flight
+//! together, on which thread, and where the running sum lives between
+//! traces (a register instead of memory), never the per-element
+//! arithmetic. There is no horizontal reduction and no re-association
+//! anywhere, so IEEE-754 guarantees the results are bit-identical at
+//! every tile, block width, batch size and row split, including the
+//! ragged tails. `tests/simd_conformance.rs` enforces this
 //! differentially against the `*_scalar` references below.
 
 /// Lane width of the `f32`-input [`moments`] kernel (8 × 32-bit loads
 /// widened to `f64`).
 pub const F32_LANES: usize = 8;
 
-/// Samples per tile of [`cross_moments`]: a tile of a 16-trace batch is
-/// 16 KiB of `f32`, which stays in L1 while every guess reads it.
+/// Samples per tile of [`cross_moments`]: a 16-trace batch's tile,
+/// widened, is 32 KiB of `f64`, which stays in L1 or L2 while every
+/// guess reads it.
 pub const XY_TILE: usize = 256;
 
 /// `Σx·y` elements [`cross_moments`] holds in registers while it adds a
@@ -100,38 +111,61 @@ pub fn cross_moments_scalar(
     }
 }
 
-/// `Σx·y[g][s] += Σ_t x_t[g] · y_t[s]` over a batch, register-blocked
-/// (see the module docs).
+/// `Σx·y[g][s] += Σ_t x_t[g] · y_t[s]` over a batch for the guess rows
+/// `first..first + rows.len() / samples`, register-blocked (see the
+/// module docs).
 ///
-/// `sum_xy` is row-major `guess × samples`, `predictions` trace-major
-/// `batch × guesses`, `traces` trace-major `batch × samples`.
-pub fn cross_moments(sum_xy: &mut [f64], predictions: &[f64], traces: &[f32], samples: usize) {
-    if samples == 0 {
+/// `rows` holds those rows of the row-major `guess × samples` matrix,
+/// `predictions` is trace-major `batch × guesses` over every guess,
+/// `traces` trace-major `batch × samples`. `wide` is scratch: the rows'
+/// predictions guess-major, then the widened tile.
+pub fn cross_moments(
+    rows: &mut [f64],
+    first: usize,
+    predictions: &[f64],
+    traces: &[f32],
+    samples: usize,
+    wide: &mut Vec<f64>,
+) {
+    if samples == 0 || traces.is_empty() {
         return;
     }
-    let guesses = sum_xy.len() / samples;
     let batch = traces.len() / samples;
+    let guesses = predictions.len() / batch;
+    wide.clear();
+    for g in first..first + rows.len() / samples {
+        wide.extend((0..batch).map(|t| predictions[t * guesses + g]));
+    }
+    let split = wide.len();
     for lo in (0..samples).step_by(XY_TILE) {
         let hi = (lo + XY_TILE).min(samples);
-        for (g, row) in sum_xy.chunks_exact_mut(samples).enumerate() {
-            let mut s = lo;
+        let width = hi - lo;
+        wide.truncate(split);
+        for trace in traces.chunks_exact(samples) {
+            wide.extend(trace[lo..hi].iter().map(|&y| f64::from(y)));
+        }
+        let (columns, tile) = wide.split_at(split);
+        for (xs, row) in columns
+            .chunks_exact(batch)
+            .zip(rows.chunks_exact_mut(samples))
+        {
+            let mut s = 0;
             let mut blocks = row[lo..hi].chunks_exact_mut(XY_LANES);
             for out in &mut blocks {
                 let mut acc = [0.0f64; XY_LANES];
                 acc.copy_from_slice(out);
-                for t in 0..batch {
-                    let x = predictions[t * guesses + g];
-                    let y = &traces[t * samples + s..][..XY_LANES];
+                for (t, &x) in xs.iter().enumerate() {
+                    let y = &tile[t * width + s..][..XY_LANES];
                     for (a, &y) in acc.iter_mut().zip(y) {
-                        *a += x * f64::from(y);
+                        *a += x * y;
                     }
                 }
                 out.copy_from_slice(&acc);
                 s += XY_LANES;
             }
             for out in blocks.into_remainder() {
-                for t in 0..batch {
-                    *out += predictions[t * guesses + g] * f64::from(traces[t * samples + s]);
+                for (t, &x) in xs.iter().enumerate() {
+                    *out += x * tile[t * width + s];
                 }
                 s += 1;
             }
@@ -172,9 +206,15 @@ mod tests {
                     .collect();
                 let mut a = vec![0.125f64; guesses * samples];
                 let mut b = a.clone();
-                cross_moments(&mut a, &predictions, &traces, samples);
+                cross_moments(&mut a, 0, &predictions, &traces, samples, &mut Vec::new());
                 cross_moments_scalar(&mut b, &predictions, &traces, samples);
                 assert_eq!(a, b, "{guesses} x {samples}, batch {batch}");
+                // Row by row, each from its own first guess.
+                let mut c = vec![0.125f64; guesses * samples];
+                for (g, row) in c.chunks_mut(samples.max(1)).enumerate() {
+                    cross_moments(row, g, &predictions, &traces, samples, &mut Vec::new());
+                }
+                assert_eq!(c, b, "{guesses} x {samples}, batch {batch}, by row");
             }
         }
     }

@@ -9,8 +9,9 @@
 //!   mergeable;
 //! * [`SelectionFunction`] / [`FnSelection`] / [`InputModel`] — attack and
 //!   characterization leakage models;
-//! * [`cpa_attack`] / [`CpaResult`] — the guess × sample correlation
-//!   matrix with ranking and success metrics;
+//! * [`cpa_attack`] / [`CpaResult`] / [`CpaPeaks`] — the guess × sample
+//!   correlation matrix, and every guess's peak with the ranking and
+//!   success metrics read from it;
 //! * [`CpaAccumulator`] / [`TtestAccumulator`] — streaming, shard-
 //!   mergeable versions of CPA and the Welch t-test; the `sca-campaign`
 //!   engine runs its CPA campaigns through [`CpaAccumulator`] in
@@ -39,7 +40,7 @@ mod snr;
 mod stats;
 mod ttest;
 
-pub use cpa::{cpa_attack, model_correlation, CpaAccumulator, CpaConfig, CpaResult};
+pub use cpa::{cpa_attack, model_correlation, CpaAccumulator, CpaConfig, CpaPeaks, CpaResult};
 pub use metrics::{estimate_traces_to_disclosure, rank_evolution, traces_to_rank0, RankPoint};
 pub use models::{hd32, hw32, hw8, input_word, FnSelection, InputModel, SelectionFunction};
 pub use pearson::{pearson, PearsonAccumulator};

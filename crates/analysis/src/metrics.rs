@@ -5,7 +5,8 @@
 //! hundreds of averaged traces under Linux); a library user evaluating a
 //! countermeasure wants the whole curve — "how many traces until rank 0"
 //! is the standard measurement-to-disclosure metric. The evolution is
-//! computed in one streaming pass through one [`CpaAccumulator`].
+//! computed in one streaming pass through one [`CpaAccumulator`], each
+//! checkpoint's verdict from its peaks pass.
 
 use crate::{CpaAccumulator, SelectionFunction, TraceSet};
 
@@ -57,15 +58,17 @@ pub fn rank_evolution(
     points
         .into_iter()
         .map(|n| {
-            acc.absorb_set(traces, absorbed..n, selection, 0);
+            acc.absorb_set(traces, absorbed..n, selection);
             absorbed = n;
-            let result = acc.finish();
-            let correct_peak = result.peaks()[correct];
+            let peaks = acc.peaks();
+            let correct_peak = peaks.peak(correct);
             RankPoint {
                 traces: n,
-                rank: result.peaks().iter().filter(|&&p| p > correct_peak).count(),
+                rank: (0..peaks.guesses())
+                    .filter(|&g| peaks.peak(g) > correct_peak)
+                    .count(),
                 correct_peak,
-                best_wrong_peak: result.best_wrong_peak(correct),
+                best_wrong_peak: peaks.best_wrong_peak(correct),
             }
         })
         .collect()

@@ -6,8 +6,8 @@
 //! and the engine recombines them in worker order.
 
 use sca_analysis::{
-    CpaAccumulator, CpaResult, PearsonAccumulator, SelectionFunction, StateError, StateReader,
-    TtestAccumulator,
+    CpaAccumulator, CpaPeaks, CpaResult, PearsonAccumulator, SelectionFunction, StateError,
+    StateReader, TtestAccumulator,
 };
 use sca_power::TraceSet;
 
@@ -169,7 +169,8 @@ impl<A: Checkpointable, B: Checkpointable> Checkpointable for (A, B) {
 /// and folds each batch into a [`CpaAccumulator`].
 ///
 /// Memory is `O(guesses × samples)` — the full trace matrix of the
-/// batch attack never exists.
+/// batch attack never exists. Every absorb adds batch × guesses ×
+/// samples to the `analysis/cells_absorbed` work counter.
 #[derive(Debug)]
 pub struct CpaSink<S> {
     selection: S,
@@ -202,9 +203,24 @@ impl<S: SelectionFunction> CpaSink<S> {
         self.acc.is_empty()
     }
 
+    /// Splits the accumulator's guess rows over `threads` scoped threads
+    /// ([`CpaAccumulator::with_threads`]); bit-identical at any count.
+    /// A campaign's worker sinks keep the default of one, since each
+    /// worker already occupies a core.
+    #[must_use]
+    pub fn with_threads(mut self, threads: usize) -> CpaSink<S> {
+        self.acc = self.acc.with_threads(threads);
+        self
+    }
+
     /// Extracts the guess × sample correlation matrix.
     pub fn finish(&self) -> CpaResult {
         self.acc.finish()
+    }
+
+    /// Every guess's peak |r|, without the matrix: what a verdict reads.
+    pub fn peaks(&self) -> CpaPeaks {
+        self.acc.peaks()
     }
 
     /// The underlying accumulator (e.g. to keep merging across
@@ -241,6 +257,8 @@ impl<S: SelectionFunction> CampaignSink for CpaSink<S> {
             }
         }
         self.acc.absorb_batch(&self.predictions, traces);
+        sca_telemetry::counter!("analysis/cells_absorbed")
+            .add((inputs.len() * self.guesses * samples) as u64);
     }
 }
 

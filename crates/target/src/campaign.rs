@@ -188,24 +188,24 @@ fn sample_window((start, len): (u64, u64)) -> (usize, usize) {
 }
 
 /// `model`'s verdict from its sink, timed as the phase's `verdict`
-/// span: the correlation matrix and its peaks (`finish`), then the
-/// verdict helpers, which read only the peaks.
+/// span: every guess's peak |r| (the peaks pass, no correlation
+/// matrix), then the verdict helpers on them.
 fn cpa_verdict(
     model: &TargetModel,
     sink: &CpaSink<&TargetModel>,
     window_cycles: u64,
 ) -> CpaVerdict {
     let _span = sca_telemetry::span("verdict");
-    let result = sink.finish();
+    let peaks = sink.peaks();
     let correct = usize::from(model.correct);
     CpaVerdict {
         model: model.name.clone(),
         kind: model.kind,
-        recovered: result.best_guess() as u8,
+        recovered: peaks.best_guess() as u8,
         correct: model.correct,
-        rank: result.rank_of(correct),
-        peak: result.peak(correct).1.abs(),
-        best_wrong: result.best_wrong_peak(correct),
+        rank: peaks.rank_of(correct),
+        peak: peaks.peak(correct),
+        best_wrong: peaks.best_wrong_peak(correct),
         window_cycles,
     }
 }
@@ -498,7 +498,7 @@ const MIN_POPULATION: u64 = 2;
 
 /// Smallest TVLA campaign with a verdict: the populations alternate by
 /// trace index (even indices are fixed, see [`TargetCampaign::tvla`]),
-/// so both reach [`MIN_POPULATION`] at twice that.
+/// so both reach `MIN_POPULATION` (two traces each) at twice that.
 pub const MIN_TVLA_TRACES: u64 = 2 * MIN_POPULATION;
 
 /// Checks, before any simulation, that a TVLA campaign of `traces`
@@ -542,7 +542,9 @@ fn tvla_verdict<F: Fn(&[u8]) -> bool + Send>(
 ///
 /// The result is byte-identical to a single-threaded, non-segmented
 /// campaign over the same traces; verdict fields (recovered byte, rank)
-/// always match the stored run that produced the corpus.
+/// always match the stored run that produced the corpus. The sink's
+/// guess rows are split over every core the host offers
+/// ([`std::thread::available_parallelism`]), which changes no bit.
 ///
 /// # Errors
 ///
@@ -553,8 +555,9 @@ pub fn reanalyze_cpa(dir: &Path, model: &TargetModel) -> Result<CpaVerdict, Targ
         let meta = store.meta();
         (meta.samples as usize, meta.window_cycles)
     };
-    let sink = reanalyze_store(&store, DEFAULT_BATCH, CpaSink::new(model, 256, samples))
-        .map_err(TargetError::from)?;
+    let threads = std::thread::available_parallelism().map_or(1, usize::from);
+    let sink = CpaSink::new(model, 256, samples).with_threads(threads);
+    let sink = reanalyze_store(&store, DEFAULT_BATCH, sink).map_err(TargetError::from)?;
     Ok(cpa_verdict(model, &sink, window_cycles))
 }
 

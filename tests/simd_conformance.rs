@@ -9,10 +9,11 @@
 //! the scalar loop. These proptests pin that contract over arbitrary
 //! `(guesses, samples, batch, tail)` shapes — rows past two 256-sample
 //! tiles with ragged tails, batches from empty to past the campaign
-//! engine's default of 64, up to a key byte's 256 guesses — and the
-//! deterministic cases below pin the portfolio's own shapes, so a future
-//! "optimization" that silently re-associates gets caught here, not in
-//! a wrong verdict three layers up.
+//! engine's default of 64, up to a key byte's 256 guesses, its guess
+//! rows split over 1, 2, 3 and 7 threads — and the deterministic cases
+//! below pin the portfolio's own shapes, so a future "optimization"
+//! that silently re-associates gets caught here, not in a wrong verdict
+//! three layers up.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -51,17 +52,22 @@ fn absorb_shapes() -> impl Strategy<Value = (usize, usize, Vec<usize>)> {
     ]
 }
 
-/// Streams `batches` random batches through `absorb_batch` and
-/// `absorb_batch_scalar` and returns both accumulators.
+/// Guess-row splits of the absorb properties.
+const SPLITS: [usize; 4] = [1, 2, 3, 7];
+
+/// Streams `batches` random batches through `absorb_batch`, its guess
+/// rows split over `threads`, and through `absorb_batch_scalar`, and
+/// returns both accumulators.
 fn absorb_both(
     guesses: usize,
     samples: usize,
     batches: &[usize],
     seed: u64,
+    threads: usize,
 ) -> (CpaAccumulator, CpaAccumulator) {
     use rand::{Rng, SeedableRng};
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    let mut simd = CpaAccumulator::new(guesses, samples);
+    let mut simd = CpaAccumulator::new(guesses, samples).with_threads(threads);
     let mut scalar = CpaAccumulator::new(guesses, samples);
     for &batch in batches {
         let preds: Vec<f64> = (0..batch * guesses)
@@ -89,20 +95,24 @@ proptest! {
     /// `CpaAccumulator::absorb_batch` vs `absorb_batch_scalar`: stream
     /// the same random batches through both entry points and assert
     /// every raw moment (`n`, `Σx`, `Σx²`, `Σy`, `Σy²`, `Σx·y`) agrees
-    /// bit-for-bit — not merely to some epsilon.
+    /// bit-for-bit — not merely to some epsilon — whichever guess-row
+    /// split the batch path runs on.
     #[test]
     fn absorb_batch_matches_scalar_reference(
         (guesses, samples, batches) in absorb_shapes(),
         seed in any::<u64>(),
     ) {
-        let (simd, scalar) = absorb_both(guesses, samples, &batches, seed);
-        prop_assert!(
-            moment_bits(&simd) == moment_bits(&scalar),
-            "raw moments differ at {} guesses x {} samples, batches {:?}",
-            guesses,
-            samples,
-            batches
-        );
+        for threads in SPLITS {
+            let (simd, scalar) = absorb_both(guesses, samples, &batches, seed, threads);
+            prop_assert!(
+                moment_bits(&simd) == moment_bits(&scalar),
+                "raw moments differ at {} guesses x {} samples, batches {:?}, {} threads",
+                guesses,
+                samples,
+                batches,
+                threads
+            );
+        }
     }
 
     /// The `Σy`/`Σy²` kernel at raw-slice level, across lane tails:
@@ -192,10 +202,24 @@ fn empty_and_exact_lane_shapes() {
 #[test]
 fn portfolio_shapes_match_scalar_reference() {
     for samples in [2509, 4642] {
-        let (simd, scalar) = absorb_both(256, samples, &[16, 64], samples as u64);
+        let (simd, scalar) = absorb_both(256, samples, &[16, 64], samples as u64, 1);
         assert!(
             moment_bits(&simd) == moment_bits(&scalar),
             "raw moments differ at 256 x {samples}"
+        );
+    }
+}
+
+/// The re-analysis shape — 256 guesses over the `aes128-masked`
+/// window, in batches of 64 and a ragged 5 — with its guess rows split
+/// over 2, 3 and 7 threads.
+#[test]
+fn split_portfolio_shape_matches_scalar_reference() {
+    for threads in [2, 3, 7] {
+        let (simd, scalar) = absorb_both(256, 4642, &[64, 5], 4642, threads);
+        assert!(
+            moment_bits(&simd) == moment_bits(&scalar),
+            "raw moments differ at 256 x 4642 over {threads} threads"
         );
     }
 }
