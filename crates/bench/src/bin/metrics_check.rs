@@ -6,6 +6,7 @@
 //! metrics_check check FILE
 //! metrics_check diff-counters FILE_A FILE_B
 //! metrics_check zero FILE COUNTER...
+//! metrics_check same FILE_A FILE_B COUNTER...
 //! ```
 //!
 //! `check` validates the `customSmallerIsBetter` schema (an array of
@@ -27,7 +28,12 @@
 //! `zero` asserts that each named counter is present and 0 — for the
 //! counters that show a fast path falling back (`campaign/blocks_poisoned`,
 //! `campaign/horizon_fallbacks`), which would otherwise show only as a
-//! slowdown.
+//! slowdown, and for `power/simulator_runs` in a re-analysis.
+//!
+//! `same` asserts that each named counter is present in both files with
+//! the same value — for work two different runs must both do, such as
+//! the `analysis/cells_absorbed` of a stored run and of its
+//! re-analysis.
 
 /// One parsed `{"name", "unit", "value"}` entry.
 #[derive(Clone, Debug, PartialEq)]
@@ -46,6 +52,7 @@ const WORK_PREFIXES: &[&str] = &[
     "campaign/traces_",
     "power/",
     "uarch/",
+    "analysis/",
     "store/slots_written",
     "store/checkpoint_bytes",
 ];
@@ -259,16 +266,51 @@ fn zero(path: &str, names: &[String]) {
     println!("metrics_check: OK: {} counters 0 in '{path}'", names.len());
 }
 
+/// The first named counter that is missing from `a` or `b`, or holds
+/// different values in them, with both values.
+fn first_mismatch<'n>(
+    a: &[Entry],
+    b: &[Entry],
+    names: &'n [String],
+) -> Option<(&'n str, Option<String>, Option<String>)> {
+    let raw = |entries: &[Entry], name: &str| {
+        lookup(entries, name)
+            .filter(|e| e.unit == "count")
+            .map(|e| e.raw.clone())
+    };
+    names.iter().find_map(|name| {
+        let (va, vb) = (raw(a, name), raw(b, name));
+        (va.is_none() || va != vb).then_some((name.as_str(), va, vb))
+    })
+}
+
+fn same(path_a: &str, path_b: &str, names: &[String]) {
+    let (a, b) = (parse(path_a), parse(path_b));
+    if let Some((name, va, vb)) = first_mismatch(&a, &b, names) {
+        let shown = |v: Option<String>| v.unwrap_or_else(|| "missing".to_owned());
+        fail(&format!(
+            "counter '{name}' is {} in '{path_a}' but {} in '{path_b}'",
+            shown(va),
+            shown(vb)
+        ));
+    }
+    println!(
+        "metrics_check: OK: {} counters equal in '{path_a}' and '{path_b}'",
+        names.len()
+    );
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.as_slice() {
         [mode, file] if mode == "check" => check(file),
         [mode, a, b] if mode == "diff-counters" => diff_counters(a, b),
         [mode, file, names @ ..] if mode == "zero" && !names.is_empty() => zero(file, names),
+        [mode, a, b, names @ ..] if mode == "same" && !names.is_empty() => same(a, b, names),
         _ => {
             eprintln!(
                 "usage: metrics_check check FILE | metrics_check diff-counters FILE_A FILE_B \
-                 | metrics_check zero FILE COUNTER..."
+                 | metrics_check zero FILE COUNTER... | metrics_check same FILE_A FILE_B COUNTER..."
             );
             std::process::exit(2);
         }
@@ -307,6 +349,7 @@ mod tests {
         assert!(is_work(&entry("campaign/traces_simulated", "count")));
         assert!(is_work(&entry("uarch/l1d/accesses", "count")));
         assert!(is_work(&entry("store/slots_written", "count")));
+        assert!(is_work(&entry("analysis/cells_absorbed", "count")));
         assert!(!is_work(&entry("campaign/batches", "count")));
         assert!(!is_work(&entry("store/page_hits", "count")));
         assert!(!is_work(&entry("span/portfolio", "s")));
@@ -337,6 +380,41 @@ mod tests {
         assert_eq!(
             nonzero(&entries, &names(&["campaign/missing"])),
             [("campaign/missing", None)]
+        );
+    }
+
+    #[test]
+    fn same_flags_missing_and_differing_counters() {
+        let entry = |name: &str, raw: &str| Entry {
+            name: name.to_owned(),
+            unit: "count".to_owned(),
+            value: raw.parse().expect("number"),
+            raw: raw.to_owned(),
+        };
+        let stored = [
+            entry("analysis/cells_absorbed", "1200"),
+            entry("power/walks", "5"),
+        ];
+        let reanalyzed = [entry("analysis/cells_absorbed", "1200")];
+        let cells = ["analysis/cells_absorbed".to_owned()];
+        assert_eq!(first_mismatch(&stored, &reanalyzed, &cells), None);
+        let short = [entry("analysis/cells_absorbed", "600")];
+        assert_eq!(
+            first_mismatch(&stored, &short, &cells),
+            Some((
+                "analysis/cells_absorbed",
+                Some("1200".to_owned()),
+                Some("600".to_owned())
+            ))
+        );
+        let walks = ["power/walks".to_owned()];
+        assert_eq!(
+            first_mismatch(&stored, &reanalyzed, &walks),
+            Some(("power/walks", Some("5".to_owned()), None))
+        );
+        assert_eq!(
+            first_mismatch(&reanalyzed, &stored, &walks),
+            Some(("power/walks", None, Some("5".to_owned())))
         );
     }
 }

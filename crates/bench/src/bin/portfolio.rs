@@ -17,7 +17,9 @@
 //! checkpoints its accumulator state; a run killed mid-campaign (or by
 //! `--kill-after`, which exits 3) is picked up by `--resume` with
 //! byte-identical stdout. `--reanalyze` skips simulation entirely and
-//! streams the stored corpora back through the attack statistics.
+//! streams the stored corpora back through the attack statistics; its
+//! `--metrics-json` carries `power/simulator_runs` (0) and
+//! `analysis/cells_absorbed`, which equals the stored run's.
 
 use std::path::Path;
 
@@ -27,6 +29,9 @@ use sca_bench::{
 use sca_target::{ModelKind, TargetError};
 
 fn reanalyze(root: &Path) -> Result<(), Box<dyn std::error::Error>> {
+    // Reading the counter registers it, so the metrics show the zero
+    // resimulation instead of leaving the counter out.
+    let _ = sca_power::simulator_runs();
     println!("Cipher portfolio — re-analysis of the stored corpora under {root:?}\n");
     let reports = run_portfolio_reanalyze(root)?;
     println!("verdicts:");
@@ -42,8 +47,26 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args = CommonArgs::parse();
     if args.reanalyze {
         let root = args.store.as_deref().expect("parser requires --store");
-        return reanalyze(Path::new(root));
+        reanalyze(Path::new(root))?;
+    } else {
+        evaluate(&args)?;
     }
+    if let Some(path) = &args.metrics_json {
+        let snap = sca_telemetry::global().snapshot();
+        std::fs::write(path, sca_telemetry::render_metrics_json(&snap))?;
+        // The human-readable tree goes to stderr: stdout carries only
+        // the byte-deterministic verdicts.
+        eprintln!("{}", sca_telemetry::render_summary(&snap));
+        eprintln!(
+            "wrote {} metrics to {path}",
+            snap.counters.len() + snap.spans.len()
+        );
+    }
+    Ok(())
+}
+
+/// Runs the portfolio and prints its report.
+fn evaluate(args: &CommonArgs) -> Result<(), Box<dyn std::error::Error>> {
     let config = PortfolioConfig {
         traces: args.trace_count(700, 4_000),
         executions_per_trace: if args.quick() { 8 } else { 16 },
@@ -138,17 +161,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     if let Some(path) = &args.bench_json {
         std::fs::write(path, result.timings_json())?;
         eprintln!("wrote {} kernel timings to {path}", result.timings.len());
-    }
-    if let Some(path) = &args.metrics_json {
-        let snap = sca_telemetry::global().snapshot();
-        std::fs::write(path, sca_telemetry::render_metrics_json(&snap))?;
-        // The human-readable tree goes to stderr: stdout carries only
-        // the byte-deterministic verdicts.
-        eprintln!("{}", sca_telemetry::render_summary(&snap));
-        eprintln!(
-            "wrote {} metrics to {path}",
-            snap.counters.len() + snap.spans.len()
-        );
     }
     Ok(())
 }

@@ -1,7 +1,8 @@
 //! The telemetry determinism contract: *work counters* — traces
 //! planned/simulated, simulator runs and walks, per-level cache
-//! accesses and misses, store slots and checkpoint bytes — are a pure
-//! function of the campaign, independent of how the work was scheduled.
+//! accesses and misses, CPA cells absorbed, store slots and checkpoint
+//! bytes — are a pure function of the campaign, independent of how the
+//! work was scheduled.
 //! Running the same campaign with 1 or 4 threads and with scalar or
 //! 8-wide lockstep simulation must move every one of them by exactly
 //! the same amount, through either engine (`Campaign` and
@@ -56,6 +57,7 @@ const WORK_COUNTERS: &[&str] = &[
     "uarch/l1d/misses",
     "uarch/l2/accesses",
     "uarch/l2/misses",
+    "analysis/cells_absorbed",
     "store/slots_written",
     "store/checkpoint_bytes",
 ];
@@ -256,6 +258,9 @@ proptest! {
         prop_assert!(get("power/samples_skipped") > 0, "clipping skipped nothing");
         prop_assert!(get("uarch/l1d/accesses") > 0, "load kernel must hit L1D");
         prop_assert!(get("uarch/l1i/accesses") > 0, "fetch must hit L1I");
+        // The CPA sink absorbed every trace once: 256 guesses × the
+        // window's 2 samples per trace, whatever the batching.
+        prop_assert_eq!(get("analysis/cells_absorbed"), traces as u64 * 256 * 2);
         // The component engine publishes its walks, with no probe, and
         // neither plans traces nor synthesizes samples.
         let component = |name: &str| {
@@ -265,7 +270,12 @@ proptest! {
         prop_assert!(component("power/walks") > 0, "the component engine must walk");
         prop_assert!(component("uarch/cycles") > 0, "walks must count their cycles");
         prop_assert!(component("uarch/l1d/accesses") > 0, "load kernel must hit L1D");
-        for name in ["campaign/traces_planned", "campaign/traces_simulated", "power/samples"] {
+        for name in [
+            "campaign/traces_planned",
+            "campaign/traces_simulated",
+            "power/samples",
+            "analysis/cells_absorbed",
+        ] {
             prop_assert_eq!(component(name), 0, "{} moved", name);
         }
         // The audit publishes the same: one walk per execution.
@@ -276,7 +286,12 @@ proptest! {
         prop_assert_eq!(audited("power/walks"), traces as u64);
         prop_assert!(audited("uarch/cycles") > 0, "walks must count their cycles");
         prop_assert!(audited("uarch/l1d/accesses") > 0, "load kernel must hit L1D");
-        for name in ["campaign/traces_planned", "campaign/traces_simulated", "power/samples"] {
+        for name in [
+            "campaign/traces_planned",
+            "campaign/traces_simulated",
+            "power/samples",
+            "analysis/cells_absorbed",
+        ] {
             prop_assert_eq!(audited(name), 0, "{} moved", name);
         }
         for (threads, lanes, moved) in &runs[1..] {
