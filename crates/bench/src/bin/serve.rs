@@ -12,6 +12,10 @@
 //! stats line to stderr, removes the socket and exits 0 — CI treats any
 //! other exit status as a failed smoke run.
 //!
+//! A connection buffers at most [`sca_server::MAX_LINE`] bytes of a
+//! request line: a longer line, or one that is not UTF-8, is answered
+//! with one `rejected bad line: …` line and the connection is closed.
+//!
 //! Flags are strict, exactly as the other regeneration binaries: an
 //! unknown flag or out-of-range value (`--lanes 0`, `--lanes 9`, …)
 //! exits with status 2 before the server starts.
@@ -124,17 +128,27 @@ fn main() {
     use std::sync::Arc;
 
     use sca_server::{
-        format_event, format_stats, parse_request, CampaignServer, Event, Request, ServerConfig,
+        format_event, format_stats, parse_request, read_line, CampaignServer, Event, LineError,
+        Request, ServerConfig,
     };
 
     fn handle_connection(stream: UnixStream, server: &CampaignServer, stop: &AtomicBool) {
-        use std::io::BufRead;
         let Ok(reader) = stream.try_clone() else {
             return;
         };
+        let mut reader = std::io::BufReader::new(reader);
         let mut writer = stream;
-        for line in std::io::BufReader::new(reader).lines() {
-            let Ok(line) = line else { break };
+        loop {
+            let line = match read_line(&mut reader) {
+                Ok(Some(line)) => line,
+                Ok(None) | Err(LineError::Io(_)) => break,
+                Err(e) => {
+                    // The rest of the line stays unread: answer once and
+                    // close rather than parse what follows it.
+                    let _ = writeln!(writer, "rejected {e}");
+                    break;
+                }
+            };
             if line.trim().is_empty() {
                 continue;
             }

@@ -50,4 +50,7 @@ pub use server::{
     CampaignServer, Disclosure, Event, ProgressDetail, ProgressSnapshot, ServerConfig, ServerStats,
 };
 pub use spec::{AnalysisSel, CampaignSpec, MAX_SPEC_EXECUTIONS, MAX_SPEC_TRACES};
-pub use wire::{final_verdict, format_event, format_stats, parse_request, Request};
+pub use wire::{
+    final_verdict, format_event, format_stats, parse_request, read_line, LineError, Request,
+    MAX_LINE,
+};

@@ -19,8 +19,14 @@
 //! `final` line carries the portfolio-format verdict verbatim after its
 //! `job=` field, so clients can diff it byte-for-byte against one-shot
 //! pins.
+//!
+//! A connection reads its request lines through [`read_line`], which
+//! buffers at most [`MAX_LINE`] bytes per line and refuses a longer or
+//! non-UTF-8 line with a typed [`LineError`].
 
 use std::collections::HashMap;
+use std::fmt;
+use std::io::{BufRead, Read};
 
 use sca_power::GaussianNoise;
 
@@ -45,6 +51,65 @@ pub enum Request {
     Metrics,
     /// Drain and stop the server.
     Shutdown,
+}
+
+/// Longest request line, its newline included, that [`read_line`]
+/// accepts; a full `submit` line is under 300 bytes.
+pub const MAX_LINE: usize = 4096;
+
+/// Why [`read_line`] could not return a request line.
+#[derive(Debug)]
+pub enum LineError {
+    /// The line ran past [`MAX_LINE`] bytes without a newline.
+    TooLong,
+    /// The line is not UTF-8.
+    NotUtf8,
+    /// Reading the connection failed.
+    Io(std::io::Error),
+}
+
+impl fmt::Display for LineError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            LineError::TooLong => write!(f, "bad line: longer than {MAX_LINE} bytes"),
+            LineError::NotUtf8 => write!(f, "bad line: not UTF-8"),
+            LineError::Io(e) => write!(f, "bad line: {e}"),
+        }
+    }
+}
+
+impl std::error::Error for LineError {}
+
+/// Reads one request line from `reader`, without its `\n` or `\r\n`;
+/// `None` at the end of the stream. A last line without a newline
+/// still counts. At most [`MAX_LINE`] bytes are buffered, however long
+/// the line.
+///
+/// # Errors
+///
+/// [`LineError::TooLong`] once [`MAX_LINE`] bytes hold no newline (the
+/// rest of the line stays unread), [`LineError::NotUtf8`], and read
+/// failures as [`LineError::Io`].
+pub fn read_line(reader: &mut impl BufRead) -> Result<Option<String>, LineError> {
+    let mut line = Vec::new();
+    reader
+        .take(MAX_LINE as u64)
+        .read_until(b'\n', &mut line)
+        .map_err(LineError::Io)?;
+    if line.is_empty() {
+        return Ok(None);
+    }
+    if line.last() == Some(&b'\n') {
+        line.pop();
+        if line.last() == Some(&b'\r') {
+            line.pop();
+        }
+    } else if line.len() == MAX_LINE {
+        return Err(LineError::TooLong);
+    }
+    String::from_utf8(line)
+        .map(Some)
+        .map_err(|_| LineError::NotUtf8)
 }
 
 fn parse_u64(key: &str, value: &str) -> Result<u64, ServerError> {
@@ -259,6 +324,39 @@ mod tests {
         assert_eq!(parse_request("stats").unwrap(), Request::Stats);
         assert_eq!(parse_request("metrics").unwrap(), Request::Metrics);
         assert_eq!(parse_request("shutdown").unwrap(), Request::Shutdown);
+    }
+
+    #[test]
+    fn read_line_caps_and_types_its_failures() {
+        use std::io::Cursor;
+        let mut lines = Cursor::new(b"stats\r\nshutdown\n\nlast".to_vec());
+        for want in ["stats", "shutdown", "", "last"] {
+            assert_eq!(read_line(&mut lines).unwrap().as_deref(), Some(want));
+        }
+        assert!(read_line(&mut lines).unwrap().is_none());
+
+        // A megabyte without a newline: refused after MAX_LINE bytes.
+        let mut long = Cursor::new(vec![b'x'; 1 << 20]);
+        assert!(matches!(read_line(&mut long), Err(LineError::TooLong)));
+        assert_eq!(long.position(), MAX_LINE as u64);
+        // The longest line accepted, newline included, and one past it.
+        let mut longest = vec![b'y'; MAX_LINE - 1];
+        longest.push(b'\n');
+        let read = read_line(&mut Cursor::new(longest.clone())).unwrap();
+        assert_eq!(read.map(|l| l.len()), Some(MAX_LINE - 1));
+        longest.insert(0, b'y');
+        assert!(matches!(
+            read_line(&mut Cursor::new(longest)),
+            Err(LineError::TooLong)
+        ));
+
+        let mut invalid = Cursor::new(b"submit tenant=\xff\xfe\nstats\n".to_vec());
+        assert!(matches!(read_line(&mut invalid), Err(LineError::NotUtf8)));
+        assert_eq!(LineError::NotUtf8.to_string(), "bad line: not UTF-8");
+        assert_eq!(
+            LineError::TooLong.to_string(),
+            format!("bad line: longer than {MAX_LINE} bytes")
+        );
     }
 
     #[test]
